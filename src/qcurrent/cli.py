@@ -46,77 +46,96 @@ class UsageError(Exception):
     pass
 
 
-def _default_bialgebra_degree(g: LieAlgebraData) -> int:
-    return 3 if g.n == 2 else 2
+# smallest accepted value of a bound option, where a suite needs more than 0
+SUITE_MINIMUMS = {
+    "bialgebra": {"max_u_degree": 1},
+    "generation": {"max_u_degree": 2},
+}
 
 
-def _default_generation_degree(g: LieAlgebraData) -> int:
-    return 4 if g.n == 2 else 3
+def _or_default(value: Optional[int], default: int) -> int:
+    return default if value is None else value
 
 
 def run_suite(name: str, g: LieAlgebraData, args) -> Report:
     fault = args.inject_fault
-    jobs = args.jobs
     if name == "gnw":
-        return envelope.verify_gnw(g, fault=fault, jobs=jobs)
+        return envelope.verify_gnw(g, fault=fault)
     if name == "bialgebra":
-        degree = args.max_u_degree or _default_bialgebra_degree(g)
-        return current.verify_bialgebra(g, degree, fault=fault, jobs=jobs)
+        degree = _or_default(args.max_u_degree, 3 if g.n == 2 else 2)
+        return current.verify_bialgebra(g, degree, fault=fault)
     if name == "min-presentation":
-        return current.verify_min_presentation(g, jobs=jobs)
+        return current.verify_min_presentation(g)
     if name == "generation":
-        degree = args.max_u_degree or _default_generation_degree(g)
-        return current.verify_generation(g, degree, jobs=jobs)
+        degree = _or_default(args.max_u_degree, 4 if g.n == 2 else 3)
+        return current.verify_generation(g, degree)
     if name == "defects":
-        return freequant.verify_primitive_defects(g, fault=fault, jobs=jobs)
+        return freequant.verify_primitive_defects(g, fault=fault)
     if name == "sl2-steps":
         if g.n != 2:
             raise UsageError("sl2-steps runs on --type A1 only")
-        return freequant.verify_sl2_steps(g, fault=fault, jobs=jobs)
+        return freequant.verify_sl2_steps(g, fault=fault)
     if name == "t-identities":
-        return freequant.verify_T_identities(g, jobs=jobs)
+        return freequant.verify_T_identities(g)
     if name == "coproduct-wd":
-        report = freequant.verify_coproduct_well_defined(g, fault=fault, jobs=jobs)
+        report = freequant.verify_coproduct_well_defined(g, fault=fault)
         if fault is None:
             # the Hopf laws are part of the structural story; under the
             # cocycle-scale fault only relation preservation is the question
-            report.checks.extend(freequant.verify_hopf_axioms(g, jobs=jobs).checks)
+            report.checks.extend(freequant.verify_hopf_axioms(g).checks)
         return report
+    degree = _or_default(args.degree, 4 if name == "cartier" else 2)
     if name == "whitehead":
-        return cohom.whitehead_report(g, bound=args.degree or 2, jobs=jobs)
+        return cohom.whitehead_report(g, bound=degree)
     if name == "cartier":
         report = Report(suite="cartier", algebra="Sym(V), dim V in {1,2,3}")
         for v_dim in (1, 2, 3):
-            sub = cohom.cartier_check(v_dim, args.degree or 4, jobs=jobs)
+            sub = cohom.cartier_check(v_dim, degree)
             for c in sub.checks:
                 c.id = f"V{v_dim}-{c.id}"
             report.checks.extend(sub.checks)
             report.elapsed_ms += sub.elapsed_ms
         return report
     if name == "bicomplex":
-        return cohom.bicomplex_report(g, bound=args.degree or 2, samples=100,
-                                      seed=args.seed, jobs=jobs)
+        return cohom.bicomplex_report(g, bound=degree, samples=100, seed=args.seed)
     if name == "solver":
-        return cohom.solver_report(g, bound=args.degree or 2, runs=20,
-                                   seed=args.seed, fault=fault, jobs=jobs)
+        return cohom.solver_report(g, bound=degree, runs=20, seed=args.seed,
+                                   fault=fault)
     raise UsageError(f"unknown suite {name!r}")
 
 
-def _verify(args) -> int:
+def _usage_problem(args) -> Optional[str]:
+    """Why the verify arguments cannot run a meaningful suite, or None."""
     if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; choose from: {', '.join(SUITES)}",
-              file=sys.stderr)
-        return 2
+        return f"unknown suite {args.suite!r}; choose from: {', '.join(SUITES)}"
     if args.inject_fault is not None:
         allowed = SUITE_FAULTS.get(args.suite, ())
         if args.inject_fault not in allowed:
-            print(f"suite {args.suite!r} supports faults: "
-                  f"{', '.join(allowed) or '(none)'}", file=sys.stderr)
-            return 2
-    labels = [t.strip() for t in args.type.split(",") if t.strip()]
+            return (f"suite {args.suite!r} supports faults: "
+                    f"{', '.join(allowed) or '(none)'}")
+    for option in ("degree", "max_u_degree"):
+        value = getattr(args, option)
+        least = SUITE_MINIMUMS.get(args.suite, {}).get(option, 0)
+        if value is not None and value < least:
+            return (f"--{option.replace('_', '-')} must be at least {least} "
+                    f"for suite {args.suite!r}, got {value}")
+    if not _type_labels(args.type):
+        return "--type names no algebra; expected A<k>, e.g. A1 or A1,A2"
+    return None
+
+
+def _type_labels(text: str) -> List[str]:
+    return [t.strip() for t in text.split(",") if t.strip()]
+
+
+def _verify(args) -> int:
+    problem = _usage_problem(args)
+    if problem is not None:
+        print(problem, file=sys.stderr)
+        return 2
     reports = []
     try:
-        for label in labels:
+        for label in _type_labels(args.type):
             g = _algebra(label)
             report = run_suite(args.suite, g, args)
             reports.append(report)
@@ -232,8 +251,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="write the JSON report here ('-' for stdout)")
     p_verify.add_argument("--inject-fault", default=None,
                           help="named perturbation; the suite must then fail")
-    p_verify.add_argument("--jobs", type=int, default=1,
-                          help="run checks concurrently up to this bound")
     p_verify.set_defaults(func=_verify)
 
     p_expand = sub.add_parser("expand", help="evaluate an expression to "

@@ -17,7 +17,8 @@ from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from .envelope import UElement, mono_coproduct_terms, normal_order
-from .exactnum import ONE, ZERO, SparseMatrix, rank_of_rows, solve
+from .exactnum import (ONE, ZERO, CoeffMap, SparseMatrix, accumulate,
+                       rank_of_rows, solve)
 from .liealg import LieAlgebraData
 from .reports import Report, run_checks
 
@@ -54,11 +55,7 @@ class GModule:
         cols = self.actions[x]
         for j, c in vec.items():
             for i, a in cols.get(j, {}).items():
-                s = out.get(i, ZERO) + a * c
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
+                accumulate(out, i, a * c)
         return out
 
     def _diagonal_weights(self) -> Optional[List[tuple]]:
@@ -87,18 +84,10 @@ class GModule:
                     lhs: Vector = {}
                     for z, c in table.items():
                         for i, v in self.act(z, vec).items():
-                            s = lhs.get(i, ZERO) + c * v
-                            if s:
-                                lhs[i] = s
-                            else:
-                                lhs.pop(i, None)
+                            accumulate(lhs, i, c * v)
                     rhs = self.act(a, self.act(b, vec))
                     for i, v in self.act(b, self.act(a, vec)).items():
-                        s = rhs.get(i, ZERO) - v
-                        if s:
-                            rhs[i] = s
-                        else:
-                            rhs.pop(i, None)
+                        accumulate(rhs, i, -v)
                     if lhs != rhs:
                         raise ValueError(
                             f"not a g-module: pair ({g.names[a]}, {g.names[b]}) "
@@ -149,12 +138,7 @@ def tensor_module(a: GModule, b: GModule) -> GModule:
                 for ia, c in cola.items():
                     col[ia * b.dim + jb] = c
                 for ib, c in bx.get(jb, {}).items():
-                    k = ja * b.dim + ib
-                    s = col.get(k, ZERO) + c
-                    if s:
-                        col[k] = s
-                    else:
-                        col.pop(k, None)
+                    accumulate(col, ja * b.dim + ib, c)
                 if col:
                     cols[j] = col
         actions.append(cols)
@@ -188,21 +172,14 @@ def u_slice_module(g: LieAlgebraData, bound: int) -> GModule:
 
 def _ad_letter(g: LieAlgebraData, x: int, mono: tuple) -> dict:
     """[x, mono] in PBW normal form; stays within the filtration slice."""
-    cache = getattr(g, "_ad_cache", None)
-    if cache is None:
-        cache = {}
-        g._ad_cache = cache
+    cache = g._ad_cache
     key = (x, mono)
     hit = cache.get(key)
     if hit is not None:
         return hit
     out = dict(normal_order(g, (x,) + mono))
     for m2, c in normal_order(g, mono + (x,)).items():
-        s = out.get(m2, ZERO) - c
-        if s:
-            out[m2] = s
-        else:
-            out.pop(m2, None)
+        accumulate(out, m2, -c)
     cache[key] = out
     return out
 
@@ -240,11 +217,7 @@ class CEChain:
         for s, vec in other.data.items():
             cur = out.setdefault(s, {})
             for k, v in vec.items():
-                nv = cur.get(k, ZERO) - v
-                if nv:
-                    cur[k] = nv
-                else:
-                    cur.pop(k, None)
+                accumulate(cur, k, -v)
             if not cur:
                 out.pop(s)
         return CEChain(self.module, self.m, out)
@@ -270,11 +243,7 @@ def ce_differential(omega: CEChain, module: Optional[GModule] = None) -> CEChain
             return
         cur = out.setdefault(s, {})
         for k, v in vec.items():
-            nv = cur.get(k, ZERO) + factor * v
-            if nv:
-                cur[k] = nv
-            else:
-                cur.pop(k, None)
+            accumulate(cur, k, factor * v)
         if not cur:
             out.pop(s)
 
@@ -340,22 +309,11 @@ def _ce_matrix_rows(module: GModule, m: int):
             sign = (-1) ** i
             for jcol, col in module.actions[t[i]].items():
                 for irow, v in col.items():
-                    tgt = action_cols.setdefault(irow, {})
-                    key = base + jcol
-                    nv = tgt.get(key, ZERO) + sign * v
-                    if nv:
-                        tgt[key] = nv
-                    else:
-                        tgt.pop(key, None)
+                    accumulate(action_cols.setdefault(irow, {}), base + jcol, sign * v)
         for kprime in range(mdim):
             row: Vector = dict(action_cols.get(kprime, {}))
             for sidx, c in bracket_cols:
-                key = sidx * mdim + kprime
-                nv = row.get(key, ZERO) + c
-                if nv:
-                    row[key] = nv
-                else:
-                    row.pop(key, None)
+                accumulate(row, sidx * mdim + kprime, c)
             if row:
                 rows.append(row)
                 row_tags.append((t, kprime))
@@ -405,7 +363,7 @@ def ce_cohomology_dims(module: GModule, up_to: int) -> List[int]:
     return dims
 
 
-def whitehead_report(g: LieAlgebraData, bound: int = 2, jobs: int = 1) -> Report:
+def whitehead_report(g: LieAlgebraData, bound: int = 2) -> Report:
     """First and second cohomology vanish for the adjoint module and for
     dual(adjoint) (x) U-slice; invariants of the trivial module are 1-dim."""
     cache: Dict[str, List[int]] = {}
@@ -437,7 +395,7 @@ def whitehead_report(g: LieAlgebraData, bound: int = 2, jobs: int = 1) -> Report
          f"H^2(g, dual(adjoint) (x) U<= {bound}) = 0",
          lambda: None if dims_of("big")[2] == 0 else f"H^2 = {dims_of('big')[2]}"),
     ]
-    return run_checks("whitehead", g.type_label(), specs, jobs=jobs)
+    return run_checks("whitehead", g.type_label(), specs)
 
 
 # --- cobar complex of a symmetric coalgebra ---------------------------------------
@@ -472,55 +430,22 @@ def _sym_coproduct(mono: tuple) -> Dict[tuple, Fraction]:
     for prefix, c in keys:
         left = tuple(p[0] for p in prefix)
         right = tuple(p[1] for p in prefix)
-        out[left, right] = out.get((left, right), ZERO) + c
+        accumulate(out, (left, right), c)
     return out
 
 
-class CobarChain:
+class CobarChain(CoeffMap):
     """Element of the n-fold tensor power of Sym(V) in one symmetric degree."""
 
-    __slots__ = ("v_dim", "n", "degree", "data")
+    __slots__ = ("v_dim", "n", "degree")
+    _space = ("v_dim", "n", "degree")
 
     def __init__(self, v_dim: int, n: int, degree: int,
                  data: Optional[Dict[tuple, Fraction]] = None):
         self.v_dim = v_dim
         self.n = n
         self.degree = degree
-        self.data = {}
-        if data:
-            for k, c in data.items():
-                if c:
-                    self.data[k] = c
-
-    def _accumulate(self, key, c):
-        s = self.data.get(key, ZERO) + c
-        if s:
-            self.data[key] = s
-        else:
-            self.data.pop(key, None)
-
-    def __bool__(self):
-        return bool(self.data)
-
-    def __eq__(self, other):
-        return (isinstance(other, CobarChain) and self.n == other.n
-                and self.data == other.data)
-
-    def __sub__(self, other):
-        out = CobarChain(self.v_dim, self.n, self.degree, dict(self.data))
-        for k, c in other.data.items():
-            out._accumulate(k, -c)
-        return out
-
-    def __add__(self, other):
-        out = CobarChain(self.v_dim, self.n, self.degree, dict(self.data))
-        for k, c in other.data.items():
-            out._accumulate(k, c)
-        return out
-
-    def scale(self, q):
-        return CobarChain(self.v_dim, self.n, self.degree,
-                          {k: c * q for k, c in self.data.items()})
+        super().__init__(data)
 
 
 def cobar_differential(y: CobarChain) -> CobarChain:
@@ -651,7 +576,7 @@ def solve_minus_coboundary(y: CobarChain) -> CobarChain:
     return out
 
 
-def cartier_check(v_dim: int, d_max: int, jobs: int = 1) -> Report:
+def cartier_check(v_dim: int, d_max: int) -> Report:
     """H^2 of the minus cobar subcomplex vanishes in every symmetric degree
     up to d_max."""
     specs = []
@@ -662,7 +587,7 @@ def cartier_check(v_dim: int, d_max: int, jobs: int = 1) -> Report:
         specs.append((f"H2-minus-degree-{d}",
                       f"H^2(T_-(Sym(V)), delta) = 0 at symmetric degree {d}",
                       chk))
-    return run_checks("cartier", f"V{v_dim}", specs, jobs=jobs)
+    return run_checks("cartier", f"V{v_dim}", specs)
 
 
 # --- the bicomplex ---------------------------------------------------------------
@@ -706,13 +631,9 @@ class Cochain:
 
     def _accumulate(self, key, tkey, c):
         tensor = self.data.setdefault(key, {})
-        s = tensor.get(tkey, ZERO) + c
-        if s:
-            tensor[tkey] = s
-        else:
-            tensor.pop(tkey, None)
-            if not tensor:
-                self.data.pop(key, None)
+        accumulate(tensor, tkey, c)
+        if not tensor:
+            del self.data[key]
 
     def __add__(self, other):
         assert (self.m, self.n) == (other.m, other.n)
@@ -793,11 +714,7 @@ def bicomplex_dh(w: Cochain) -> Cochain:
 
             def add(tensor, factor):
                 for tkey, c in tensor.items():
-                    s = acc.get(tkey, ZERO) + factor * c
-                    if s:
-                        acc[tkey] = s
-                    else:
-                        acc.pop(tkey, None)
+                    accumulate(acc, tkey, factor * c)
 
             for i in range(m + 1):
                 rest = t[:i] + t[i + 1:]
@@ -821,8 +738,8 @@ def bicomplex_dh(w: Cochain) -> Cochain:
                         tensor = w.value(s, v)
                         if tensor:
                             add(tensor, sign_ij * sgn * c)
-            for tkey, c in acc.items():
-                out._accumulate((t, v), tkey, c)
+            if acc:
+                out.data[t, v] = acc
     return out
 
 
@@ -832,32 +749,20 @@ def _tensor_ad(g: LieAlgebraData, x: int, tensor: dict) -> dict:
     for tkey, c in tensor.items():
         for slot in range(len(tkey)):
             for m2, q in _ad_letter(g, x, tkey[slot]).items():
-                key = tkey[:slot] + (m2,) + tkey[slot + 1:]
-                s = out.get(key, ZERO) + c * q
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                accumulate(out, tkey[:slot] + (m2,) + tkey[slot + 1:], c * q)
     return out
 
 
 def _cobar_delta_tensor(g: LieAlgebraData, tensor: dict, n: int) -> dict:
     """The coalgebra differential applied to a sparse element of U^{(x) n}."""
     out: dict = {}
-
-    def add(key, c):
-        s = out.get(key, ZERO) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-
     for tkey, c in tensor.items():
-        add(((),) + tkey, c)
-        add(tkey + ((),), c * ((-1) ** (n + 1)))
+        accumulate(out, ((),) + tkey, c)
+        accumulate(out, tkey + ((),), c * ((-1) ** (n + 1)))
         for i in range(n):
             for (a, b), q in mono_coproduct_terms(g, tkey[i]).items():
-                add(tkey[:i] + (a, b) + tkey[i + 1:], c * q * ((-1) ** (i + 1)))
+                accumulate(out, tkey[:i] + (a, b) + tkey[i + 1:],
+                           c * q * ((-1) ** (i + 1)))
     return out
 
 
@@ -900,7 +805,7 @@ def random_cochain(g: LieAlgebraData, m: int, n: int, bound: int,
 
 
 def bicomplex_report(g: LieAlgebraData, bound: int = 2, samples: int = 100,
-                     seed: int = 0, jobs: int = 1) -> Report:
+                     seed: int = 0) -> Report:
     """d_H^2 = d_V^2 = 0 and d_H d_V = d_V d_H on seeded random cochains at
     every bidegree (m, n) with m, n <= 2."""
     bidegrees = [(m, n) for m in range(3) for n in range(1, 3)]
@@ -938,7 +843,7 @@ def bicomplex_report(g: LieAlgebraData, bound: int = 2, samples: int = 100,
             return None
         specs.append((f"dh-dv-commute-{m}{n}",
                       f"dH o dV = dV o dH at bidegree ({m},{n})", chk_comm))
-    report = run_checks("bicomplex", g.type_label(), specs, jobs=jobs, seed=seed)
+    report = run_checks("bicomplex", g.type_label(), specs, seed=seed)
     return report
 
 
@@ -1086,8 +991,7 @@ def identity_shift_of(diff: Cochain) -> Optional[Fraction]:
 
 
 def solver_report(g: LieAlgebraData, bound: int = 2, runs: int = 20,
-                  seed: int = 0, fault: Optional[str] = None,
-                  jobs: int = 1) -> Report:
+                  seed: int = 0, fault: Optional[str] = None) -> Report:
     """Round-trip the solver on seeded random data: gamma and eta are read
     off a random phi_0, and the solution must agree with phi_0 up to a
     rational multiple of the identity map."""
@@ -1118,13 +1022,10 @@ def solver_report(g: LieAlgebraData, bound: int = 2, runs: int = 20,
                       chk))
 
     def chk_model_lift():
-        from .exactnum import HPoly
         from .freequant import lift_gamma_eta
         b_cochain = random_cochain(g, 0, 1, bound, rng, density=0.6)
-        shift = {}
-        for v in range(g.dim):
-            shift[v] = UElement(g, {mono: HPoly.rational(c)
-                                    for (mono,), c in b_cochain.value((), v).items()})
+        shift = {v: UElement(g, {mono: c for (mono,), c in b_cochain.value((), v).items()})
+                 for v in range(g.dim)}
         gamma_map, eta_map = lift_gamma_eta(g, shift)
         gamma = Cochain(g, 1, 1, bound)
         for (a, b), val in gamma_map.items():
@@ -1143,4 +1044,4 @@ def solver_report(g: LieAlgebraData, bound: int = 2, runs: int = 20,
     specs.append(("model-lift",
                   "gamma, eta read off the lift J + hbar*I(B) are solved back "
                   "to -B up to lambda * id", chk_model_lift))
-    return run_checks("solver", g.type_label(), specs, jobs=jobs, seed=seed)
+    return run_checks("solver", g.type_label(), specs, seed=seed)

@@ -11,27 +11,25 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .exactnum import ONE, ZERO, as_fraction, rank_of_rows
+from .envelope import PBWAlgebra
+from .exactnum import (ONE, CoeffMap, TensorMap, accumulate, join_signed,
+                       rank_of_rows)
 from .liealg import LieAlgebraData, LieElement
 from .reports import Report, run_checks, zero_or_residual
 
 CurrentKey = Tuple[int, int]  # (basis index, u-degree)
 
 
-class CurrentElement:
+class CurrentElement(CoeffMap):
     """Sparse element of g[u]: {(basis index, u-degree): Fraction}."""
 
-    __slots__ = ("alg", "data")
+    __slots__ = ("alg",)
+    _space = ("alg",)
 
     def __init__(self, alg: LieAlgebraData,
                  data: Optional[Dict[CurrentKey, Fraction]] = None):
         self.alg = alg
-        self.data = {}
-        if data:
-            for k, c in data.items():
-                c = as_fraction(c)
-                if c:
-                    self.data[k] = c
+        super().__init__(data)
 
     @classmethod
     def generator(cls, alg: LieAlgebraData, basis: int, degree: int) -> "CurrentElement":
@@ -41,150 +39,41 @@ class CurrentElement:
     def from_lie(cls, x: LieElement, degree: int) -> "CurrentElement":
         return cls(x.alg, {(i, degree): c for i, c in x.data.items()})
 
-    def __add__(self, other: "CurrentElement") -> "CurrentElement":
-        assert self.alg is other.alg
-        out = dict(self.data)
-        for k, c in other.data.items():
-            s = out.get(k, ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        res = CurrentElement(self.alg)
-        res.data = out
-        return res
-
-    def __neg__(self) -> "CurrentElement":
-        res = CurrentElement(self.alg)
-        res.data = {k: -c for k, c in self.data.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "CurrentElement":
-        q = as_fraction(scalar)
-        res = CurrentElement(self.alg)
-        if q:
-            res.data = {k: c * q for k, c in self.data.items()}
-        return res
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.data)
-
-    def __eq__(self, other):
-        return isinstance(other, CurrentElement) and self.data == other.data
-
     def render(self) -> str:
-        if not self.data:
-            return "0"
-        parts = []
-        for (b, n) in sorted(self.data, key=lambda k: (k[1], k[0])):
-            c = self.data[b, n]
-            name = f"{self.alg.names[b]}*u^{n}"
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{c}*{name}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-    def __repr__(self):
-        return self.render()
+        names = self.alg.names
+        return _render_rational_terms(
+            sorted(self.data.items(), key=lambda kc: (kc[0][1], kc[0][0])),
+            lambda key: f"{names[key[0]]}*u^{key[1]}")
 
 
-class CurrentTensor:
+class CurrentTensor(TensorMap):
     """Element of (g x ... x g)[u_1, ..., u_n], sparse over tuples of
     (basis index, degree) pairs."""
 
-    __slots__ = ("alg", "arity", "data")
+    __slots__ = ("alg",)
+    _space = ("alg", "arity")
 
     def __init__(self, alg: LieAlgebraData, arity: int = 2,
                  data: Optional[Dict[tuple, Fraction]] = None):
         self.alg = alg
         self.arity = arity
-        self.data = {}
-        if data:
-            for k, c in data.items():
-                c = as_fraction(c)
-                if c:
-                    self.data[k] = c
-
-    def _accumulate(self, key, c: Fraction):
-        s = self.data.get(key, ZERO) + c
-        if s:
-            self.data[key] = s
-        else:
-            self.data.pop(key, None)
-
-    def __add__(self, other: "CurrentTensor") -> "CurrentTensor":
-        assert self.alg is other.alg and self.arity == other.arity
-        out = CurrentTensor(self.alg, self.arity)
-        out.data = dict(self.data)
-        for k, c in other.data.items():
-            out._accumulate(k, c)
-        return out
-
-    def __neg__(self):
-        out = CurrentTensor(self.alg, self.arity)
-        out.data = {k: -c for k, c in self.data.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        q = as_fraction(scalar)
-        out = CurrentTensor(self.alg, self.arity)
-        if q:
-            out.data = {k: c * q for k, c in self.data.items()}
-        return out
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.data)
-
-    def __eq__(self, other):
-        return (isinstance(other, CurrentTensor) and self.arity == other.arity
-                and self.data == other.data)
-
-    def permute(self, perm: tuple) -> "CurrentTensor":
-        out = CurrentTensor(self.alg, self.arity)
-        for key, c in self.data.items():
-            out._accumulate(tuple(key[perm[k]] for k in range(self.arity)), c)
-        return out
-
-    def swap(self) -> "CurrentTensor":
-        assert self.arity == 2
-        return self.permute((1, 0))
+        super().__init__(data)
 
     def render(self) -> str:
-        if not self.data:
-            return "0"
-        parts = []
-        for key in sorted(self.data):
-            c = self.data[key]
-            text = " (x) ".join(f"{self.alg.names[b]}*u^{n}" for b, n in key)
-            if c == 1:
-                parts.append(text)
-            elif c == -1:
-                parts.append(f"-{text}")
-            else:
-                parts.append(f"{c}*{text}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        names = self.alg.names
+        return _render_rational_terms(
+            sorted(self.data.items()),
+            lambda key: " (x) ".join(f"{names[b]}*u^{n}" for b, n in key))
 
-    def __repr__(self):
-        return self.render()
+
+def _render_rational_terms(items, key_text) -> str:
+    if not items:
+        return "0"
+    parts = []
+    for key, c in items:
+        text = key_text(key)
+        parts.append(text if c == 1 else f"-{text}" if c == -1 else f"{c}*{text}")
+    return join_signed(parts)
 
 
 def c_bracket(f: CurrentElement, g: CurrentElement) -> CurrentElement:
@@ -192,16 +81,10 @@ def c_bracket(f: CurrentElement, g: CurrentElement) -> CurrentElement:
     alg = f.alg
     assert g.alg is alg
     out = CurrentElement(alg)
-    acc = out.data
     for (a, n), ca in f.data.items():
         for (b, m), cb in g.data.items():
             for z, cz in alg.bracket_table.get((a, b), {}).items():
-                key = (z, n + m)
-                s = acc.get(key, ZERO) + ca * cb * cz
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
+                out._accumulate((z, n + m), ca * cb * cz)
     return out
 
 
@@ -289,7 +172,7 @@ def cleared_cobracket_identity(f: CurrentElement,
 
 
 def verify_bialgebra(g: LieAlgebraData, max_degree: int,
-                     fault: Optional[str] = None, jobs: int = 1) -> Report:
+                     fault: Optional[str] = None) -> Report:
     """Antisymmetry, cocycle, and co-Jacobi identities for the cobracket on
     all basis currents up to the given u-degree."""
     if max_degree < 1:
@@ -360,10 +243,10 @@ def verify_bialgebra(g: LieAlgebraData, max_degree: int,
                   "(u - v)*delta(f) = [f(u) (x) 1 + 1 (x) f(v), Omega]",
                   chk_closed_form))
 
-    return run_checks("bialgebra", g.type_label(), specs, jobs=jobs)
+    return run_checks("bialgebra", g.type_label(), specs)
 
 
-def verify_min_presentation(g: LieAlgebraData, jobs: int = 1) -> Report:
+def verify_min_presentation(g: LieAlgebraData) -> Report:
     """The degree-0/1 defining relations hold under i(x) -> x u^0 and
     G(x) -> x u^1 inside g[u]."""
     specs = []
@@ -412,10 +295,10 @@ def verify_min_presentation(g: LieAlgebraData, jobs: int = 1) -> Report:
             return zero_or_residual(bad)
         specs.append(("degree-3-relation", "[[G(e), G(f)], G(h)] = 0", chk_sl2))
 
-    return run_checks("min-presentation", g.type_label(), specs, jobs=jobs)
+    return run_checks("min-presentation", g.type_label(), specs)
 
 
-def verify_generation(g: LieAlgebraData, max_degree: int, jobs: int = 1) -> Report:
+def verify_generation(g: LieAlgebraData, max_degree: int) -> Report:
     """Iterated brackets of the degree-0 and degree-1 generators span the full
     algebra in every graded slice up to max_degree (rank check per slice)."""
     if max_degree < 1:
@@ -438,11 +321,7 @@ def verify_generation(g: LieAlgebraData, max_degree: int, jobs: int = 1) -> Repo
                     for a, ca in va.items():
                         for b, cb in vb.items():
                             for z, cz in g.bracket_table.get((a, b), {}).items():
-                                s = out.get(z, ZERO) + ca * cb * cz
-                                if s:
-                                    out[z] = s
-                                else:
-                                    out.pop(z, None)
+                                accumulate(out, z, ca * cb * cz)
                     if out:
                         vectors.append(out)
             if vectors:
@@ -457,11 +336,11 @@ def verify_generation(g: LieAlgebraData, max_degree: int, jobs: int = 1) -> Repo
         specs.append((f"slice-{n}",
                       f"brackets of degree-0/1 generators span g*u^{n}",
                       lambda n=n: close_and_check(n)))
-    return run_checks("generation", g.type_label(), specs, jobs=jobs)
+    return run_checks("generation", g.type_label(), specs)
 
 
-class CurrentEnvelope:
-    """Letter algebra for the enveloping algebra of g[u].
+class CurrentEnvelope(PBWAlgebra):
+    """PBW letter algebra of the enveloping algebra of g[u].
 
     Letters encode (basis index, u-degree) as index + dim * degree, so the
     PBW order is by u-degree, then by the Lie-algebra basis order.

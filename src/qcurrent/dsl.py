@@ -23,9 +23,10 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .current import CurrentElement, c_bracket
+from .envelope import TensorElement, UElement, box_n, nu
 from .exactnum import HPoly
-from .freequant import (FMElement, FMTensorElement, _omega_iota, fm_antipode,
-                        fm_box, fm_coproduct, fm_counit)
+from .freequant import (_omega_iota, fm_antipode, fm_coproduct, fm_counit,
+                        free_model, pure_iota_part)
 from .liealg import LieAlgebraData, LieElement
 
 
@@ -203,6 +204,8 @@ class _Parser:
             if self.peek().kind == "/":
                 self.next()
                 den = self.expect("NUMBER")
+                if not int(den.text):
+                    raise DSLError("zero denominator", den.line, den.column)
                 value = Fraction(int(tok.text), int(den.text))
             return Num(value)
         if tok.kind == "[":
@@ -301,7 +304,7 @@ def print_expr(node: Expr) -> str:
 
 # --- evaluation -----------------------------------------------------------------
 
-Value = Union[HPoly, FMElement, FMTensorElement, CurrentElement]
+Value = Union[HPoly, UElement, TensorElement, CurrentElement]
 
 
 def _is_scalar(v: Value) -> bool:
@@ -309,17 +312,15 @@ def _is_scalar(v: Value) -> bool:
 
 
 def _as_lie(g: LieAlgebraData, v: Value, what: str) -> LieElement:
-    if isinstance(v, FMElement):
-        u = v.pure_iota_part()
+    if isinstance(v, UElement):
+        u = pure_iota_part(v)
         if u is not None:
-            out = LieElement(g)
             data = {}
             for mono, p in u.data.items():
                 if len(mono) != 1 or set(p.coeffs) - {0}:
                     raise DSLError(f"{what} expects a Lie-algebra element")
                 data[mono[0]] = p.coeff(0)
-            out.data = {k: c for k, c in data.items() if c}
-            return out
+            return LieElement(g, data)
     raise DSLError(f"{what} expects a Lie-algebra element")
 
 
@@ -342,7 +343,7 @@ class Evaluator:
             if idx is None:
                 raise DSLError(f"unknown basis name {node.name!r} in "
                                f"{g.type_label()}")
-            return FMElement.iota_letter(g, idx)
+            return free_model(g).iota_letter(idx)
         if isinstance(node, Call):
             return self._eval_call(node)
         if isinstance(node, Bracket):
@@ -352,7 +353,7 @@ class Evaluator:
             for sign, term in node.terms:
                 v = self.eval(term)
                 if sign == -1:
-                    v = self._negate(v)
+                    v = -v
                 total = v if total is None else self._add(total, v)
             return total
         if isinstance(node, Prod):
@@ -368,6 +369,7 @@ class Evaluator:
 
     def _eval_call(self, node: Call) -> Value:
         g = self.g
+        fm = free_model(g)
         fn = node.fn
         if fn in ("I", "J", "G"):
             arg = node.args[0]
@@ -377,50 +379,32 @@ class Evaluator:
             if idx is None:
                 raise DSLError(f"unknown basis name {arg.name!r}")
             if fn == "I":
-                return FMElement.iota_letter(g, idx)
+                return fm.iota_letter(idx)
             if fn == "J":
-                return FMElement.j_letter(g, idx)
+                return fm.j_letter(idx)
             return CurrentElement.generator(g, idx, 1)
         val = self.eval(node.args[0])
         if fn == "nu":
             h = _as_lie(g, val, "nu")
             if not g.is_cartan(h):
                 raise DSLError("nu expects a Cartan element")
-            from .envelope import nu as nu_op
-            return FMElement.iota(g, nu_op(g, h))
-        if fn == "Delta":
-            if not isinstance(val, FMElement):
-                raise DSLError("Delta expects an algebra element")
-            return fm_coproduct(val)
-        if fn == "box":
-            if not isinstance(val, FMElement):
-                raise DSLError("box expects an algebra element")
-            return fm_box(val)
-        if fn == "S":
-            if not isinstance(val, FMElement):
-                raise DSLError("S expects an algebra element")
-            return fm_antipode(val)
-        if fn == "eps":
-            if not isinstance(val, FMElement):
-                raise DSLError("eps expects an algebra element")
-            return fm_counit(val)
+            return fm.iota(nu(g, h))
+        if fn == "T" and g.n != 2:
+            raise DSLError("T is the rank-1 lowering-raising operator; "
+                           "use --type A1")
+        if not isinstance(val, UElement):
+            raise DSLError(f"{fn} expects an algebra element")
         if fn == "T":
-            if g.n != 2:
-                raise DSLError("T is the rank-1 lowering-raising operator; "
-                               "use --type A1")
-            if not isinstance(val, FMElement):
-                raise DSLError("T expects an algebra element")
-            ie = FMElement.iota_letter(g, g.simple_pos_index(0))
-            if_ = FMElement.iota_letter(g, g.simple_neg_index(0))
+            ie = fm.iota_letter(g.simple_pos_index(0))
+            if_ = fm.iota_letter(g.simple_neg_index(0))
             return if_.bracket(ie.bracket(val))
+        ops = {"Delta": fm_coproduct, "box": lambda a: box_n(a, 2),
+               "S": fm_antipode, "eps": fm_counit}
+        if fn in ops:
+            return ops[fn](val)
         raise DSLError(f"unknown builtin {fn!r}")
 
     # -- domain-aware arithmetic --
-
-    def _negate(self, v: Value) -> Value:
-        if isinstance(v, HPoly):
-            return -v
-        return -v
 
     def _add(self, a: Value, b: Value) -> Value:
         a, b = self._unify(a, b, "+")
@@ -440,9 +424,9 @@ class Evaluator:
         if isinstance(a, CurrentElement) or isinstance(b, CurrentElement):
             raise DSLError("current-algebra elements have no product; "
                            "use [.,.] for the Lie bracket")
-        if isinstance(a, FMElement) and isinstance(b, FMTensorElement):
+        if isinstance(a, UElement) and isinstance(b, TensorElement):
             raise DSLError("cannot multiply an element by a tensor")
-        if isinstance(a, FMTensorElement) and isinstance(b, FMElement):
+        if isinstance(a, TensorElement) and isinstance(b, UElement):
             raise DSLError("cannot multiply a tensor by an element")
         return a * b
 
@@ -455,9 +439,9 @@ class Evaluator:
         return a.bracket(b)
 
     def _tensor(self, values: List[Value]) -> Value:
-        flat: List[FMElement] = []
+        flat: List[UElement] = []
         for v in values:
-            if isinstance(v, FMTensorElement):
+            if isinstance(v, TensorElement):
                 raise DSLError("nested tensors are not supported; "
                                "write all slots in one chain")
             if _is_scalar(v):
@@ -466,13 +450,13 @@ class Evaluator:
                 raise DSLError("tensor products of currents are not part of "
                                "the surface syntax")
             flat.append(v)
-        return FMTensorElement.pure(flat)
+        return TensorElement.pure(flat)
 
     def _unify(self, a: Value, b: Value, op: str):
         if type(a) is not type(b):
             raise DSLError(f"operands of {op} live in different domains "
                            f"({type(a).__name__} vs {type(b).__name__})")
-        if isinstance(a, FMTensorElement) and a.arity != b.arity:
+        if isinstance(a, TensorElement) and a.arity != b.arity:
             raise DSLError("tensor arity mismatch")
         return a, b
 
@@ -487,14 +471,12 @@ def evaluate(source: str, g: LieAlgebraData) -> Value:
     """Parse and evaluate; J-free model elements come back as enveloping-
     algebra elements (the inferred plain-U(g) domain)."""
     value = Evaluator(g).eval(parse(source))
-    if isinstance(value, FMElement):
-        u = value.pure_iota_part()
+    if isinstance(value, UElement):
+        u = pure_iota_part(value)
         if u is not None:
             return u
     return value
 
 
 def render_value(value: Value) -> str:
-    if isinstance(value, HPoly):
-        return value.render()
     return value.render()

@@ -1,24 +1,34 @@
-"""Enveloping algebras with PBW normal form, tensor powers, and the coproduct.
+"""Word algebras and their elements, tensor powers, and the enveloping
+algebra U(g) with its PBW normal form and coproduct.
 
-Elements are sparse maps from sorted monomials (tuples of letter indices) to
-deformation polynomials.  Straightening applies the rewrite b*b' ->
-b'*b + [b,b'] at the first descent, recursively; it terminates because each
-step lowers (word length, inversion count) lexicographically, and results
-are memoized per algebra so repeated suites share all subword work.
+An element is a sparse map from normal-form words to deformation
+polynomials over a *word algebra*: any object with `multiply_words(a, b)`
+(the product of two normal words, as {normal word: Fraction}),
+`render_word(word, wrap)` and a `unit_word`.  `UElement` and
+`TensorElement` do all their arithmetic through that protocol, so the same
+two classes serve U(g), U(g[u]) and the free quantization model.
 
-The same engine serves any "letter algebra" exposing `pbw_bracket`,
-`pbw_letter_name` and a `_pbw_cache` dict, which is how the current-algebra
-normal form reuses it.
+The PBW letter algebras, `LieAlgebraData` for U(g) and `CurrentEnvelope`
+for U(g[u]), derive from `PBWAlgebra`: their words are sorted monomials
+(tuples of letter indices), and they multiply by straightening.
+`normal_order` applies the rewrite b*b' -> b'*b + [b,b'] at the first
+descent, recursively; it terminates because each step lowers (word length,
+inversion count) lexicographically, and results are memoized in the
+algebra's `_pbw_cache` so repeated suites share all subword work.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from itertools import product
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
-from .exactnum import HPoly, ONE, ZERO
-from .liealg import LieAlgebraData, LieElement
+from .exactnum import (HPoly, ONE, CoeffMap, TensorMap, accumulate, as_hpoly,
+                       join_signed)
 from .reports import Report, run_checks, zero_or_residual
+
+if TYPE_CHECKING:
+    from .liealg import LieAlgebraData, LieElement
 
 Monomial = Tuple[int, ...]
 
@@ -43,284 +53,177 @@ def normal_order(ctx, word: Monomial) -> Dict[Monomial, Fraction]:
         for letter, coeff in ctx.pbw_bracket(a, b).items():
             shorter = word[:descent] + (letter,) + word[descent + 2:]
             for mono, c in normal_order(ctx, shorter).items():
-                s = result.get(mono, ZERO) + coeff * c
-                if s:
-                    result[mono] = s
-                else:
-                    result.pop(mono, None)
+                accumulate(result, mono, coeff * c)
     cache[word] = result
     return result
 
 
-class UElement:
-    """PBW-normal-form element of the enveloping algebra over HPoly scalars."""
+class PBWAlgebra:
+    """Word-algebra protocol of a letter algebra with PBW straightening.
 
-    __slots__ = ("ctx", "data")
+    A subclass supplies `pbw_bracket(a, b)` (the bracket of two letters as
+    {letter: coefficient}), `pbw_letter_name(i)` and a `_pbw_cache` dict.
+    """
 
-    def __init__(self, ctx, data: Optional[Dict[Monomial, HPoly]] = None):
+    unit_word: Monomial = ()
+
+    def multiply_words(self, a: Monomial, b: Monomial) -> Dict[Monomial, Fraction]:
+        return normal_order(self, a + b)
+
+    def render_word(self, mono: Monomial, wrap: bool = False) -> str:
+        if not mono:
+            return "1"
+        body = "*".join(self.pbw_letter_name(i) for i in mono)
+        return f"({body})" if wrap and len(mono) > 1 else body
+
+
+class UElement(CoeffMap):
+    """Normal-form element of a word algebra over HPoly scalars."""
+
+    __slots__ = ("ctx",)
+    _space = ("ctx",)
+    _coerce = staticmethod(as_hpoly)
+
+    def __init__(self, ctx, data: Optional[dict] = None):
         self.ctx = ctx
-        self.data = {}
-        if data:
-            for m, p in data.items():
-                if not isinstance(p, HPoly):
-                    p = HPoly.rational(p)
-                if p:
-                    self.data[m] = p
-
-    @classmethod
-    def zero(cls, ctx) -> "UElement":
-        return cls(ctx)
+        super().__init__(data)
 
     @classmethod
     def unit(cls, ctx) -> "UElement":
-        return cls(ctx, {(): HPoly.one()})
+        return cls(ctx, {ctx.unit_word: HPoly.one()})
 
     @classmethod
     def letter(cls, ctx, i: int) -> "UElement":
+        """A single letter of a PBW letter algebra."""
         return cls(ctx, {(i,): HPoly.one()})
 
     @classmethod
     def from_lie(cls, g, x: LieElement) -> "UElement":
-        return cls(g, {(i,): HPoly.rational(c) for i, c in x.data.items()})
+        return cls(g, {(i,): c for i, c in x.data.items()})
 
     @classmethod
     def from_word(cls, ctx, word: Iterable[int]) -> "UElement":
-        out = cls(ctx)
-        for mono, c in normal_order(ctx, tuple(word)).items():
-            out._accumulate(mono, HPoly.rational(c))
-        return out
-
-    def _accumulate(self, mono: Monomial, poly: HPoly):
-        s = self.data.get(mono)
-        s = poly if s is None else s + poly
-        if s:
-            self.data[mono] = s
-        else:
-            self.data.pop(mono, None)
-
-    def __bool__(self) -> bool:
-        return bool(self.data)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UElement) and self.data == other.data
-
-    def __add__(self, other: "UElement") -> "UElement":
-        assert self.ctx is other.ctx
-        out = UElement(self.ctx)
-        out.data = dict(self.data)
-        for m, p in other.data.items():
-            out._accumulate(m, p)
-        return out
-
-    def __neg__(self) -> "UElement":
-        out = UElement(self.ctx)
-        out.data = {m: -p for m, p in self.data.items()}
-        return out
-
-    def __sub__(self, other: "UElement") -> "UElement":
-        return self + (-other)
-
-    def scale(self, scalar) -> "UElement":
-        if isinstance(scalar, HPoly):
-            poly = scalar
-        else:
-            poly = HPoly.rational(scalar)
-        out = UElement(self.ctx)
-        for m, p in self.data.items():
-            q = p * poly
-            if q:
-                out.data[m] = q
-        return out
+        """The normal form of an arbitrary word of a PBW letter algebra."""
+        return cls(ctx, normal_order(ctx, tuple(word)))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, HPoly)):
+        if not isinstance(other, UElement):
             return self.scale(other)
         assert self.ctx is other.ctx
-        out = UElement(self.ctx)
-        for m1, p1 in self.data.items():
-            for m2, p2 in other.data.items():
+        out: dict = {}
+        multiply = self.ctx.multiply_words
+        for w1, p1 in self.data.items():
+            for w2, p2 in other.data.items():
                 poly = p1 * p2
-                if not poly:
-                    continue
-                for mono, c in normal_order(self.ctx, m1 + m2).items():
-                    out._accumulate(mono, poly * c)
-        return out
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
+                for word, c in multiply(w1, w2).items():
+                    accumulate(out, word, poly * c)
+        return self._like(out)
 
     def bracket(self, other: "UElement") -> "UElement":
         return self * other - other * self
 
-    def hbar_coefficient(self, k: int) -> Dict[Monomial, Fraction]:
+    def hbar_coefficient(self, k: int) -> Dict[tuple, Fraction]:
         out = {}
-        for m, p in self.data.items():
+        for w, p in self.data.items():
             c = p.coeff(k)
             if c:
-                out[m] = c
+                out[w] = c
         return out
 
-    def filtration_degree(self) -> int:
-        return max((len(m) for m in self.data), default=0)
+    def divide_hbar(self) -> "UElement":
+        """Exact division by hbar; fails when a constant term survives."""
+        if any(p.coeff(0) for p in self.data.values()):
+            raise ValueError("element is not divisible by hbar")
+        return self._like({w: p.shift(-1) for w, p in self.data.items()})
 
     def render(self) -> str:
-        return _render_terms(sorted(self.data.items()),
-                             lambda m: _mono_text(self.ctx, m))
-
-    def __repr__(self):
-        return self.render()
+        return _render_terms(sorted(self.data.items()), self.ctx.render_word)
 
 
-class TensorElement:
-    """Element of the n-th tensor power, slotwise PBW-normal monomials."""
+class TensorElement(TensorMap):
+    """Element of a tensor power of a word algebra, slotwise normal words."""
 
-    __slots__ = ("ctx", "arity", "data")
+    __slots__ = ("ctx",)
+    _space = ("ctx", "arity")
+    _coerce = staticmethod(as_hpoly)
 
-    def __init__(self, ctx, arity: int,
-                 data: Optional[Dict[Tuple[Monomial, ...], HPoly]] = None):
+    def __init__(self, ctx, arity: int, data: Optional[dict] = None):
         self.ctx = ctx
         self.arity = arity
-        self.data = {}
-        if data:
-            for key, p in data.items():
-                if not isinstance(p, HPoly):
-                    p = HPoly.rational(p)
-                if p:
-                    self.data[key] = p
+        super().__init__(data)
 
     @classmethod
     def unit(cls, ctx, arity: int) -> "TensorElement":
-        return cls(ctx, arity, {((),) * arity: HPoly.one()})
+        return cls(ctx, arity, {(ctx.unit_word,) * arity: HPoly.one()})
 
     @classmethod
     def pure(cls, factors: Iterable[UElement]) -> "TensorElement":
-        from itertools import product
         factors = list(factors)
         out = cls(factors[0].ctx, len(factors))
         for combo in product(*(list(f.data.items()) for f in factors)):
-            key = tuple(m for m, _ in combo)
+            key = tuple(w for w, _ in combo)
             poly = HPoly.one()
             for _, p in combo:
                 poly = poly * p
             out._accumulate(key, poly)
         return out
 
-    def _accumulate(self, key, poly: HPoly):
-        s = self.data.get(key)
-        s = poly if s is None else s + poly
-        if s:
-            self.data[key] = s
-        else:
-            self.data.pop(key, None)
-
-    def __bool__(self) -> bool:
-        return bool(self.data)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TensorElement) and self.arity == other.arity
-                and self.data == other.data)
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        assert self.ctx is other.ctx and self.arity == other.arity
-        out = TensorElement(self.ctx, self.arity)
-        out.data = dict(self.data)
-        for k, p in other.data.items():
-            out._accumulate(k, p)
-        return out
-
-    def __neg__(self) -> "TensorElement":
-        out = TensorElement(self.ctx, self.arity)
-        out.data = {k: -p for k, p in self.data.items()}
-        return out
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def scale(self, scalar) -> "TensorElement":
-        poly = scalar if isinstance(scalar, HPoly) else HPoly.rational(scalar)
-        out = TensorElement(self.ctx, self.arity)
-        for k, p in self.data.items():
-            q = p * poly
-            if q:
-                out.data[k] = q
-        return out
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, HPoly)):
+        if not isinstance(other, TensorElement):
             return self.scale(other)
         assert self.ctx is other.ctx
         if self.arity != other.arity:
             raise ValueError("tensor arity mismatch")
-        out = TensorElement(self.ctx, self.arity)
+        out: dict = {}
+        multiply = self.ctx.multiply_words
         for k1, p1 in self.data.items():
             for k2, p2 in other.data.items():
                 poly = p1 * p2
-                if not poly:
-                    continue
-                slot_terms = [normal_order(self.ctx, a + b)
-                              for a, b in zip(k1, k2)]
-                _expand_slots(out, slot_terms, poly)
-        return out
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
+                keys = [()]
+                coeffs = [ONE]
+                for a, b in zip(k1, k2):
+                    terms = multiply(a, b)
+                    keys = [base + (w,) for base in keys for w in terms]
+                    coeffs = [c * c2 for c in coeffs for c2 in terms.values()]
+                for key, c in zip(keys, coeffs):
+                    accumulate(out, key, poly * c)
+        return self._like(out)
 
     def bracket(self, other: "TensorElement") -> "TensorElement":
         return self * other - other * self
 
-    def permute(self, perm: Tuple[int, ...]) -> "TensorElement":
-        """Tensor-factor permutation: slot k of the result is slot perm[k]."""
-        out = TensorElement(self.ctx, self.arity)
-        for key, p in self.data.items():
-            out._accumulate(tuple(key[perm[k]] for k in range(self.arity)), p)
-        return out
-
-    def swap(self) -> "TensorElement":
-        assert self.arity == 2
-        return self.permute((1, 0))
-
     def multiply_slots(self) -> UElement:
         """Total multiplication map m: a1 (x) ... (x) an -> a1*...*an."""
+        multiply = self.ctx.multiply_words
         out = UElement(self.ctx)
         for key, p in self.data.items():
-            word = tuple(letter for mono in key for letter in mono)
-            for mono, c in normal_order(self.ctx, word).items():
-                out._accumulate(mono, p * c)
+            terms = {key[0]: ONE}
+            for w in key[1:]:
+                nxt: dict = {}
+                for acc_w, c in terms.items():
+                    for w2, c2 in multiply(acc_w, w).items():
+                        accumulate(nxt, w2, c * c2)
+                terms = nxt
+            for w, c in terms.items():
+                out._accumulate(w, p * c)
+        return out
+
+    def apply_slot(self, slot: int, fn) -> "TensorElement":
+        """Map a UElement-valued function over one tensor slot."""
+        out = self._like({})
+        for key, p in self.data.items():
+            piece = UElement(self.ctx, {key[slot]: HPoly.one()})
+            for w, q in fn(piece).data.items():
+                out._accumulate(key[:slot] + (w,) + key[slot + 1:], p * q)
         return out
 
     def render(self) -> str:
         def key_text(key):
-            return " (x) ".join(_mono_text(self.ctx, m, wrap=True) for m in key)
+            return " (x) ".join(self.ctx.render_word(w, wrap=True) for w in key)
         return _render_terms(sorted(self.data.items()), key_text)
-
-    def __repr__(self):
-        return self.render()
-
-
-def _expand_slots(out: TensorElement, slot_terms, poly: HPoly):
-    keys = [()]
-    coeffs = [ONE]
-    for terms in slot_terms:
-        new_keys, new_coeffs = [], []
-        for base, c in zip(keys, coeffs):
-            for mono, c2 in terms.items():
-                new_keys.append(base + (mono,))
-                new_coeffs.append(c * c2)
-        keys, coeffs = new_keys, new_coeffs
-    for key, c in zip(keys, coeffs):
-        out._accumulate(key, poly * c)
 
 
 # --- rendering ---------------------------------------------------------------
-
-
-def _mono_text(ctx, mono: Monomial, wrap: bool = False) -> str:
-    if not mono:
-        return "1"
-    body = "*".join(ctx.pbw_letter_name(i) for i in mono)
-    if wrap and len(mono) > 1:
-        return f"({body})"
-    return body
 
 
 def _render_terms(items, key_text) -> str:
@@ -351,38 +254,19 @@ def _render_terms(items, key_text) -> str:
             if mono != "1":
                 text += f"*{mono}"
         parts.append(text)
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+    return join_signed(parts)
 
 
 # --- operations ---------------------------------------------------------------
 
 
-def u_multiply(a: UElement, b: UElement) -> UElement:
-    return a * b
-
-
-def u_bracket(a: UElement, b: UElement) -> UElement:
-    return a.bracket(b)
-
-
-def t_multiply(a: TensorElement, b: TensorElement) -> TensorElement:
-    return a * b
-
-
-def t_bracket(a: TensorElement, b: TensorElement) -> TensorElement:
-    return a.bracket(b)
-
-
 def box_n(a: UElement, n: int) -> TensorElement:
     """Sum of a placed in each slot against units: the n-fold cocommutative box."""
     out = TensorElement(a.ctx, n)
-    for mono, p in a.data.items():
+    unit = a.ctx.unit_word
+    for word, p in a.data.items():
         for slot in range(n):
-            key = tuple(mono if k == slot else () for k in range(n))
-            out._accumulate(key, p)
+            out._accumulate(tuple(word if k == slot else unit for k in range(n)), p)
     return out
 
 
@@ -396,19 +280,9 @@ def mono_coproduct_terms(ctx, mono: Monomial) -> dict:
             new: Dict[Tuple[Monomial, Monomial], Fraction] = {}
             for (m1, m2), c in terms.items():
                 for mm, c2 in normal_order(ctx, m1 + (letter,)).items():
-                    key = (mm, m2)
-                    s = new.get(key, ZERO) + c * c2
-                    if s:
-                        new[key] = s
-                    else:
-                        new.pop(key, None)
+                    accumulate(new, (mm, m2), c * c2)
                 for mm, c2 in normal_order(ctx, m2 + (letter,)).items():
-                    key = (m1, mm)
-                    s = new.get(key, ZERO) + c * c2
-                    if s:
-                        new[key] = s
-                    else:
-                        new.pop(key, None)
+                    accumulate(new, (m1, mm), c * c2)
             terms = new
         cache[mono] = terms
     return terms
@@ -478,9 +352,9 @@ def kappa(g: LieAlgebraData) -> UElement:
         raise ValueError("kappa is specific to sl_2")
     f, h, e = 0, 1, 2
     out = UElement(g, {
-        (h, h): HPoly.rational(Fraction(1, 4)),
-        (h,): HPoly.rational(Fraction(1, 2)),
-        (f, e): HPoly.one(),
+        (h, h): Fraction(1, 4),
+        (h,): Fraction(1, 2),
+        (f, e): ONE,
     })
     for b in range(g.dim):
         if out.bracket(UElement.letter(g, b)):
@@ -491,13 +365,11 @@ def kappa(g: LieAlgebraData) -> UElement:
 def lie_tensor_bracket_with_slot1(g: LieAlgebraData, x: LieElement) -> TensorElement:
     """[x (x) 1, Omega] as a tensor with single-letter slots."""
     omega = casimir_tensor(g)
-    left = TensorElement(g, 2,
-                         {((i,), ()): HPoly.rational(c) for i, c in x.data.items()})
+    left = TensorElement(g, 2, {((i,), ()): c for i, c in x.data.items()})
     return left.bracket(omega)
 
 
-def verify_gnw(g: LieAlgebraData, fault: Optional[str] = None,
-               jobs: int = 1) -> Report:
+def verify_gnw(g: LieAlgebraData, fault: Optional[str] = None) -> Report:
     """Check the nu / w commutator identities and the coproduct defect of
     [nu(h1), nu(h2)] against the double Casimir bracket, exactly.
 
@@ -562,4 +434,4 @@ def verify_gnw(g: LieAlgebraData, fault: Optional[str] = None,
                           f"Delta([nu(t{i + 1}), nu(t{j + 1})]) - box(...) "
                           f"+ (1/4)*[[t{i + 1} (x) 1, Omega], [t{j + 1} (x) 1, Omega]] = 0",
                           chk_cop))
-    return run_checks("gnw", g.type_label(), specs, jobs=jobs)
+    return run_checks("gnw", g.type_label(), specs)

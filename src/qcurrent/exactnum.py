@@ -25,6 +25,27 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def accumulate(data: dict, key, value) -> None:
+    """Add `value` at `key` of a sparse map, dropping the key when the sum
+    is zero.  Every sparse structure in the package keeps its no-zeros
+    invariant through this one helper."""
+    old = data.get(key)
+    new = value if old is None else old + value
+    if new:
+        data[key] = new
+    else:
+        data.pop(key, None)
+
+
+def join_signed(parts) -> str:
+    """Join rendered terms with + and -, folding a leading minus into the
+    operator."""
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
 class HPoly:
     """Polynomial in the formal deformation parameter, exact rational coefficients.
 
@@ -89,14 +110,9 @@ class HPoly:
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other) -> "HPoly":
-        other = _coerce_hpoly(other)
         out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        for k, c in as_hpoly(other).coeffs.items():
+            accumulate(out, k, c)
         res = HPoly.__new__(HPoly)
         res.coeffs = out
         return res
@@ -109,10 +125,10 @@ class HPoly:
         return res
 
     def __sub__(self, other) -> "HPoly":
-        return self + (-_coerce_hpoly(other))
+        return self + (-as_hpoly(other))
 
     def __rsub__(self, other) -> "HPoly":
-        return _coerce_hpoly(other) + (-self)
+        return as_hpoly(other) + (-self)
 
     def __mul__(self, other) -> "HPoly":
         if isinstance(other, (int, Fraction)):
@@ -126,12 +142,7 @@ class HPoly:
             out = {}
             for k1, c1 in self.coeffs.items():
                 for k2, c2 in other.coeffs.items():
-                    k = k1 + k2
-                    s = out.get(k, ZERO) + c1 * c2
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
+                    accumulate(out, k1 + k2, c1 * c2)
             res = HPoly.__new__(HPoly)
             res.coeffs = out
             return res
@@ -156,21 +167,110 @@ class HPoly:
                     parts.append(f"-{power}")
                 else:
                     parts.append(f"{c}*{power}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return join_signed(parts)
 
     def __repr__(self):
         return f"HPoly({self.render()})"
 
 
-def _coerce_hpoly(value) -> HPoly:
+def as_hpoly(value) -> HPoly:
     if isinstance(value, HPoly):
         return value
     if isinstance(value, (int, Fraction)):
         return HPoly.rational(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to HPoly")
+
+
+class CoeffMap:
+    """A sparse linear combination {key: nonzero coefficient}.
+
+    The vector-space operations shared by every element type of the
+    package, written once.  A subclass names the attributes that fix its
+    ambient space in `_space` (elements are comparable and addable only
+    within one space) and may override `_coerce`, which normalizes the
+    coefficients given to the constructor and the scalars given to `scale`.
+    """
+
+    __slots__ = ("data",)
+    _space: tuple = ()
+    _coerce = staticmethod(as_fraction)
+
+    def __init__(self, data: Optional[Mapping] = None):
+        self.data = {}
+        if data:
+            for k, c in data.items():
+                c = self._coerce(c)
+                if c:
+                    self.data[k] = c
+
+    def _like(self, data: dict):
+        """A new element in the same space, taking ownership of `data`."""
+        out = object.__new__(type(self))
+        for name in self._space:
+            setattr(out, name, getattr(self, name))
+        out.data = data
+        return out
+
+    def _space_key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._space)
+
+    def _accumulate(self, key, c) -> None:
+        accumulate(self.data, key, c)
+
+    def __bool__(self) -> bool:
+        return bool(self.data)
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self)
+                and self._space_key() == other._space_key()
+                and self.data == other.data)
+
+    def __add__(self, other):
+        assert self._space_key() == other._space_key()
+        out = dict(self.data)
+        for k, c in other.data.items():
+            accumulate(out, k, c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.data.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, q):
+        """Multiply every coefficient by a scalar the coefficients accept."""
+        q = self._coerce(q)
+        if not q:
+            return self._like({})
+        return self._like({k: c * q for k, c in self.data.items()})
+
+    __mul__ = scale
+    __rmul__ = scale
+
+    def render(self) -> str:
+        return repr(self.data)
+
+    def __repr__(self):
+        return self.render()
+
+
+class TensorMap(CoeffMap):
+    """A CoeffMap on a tensor power: keys are `arity`-tuples, one entry per
+    tensor slot."""
+
+    __slots__ = ("arity",)
+
+    def permute(self, perm: tuple):
+        """Tensor-factor permutation: slot k of the result is slot perm[k]."""
+        out = self._like({})
+        for key, c in self.data.items():
+            out._accumulate(tuple(key[p] for p in perm), c)
+        return out
+
+    def swap(self):
+        assert self.arity == 2
+        return self.permute((1, 0))
 
 
 class SparseMatrix:
@@ -230,11 +330,7 @@ class SparseMatrix:
         for (i, j), v in self.entries.items():
             x = vec.get(j)
             if x:
-                s = out.get(i, ZERO) + v * x
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
+                accumulate(out, i, v * x)
         return out
 
     def __repr__(self):
@@ -356,15 +452,11 @@ def solve(a: SparseMatrix, b: list) -> Optional[list]:
             f = rows[i].get(col)
             if not f:
                 continue
-            factor = f / pval
+            factor = -f / pval
             ri = rows[i]
             for j, v in rows[prow].items():
-                s = ri.get(j, ZERO) - factor * v
-                if s:
-                    ri[j] = s
-                else:
-                    ri.pop(j, None)
-            rhs[i] -= factor * rhs[prow]
+                accumulate(ri, j, factor * v)
+            rhs[i] += factor * rhs[prow]
     for i in range(a.nrows):
         if not used[i] and rhs[i]:
             return None
@@ -393,13 +485,9 @@ def kernel_basis(m: SparseMatrix) -> list:
         while row:
             c = min(row)
             if c in pivots:
-                f = row[c]
+                f = -row[c]
                 for j, v in pivots[c].items():
-                    s = row.get(j, ZERO) - f * v
-                    if s:
-                        row[j] = s
-                    else:
-                        row.pop(j, None)
+                    accumulate(row, j, f * v)
             else:
                 lead = row[c]
                 pivots[c] = {j: v / lead for j, v in row.items()}
@@ -412,11 +500,7 @@ def kernel_basis(m: SparseMatrix) -> list:
             f = row2.get(c)
             if f:
                 for j, v in prow.items():
-                    s = row2.get(j, ZERO) - f * v
-                    if s:
-                        row2[j] = s
-                    else:
-                        row2.pop(j, None)
+                    accumulate(row2, j, -f * v)
     basis = []
     for free in range(n):
         if free in pivots:

@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactnum import ONE, ZERO, as_fraction
+from .envelope import PBWAlgebra
+from .exactnum import ONE, ZERO, CoeffMap, accumulate
 
 NEGATIVE = "negative"
 CARTAN = "cartan"
@@ -46,68 +47,31 @@ class RootDatum:
         return "".join(str(s) for s in range(i, j))
 
 
-class LieElement:
+class LieElement(CoeffMap):
     """Sparse vector in the Lie algebra: {basis index: Fraction}."""
 
-    __slots__ = ("alg", "data")
+    __slots__ = ("alg",)
+    _space = ("alg",)
 
     def __init__(self, alg: "LieAlgebraData", data: Optional[Dict[int, Fraction]] = None):
         self.alg = alg
-        self.data = {}
-        if data:
-            for i, c in data.items():
-                c = as_fraction(c)
-                if c:
-                    self.data[i] = c
+        super().__init__(data)
 
-    def __add__(self, other: "LieElement") -> "LieElement":
-        assert self.alg is other.alg
-        out = dict(self.data)
-        for i, c in other.data.items():
-            s = out.get(i, ZERO) + c
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
-        res = LieElement(self.alg)
-        res.data = out
-        return res
-
-    def __neg__(self) -> "LieElement":
-        res = LieElement(self.alg)
-        res.data = {i: -c for i, c in self.data.items()}
-        return res
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "LieElement":
-        q = as_fraction(scalar)
-        res = LieElement(self.alg)
-        if q:
-            res.data = {i: c * q for i, c in self.data.items()}
-        return res
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LieElement) and self.data == other.data
-
-    def __bool__(self) -> bool:
-        return bool(self.data)
-
-    def __repr__(self):
+    def render(self) -> str:
         if not self.data:
             return "0"
         parts = [f"{c}*{self.alg.names[i]}" for i, c in sorted(self.data.items())]
         return " + ".join(parts)
 
 
-class LieAlgebraData:
+class LieAlgebraData(PBWAlgebra):
     """sl_n with precomputed structure constants, Gram matrix and Casimir pairs.
 
-    Immutable after construction; holds the memo caches used by the PBW
-    straightening engine so repeated normal-ordering is shared.
+    Its structure tables are immutable after construction.  As a PBW letter
+    algebra it is also the word algebra of U(g), so it holds the memo
+    caches of the U(g) layer (straightening, coproduct, adjoint action).
+    The current envelope and the free model are built on first use and
+    hang off the algebra, so every cache lives and dies with it.
     """
 
     def __init__(self, n: int):
@@ -185,14 +149,13 @@ class LieAlgebraData:
                     self.casimir_pairs.append(
                         (self.cartan_index(i), self.cartan_index(j), inv[i][j]))
 
-        # memo caches shared by the enveloping-algebra layer
+        # memo caches of the U(g) layer
         self._pbw_cache: Dict[tuple, dict] = {}
         self._coproduct_cache: Dict[tuple, dict] = {}
-        self._fm_cache: Dict[tuple, dict] = {}
-        self._fm_push_cache: Dict[tuple, dict] = {}
-        self._fm_coproduct_cache: Dict[tuple, dict] = {}
+        self._ad_cache: Dict[tuple, dict] = {}
         self._casimir_eigenvalue: Optional[Fraction] = None
         self._current_envelope = None
+        self._free_model = None
 
     # --- matrix-unit realization -------------------------------------------------
 
@@ -246,7 +209,7 @@ class LieAlgebraData:
     def bracket_indices(self, a: int, b: int) -> Dict[int, Fraction]:
         return self.bracket_table.get((a, b), {})
 
-    # letter-algebra protocol used by the PBW straightening engine
+    # PBW letter-algebra protocol
     def pbw_bracket(self, a: int, b: int) -> Dict[int, Fraction]:
         return self.bracket_table.get((a, b), {})
 
@@ -259,14 +222,8 @@ class LieAlgebraData:
         for a, ca in x.data.items():
             for b, cb in y.data.items():
                 for z, cz in self.bracket_table.get((a, b), {}).items():
-                    s = out.get(z, ZERO) + ca * cb * cz
-                    if s:
-                        out[z] = s
-                    else:
-                        out.pop(z, None)
-        res = LieElement(self)
-        res.data = out
-        return res
+                    accumulate(out, z, ca * cb * cz)
+        return x._like(out)
 
     def form(self, x: LieElement, y: LieElement) -> Fraction:
         assert x.alg is self and y.alg is self
@@ -348,22 +305,14 @@ def _mat_mul(a, b, n):
         items_b.setdefault(i, []).append((j, v))
     for (i, k), va in a.items():
         for j, vb in items_b.get(k, ()):  # (i,k)*(k,j)
-            s = out.get((i, j), ZERO) + va * vb
-            if s:
-                out[i, j] = s
-            else:
-                out.pop((i, j), None)
+            accumulate(out, (i, j), va * vb)
     return out
 
 
 def _mat_sub(a, b):
     out = dict(a)
     for k, v in b.items():
-        s = out.get(k, ZERO) - v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+        accumulate(out, k, -v)
     return out
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -75,13 +74,11 @@ def residual_text(value) -> str:
 
 def run_checks(suite: str, algebra: str,
                specs: List[tuple],
-               jobs: int = 1,
                seed: Optional[int] = None) -> Report:
-    """Run (id, anchor, thunk) checks, possibly concurrently, in stable order.
+    """Run (id, anchor, thunk) checks in declaration order.
 
     A thunk returns None on success or a residual string on failure; raised
-    exceptions become failures carrying the exception text.  Results are
-    assembled in declaration order regardless of completion order.
+    exceptions become failures carrying the exception text.
     """
 
     def run_one(spec):
@@ -95,11 +92,7 @@ def run_checks(suite: str, algebra: str,
         return Check(check_id, anchor, False, residual)
 
     start = time.monotonic()
-    if jobs > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            checks = list(pool.map(run_one, specs))
-    else:
-        checks = [run_one(s) for s in specs]
+    checks = [run_one(s) for s in specs]
     elapsed = int((time.monotonic() - start) * 1000)
     return Report(suite=suite, algebra=algebra, checks=checks,
                   seed=seed, elapsed_ms=elapsed)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qcurrent.cli import main
 
 
@@ -108,12 +110,32 @@ def test_discriminating_pair_via_cli(capsys):
     capsys.readouterr()
 
 
-def test_jobs_flag_preserves_order_and_result(capsys):
-    assert main(["verify", "gnw", "--type", "A2", "--jobs", "4"]) == 0
-    out_parallel = capsys.readouterr().out
-    assert main(["verify", "gnw", "--type", "A2"]) == 0
-    out_serial = capsys.readouterr().out
+@pytest.mark.parametrize("argv", [
+    ["verify", "gnw", "--type", ""],
+    ["verify", "gnw", "--type", " , "],
+    ["verify", "generation", "--max-u-degree", "1"],
+    ["verify", "generation", "--max-u-degree", "0"],
+    ["verify", "bialgebra", "--max-u-degree", "0"],
+    ["verify", "cartier", "--degree", "-1"],
+    ["verify", "bicomplex", "--degree", "-1"],
+    ["verify", "whitehead", "--degree", "-1"],
+])
+def test_vacuous_or_invalid_bounds_exit_two(argv, capsys):
+    """Runs that would check nothing, or silently swap in a default, are
+    usage errors rejected before any work."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err
 
-    def strip_time(text):
-        return [line for line in text.splitlines() if "checks," not in line]
-    assert strip_time(out_parallel) == strip_time(out_serial)
+
+def test_zero_degree_is_not_replaced_by_default(capsys):
+    assert main(["verify", "whitehead", "--degree", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "U<= 0" in out and "U<= 2" not in out
+
+
+def test_expand_zero_denominator_exit_two(capsys):
+    assert main(["expand", "1/0", "--type", "A1"]) == 2
+    err = capsys.readouterr().err
+    assert "zero denominator" in err and "line 1, column 2" in err

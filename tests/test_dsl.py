@@ -6,10 +6,9 @@ import pytest
 
 from qcurrent.dsl import (Bracket, Call, DSLError, Hbar, Name, Num, Prod, Sum,
                           Tensor, evaluate, parse, print_expr, render_value)
-from qcurrent.envelope import UElement
+from qcurrent.envelope import TensorElement, UElement
 from qcurrent.exactnum import HPoly
-from qcurrent.freequant import (FMElement, FMTensorElement, _omega_iota,
-                                relation_defect_sl2)
+from qcurrent.freequant import _omega_iota, free_model, relation_defect_sl2
 
 GOLDEN = Path(__file__).parent / "data" / "render_golden.txt"
 
@@ -32,10 +31,10 @@ def test_parse_defect_expression(sl2):
 
 def test_eval_delta_minus_box(sl2):
     value = evaluate("Delta(J(h)) - box(J(h))", sl2)
-    i_e = FMElement.iota_letter(sl2, 2)
-    i_f = FMElement.iota_letter(sl2, 0)
-    expected = (FMTensorElement.pure([i_e, i_f])
-                - FMTensorElement.pure([i_f, i_e])).scale(HPoly.hbar(1))
+    i_e = free_model(sl2).iota_letter(2)
+    i_f = free_model(sl2).iota_letter(0)
+    expected = (TensorElement.pure([i_e, i_f])
+                - TensorElement.pure([i_f, i_e])).scale(HPoly.hbar(1))
     assert value == expected
 
 
@@ -45,7 +44,7 @@ def test_eval_counit(sl2):
 
 def test_eval_infers_plain_envelope_domain(sl2):
     value = evaluate("e*f", sl2)
-    assert isinstance(value, UElement)
+    assert isinstance(value, UElement) and value.ctx is sl2
     assert render_value(value) == "f*e + h"
 
 
@@ -61,12 +60,12 @@ def test_eval_t_operator(sl2):
 def test_tensor_operator_binds_tighter_than_product(sl2):
     # 2*h (x) h is 2*(h tensor h)
     v = evaluate("2*h (x) h", sl2)
-    assert isinstance(v, FMTensorElement)
+    assert isinstance(v, TensorElement)
 
 
 def test_parenthesized_slots(sl2):
     v = evaluate("(f*e) (x) h", sl2)
-    assert isinstance(v, FMTensorElement)
+    assert isinstance(v, TensorElement)
     assert len(v.data) == 1
 
 

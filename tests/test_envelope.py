@@ -6,8 +6,7 @@ import pytest
 from qcurrent.envelope import (TensorElement, UElement, adjoint_action, box_n,
                                casimir_tensor, coproduct, kappa,
                                mono_coproduct_terms, normal_order, nu,
-                               quadratic_casimir, u_bracket, u_multiply,
-                               verify_gnw, w_element)
+                               quadratic_casimir, verify_gnw, w_element)
 from qcurrent.exactnum import HPoly
 from qcurrent.liealg import casimir_adjoint_eigenvalue
 
@@ -113,7 +112,7 @@ def test_bracket_of_primitives_is_primitive(sl3):
     # no unit-monomial component appears in [x, y] for x, y in g
     for a in range(sl3.dim):
         for b in range(sl3.dim):
-            comm = u_bracket(UElement.letter(sl3, a), UElement.letter(sl3, b))
+            comm = UElement.letter(sl3, a).bracket(UElement.letter(sl3, b))
             assert () not in comm.data
 
 
@@ -243,4 +242,4 @@ def test_scalar_multiplication_with_hbar(sl2):
     f, h, e = letters(sl2)
     x = e.scale(HPoly.hbar(2))
     assert x.hbar_coefficient(2) == {(2,): F(1)}
-    assert u_multiply(x, f).hbar_coefficient(2) == {(0, 2): F(1), (1,): F(1)}
+    assert (x * f).hbar_coefficient(2) == {(0, 2): F(1), (1,): F(1)}
