@@ -2,7 +2,7 @@
 cohomology dimension queries.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 unknown suite
-or bad usage.
+or bad usage, 3 internal error (such as an unwritable --json path).
 """
 
 from __future__ import annotations
@@ -269,7 +269,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_cohom.set_defaults(func=_cohomology)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        # a crash must not read as a failed check (1) or a pass (0)
+        print(f"qcurrent: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

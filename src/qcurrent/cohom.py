@@ -6,19 +6,29 @@ through its PBW filtration slice, which is closed under both the adjoint
 action and the coproduct, so ranks and solves are exact with no truncation
 error for data that fits in the slice.  Rank computations block-diagonalize
 along Cartan weights whenever the module's Cartan action is diagonal.
+
+The bicomplex differentials dH and dV compute over int: a cochain is
+scaled once by the lcm of its denominators, every term is accumulated with
+int coefficients read from the algebra's `OperatorTables` (integer views of
+the bracket table, the adjoint action and the coproduct), and each output
+entry is divided back once.  The maps are linear, so this is exact; a
+table value with a denominator stays a Fraction, so integrality is never
+assumed.  The correction solver builds its basis images and factors its
+two linear systems once per (algebra, bound), in the same per-algebra
+tables, which start empty with every algebra and are freed with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, gcd
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from .envelope import UElement, mono_coproduct_terms, normal_order
 from .exactnum import (ONE, ZERO, CoeffMap, SparseMatrix, accumulate,
-                       rank_of_rows, solve)
+                       factor, rank_of_rows, solve)
 from .liealg import LieAlgebraData
 from .reports import Report, run_checks
 
@@ -182,6 +192,49 @@ def _ad_letter(g: LieAlgebraData, x: int, mono: tuple) -> dict:
         accumulate(out, m2, -c)
     cache[key] = out
     return out
+
+
+def _int_items(coeffs: dict) -> tuple:
+    """(key, coeff) pairs with each integral coefficient as an int; a
+    coefficient with a denominator stays a Fraction."""
+    return tuple((k, c.numerator if c.denominator == 1 else c)
+                 for k, c in coeffs.items())
+
+
+class OperatorTables:
+    """The cohomology layer's per-algebra state, built on first use and kept
+    on the algebra (see `_tables`), so it starts cold with every algebra and
+    is freed with it.
+
+    `bracket`, `ad` and `coproduct` are the coefficient tables of dH and dV
+    as (key, coeff) tuples with int coefficients: the bracket table, the
+    adjoint action `_ad_letter` and the coproduct `mono_coproduct_terms`.
+    `systems` maps a filtration bound to its `CorrectionSystem`.
+    """
+
+    __slots__ = ("g", "bracket", "ad", "coproduct", "systems")
+
+    def __init__(self, g: LieAlgebraData):
+        self.g = g
+        self.bracket = {key: _int_items(c) for key, c in g.bracket_table.items()}
+        self.ad: Dict[tuple, tuple] = {}
+        self.coproduct: Dict[tuple, tuple] = {}
+        self.systems: Dict[int, "CorrectionSystem"] = {}
+
+    def ad_items(self, x: int, mono: tuple) -> tuple:
+        items = self.ad[x, mono] = _int_items(_ad_letter(self.g, x, mono))
+        return items
+
+    def coproduct_items(self, mono: tuple) -> tuple:
+        items = self.coproduct[mono] = _int_items(
+            mono_coproduct_terms(self.g, mono))
+        return items
+
+
+def _tables(g: LieAlgebraData) -> OperatorTables:
+    if g._cohom_tables is None:
+        g._cohom_tables = OperatorTables(g)
+    return g._cohom_tables
 
 
 # --- Chevalley-Eilenberg complex -------------------------------------------------
@@ -703,75 +756,111 @@ class Cochain:
         return out
 
 
+def _scaled(w: Cochain) -> Tuple[int, dict]:
+    """(d, data): d is the lcm of the denominators of w's coefficients and
+    data is w's layout with every coefficient times d, as an int."""
+    d = 1
+    for tensor in w.data.values():
+        for c in tensor.values():
+            q = c.denominator
+            if d % q:
+                d = d * q // gcd(d, q)
+    data = {key: {tkey: c.numerator * (d // c.denominator)
+                  for tkey, c in tensor.items()}
+            for key, tensor in w.data.items()}
+    return d, data
+
+
+def _unscaled(acc: dict, d: int) -> dict:
+    """Undo `_scaled` on one accumulated value, dropping the zeros."""
+    return {k: Fraction(c, d) for k, c in acc.items() if c}
+
+
 def bicomplex_dh(w: Cochain) -> Cochain:
     """Horizontal differential: Chevalley-Eilenberg with the adjoint twist."""
     g = w.g
+    tables = _tables(g)
+    bracket, ad_get = tables.bracket, tables.ad.get
     m = w.m
+    d, data = _scaled(w)
     out = Cochain(g, m + 1, w.n, w.bound)
     for t in combinations(range(g.dim), m + 1):
+        faces = [(t[i], t[:i] + t[i + 1:], -1 if i & 1 else 1)
+                 for i in range(m + 1)]
+        # the terms c * w(s, v) from the brackets of two arguments
+        bracket_terms = []
+        for i in range(m + 1):
+            for j in range(i + 1, m + 1):
+                rest = tuple(x for k, x in enumerate(t) if k not in (i, j))
+                sign_ij = -1 if (i + j) & 1 else 1
+                for z, c in bracket.get((t[i], t[j]), ()):
+                    ins = _signed_insert(z, rest)
+                    if ins is not None:
+                        s, sgn = ins
+                        bracket_terms.append((s, sign_ij * sgn * c))
         for v in range(g.dim):
             acc: dict = {}
-
-            def add(tensor, factor):
-                for tkey, c in tensor.items():
-                    accumulate(acc, tkey, factor * c)
-
-            for i in range(m + 1):
-                rest = t[:i] + t[i + 1:]
-                sign = (-1) ** i
-                tensor = w.value(rest, v)
+            get = acc.get
+            for x, rest, sign in faces:
+                tensor = data.get((rest, v))
                 if tensor:
-                    add(_tensor_ad(g, t[i], tensor), sign)
-                for z, c in g.bracket_table.get((t[i], v), {}).items():
-                    tz = w.value(rest, z)
-                    if tz:
-                        add(tz, -sign * c)
-            for i in range(m + 1):
-                for j in range(i + 1, m + 1):
-                    rest = tuple(x for k, x in enumerate(t) if k not in (i, j))
-                    sign_ij = (-1) ** (i + j)
-                    for z, c in g.bracket_table.get((t[i], t[j]), {}).items():
-                        ins = _signed_insert(z, rest)
-                        if ins is None:
-                            continue
-                        s, sgn = ins
-                        tensor = w.value(s, v)
-                        if tensor:
-                            add(tensor, sign_ij * sgn * c)
-            if acc:
-                out.data[t, v] = acc
-    return out
-
-
-def _tensor_ad(g: LieAlgebraData, x: int, tensor: dict) -> dict:
-    """Slotwise adjoint action of a Lie-algebra letter on a sparse tensor."""
-    out: dict = {}
-    for tkey, c in tensor.items():
-        for slot in range(len(tkey)):
-            for m2, q in _ad_letter(g, x, tkey[slot]).items():
-                accumulate(out, tkey[:slot] + (m2,) + tkey[slot + 1:], c * q)
-    return out
-
-
-def _cobar_delta_tensor(g: LieAlgebraData, tensor: dict, n: int) -> dict:
-    """The coalgebra differential applied to a sparse element of U^{(x) n}."""
-    out: dict = {}
-    for tkey, c in tensor.items():
-        accumulate(out, ((),) + tkey, c)
-        accumulate(out, tkey + ((),), c * ((-1) ** (n + 1)))
-        for i in range(n):
-            for (a, b), q in mono_coproduct_terms(g, tkey[i]).items():
-                accumulate(out, tkey[:i] + (a, b) + tkey[i + 1:],
-                           c * q * ((-1) ** (i + 1)))
+                    # the slotwise adjoint action of x on w(rest, v)
+                    for tkey, c in tensor.items():
+                        c *= sign
+                        for slot, mono in enumerate(tkey):
+                            items = ad_get((x, mono))
+                            if items is None:
+                                items = tables.ad_items(x, mono)
+                            head, tail = tkey[:slot], tkey[slot + 1:]
+                            for m2, q in items:
+                                k = head + (m2,) + tail
+                                acc[k] = get(k, 0) + c * q
+                for z, c in bracket.get((x, v), ()):
+                    tensor = data.get((rest, z))
+                    if tensor:
+                        c *= -sign
+                        for tkey, e in tensor.items():
+                            acc[tkey] = get(tkey, 0) + c * e
+            for s, c in bracket_terms:
+                tensor = data.get((s, v))
+                if tensor:
+                    for tkey, e in tensor.items():
+                        acc[tkey] = get(tkey, 0) + c * e
+            value = _unscaled(acc, d)
+            if value:
+                out.data[t, v] = value
     return out
 
 
 def bicomplex_dv(w: Cochain) -> Cochain:
-    """Vertical differential: the coalgebra differential on each value."""
-    out = Cochain(w.g, w.m, w.n + 1, w.bound)
-    for (s, v), tensor in w.data.items():
-        for tkey, c in _cobar_delta_tensor(w.g, tensor, w.n).items():
-            out._accumulate((s, v), tkey, c)
+    """Vertical differential: the coalgebra differential on each value,
+    1 (x) y + alternating inner coproducts + (-1)^{n+1} y (x) 1."""
+    tables = _tables(w.g)
+    coproduct_get = tables.coproduct.get
+    n = w.n
+    last = -1 if n & 1 == 0 else 1
+    d, data = _scaled(w)
+    out = Cochain(w.g, w.m, n + 1, w.bound)
+    for key, tensor in data.items():
+        acc: dict = {}
+        get = acc.get
+        for tkey, c in tensor.items():
+            k = ((),) + tkey
+            acc[k] = get(k, 0) + c
+            k = tkey + ((),)
+            acc[k] = get(k, 0) + last * c
+            for i, mono in enumerate(tkey):
+                items = coproduct_get(mono)
+                if items is None:
+                    items = tables.coproduct_items(mono)
+                sc = c if i & 1 else -c
+                head, tail = tkey[:i], tkey[i + 1:]
+                for pair, q in items:
+                    k = head + pair + tail
+                    acc[k] = get(k, 0) + sc * q
+        value = _unscaled(acc, d)
+        if value:
+            out.data[key] = value
     return out
 
 
@@ -873,6 +962,71 @@ def _flatten_cochain(w: Cochain, key_index: dict) -> dict:
     return flat
 
 
+class CorrectionSystem:
+    """The two linear systems of `solve_correction` at one (algebra, bound).
+
+    The unknowns are the coordinates of phi in the basis of
+    Hom(g_ad, U-slice).  `h_index` and `v_index` number the cochain keys
+    that dH and dV of the basis elements reach; `horizontal` is the
+    factored dH system and `vertical` the factored stack of the dV system
+    over the dH system, which imposes equivariance.
+    """
+
+    __slots__ = ("bound", "basis", "h_index", "v_index", "horizontal",
+                 "vertical")
+
+    def __init__(self, g: LieAlgebraData, bound: int):
+        self.bound = bound
+        self.basis, _ = _k01_basis(g, bound)
+        h_index: dict = {}
+        v_index: dict = {}
+        h_cols, v_cols = [], []
+        for i in range(len(self.basis)):
+            e = _cochain01_from_coords(g, bound, {i: ONE}, self.basis)
+            h_cols.append(_flatten_cochain(bicomplex_dh(e), h_index))
+            v_cols.append(_flatten_cochain(bicomplex_dv(e), v_index))
+        n_h, n_v = len(h_index), len(v_index)
+        mat_h = SparseMatrix(n_h, len(self.basis))
+        stacked = SparseMatrix(n_v + n_h, len(self.basis))
+        for j, (h_col, v_col) in enumerate(zip(h_cols, v_cols)):
+            for i, c in v_col.items():
+                stacked[i, j] = c
+            for i, c in h_col.items():
+                mat_h[i, j] = c
+                stacked[n_v + i, j] = c
+        self.h_index = h_index
+        self.v_index = v_index
+        self.horizontal = factor(mat_h)
+        self.vertical = factor(stacked)
+
+    def _preimage(self, fact, index: dict, w: Cochain, what: str) -> Cochain:
+        """The solution of one factored system for right-hand side w; a key
+        of w that the system does not reach means it has no solution."""
+        error = (f"no {what} preimage within filtration degree "
+                 f"{self.bound}; retry with a larger degree")
+        rhs = [ZERO] * fact.nrows
+        for (s, v), tensor in w.data.items():
+            for tkey, c in tensor.items():
+                i = index.get((s, v, tkey))
+                if i is None:
+                    raise FiltrationError(error)
+                rhs[i] = c
+        coords = fact.solve(rhs)
+        if coords is None:
+            raise FiltrationError(error)
+        return _cochain01_from_coords(
+            w.g, self.bound, {i: c for i, c in enumerate(coords) if c},
+            self.basis)
+
+    def horizontal_preimage(self, gamma: Cochain) -> Cochain:
+        return self._preimage(self.horizontal, self.h_index, gamma,
+                              "horizontal")
+
+    def equivariant_vertical_preimage(self, eta: Cochain) -> Cochain:
+        return self._preimage(self.vertical, self.v_index, eta,
+                              "equivariant vertical")
+
+
 def solve_correction(gamma: Cochain, eta: Cochain, bound: int,
                      fault: Optional[str] = None) -> Cochain:
     """Solve dH(phi) = gamma, dV(phi) = eta for phi in Hom(g_ad, U-slice).
@@ -881,7 +1035,9 @@ def solve_correction(gamma: Cochain, eta: Cochain, bound: int,
     g-equivariant vertical preimage (equivariance imposed as the extra
     linear constraints dH(theta) = 0).  Both determinations use the
     deterministic pivot rule of the exact solver, and the returned cochain
-    is re-substituted into both equations rather than trusted.
+    is re-substituted into both equations rather than trusted.  The two
+    systems are built and factored once per (algebra, bound) and kept in
+    the algebra's `OperatorTables`.
 
     `fault="noneq-theta"` adds a non-equivariant primitive-valued shift to
     theta after stage two; the re-substitution must then reject the result.
@@ -904,27 +1060,11 @@ def solve_correction(gamma: Cochain, eta: Cochain, bound: int,
     if eta.swap_tensor() - eta:
         raise CocycleConditionError("eta != eta^21: eta must be symmetric")
 
-    basis, _ = _k01_basis(g, bound)
-    elems = [_cochain01_from_coords(g, bound, {i: ONE}, basis)
-             for i in range(len(basis))]
-
-    h_index: dict = {}
-    h_cols = [_flatten_cochain(bicomplex_dh(e), h_index) for e in elems]
-    gamma_flat = _flatten_cochain(gamma, h_index)
-    mat_h = SparseMatrix(len(h_index), len(basis))
-    for j, col in enumerate(h_cols):
-        for i, c in col.items():
-            mat_h[i, j] = c
-    rhs = [ZERO] * len(h_index)
-    for i, c in gamma_flat.items():
-        rhs[i] = c
-    psi_coords = solve(mat_h, rhs)
-    if psi_coords is None:
-        raise FiltrationError(
-            f"no horizontal preimage within filtration degree {bound}; "
-            "retry with a larger degree")
-    psi = _cochain01_from_coords(
-        g, bound, {i: c for i, c in enumerate(psi_coords) if c}, basis)
+    systems = _tables(g).systems
+    system = systems.get(bound)
+    if system is None:
+        system = systems[bound] = CorrectionSystem(g, bound)
+    psi = system.horizontal_preimage(gamma)
 
     eta1 = eta - bicomplex_dv(psi)
     if bicomplex_dh(eta1):
@@ -932,28 +1072,7 @@ def solve_correction(gamma: Cochain, eta: Cochain, bound: int,
     if bicomplex_dv(eta1):
         raise CocycleConditionError("residual eta1 is not vertically closed")
 
-    v_index: dict = {}
-    v_cols = [_flatten_cochain(bicomplex_dv(e), v_index) for e in elems]
-    eta1_flat = _flatten_cochain(eta1, v_index)
-    n_v = len(v_index)
-    n_h = len(h_index)
-    stacked = SparseMatrix(n_v + n_h, len(basis))
-    for j, col in enumerate(v_cols):
-        for i, c in col.items():
-            stacked[i, j] = c
-    for j, col in enumerate(h_cols):
-        for i, c in col.items():
-            stacked[n_v + i, j] = c
-    rhs2 = [ZERO] * (n_v + n_h)
-    for i, c in eta1_flat.items():
-        rhs2[i] = c
-    theta_coords = solve(stacked, rhs2)
-    if theta_coords is None:
-        raise FiltrationError(
-            f"no equivariant vertical preimage within filtration degree "
-            f"{bound}; retry with a larger degree")
-    theta = _cochain01_from_coords(
-        g, bound, {i: c for i, c in enumerate(theta_coords) if c}, basis)
+    theta = system.equivariant_vertical_preimage(eta1)
 
     if fault == "noneq-theta":
         shift = Cochain(g, 0, 1, bound)

@@ -420,55 +420,129 @@ def rank_of_rows(rows: Iterable[Mapping[int, Fraction]]) -> int:
     return _integer_row_rank(_scaled_integer_rows(rows))
 
 
+def _exact(q: Fraction):
+    """q as an int when it is integral: int arithmetic is several times
+    cheaper than Fraction arithmetic."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _quotient(q, p):
+    """The exact quotient q / p of two ints or Fractions, an int when
+    integral."""
+    if type(q) is int and type(p) is int:
+        return q // p if q % p == 0 else Fraction(q, p)
+    return _exact(Fraction(q) / p)
+
+
+class Factorization:
+    """The recorded elimination of a matrix, replayed on each right-hand side.
+
+    `steps` holds one entry per pivot, in elimination order:
+    `(col, prow, pivot, rest, ops)`, where row `prow` of the matrix had been
+    reduced to `pivot` at `col` plus the entries `rest` (all right of `col`)
+    when it was chosen, and `ops` lists the `(row, multiplier)` pairs that
+    added a multiple of it to the rows below it in the column.  Entries and
+    multipliers are ints wherever they are integral.  Only the pivot rows
+    and the multipliers are kept: the rows that reduce to zero are not.
+    """
+
+    __slots__ = ("nrows", "ncols", "steps", "pivot_rows")
+
+    def __init__(self, nrows: int, ncols: int, steps: list):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.steps = steps
+        self.pivot_rows = frozenset(step[1] for step in steps)
+
+    def solve(self, b: list) -> Optional[list]:
+        """The solution of a*x = b with the free variables set to zero, or
+        None when the system is inconsistent."""
+        if len(b) != self.nrows:
+            raise ValueError(f"dimension mismatch: matrix has {self.nrows} "
+                             f"rows, vector has {len(b)}")
+        rhs = [as_fraction(v) for v in b]
+        # replay on integers: b scaled by the lcm of its denominators
+        d = 1
+        for v in rhs:
+            if v.denominator != 1:
+                d = d * v.denominator // gcd(d, v.denominator)
+        r = [v.numerator * (d // v.denominator) for v in rhs]
+        for _, prow, _, _, ops in self.steps:
+            c = r[prow]
+            if c:
+                for i, f in ops:
+                    r[i] += f * c
+        pivot_rows = self.pivot_rows
+        for i, v in enumerate(r):
+            if v and i not in pivot_rows:
+                return None
+        x = [ZERO] * self.ncols
+        for col, prow, pivot, rest, _ in reversed(self.steps):
+            s = Fraction(r[prow], d)
+            for j, v in rest:
+                s -= v * x[j]
+            x[col] = s / pivot
+        return x
+
+
+def factor(a: SparseMatrix) -> Factorization:
+    """Eliminate `a` once, for any number of right-hand sides.
+
+    Pivots are taken column by column, left to right, each in the lowest
+    row not yet used whose entry there is nonzero; a column->rows index
+    finds those rows without scanning the matrix.  A column gets a pivot
+    exactly when it is not in the span of the columns left of it, so the
+    pivot columns are the lexicographically first basis of the column space
+    and, with the free variables set to zero, the solution is the unique
+    one supported on them: it does not depend on which row holds a pivot or
+    on the order of the rows.
+    """
+    rows = [{j: _exact(v) for j, v in row.items()} for row in a.row_dicts()]
+    col_rows: dict = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
+    steps = []
+    for col in range(a.ncols):
+        holders = col_rows.pop(col, None)
+        if not holders:
+            continue
+        prow = min(holders)
+        pivot_row = rows[prow]
+        rows[prow] = None
+        p = pivot_row.pop(col)
+        rest = tuple(pivot_row.items())
+        for j, _ in rest:
+            col_rows[j].discard(prow)
+        ops = []
+        for i in holders:
+            if i == prow:
+                continue
+            row = rows[i]
+            f = _quotient(-row.pop(col), p)
+            ops.append((i, f))
+            for j, v in rest:
+                old = row.get(j)
+                new = f * v if old is None else old + f * v
+                if new:
+                    if old is None:
+                        col_rows[j].add(i)
+                    row[j] = new
+                elif old is not None:
+                    del row[j]
+                    col_rows[j].discard(i)
+        steps.append((col, prow, p, rest, tuple(ops)))
+    return Factorization(a.nrows, a.ncols, steps)
+
+
 def solve(a: SparseMatrix, b: list) -> Optional[list]:
     """One exact solution of a*x = b, or None when inconsistent.
 
-    Pivots scan columns left to right, taking the lowest remaining row with
-    a nonzero entry, and free variables are set to zero, so repeated calls
-    return identical solutions.
+    The same as `factor(a).solve(b)`: pivots scan columns left to right,
+    taking the lowest remaining row with a nonzero entry, and free variables
+    are set to zero, so repeated calls return identical solutions.
     """
-    if len(b) != a.nrows:
-        raise ValueError(f"dimension mismatch: matrix has {a.nrows} rows, "
-                         f"vector has {len(b)}")
-    rows = a.row_dicts()
-    rhs = [as_fraction(v) for v in b]
-    n = a.ncols
-    pivots = []  # (col, row) in elimination order
-    used = [False] * a.nrows
-    for col in range(n):
-        prow = None
-        for i in range(a.nrows):
-            if not used[i] and rows[i].get(col):
-                prow = i
-                break
-        if prow is None:
-            continue
-        used[prow] = True
-        pivots.append((col, prow))
-        pval = rows[prow][col]
-        for i in range(a.nrows):
-            if i == prow or used[i]:
-                continue
-            f = rows[i].get(col)
-            if not f:
-                continue
-            factor = -f / pval
-            ri = rows[i]
-            for j, v in rows[prow].items():
-                accumulate(ri, j, factor * v)
-            rhs[i] += factor * rhs[prow]
-    for i in range(a.nrows):
-        if not used[i] and rhs[i]:
-            return None
-    x = [ZERO] * n
-    for col, prow in reversed(pivots):
-        s = rhs[prow]
-        row = rows[prow]
-        for j, v in row.items():
-            if j > col:
-                s -= v * x[j]
-        x[col] = s / row[col]
-    return x
+    return factor(a).solve(b)
 
 
 def kernel_basis(m: SparseMatrix) -> list:

@@ -70,8 +70,9 @@ class LieAlgebraData(PBWAlgebra):
     Its structure tables are immutable after construction.  As a PBW letter
     algebra it is also the word algebra of U(g), so it holds the memo
     caches of the U(g) layer (straightening, coproduct, adjoint action).
-    The current envelope and the free model are built on first use and
-    hang off the algebra, so every cache lives and dies with it.
+    The current envelope, the free model and the cohomology layer's tables
+    are built on first use and hang off the algebra, so every cache lives
+    and dies with it.
     """
 
     def __init__(self, n: int):
@@ -156,6 +157,7 @@ class LieAlgebraData(PBWAlgebra):
         self._casimir_eigenvalue: Optional[Fraction] = None
         self._current_envelope = None
         self._free_model = None
+        self._cohom_tables = None
 
     # --- matrix-unit realization -------------------------------------------------
 

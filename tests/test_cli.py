@@ -139,3 +139,14 @@ def test_expand_zero_denominator_exit_two(capsys):
     assert main(["expand", "1/0", "--type", "A1"]) == 2
     err = capsys.readouterr().err
     assert "zero denominator" in err and "line 1, column 2" in err
+
+
+def test_unwritable_json_path_exit_three(tmp_path, capsys):
+    path = tmp_path / "missing-dir" / "out.json"
+    assert main(["verify", "gnw", "--type", "A1", "--json", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "suite gnw [A1]" in captured.out  # the checks ran first
+    err = captured.err.strip()
+    assert err.startswith("qcurrent: internal error: FileNotFoundError")
+    assert "\n" not in err and "Traceback" not in err
+    assert not path.exists()

@@ -241,10 +241,11 @@ def test_dh_kernel_iff_intertwiner(sl2):
     for x in range(sl2.dim):
         for v in range(sl2.dim):
             lhs = {}
-            from qcurrent.cohom import _tensor_ad
-            for tkey, c in w.value((), v).items():
-                for k2, c2 in _tensor_ad(sl2, x, {tkey: c}).items():
-                    s = lhs.get(k2, F(0)) + c2
+            from qcurrent.cohom import _ad_letter
+            for (mono,), c in w.value((), v).items():
+                for m2, q in _ad_letter(sl2, x, mono).items():
+                    k2 = (m2,)
+                    s = lhs.get(k2, F(0)) + c * q
                     if s:
                         lhs[k2] = s
                     else:

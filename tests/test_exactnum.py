@@ -3,8 +3,8 @@ from random import Random
 
 import pytest
 
-from qcurrent.exactnum import (HPoly, SparseMatrix, kernel_basis, nullity,
-                               rank, solve)
+from qcurrent.exactnum import (HPoly, SparseMatrix, factor, kernel_basis,
+                               nullity, rank, solve)
 
 
 def test_rank_identity():
@@ -90,6 +90,51 @@ def test_solve_is_exact_when_consistent():
         for (i, j), v in m.entries.items():
             residual[i] -= v * x[j]
         assert all(not r for r in residual)
+
+
+def test_factor_replays_on_many_right_hand_sides():
+    rng = Random(31)
+    for _ in range(15):
+        m = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
+        fact = factor(m)
+        for _ in range(4):
+            b = [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(m.nrows)]
+            assert fact.solve(b) == solve(m, b)
+
+
+def test_factor_inconsistent_rhs_is_none():
+    m = SparseMatrix.from_rows([[1, 2], [2, 4], [0, 0]])
+    fact = factor(m)
+    assert fact.solve([F(1), F(3), F(0)]) is None
+    assert fact.solve([F(1), F(2), F(1)]) is None
+    assert fact.solve([F(1), F(2), F(0)]) == [F(1), F(0)]
+
+
+def test_solve_is_supported_on_the_first_basic_columns():
+    """A*x = b, x vanishes off the pivot columns, and the pivot columns are
+    the lexicographically first basis of the column space: each kernel
+    vector of `kernel_basis` (built from the reduced echelon form) has its
+    largest index at a free column."""
+    rng = Random(2024)
+    for _ in range(40):
+        m = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), 0.5)
+        x0 = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.ncols)]
+        b = [F(0)] * m.nrows
+        for (i, j), v in m.entries.items():
+            b[i] += v * x0[j]
+        fact = factor(m)
+        x = fact.solve(b)
+        assert x is not None
+        residual = list(b)
+        for (i, j), v in m.entries.items():
+            residual[i] -= v * x[j]
+        assert not any(residual)
+        pivots = {step[0] for step in fact.steps}
+        assert all(not x[j] for j in range(m.ncols) if j not in pivots)
+        kernel = kernel_basis(m)
+        assert len(pivots) == rank(m) == m.ncols - len(kernel)
+        free = {max(vec) for vec in kernel}
+        assert free == set(range(m.ncols)) - pivots
 
 
 def _random_hpoly(rng):
