@@ -2,7 +2,8 @@
 cohomology dimension queries.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 unknown suite
-or bad usage, 3 internal error (such as an unwritable --json path).
+or bad usage, 3 internal error (such as an unwritable --json path or an
+exception inside a check other than a `reports.CheckError`).
 """
 
 from __future__ import annotations

@@ -16,30 +16,40 @@ table value with a denominator stays a Fraction, so integrality is never
 assumed.  The correction solver builds its basis images and factors its
 two linear systems once per (algebra, bound), in the same per-algebra
 tables, which start empty with every algebra and are freed with it.
+
+The rank computations assemble their matrices over int as well.  The
+Chevalley-Eilenberg rows read int views of the module's action matrices
+and of the bracket table, and the Cartan weights that split them into
+blocks are int tuples, summed once per wedge of basis vectors.  The cobar
+complex of Sym(V) has integral structure constants (binomial
+coefficients), so `CobarChain` keeps integral coefficients as ints and its
+differential works over int.  In both complexes a value with a denominator
+stays a Fraction, and `exactnum.rank_of_rows` accepts either.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import comb, gcd
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, gcd, prod
+from operator import sub
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from .envelope import UElement, mono_coproduct_terms, normal_order
-from .exactnum import (ONE, ZERO, CoeffMap, SparseMatrix, accumulate,
-                       factor, rank_of_rows, solve)
+from .exactnum import (ONE, ZERO, CoeffMap, SparseMatrix, _exact, accumulate,
+                       as_fraction, factor, rank_of_rows, solve)
 from .liealg import LieAlgebraData
-from .reports import Report, run_checks
+from .reports import CheckError, Report, run_checks
 
 Vector = Dict[int, Fraction]
 
 
-class CocycleConditionError(ValueError):
+class CocycleConditionError(CheckError):
     """A solver input violates one of its cocycle preconditions."""
 
 
-class FiltrationError(ValueError):
+class FiltrationError(CheckError):
     """No solution exists within the requested PBW filtration degree."""
 
 
@@ -197,8 +207,7 @@ def _ad_letter(g: LieAlgebraData, x: int, mono: tuple) -> dict:
 def _int_items(coeffs: dict) -> tuple:
     """(key, coeff) pairs with each integral coefficient as an int; a
     coefficient with a denominator stays a Fraction."""
-    return tuple((k, c.numerator if c.denominator == 1 else c)
-                 for k, c in coeffs.items())
+    return tuple((k, _exact(c)) for k, c in coeffs.items())
 
 
 class OperatorTables:
@@ -209,6 +218,7 @@ class OperatorTables:
     `bracket`, `ad` and `coproduct` are the coefficient tables of dH and dV
     as (key, coeff) tuples with int coefficients: the bracket table, the
     adjoint action `_ad_letter` and the coproduct `mono_coproduct_terms`.
+    The Chevalley-Eilenberg matrices read `bracket` too.
     `systems` maps a filtration bound to its `CorrectionSystem`.
     """
 
@@ -337,31 +347,39 @@ def random_ce_chain(module: GModule, m: int, rng: Random,
 
 def _ce_matrix_rows(module: GModule, m: int):
     """Rows of the m-th differential, keyed by integer column ids
-    (S-combination index * module dim + module coordinate)."""
+    (S-combination index * module dim + module coordinate).
+
+    The entries are ints wherever they are integral: the rows are built
+    from int views of the module's action matrices and of the bracket
+    table (`_int_items`), where a value with a denominator stays a
+    Fraction."""
     g = module.g
+    bracket = _tables(g).bracket
+    actions = [tuple((jcol, _int_items(col)) for jcol, col in cols.items())
+               for cols in module.actions]
     s_index = {s: k for k, s in enumerate(combinations(range(g.dim), m))}
     mdim = module.dim
     rows = []
     row_tags = []
     for t in combinations(range(g.dim), m + 1):
-        bracket_cols: List[Tuple[int, Fraction]] = []
+        bracket_cols: List[Tuple[int, int]] = []
         for i in range(m + 1):
             for j in range(i + 1, m + 1):
                 rest = tuple(x for k, x in enumerate(t) if k not in (i, j))
-                sign_ij = (-1) ** (i + j)
-                for z, c in g.bracket_table.get((t[i], t[j]), {}).items():
+                sign_ij = -1 if (i + j) & 1 else 1
+                for z, c in bracket.get((t[i], t[j]), ()):
                     ins = _signed_insert(z, rest)
                     if ins is None:
                         continue
                     s, sgn = ins
                     bracket_cols.append((s_index[s], sign_ij * sgn * c))
-        action_cols: Dict[int, Dict[int, Fraction]] = {}
+        action_cols: Dict[int, dict] = {}
         for i in range(m + 1):
             rest = t[:i] + t[i + 1:]
             base = s_index[rest] * mdim
-            sign = (-1) ** i
-            for jcol, col in module.actions[t[i]].items():
-                for irow, v in col.items():
+            sign = -1 if i & 1 else 1
+            for jcol, col in actions[t[i]]:
+                for irow, v in col:
                     accumulate(action_cols.setdefault(irow, {}), base + jcol, sign * v)
         for kprime in range(mdim):
             row: Vector = dict(action_cols.get(kprime, {}))
@@ -380,19 +398,29 @@ def _blocked_rank(module: GModule, m: int, rows, row_tags, s_index) -> int:
     if weights is None:
         return rank_of_rows(rows)
     g = module.g
-    gw = g.weights
+    gw = [tuple(map(_exact, w)) for w in g.weights]
+    weights = [tuple(map(_exact, w)) for w in weights]
+    zero = (0,) * g.rank
+
+    def weight_of(s: tuple) -> tuple:
+        """The Cartan weight of the wedge of the basis vectors in s."""
+        return tuple(map(sum, zip(*(gw[x] for x in s)))) if s else zero
+
     mdim = module.dim
     col_weight: Dict[tuple, list] = {}
     for s, sidx in s_index.items():
-        base = tuple(sum(ws) for ws in zip(*(gw[x] for x in s))) if s else (ZERO,) * g.rank
+        base = weight_of(s)
         for k in range(mdim):
             w = tuple(a - b for a, b in zip(weights[k], base))
             col_weight.setdefault(w, []).append(sidx * mdim + k)
     blocks: Dict[tuple, list] = {}
     col_maps: Dict[tuple, dict] = {
         w: {c: i for i, c in enumerate(cols)} for w, cols in col_weight.items()}
+    t_weight: Dict[tuple, tuple] = {}
     for row, (t, kprime) in zip(rows, row_tags):
-        base = tuple(sum(ws) for ws in zip(*(gw[x] for x in t)))
+        base = t_weight.get(t)
+        if base is None:
+            base = t_weight[t] = weight_of(t)
         w = tuple(a - b for a, b in zip(weights[kprime], base))
         cmap = col_maps.get(w)
         if cmap is None:
@@ -470,28 +498,27 @@ def _sym_monomials(v_dim: int, degree: int) -> List[tuple]:
     return out
 
 
-def _sym_coproduct(mono: tuple) -> Dict[tuple, Fraction]:
-    """Binomial splitting of a symmetric-algebra monomial."""
-    keys = [((), ONE)]
-    for a in mono:
-        new = []
-        for (prefix, c) in keys:
-            for k in range(a + 1):
-                new.append((prefix + ((k, a - k),), c * comb(a, k)))
-        keys = new
-    out: Dict[tuple, Fraction] = {}
-    for prefix, c in keys:
-        left = tuple(p[0] for p in prefix)
-        right = tuple(p[1] for p in prefix)
-        accumulate(out, (left, right), c)
-    return out
+def _sym_coproduct(mono: tuple) -> Dict[tuple, int]:
+    """Binomial splitting of a symmetric-algebra monomial:
+    {(left, right): prod_i binomial(mono_i, left_i)}, with left running
+    over the exponent vectors below mono in lexicographic order."""
+    return {(left, tuple(map(sub, mono, left))): prod(map(comb, mono, left))
+            for left in product(*[range(a + 1) for a in mono])}
+
+
+def _exact_coeff(value):
+    """An exact rational coefficient, as an int when it is integral."""
+    return _exact(as_fraction(value))
 
 
 class CobarChain(CoeffMap):
-    """Element of the n-fold tensor power of Sym(V) in one symmetric degree."""
+    """Element of the n-fold tensor power of Sym(V) in one symmetric degree.
+
+    Integral coefficients are kept as ints, others as Fractions."""
 
     __slots__ = ("v_dim", "n", "degree")
     _space = ("v_dim", "n", "degree")
+    _coerce = staticmethod(_exact_coeff)
 
     def __init__(self, v_dim: int, n: int, degree: int,
                  data: Optional[Dict[tuple, Fraction]] = None):
@@ -505,14 +532,17 @@ def cobar_differential(y: CobarChain) -> CobarChain:
     """1 (x) y + alternating inner coproducts + (-1)^{n+1} y (x) 1."""
     n = y.n
     zero_mono = (0,) * y.v_dim
+    last = 1 if n & 1 else -1  # (-1)^{n+1}
     out = CobarChain(y.v_dim, n + 1, y.degree)
+    data = out.data
     for key, c in y.data.items():
-        out._accumulate((zero_mono,) + key, c)
-        out._accumulate(key + (zero_mono,), c * ((-1) ** (n + 1)))
+        accumulate(data, (zero_mono,) + key, c)
+        accumulate(data, key + (zero_mono,), last * c)
         for i in range(n):
+            sc = c if i & 1 else -c  # (-1)^{i+1} c
+            head, tail = key[:i], key[i + 1:]
             for (l, r), q in _sym_coproduct(key[i]).items():
-                out._accumulate(key[:i] + (l, r) + key[i + 1:],
-                                c * q * ((-1) ** (i + 1)))
+                accumulate(data, head + (l, r) + tail, sc * q)
     return out
 
 
@@ -573,7 +603,6 @@ def minus_cohomology_dim(v_dim: int, n: int, degree: int) -> int:
     """dim H^n of the minus subcomplex of the cobar complex at one degree."""
     cur = _minus_basis(v_dim, n, degree)
     prev = _minus_basis(v_dim, n - 1, degree) if n >= 1 else []
-    cur_index: Dict[tuple, int] = {}
 
     def flatten(chain: CobarChain, index: Dict[tuple, int]) -> Vector:
         row: Vector = {}

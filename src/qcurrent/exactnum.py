@@ -8,6 +8,7 @@ Everything downstream computes with these primitives: coefficients are
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Mapping, Optional
 
@@ -337,19 +338,25 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
 
 
-def _scaled_integer_rows(rows: Iterable[Mapping[int, Fraction]]) -> list:
-    """Clear denominators and strip common factors; drops empty rows."""
+def _scaled_integer_rows(rows: Iterable[Mapping]) -> list:
+    """Clear denominators and strip common factors; drops empty rows.
+
+    Entries may be ints or Fractions: each becomes
+    `numerator * (d // denominator)` for the lcm `d` of the row's
+    denominators, with no Fraction arithmetic.
+    """
     out = []
     for row in rows:
         if not row:
             continue
         denom = 1
         for v in row.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        ints = {j: int(v * denom) for j, v in row.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
+            q = v.denominator
+            if denom % q:
+                denom = denom * q // gcd(denom, q)
+        ints = {j: v.numerator * (denom // v.denominator)
+                for j, v in row.items()}
+        g = gcd(*ints.values())
         if g > 1:
             ints = {j: v // g for j, v in ints.items()}
         out.append(ints)
@@ -359,53 +366,69 @@ def _scaled_integer_rows(rows: Iterable[Mapping[int, Fraction]]) -> list:
 def _integer_row_rank(rows: list) -> int:
     """Exact rank of integer rows via sparse fraction-free elimination.
 
-    Pivots are chosen to limit fill (fewest-entries column, then shortest
-    row), with deterministic tie-breaking on indices.
+    Pivots are chosen to limit fill (Markowitz): the column with the fewest
+    entries, then the lowest column index; in it, the shortest row, then
+    the lowest row index.  The next pivot column comes from a lazy min-heap
+    of `(entry count, column)` pairs.  A step changes the entry count of
+    the pivot row's columns only (a row gains or loses an entry where the
+    pivot row has one), so the new count of each of them is pushed after
+    the step; a popped pair whose column is gone, or whose count is no
+    longer the column's, is stale and skipped.  Every live column always
+    has a pair with its current count in the heap, so the first valid pair
+    popped is the minimum of `(count, column)` over the live columns: the
+    same pivot that a scan of every column picks, with the same fill and
+    the same arithmetic.
     """
     rows = [dict(r) for r in rows if r]
     col_rows: dict = {}
     for rid, row in enumerate(rows):
         for j in row:
             col_rows.setdefault(j, set()).add(rid)
+    heap = [(len(s), j) for j, s in col_rows.items()]
+    heapify(heap)
     rank = 0
-    while col_rows:
-        pc = min(col_rows, key=lambda c: (len(col_rows[c]), c))
-        holders = col_rows[pc]
+    while heap:
+        count, pc = heappop(heap)
+        holders = col_rows.get(pc)
+        if holders is None or len(holders) != count:
+            continue
         pr = min(holders, key=lambda r: (len(rows[r]), r))
         pivot_row = rows[pr]
         p = pivot_row[pc]
+        pivot_rest = [(j, v) for j, v in pivot_row.items() if j != pc]
         rank += 1
-        for rid in list(holders):
+        for rid in holders:
             if rid == pr:
                 continue
             row = rows[rid]
-            q = row[pc]
-            g = 0
-            new_row = {}
-            for j, v in row.items():
-                w = v * p - pivot_row.get(j, 0) * q
-                if w:
-                    new_row[j] = w
-                    g = gcd(g, w)
+            q = row.pop(pc)
+            # row * p - pivot_row * q, which is zero at pc
+            new_row = {j: v * p for j, v in row.items()}
+            for j, v in pivot_rest:
+                w = new_row.get(j)
+                if w is None:
+                    new_row[j] = -v * q
+                    col_rows[j].add(rid)
                 else:
-                    if j != pc:
+                    w -= v * q
+                    if w:
+                        new_row[j] = w
+                    else:
+                        del new_row[j]
                         col_rows[j].discard(rid)
-            for j, v in pivot_row.items():
-                if j not in row:
-                    w = -v * q
-                    new_row[j] = w
-                    g = gcd(g, w)
-                    col_rows.setdefault(j, set()).add(rid)
+            g = gcd(*new_row.values())
             if g > 1:
                 new_row = {j: v // g for j, v in new_row.items()}
             rows[rid] = new_row
+        del col_rows[pc]
         for j in pivot_row:
             s = col_rows.get(j)
             if s is not None:
                 s.discard(pr)
-                if not s:
+                if s:
+                    heappush(heap, (len(s), j))
+                else:
                     del col_rows[j]
-        col_rows.pop(pc, None)
         rows[pr] = {}
     return rank
 

@@ -7,6 +7,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 
+class CheckError(ValueError):
+    """Raised inside a check when the identity or a precondition it
+    verifies does not hold.  `run_checks` reports it as a failed check;
+    any other exception is an internal error and propagates."""
+
+
 @dataclass
 class Check:
     """Outcome of one identity check.
@@ -77,15 +83,17 @@ def run_checks(suite: str, algebra: str,
                seed: Optional[int] = None) -> Report:
     """Run (id, anchor, thunk) checks in declaration order.
 
-    A thunk returns None on success or a residual string on failure; raised
-    exceptions become failures carrying the exception text.
+    A thunk returns None on success or a residual string on failure.  A
+    `CheckError` it raises becomes a failure whose residual is
+    `"<type>: <message>"`; any other exception propagates, so a crash is
+    never reported as a failed check.
     """
 
     def run_one(spec):
         check_id, anchor, thunk = spec
         try:
             residual = thunk()
-        except Exception as exc:  # checked errors surface as failures
+        except CheckError as exc:
             return Check(check_id, anchor, False, f"{type(exc).__name__}: {exc}")
         if residual is None:
             return Check(check_id, anchor, True)

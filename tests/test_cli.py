@@ -150,3 +150,19 @@ def test_unwritable_json_path_exit_three(tmp_path, capsys):
     assert err.startswith("qcurrent: internal error: FileNotFoundError")
     assert "\n" not in err and "Traceback" not in err
     assert not path.exists()
+
+
+def test_crash_inside_a_check_exit_three(monkeypatch, capsys):
+    """An exception inside a check that is not a `CheckError` is an internal
+    error, not a failed check."""
+    from qcurrent import cohom
+
+    def crash(v_dim, n, degree):
+        raise TypeError("rank of a non-matrix")
+
+    monkeypatch.setattr(cohom, "minus_cohomology_dim", crash)
+    assert main(["verify", "cartier", "--degree", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == \
+        "qcurrent: internal error: TypeError: rank of a non-matrix"

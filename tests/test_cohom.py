@@ -1,10 +1,12 @@
 from fractions import Fraction as F
+from itertools import combinations
 from random import Random
 
 import pytest
 
 from qcurrent.cohom import (CEChain, CobarChain, Cochain,
-                            CocycleConditionError, adjoint_module,
+                            CocycleConditionError, _blocked_rank,
+                            _ce_matrix_rows, _minus_basis, adjoint_module,
                             bicomplex_dh, bicomplex_dv, bicomplex_report,
                             cartier_check, ce_cohomology_dims,
                             ce_differential, cobar_differential, dual_module,
@@ -14,7 +16,7 @@ from qcurrent.cohom import (CEChain, CobarChain, Cochain,
                             solve_minus_coboundary, solver_report,
                             tensor_module, trivial_module, u_slice_module,
                             whitehead_report)
-from qcurrent.exactnum import ONE
+from qcurrent.exactnum import ONE, SparseMatrix, kernel_basis, rank_of_rows
 
 
 # --- modules ---------------------------------------------------------------
@@ -63,6 +65,56 @@ def test_ce_coboundary_is_closed(sl2):
     mod = adjoint_module(sl2)
     w = random_ce_chain(mod, 0, rng)
     assert not ce_differential(ce_differential(w))
+
+
+def _ce_entries_by_matrix(module, m):
+    """{(t, row coordinate, column id): entry} of the matrix path."""
+    rows, tags, _ = _ce_matrix_rows(module, m)
+    out = {}
+    for row, (t, kprime) in zip(rows, tags):
+        assert row and all(row.values())
+        for col, v in row.items():
+            out[t, kprime, col] = v
+    return out
+
+
+def _ce_entries_by_apply(module, m):
+    """The same entries, read off `ce_differential` of every basis cochain."""
+    out = {}
+    for sidx, s in enumerate(combinations(range(module.g.dim), m)):
+        for k in range(module.dim):
+            image = ce_differential(CEChain(module, m, {s: {k: ONE}}))
+            for t, vec in image.data.items():
+                for kprime, v in vec.items():
+                    out[t, kprime, sidx * module.dim + k] = v
+    return out
+
+
+def test_ce_matrix_rows_match_the_apply_path(sl2, sl3):
+    """Labelled cross-check: every column of `_ce_matrix_rows` is the
+    image of one basis cochain under the independent `ce_differential`."""
+    cases = [trivial_module(sl2), adjoint_module(sl2),
+             tensor_module(dual_module(adjoint_module(sl2)),
+                           u_slice_module(sl2, 1)),
+             adjoint_module(sl3)]
+    for module in cases:
+        nonzero = 0
+        for m in range(3):
+            by_matrix = _ce_entries_by_matrix(module, m)
+            assert by_matrix == _ce_entries_by_apply(module, m), \
+                (module.label, m)
+            nonzero += len(by_matrix)
+        assert nonzero  # the comparison is not vacuous
+
+
+def test_blocked_rank_equals_unblocked_rank(sl2):
+    module = tensor_module(dual_module(adjoint_module(sl2)),
+                           u_slice_module(sl2, 2))
+    assert module.weights() is not None
+    for m in range(3):
+        rows, tags, s_index = _ce_matrix_rows(module, m)
+        assert _blocked_rank(module, m, rows, tags, s_index) == \
+            rank_of_rows(rows)
 
 
 def test_whitehead_dims(sl2):
@@ -155,6 +207,47 @@ def test_cartier_dimensions():
     for v_dim in (1, 2, 3):
         for d in range(5):
             assert minus_cohomology_dim(v_dim, 2, d) == 0
+
+
+def test_integer_cobar_path_is_exact():
+    """The differential keeps integral coefficients as ints; on rational
+    chains it must still be linear over the rationals."""
+    rng = Random(12)
+    for _ in range(12):
+        y = _random_cobar(rng.randint(1, 3), rng.randint(1, 2),
+                          rng.randint(0, 3), rng)
+        for q in (F(1, 2), F(7, 6)):
+            scaled = y.scale(q)
+            assert scaled.data == {k: c * q for k, c in y.data.items()}
+            assert cobar_differential(scaled) == \
+                cobar_differential(y).scale(q)
+
+
+def _rank_by_kernel(chains):
+    """Rank of the differential's images, built as a SparseMatrix (one row
+    per image) and measured with `kernel_basis`."""
+    images = [cobar_differential(y) for y in chains]
+    index = {}
+    for img in images:
+        for key in img.data:
+            index.setdefault(key, len(index))
+    mat = SparseMatrix(len(images), len(index))
+    for i, img in enumerate(images):
+        for key, c in img.data.items():
+            mat[i, index[key]] = c
+    return mat.ncols - len(kernel_basis(mat))
+
+
+def test_minus_cohomology_matches_kernel_reference():
+    for v_dim in (1, 2, 3):
+        for n in (1, 2, 3):
+            for d in range(5):
+                cur = _minus_basis(v_dim, n, d)
+                prev = _minus_basis(v_dim, n - 1, d)
+                expected = len(cur) - _rank_by_kernel(cur) - \
+                    _rank_by_kernel(prev)
+                assert minus_cohomology_dim(v_dim, n, d) == expected, \
+                    (v_dim, n, d)
 
 
 def test_cartier_check_report():

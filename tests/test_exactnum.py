@@ -68,6 +68,46 @@ def test_rank_transpose_and_nullity_random():
         assert r + nullity(m) == m.ncols
 
 
+def _low_rank_matrix(rng, nrows, ncols, r):
+    """A sparse rational matrix of rank at most r: rows are sparse
+    combinations of r sparse rational rows, then some rows are duplicated,
+    negated or scaled copies of others, in shuffled order."""
+    base = [{j: F(rng.randint(-6, 6) or 1, rng.randint(1, 4))
+             for j in rng.sample(range(ncols), rng.randint(1, max(1, ncols // 4)))}
+            for _ in range(r)]
+    rows = []
+    while len(rows) < nrows:
+        kind = rng.random()
+        if rows and kind < 0.3:
+            src = rng.choice(rows)
+            f = rng.choice([F(1), F(-1), F(rng.randint(-5, 5) or 2, rng.randint(1, 3))])
+            rows.append({j: f * v for j, v in src.items()})
+        else:
+            row = {}
+            for b in rng.sample(base, rng.randint(1, min(r, 3))):
+                f = F(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+                for j, v in b.items():
+                    row[j] = row.get(j, 0) + f * v
+            rows.append(row)
+    rng.shuffle(rows)
+    return SparseMatrix(nrows, ncols, {(i, j): v for i, row in enumerate(rows)
+                                       for j, v in row.items() if v})
+
+
+def test_rank_matches_kernel_on_larger_rank_deficient_matrices():
+    """The Markowitz elimination of `rank` against the independent reduced
+    echelon form of `kernel_basis`, on matrices up to 40 x 50."""
+    rng = Random(4040)
+    for _ in range(30):
+        nrows, ncols = rng.randint(8, 40), rng.randint(8, 50)
+        r = rng.randint(1, min(nrows, ncols) - 1)
+        m = _low_rank_matrix(rng, nrows, ncols, r)
+        got = rank(m)
+        assert got == m.ncols - len(kernel_basis(m))
+        assert got == rank(m.transpose())
+        assert got <= r
+
+
 def test_kernel_vectors_are_in_kernel():
     rng = Random(99)
     for _ in range(10):
