@@ -167,6 +167,21 @@ def _expand(args) -> int:
     return 0
 
 
+def _int_argument(rest: str, name: str, least: int) -> tuple:
+    """The integer argument `(N)` that opens `rest`, checked to be at least
+    `least`, and the input after it."""
+    arg, close, after = rest[1:].partition(")")
+    try:
+        value = int(arg) if close else None
+    except ValueError:
+        value = None
+    if value is None:
+        raise UsageError(f"{name} needs an integer argument, e.g. {name}(2)")
+    if value < least:
+        raise UsageError(f"{name} argument must be at least {least}, got {value}")
+    return value, after
+
+
 def _parse_module_ctor(text: str, g: LieAlgebraData) -> cohom.GModule:
     text = text.strip()
 
@@ -177,16 +192,16 @@ def _parse_module_ctor(text: str, g: LieAlgebraData) -> cohom.GModule:
                 rest = s[len(name):].lstrip()
                 if name == "trivial":
                     if rest.startswith("("):
-                        arg, rest2 = rest[1:].split(")", 1)
-                        return cohom.trivial_module(g, int(arg)), rest2
+                        dim, rest2 = _int_argument(rest, name, 1)
+                        return cohom.trivial_module(g, dim), rest2
                     return cohom.trivial_module(g), rest
                 if name == "adjoint":
                     return cohom.adjoint_module(g), rest
                 if name == "u_slice":
                     if not rest.startswith("("):
                         raise UsageError("u_slice needs a degree, e.g. u_slice(2)")
-                    arg, rest2 = rest[1:].split(")", 1)
-                    return cohom.u_slice_module(g, int(arg)), rest2
+                    degree, rest2 = _int_argument(rest, name, 0)
+                    return cohom.u_slice_module(g, degree), rest2
                 if name == "dual":
                     if not rest.startswith("("):
                         raise UsageError("dual needs an argument")
@@ -218,6 +233,8 @@ def _parse_module_ctor(text: str, g: LieAlgebraData) -> cohom.GModule:
 
 def _cohomology(args) -> int:
     try:
+        if args.up_to < 0:
+            raise UsageError(f"--up-to must be at least 0, got {args.up_to}")
         g = _algebra(args.type)
         module = _parse_module_ctor(args.module, g)
     except UsageError as exc:

@@ -7,24 +7,21 @@ action and the coproduct, so ranks and solves are exact with no truncation
 error for data that fits in the slice.  Rank computations block-diagonalize
 along Cartan weights whenever the module's Cartan action is diagonal.
 
-The bicomplex differentials dH and dV compute over int: a cochain is
-scaled once by the lcm of its denominators, every term is accumulated with
-int coefficients read from the algebra's `OperatorTables` (integer views of
-the bracket table, the adjoint action and the coproduct), and each output
-entry is divided back once.  The maps are linear, so this is exact; a
-table value with a denominator stays a Fraction, so integrality is never
-assumed.  The correction solver builds its basis images and factors its
-two linear systems once per (algebra, bound), in the same per-algebra
-tables, which start empty with every algebra and are freed with it.
-
-The rank computations assemble their matrices over int as well.  The
-Chevalley-Eilenberg rows read int views of the module's action matrices
-and of the bracket table, and the Cartan weights that split them into
-blocks are int tuples, summed once per wedge of basis vectors.  The cobar
-complex of Sym(V) has integral structure constants (binomial
-coefficients), so `CobarChain` keeps integral coefficients as ints and its
-differential works over int.  In both complexes a value with a denominator
-stays a Fraction, and `exactnum.rank_of_rows` accepts either.
+Every operator here is integral on sl_n: the algebra's bracket table, its
+adjoint action on PBW monomials (`_ad_letter`) and the coproduct
+(`mono_coproduct_terms`) hold int coefficients, and the differentials read
+those tables, with no converted copy (dH and dV look a monomial up in the
+memo cache first and call the function only on a miss).  The bicomplex
+differentials scale a cochain once by the lcm of its denominators,
+accumulate every term over int and divide each output entry back once;
+the maps are linear, so this is exact.  The Chevalley-Eilenberg rows and
+the Cartan weights that split them into blocks are ints too, and the
+cobar complex of Sym(V) has binomial structure constants, so `CobarChain`
+keeps integral coefficients as ints.  A table value with a denominator
+stays an exact Fraction and the same code computes with it: integrality
+is never assumed.  The correction solver builds its basis images and
+factors its two linear systems once per (algebra, bound), in a dict on
+the algebra, so they start empty with every algebra and are freed with it.
 """
 
 from __future__ import annotations
@@ -80,7 +77,7 @@ class GModule:
 
     def _diagonal_weights(self) -> Optional[List[tuple]]:
         g = self.g
-        weights = [[ZERO] * g.rank for _ in range(self.dim)]
+        weights = [[0] * g.rank for _ in range(self.dim)]
         for i in range(g.rank):
             cols = self.actions[g.cartan_index(i)]
             for j, col in cols.items():
@@ -204,49 +201,6 @@ def _ad_letter(g: LieAlgebraData, x: int, mono: tuple) -> dict:
     return out
 
 
-def _int_items(coeffs: dict) -> tuple:
-    """(key, coeff) pairs with each integral coefficient as an int; a
-    coefficient with a denominator stays a Fraction."""
-    return tuple((k, _exact(c)) for k, c in coeffs.items())
-
-
-class OperatorTables:
-    """The cohomology layer's per-algebra state, built on first use and kept
-    on the algebra (see `_tables`), so it starts cold with every algebra and
-    is freed with it.
-
-    `bracket`, `ad` and `coproduct` are the coefficient tables of dH and dV
-    as (key, coeff) tuples with int coefficients: the bracket table, the
-    adjoint action `_ad_letter` and the coproduct `mono_coproduct_terms`.
-    The Chevalley-Eilenberg matrices read `bracket` too.
-    `systems` maps a filtration bound to its `CorrectionSystem`.
-    """
-
-    __slots__ = ("g", "bracket", "ad", "coproduct", "systems")
-
-    def __init__(self, g: LieAlgebraData):
-        self.g = g
-        self.bracket = {key: _int_items(c) for key, c in g.bracket_table.items()}
-        self.ad: Dict[tuple, tuple] = {}
-        self.coproduct: Dict[tuple, tuple] = {}
-        self.systems: Dict[int, "CorrectionSystem"] = {}
-
-    def ad_items(self, x: int, mono: tuple) -> tuple:
-        items = self.ad[x, mono] = _int_items(_ad_letter(self.g, x, mono))
-        return items
-
-    def coproduct_items(self, mono: tuple) -> tuple:
-        items = self.coproduct[mono] = _int_items(
-            mono_coproduct_terms(self.g, mono))
-        return items
-
-
-def _tables(g: LieAlgebraData) -> OperatorTables:
-    if g._cohom_tables is None:
-        g._cohom_tables = OperatorTables(g)
-    return g._cohom_tables
-
-
 # --- Chevalley-Eilenberg complex -------------------------------------------------
 
 
@@ -349,14 +303,11 @@ def _ce_matrix_rows(module: GModule, m: int):
     """Rows of the m-th differential, keyed by integer column ids
     (S-combination index * module dim + module coordinate).
 
-    The entries are ints wherever they are integral: the rows are built
-    from int views of the module's action matrices and of the bracket
-    table (`_int_items`), where a value with a denominator stays a
-    Fraction."""
+    The entries are products of the module's action entries and the
+    bracket table's values, so they are ints wherever those are."""
     g = module.g
-    bracket = _tables(g).bracket
-    actions = [tuple((jcol, _int_items(col)) for jcol, col in cols.items())
-               for cols in module.actions]
+    bracket = g.bracket_table
+    actions = module.actions
     s_index = {s: k for k, s in enumerate(combinations(range(g.dim), m))}
     mdim = module.dim
     rows = []
@@ -367,7 +318,7 @@ def _ce_matrix_rows(module: GModule, m: int):
             for j in range(i + 1, m + 1):
                 rest = tuple(x for k, x in enumerate(t) if k not in (i, j))
                 sign_ij = -1 if (i + j) & 1 else 1
-                for z, c in bracket.get((t[i], t[j]), ()):
+                for z, c in bracket.get((t[i], t[j]), {}).items():
                     ins = _signed_insert(z, rest)
                     if ins is None:
                         continue
@@ -378,8 +329,8 @@ def _ce_matrix_rows(module: GModule, m: int):
             rest = t[:i] + t[i + 1:]
             base = s_index[rest] * mdim
             sign = -1 if i & 1 else 1
-            for jcol, col in actions[t[i]]:
-                for irow, v in col:
+            for jcol, col in actions[t[i]].items():
+                for irow, v in col.items():
                     accumulate(action_cols.setdefault(irow, {}), base + jcol, sign * v)
         for kprime in range(mdim):
             row: Vector = dict(action_cols.get(kprime, {}))
@@ -398,8 +349,7 @@ def _blocked_rank(module: GModule, m: int, rows, row_tags, s_index) -> int:
     if weights is None:
         return rank_of_rows(rows)
     g = module.g
-    gw = [tuple(map(_exact, w)) for w in g.weights]
-    weights = [tuple(map(_exact, w)) for w in weights]
+    gw = g.weights
     zero = (0,) * g.rank
 
     def weight_of(s: tuple) -> tuple:
@@ -808,8 +758,7 @@ def _unscaled(acc: dict, d: int) -> dict:
 def bicomplex_dh(w: Cochain) -> Cochain:
     """Horizontal differential: Chevalley-Eilenberg with the adjoint twist."""
     g = w.g
-    tables = _tables(g)
-    bracket, ad_get = tables.bracket, tables.ad.get
+    bracket, ad_get = g.bracket_table, g._ad_cache.get
     m = w.m
     d, data = _scaled(w)
     out = Cochain(g, m + 1, w.n, w.bound)
@@ -822,7 +771,7 @@ def bicomplex_dh(w: Cochain) -> Cochain:
             for j in range(i + 1, m + 1):
                 rest = tuple(x for k, x in enumerate(t) if k not in (i, j))
                 sign_ij = -1 if (i + j) & 1 else 1
-                for z, c in bracket.get((t[i], t[j]), ()):
+                for z, c in bracket.get((t[i], t[j]), {}).items():
                     ins = _signed_insert(z, rest)
                     if ins is not None:
                         s, sgn = ins
@@ -837,14 +786,16 @@ def bicomplex_dh(w: Cochain) -> Cochain:
                     for tkey, c in tensor.items():
                         c *= sign
                         for slot, mono in enumerate(tkey):
-                            items = ad_get((x, mono))
-                            if items is None:
-                                items = tables.ad_items(x, mono)
-                            head, tail = tkey[:slot], tkey[slot + 1:]
-                            for m2, q in items:
-                                k = head + (m2,) + tail
-                                acc[k] = get(k, 0) + c * q
-                for z, c in bracket.get((x, v), ()):
+                            ad = ad_get((x, mono))
+                            if ad is None:
+                                ad = _ad_letter(g, x, mono)
+                            if ad:
+                                head, tail = tkey[:slot], tkey[slot + 1:]
+                                for m2, q in ad.items():
+                                    k = head + (m2,) + tail
+                                    acc[k] = get(k, 0) + c * q
+                brackets = bracket.get((x, v))
+                for z, c in brackets.items() if brackets else ():
                     tensor = data.get((rest, z))
                     if tensor:
                         c *= -sign
@@ -864,12 +815,12 @@ def bicomplex_dh(w: Cochain) -> Cochain:
 def bicomplex_dv(w: Cochain) -> Cochain:
     """Vertical differential: the coalgebra differential on each value,
     1 (x) y + alternating inner coproducts + (-1)^{n+1} y (x) 1."""
-    tables = _tables(w.g)
-    coproduct_get = tables.coproduct.get
+    g = w.g
+    coproduct_get = g._coproduct_cache.get
     n = w.n
     last = -1 if n & 1 == 0 else 1
     d, data = _scaled(w)
-    out = Cochain(w.g, w.m, n + 1, w.bound)
+    out = Cochain(g, w.m, n + 1, w.bound)
     for key, tensor in data.items():
         acc: dict = {}
         get = acc.get
@@ -879,12 +830,10 @@ def bicomplex_dv(w: Cochain) -> Cochain:
             k = tkey + ((),)
             acc[k] = get(k, 0) + last * c
             for i, mono in enumerate(tkey):
-                items = coproduct_get(mono)
-                if items is None:
-                    items = tables.coproduct_items(mono)
                 sc = c if i & 1 else -c
                 head, tail = tkey[:i], tkey[i + 1:]
-                for pair, q in items:
+                terms = coproduct_get(mono) or mono_coproduct_terms(g, mono)
+                for pair, q in terms.items():
                     k = head + pair + tail
                     acc[k] = get(k, 0) + sc * q
         value = _unscaled(acc, d)
@@ -1065,8 +1014,8 @@ def solve_correction(gamma: Cochain, eta: Cochain, bound: int,
     linear constraints dH(theta) = 0).  Both determinations use the
     deterministic pivot rule of the exact solver, and the returned cochain
     is re-substituted into both equations rather than trusted.  The two
-    systems are built and factored once per (algebra, bound) and kept in
-    the algebra's `OperatorTables`.
+    systems are built and factored once per (algebra, bound) and kept on
+    the algebra (`_correction_systems`).
 
     `fault="noneq-theta"` adds a non-equivariant primitive-valued shift to
     theta after stage two; the re-substitution must then reject the result.
@@ -1089,7 +1038,7 @@ def solve_correction(gamma: Cochain, eta: Cochain, bound: int,
     if eta.swap_tensor() - eta:
         raise CocycleConditionError("eta != eta^21: eta must be symmetric")
 
-    systems = _tables(g).systems
+    systems = g._correction_systems
     system = systems.get(bound)
     if system is None:
         system = systems[bound] = CorrectionSystem(g, bound)

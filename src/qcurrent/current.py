@@ -354,7 +354,7 @@ class CurrentEnvelope(PBWAlgebra):
     def letter(self, basis: int, degree: int) -> int:
         return basis + self.g.dim * degree
 
-    def pbw_bracket(self, a: int, b: int) -> Dict[int, Fraction]:
+    def pbw_bracket(self, a: int, b: int) -> Dict[int, int]:
         dim = self.g.dim
         xa, na = a % dim, a // dim
         xb, nb = b % dim, b // dim

@@ -3,7 +3,7 @@ algebra U(g) with its PBW normal form and coproduct.
 
 An element is a sparse map from normal-form words to deformation
 polynomials over a *word algebra*: any object with `multiply_words(a, b)`
-(the product of two normal words, as {normal word: Fraction}),
+(the product of two normal words, as {normal word: exact coefficient}),
 `render_word(word, wrap)` and a `unit_word`.  `UElement` and
 `TensorElement` do all their arithmetic through that protocol, so the same
 two classes serve U(g), U(g[u]) and the free quantization model.
@@ -14,7 +14,11 @@ for U(g[u]), derive from `PBWAlgebra`: their words are sorted monomials
 `normal_order` applies the rewrite b*b' -> b'*b + [b,b'] at the first
 descent, recursively; it terminates because each step lowers (word length,
 inversion count) lexicographically, and results are memoized in the
-algebra's `_pbw_cache` so repeated suites share all subword work.
+algebra's `_pbw_cache` so repeated suites share all subword work.  The
+straightening starts from the int 1 and only multiplies by bracket-table
+values, so with an integral bracket table every normal form, coproduct
+and adjoint action is int-valued; a table value with a denominator makes
+the affected entries exact Fractions.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ if TYPE_CHECKING:
 Monomial = Tuple[int, ...]
 
 
-def normal_order(ctx, word: Monomial) -> Dict[Monomial, Fraction]:
+def normal_order(ctx, word: Monomial) -> dict:
     """PBW normal form of an arbitrary word, as {sorted monomial: coefficient}."""
     cache = ctx._pbw_cache
     hit = cache.get(word)
@@ -45,7 +49,7 @@ def normal_order(ctx, word: Monomial) -> Dict[Monomial, Fraction]:
             descent = i
             break
     if descent is None:
-        result = {word: ONE}
+        result = {word: 1}
     else:
         a, b = word[descent], word[descent + 1]
         swapped = word[:descent] + (b, a) + word[descent + 2:]
@@ -67,7 +71,7 @@ class PBWAlgebra:
 
     unit_word: Monomial = ()
 
-    def multiply_words(self, a: Monomial, b: Monomial) -> Dict[Monomial, Fraction]:
+    def multiply_words(self, a: Monomial, b: Monomial) -> dict:
         return normal_order(self, a + b)
 
     def render_word(self, mono: Monomial, wrap: bool = False) -> str:
@@ -180,7 +184,7 @@ class TensorElement(TensorMap):
             for k2, p2 in other.data.items():
                 poly = p1 * p2
                 keys = [()]
-                coeffs = [ONE]
+                coeffs = [1]
                 for a, b in zip(k1, k2):
                     terms = multiply(a, b)
                     keys = [base + (w,) for base in keys for w in terms]
@@ -197,7 +201,7 @@ class TensorElement(TensorMap):
         multiply = self.ctx.multiply_words
         out = UElement(self.ctx)
         for key, p in self.data.items():
-            terms = {key[0]: ONE}
+            terms = {key[0]: 1}
             for w in key[1:]:
                 nxt: dict = {}
                 for acc_w, c in terms.items():
@@ -271,13 +275,14 @@ def box_n(a: UElement, n: int) -> TensorElement:
 
 
 def mono_coproduct_terms(ctx, mono: Monomial) -> dict:
-    """Cached expansion of Delta on one PBW monomial, rational coefficients."""
+    """Cached expansion of Delta on one PBW monomial, as
+    {(left, right): coefficient}."""
     cache = ctx._coproduct_cache
     terms = cache.get(mono)
     if terms is None:
-        terms = {((), ()): ONE}
+        terms = {((), ()): 1}
         for letter in mono:
-            new: Dict[Tuple[Monomial, Monomial], Fraction] = {}
+            new: dict = {}
             for (m1, m2), c in terms.items():
                 for mm, c2 in normal_order(ctx, m1 + (letter,)).items():
                     accumulate(new, (mm, m2), c * c2)

@@ -1,8 +1,16 @@
 """Exact scalar arithmetic and sparse linear algebra over the rationals.
 
-Everything downstream computes with these primitives: coefficients are
-`fractions.Fraction` (never floats), deformation-parameter polynomials are
-`HPoly`, and all rank/solve questions are answered by exact elimination.
+Everything downstream computes with these primitives.  A coefficient is an
+exact rational, never a float.  In the structure tables, the memo caches
+and the integer kernels of the cohomology layer it is an `int` when it is
+integral and a `fractions.Fraction` otherwise (for sl_n, only the Casimir
+weights have denominators).  The element types (`CoeffMap` subclasses
+other than the cobar chains, and the deformation polynomials `HPoly`)
+keep Fractions.  Ints and Fractions mix freely in arithmetic, hashing and
+comparison (Fraction(2) == 2); the one thing to avoid is dividing two
+ints, which gives a float, so every division has a Fraction operand
+(`Fraction(q, p)`, `_quotient`).  All rank/solve questions are answered by
+exact elimination.
 """
 
 from __future__ import annotations
@@ -11,8 +19,6 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Mapping, Optional
-
-QQ = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -133,11 +139,11 @@ class HPoly:
 
     def __mul__(self, other) -> "HPoly":
         if isinstance(other, (int, Fraction)):
-            q = as_fraction(other)
-            if not q:
+            # the coefficients are Fractions, so c * other is one too
+            if not other:
                 return HPoly()
             res = HPoly.__new__(HPoly)
-            res.coeffs = {k: c * q for k, c in self.coeffs.items()}
+            res.coeffs = {k: c * other for k, c in self.coeffs.items()}
             return res
         if isinstance(other, HPoly):
             out = {}

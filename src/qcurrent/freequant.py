@@ -101,10 +101,10 @@ def _fm_push(fm: FreeModel, x: int, jword: tuple) -> dict:
     if hit is not None:
         return hit
     if not jword:
-        result = {((), True): ONE}
+        result = {((), True): 1}
     else:
         y, rest = jword[0], jword[1:]
-        result: Dict[tuple, Fraction] = {}
+        result: dict = {}
         for (jw, kept), c in _fm_push(fm, x, rest).items():
             accumulate(result, ((y,) + jw, kept), c)
         for z, bc in fm.g.bracket_table.get((x, y), {}).items():
@@ -124,18 +124,17 @@ def fm_word_multiply(fm: FreeModel, w1: FMWord, w2: FMWord) -> dict:
     # {(J-word, surviving I-letters): coefficient} of I-word(w1) * J-word(w2):
     # push every I-letter of the left word through the right J-word,
     # right-to-left so surviving letters keep their original order
-    partial: Dict[Tuple[tuple, tuple], Fraction]
     if not j2:
-        partial = {((), i1): ONE}
+        partial = {((), i1): 1}
     else:
-        partial = {(j2, ()): ONE}
+        partial = {(j2, ()): 1}
         for x in reversed(i1):
-            nxt: Dict[Tuple[tuple, tuple], Fraction] = {}
+            nxt: dict = {}
             for (jw, tail), c in partial.items():
                 for (jw2, kept), c2 in _fm_push(fm, x, jw).items():
                     accumulate(nxt, (jw2, ((x,) + tail) if kept else tail), c * c2)
             partial = nxt
-    out: Dict[FMWord, Fraction] = {}
+    out: dict = {}
     for (jw, tail), c in partial.items():
         jword = j1 + jw
         for mono, c2 in normal_order(fm.g, tail + i2).items():

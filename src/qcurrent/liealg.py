@@ -67,12 +67,17 @@ class LieElement(CoeffMap):
 class LieAlgebraData(PBWAlgebra):
     """sl_n with precomputed structure constants, Gram matrix and Casimir pairs.
 
-    Its structure tables are immutable after construction.  As a PBW letter
-    algebra it is also the word algebra of U(g), so it holds the memo
-    caches of the U(g) layer (straightening, coproduct, adjoint action).
-    The current envelope, the free model and the cohomology layer's tables
-    are built on first use and hang off the algebra, so every cache lives
-    and dies with it.
+    Its structure tables are immutable after construction.  The matrix-unit
+    realization is integral, so the bracket table, the Gram matrix and the
+    Cartan weights hold int coefficients; the Casimir weights are Fractions
+    (the inverse Gram matrix of the Cartan block has denominators).  As a
+    PBW letter algebra it is also the word algebra of U(g), so it holds the
+    memo caches of the U(g) layer (straightening, coproduct, adjoint
+    action), whose coefficients are ints wherever they are integral.  The
+    cohomology layer reads these tables directly and keeps its factored
+    correction systems here, one per filtration bound.  The current
+    envelope and the free model are built on first use and hang off the
+    algebra too, so every cache lives and dies with it.
     """
 
     def __init__(self, n: int):
@@ -107,7 +112,7 @@ class LieAlgebraData(PBWAlgebra):
             self.names = ["f", "h", "e"]
 
         mats = [self._basis_matrix(b) for b in range(self.dim)]
-        self.bracket_table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+        self.bracket_table: Dict[Tuple[int, int], Dict[int, int]] = {}
         for a in range(self.dim):
             for b in range(self.dim):
                 if a == b:
@@ -117,7 +122,7 @@ class LieAlgebraData(PBWAlgebra):
                 if coeffs:
                     self.bracket_table[a, b] = coeffs
 
-        self.gram: Dict[Tuple[int, int], Fraction] = {}
+        self.gram: Dict[Tuple[int, int], int] = {}
         for a in range(self.dim):
             for b in range(a, self.dim):
                 v = _mat_trace(_mat_mul(mats[a], mats[b], n), n)
@@ -126,12 +131,12 @@ class LieAlgebraData(PBWAlgebra):
                     self.gram[b, a] = v
 
         # weight of each basis vector under ad(t_1..t_r)
-        self.weights: List[Tuple[Fraction, ...]] = []
+        self.weights: List[Tuple[int, ...]] = []
         for b in range(self.dim):
             w = []
             for i in range(r):
                 br = self.bracket_table.get((self.cartan_index(i), b), {})
-                w.append(br.get(b, ZERO))
+                w.append(br.get(b, 0))
             self.weights.append(tuple(w))
 
         # Casimir tensor as pure-tensor pairs (a, b, weight): dual bases of
@@ -141,7 +146,7 @@ class LieAlgebraData(PBWAlgebra):
         for k in range(p):
             self.casimir_pairs.append((self.pos_index(k), self.neg_index(k), ONE))
             self.casimir_pairs.append((self.neg_index(k), self.pos_index(k), ONE))
-        cart_gram = [[self.gram.get((self.cartan_index(i), self.cartan_index(j)), ZERO)
+        cart_gram = [[self.gram.get((self.cartan_index(i), self.cartan_index(j)), 0)
                       for j in range(r)] for i in range(r)]
         inv = _invert_dense(cart_gram)
         for i in range(r):
@@ -157,22 +162,22 @@ class LieAlgebraData(PBWAlgebra):
         self._casimir_eigenvalue: Optional[Fraction] = None
         self._current_envelope = None
         self._free_model = None
-        self._cohom_tables = None
+        self._correction_systems: Dict[int, object] = {}
 
     # --- matrix-unit realization -------------------------------------------------
 
-    def _basis_matrix(self, b: int) -> Dict[Tuple[int, int], Fraction]:
+    def _basis_matrix(self, b: int) -> Dict[Tuple[int, int], int]:
         p = self.num_positive
         if self.block[b] == NEGATIVE:
             i, j = self.root_datum.root_spans[self.root_of[b]]
-            return {(j - 1, i - 1): ONE}
+            return {(j - 1, i - 1): 1}
         if self.block[b] == POSITIVE:
             i, j = self.root_datum.root_spans[self.root_of[b]]
-            return {(i - 1, j - 1): ONE}
+            return {(i - 1, j - 1): 1}
         i = b - p  # cartan t_{i+1} = E_ii - E_{i+1,i+1}
-        return {(i, i): ONE, (i + 1, i + 1): -ONE}
+        return {(i, i): 1, (i + 1, i + 1): -1}
 
-    def _matrix_to_coords(self, m: Dict[Tuple[int, int], Fraction]) -> Dict[int, Fraction]:
+    def _matrix_to_coords(self, m: Dict[Tuple[int, int], int]) -> Dict[int, int]:
         """Expand a traceless matrix in the chosen basis."""
         out = {}
         span_to_root = {sp: k for k, sp in enumerate(self.root_datum.root_spans)}
@@ -183,9 +188,9 @@ class LieAlgebraData(PBWAlgebra):
                 out[self.pos_index(span_to_root[a + 1, b + 1])] = v
             else:
                 out[self.neg_index(span_to_root[b + 1, a + 1])] = v
-        running = ZERO
+        running = 0
         for k in range(self.n - 1):
-            running += m.get((k, k), ZERO)
+            running += m.get((k, k), 0)
             if running:
                 out[self.cartan_index(k)] = running
         return out
@@ -208,11 +213,8 @@ class LieAlgebraData(PBWAlgebra):
     def simple_neg_index(self, i: int) -> int:
         return self.neg_index(i)
 
-    def bracket_indices(self, a: int, b: int) -> Dict[int, Fraction]:
-        return self.bracket_table.get((a, b), {})
-
     # PBW letter-algebra protocol
-    def pbw_bracket(self, a: int, b: int) -> Dict[int, Fraction]:
+    def pbw_bracket(self, a: int, b: int) -> Dict[int, int]:
         return self.bracket_table.get((a, b), {})
 
     def pbw_letter_name(self, i: int) -> str:
@@ -301,7 +303,7 @@ def casimir_adjoint_eigenvalue(g: LieAlgebraData) -> Fraction:
 
 
 def _mat_mul(a, b, n):
-    out: Dict[Tuple[int, int], Fraction] = {}
+    out: Dict[Tuple[int, int], int] = {}
     items_b: Dict[int, list] = {}
     for (i, j), v in b.items():
         items_b.setdefault(i, []).append((j, v))
@@ -319,13 +321,14 @@ def _mat_sub(a, b):
 
 
 def _mat_trace(a, n):
-    return sum((a.get((i, i), ZERO) for i in range(n)), ZERO)
+    return sum(a.get((i, i), 0) for i in range(n))
 
 
 def _invert_dense(m):
-    """Exact inverse of a small dense rational matrix by Gauss-Jordan."""
+    """Exact inverse of a small dense rational matrix by Gauss-Jordan; int
+    entries are taken as Fractions, so no division is ever int / int."""
     r = len(m)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(r)]
+    aug = [[Fraction(v) for v in row] + [ONE if i == j else ZERO for j in range(r)]
            for i, row in enumerate(m)]
     for col in range(r):
         piv = next(i for i in range(col, r) if aug[i][col])

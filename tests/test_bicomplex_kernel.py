@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from qcurrent.cohom import (Cochain, _ad_letter, _signed_insert, _tables,
+from qcurrent.cohom import (Cochain, _ad_letter, _signed_insert,
                             bicomplex_dh, bicomplex_dv, random_cochain,
                             tensor_slice_keys)
 from qcurrent.envelope import mono_coproduct_terms
@@ -113,7 +113,7 @@ def test_bicomplex_identities_exhaustive_sl2(bound):
 
 
 def test_exhaustive_check_catches_a_perturbed_bracket():
-    g = build_sl(2)  # fresh: no operator table has been read yet
+    g = build_sl(2)  # fresh: no cached normal form has been computed yet
     (z, c), = g.bracket_table[2, 0].items()  # [e, f] = h
     g.bracket_table[2, 0] = {z: 2 * c}
     assert bicomplex_violation(g, 1) is not None
@@ -144,15 +144,19 @@ def test_kernel_matches_reference_on_sl3(sl3):
 
 
 def test_kernel_keeps_non_integral_table_values():
-    g = build_sl(2)  # fresh: the tables below are read from the patched entry
+    g = build_sl(2)  # fresh: every cached table below derives from the patch
     g.bracket_table[2, 0] = {1: F(1, 2)}  # [e, f] = h/2
-    tables = _tables(g)
     rng = Random(3)
     for m, n in BIDEGREES:
         w = mixed_cochain(g, m, n, 2, rng)
         assert bicomplex_dh(w) == reference_dh(w)
         assert bicomplex_dv(w) == reference_dv(w)
-    fractional = [c for view in (tables.bracket, tables.ad, tables.coproduct)
-                  for items in view.values() for _, c in items
-                  if isinstance(c, F)]
-    assert fractional and all(c.denominator != 1 for c in fractional)
+    (half,) = g.bracket_table[2, 0].values()
+    assert type(half) is F and half == F(1, 2)
+    # the adjoint action reads through the patched entry; a product of
+    # halves may come out integral, but a coefficient is never a float
+    assert any(type(c) is F and c.denominator != 1
+               for coeffs in g._ad_cache.values() for c in coeffs.values())
+    assert all(type(c) in (int, F)
+               for table in (g._ad_cache, g._coproduct_cache, g._pbw_cache)
+               for coeffs in table.values() for c in coeffs.values())

@@ -102,6 +102,24 @@ def test_cohomology_bad_ctor(capsys):
     assert main(["cohomology", "--module", "mystery", "--type", "A1"]) == 2
 
 
+@pytest.mark.parametrize("module, up_to", [
+    ("trivial(x)", "2"),
+    ("trivial(", "2"),
+    ("u_slice(x)", "2"),
+    ("u_slice(-1)", "2"),
+    ("trivial(0)", "2"),
+    ("adjoint", "-1"),
+])
+def test_cohomology_bad_arguments_exit_two(module, up_to, capsys):
+    """Malformed or meaningless module arguments and a negative --up-to are
+    usage errors, rejected before any cohomology is computed."""
+    assert main(["cohomology", "--module", module, "--up-to", up_to,
+                 "--type", "A1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err and "internal error" not in captured.err
+
+
 def test_discriminating_pair_via_cli(capsys):
     assert main(["verify", "coproduct-wd", "--type", "A1",
                  "--inject-fault", "cocycle-scale"]) == 0

@@ -1,0 +1,130 @@
+"""Integral structure tables: every table and memo cache that the suites
+fill on sl_n holds int coefficients, nothing anywhere is a float, and a
+cached normal form is never changed by a later suite."""
+
+import copy
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+
+from qcurrent.cli import SUITES, run_suite
+from qcurrent.exactnum import CoeffMap, HPoly
+from qcurrent.liealg import build_sl
+
+STRUCTURAL_SUITES = ("gnw", "defects", "t-identities", "coproduct-wd",
+                     "bialgebra", "min-presentation", "generation")
+
+
+def _run(g, suite, degree=None):
+    args = SimpleNamespace(inject_fault=None, max_u_degree=None,
+                           degree=degree, seed=0)
+    report = run_suite(suite, g, args)
+    assert report.passed and report.checks, suite
+
+
+def _caches(g) -> dict:
+    """The memo caches of U(g), U(g[u]) and the free model, by name."""
+    out = {name: getattr(g, name)
+           for name in ("_pbw_cache", "_coproduct_cache", "_ad_cache")}
+    if g._current_envelope is not None:
+        out["current._pbw_cache"] = g._current_envelope._pbw_cache
+        out["current._coproduct_cache"] = g._current_envelope._coproduct_cache
+    if g._free_model is not None:
+        for name in ("_fm_cache", "_fm_push_cache", "_fm_coproduct_cache"):
+            out[f"free_model.{name}"] = getattr(g._free_model, name)
+    return out
+
+
+def _numbers(root):
+    """Every number reachable from root through containers, elements and
+    the package's own objects (keys included)."""
+    seen = set()
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (int, float, Fraction)):
+            yield x
+            continue
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, dict):
+            stack.extend(x)
+            stack.extend(x.values())
+        elif isinstance(x, (list, tuple, set, frozenset)):
+            stack.extend(x)
+        elif isinstance(x, HPoly):
+            stack.append(x.coeffs)
+        elif isinstance(x, CoeffMap):
+            stack.append(x.data)
+        elif type(x).__module__.startswith("qcurrent."):
+            names = list(getattr(x, "__dict__", ()))
+            for cls in type(x).__mro__:
+                names.extend(getattr(cls, "__slots__", ()))
+            stack.extend(getattr(x, name, None) for name in names)
+
+
+@pytest.fixture(scope="module")
+def exercised():
+    """sl_2..sl_4 after every structural suite; sl_2 also after whitehead
+    and the solver at bound 2."""
+    algebras = []
+    for k in (1, 2, 3):
+        g = build_sl(k + 1)
+        for suite in STRUCTURAL_SUITES:
+            _run(g, suite)
+        if k == 1:
+            _run(g, "sl2-steps")
+            _run(g, "whitehead", degree=2)
+            _run(g, "solver", degree=2)
+        algebras.append(g)
+    return algebras
+
+
+def test_structure_tables_and_caches_are_int_valued(exercised):
+    for g in exercised:
+        tables = {"bracket_table": g.bracket_table.values(),
+                  "weights": [dict(enumerate(w)) for w in g.weights]}
+        for name, cache in _caches(g).items():
+            if name != "free_model._fm_coproduct_cache":  # HPoly elements
+                tables[name] = cache.values()
+        # the suites reached the caches: the adjoint action only on sl_2
+        assert tables["_pbw_cache"] and tables["free_model._fm_cache"]
+        assert tables["_ad_cache"] or g.n != 2
+        for name, coeff_maps in tables.items():
+            bad = [c for coeffs in coeff_maps for c in coeffs.values()
+                   if type(c) is not int]
+            assert not bad, (g, name, bad[:3])
+
+
+def test_no_float_anywhere(exercised):
+    for g in exercised:
+        numbers = list(_numbers(g))
+        floats = [x for x in numbers if isinstance(x, float)]
+        assert not floats, (g, floats[:3])
+        # the walk reached the Fraction-valued Casimir weights and, on
+        # sl_2, the factored correction systems
+        assert any(type(x) is Fraction and x.denominator != 1 for x in numbers)
+        assert g._correction_systems or g.n != 2
+
+
+@pytest.mark.parametrize("first", ["defects", "whitehead"])
+def test_later_suites_never_change_a_cached_normal_form(first):
+    g = build_sl(2)
+    _run(g, first)
+    caches = _caches(g)
+    # the elements in the free-model coproduct cache point at the model:
+    # copy their coefficients, not the algebra
+    memo = {id(g): g}
+    if g._free_model is not None:
+        memo[id(g._free_model)] = g._free_model
+    snapshot = copy.deepcopy(caches, memo)
+    assert sum(map(len, snapshot.values())) > 0
+    for suite in SUITES:
+        if suite != first:
+            _run(g, suite)
+    for name, entries in snapshot.items():
+        live = _caches(g)[name]
+        for key, value in entries.items():
+            assert live[key] == value, (name, key)
