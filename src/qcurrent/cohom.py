@@ -4,8 +4,10 @@ constructive two-stage solver for the correction map.
 All complexes are finite-dimensional here: the enveloping algebra enters
 through its PBW filtration slice, which is closed under both the adjoint
 action and the coproduct, so ranks and solves are exact with no truncation
-error for data that fits in the slice.  Rank computations block-diagonalize
-along Cartan weights whenever the module's Cartan action is diagonal.
+error for data that fits in the slice.  Lie-algebra cohomology is computed
+on the weight-zero subcomplex alone: by Cartan's homotopy formula
+theta_h = d iota_h + iota_h d (H. Cartan, Colloque de Topologie, Bruxelles
+1950), every block of nonzero Cartan weight is acyclic.
 
 Every operator here is integral on sl_n: the algebra's bracket table, its
 adjoint action on PBW monomials (`_ad_letter`) and the coproduct
@@ -15,7 +17,7 @@ memo cache first and call the function only on a miss).  The bicomplex
 differentials scale a cochain once by the lcm of its denominators,
 accumulate every term over int and divide each output entry back once;
 the maps are linear, so this is exact.  The Chevalley-Eilenberg rows and
-the Cartan weights that split them into blocks are ints too, and the
+the Cartan weights that select the weight-zero block are ints too, and the
 cobar complex of Sym(V) has binomial structure constants, so `CobarChain`
 keeps integral coefficients as ints.  A table value with a denominator
 stays an exact Fraction and the same code computes with it: integrality
@@ -299,22 +301,45 @@ def random_ce_chain(module: GModule, m: int, rng: Random,
     return CEChain(module, m, data)
 
 
-def _ce_matrix_rows(module: GModule, m: int):
-    """Rows of the m-th differential, keyed by integer column ids
-    (S-combination index * module dim + module coordinate).
+def _weight_zero_slots(module: GModule):
+    """s -> the module indices k with weight(b_k) = weight(x_s), in order:
+    the cochains s -> b_k of Cartan weight zero.  A module whose Cartan
+    action is not diagonal has no weights, and every k is allowed."""
+    weights = module.weights()
+    if weights is None:
+        every = range(module.dim)
+        return lambda s: every
+    by_weight: Dict[tuple, List[int]] = {}
+    for k, w in enumerate(weights):
+        by_weight.setdefault(w, []).append(k)
+    gw = module.g.weights
+    zero = (0,) * module.g.rank
+    return lambda s: by_weight.get(
+        tuple(map(sum, zip(*(gw[x] for x in s)))) if s else zero, ())
 
-    The entries are products of the module's action entries and the
-    bracket table's values, so they are ints wherever those are."""
+
+def _ce_matrix_rows(module: GModule, m: int):
+    """Rows of the m-th differential on the weight-zero subcomplex, keyed by
+    integer column ids (S-combination index * module dim + module
+    coordinate), their (t, k') tags, and the number of weight-zero m-cochains.
+
+    The differential preserves Cartan weight, so the action terms of a
+    weight-zero row come from weight-zero columns only.  The entries are
+    products of the module's action entries and the bracket table's values,
+    so they are ints wherever those are."""
     g = module.g
     bracket = g.bracket_table
     actions = module.actions
+    slots = _weight_zero_slots(module)
     s_index = {s: k for k, s in enumerate(combinations(range(g.dim), m))}
+    ncols = sum(len(slots(s)) for s in s_index)
     mdim = module.dim
     rows = []
     row_tags = []
     for t in combinations(range(g.dim), m + 1):
+        kprimes = slots(t)
         bracket_cols: List[Tuple[int, int]] = []
-        for i in range(m + 1):
+        for i in range(m + 1 if kprimes else 0):  # no row, no bracket term
             for j in range(i + 1, m + 1):
                 rest = tuple(x for k, x in enumerate(t) if k not in (i, j))
                 sign_ij = -1 if (i + j) & 1 else 1
@@ -324,72 +349,44 @@ def _ce_matrix_rows(module: GModule, m: int):
                         continue
                     s, sgn = ins
                     bracket_cols.append((s_index[s], sign_ij * sgn * c))
-        action_cols: Dict[int, dict] = {}
+        action_rows: Dict[int, dict] = {}
         for i in range(m + 1):
             rest = t[:i] + t[i + 1:]
             base = s_index[rest] * mdim
             sign = -1 if i & 1 else 1
-            for jcol, col in actions[t[i]].items():
-                for irow, v in col.items():
-                    accumulate(action_cols.setdefault(irow, {}), base + jcol, sign * v)
-        for kprime in range(mdim):
-            row: Vector = dict(action_cols.get(kprime, {}))
+            cols = actions[t[i]]
+            for jcol in slots(rest):
+                for irow, v in cols.get(jcol, {}).items():
+                    accumulate(action_rows.setdefault(irow, {}), base + jcol, sign * v)
+        for kprime in kprimes:
+            row: Vector = action_rows.pop(kprime, {})
             for sidx, c in bracket_cols:
                 accumulate(row, sidx * mdim + kprime, c)
             if row:
                 rows.append(row)
                 row_tags.append((t, kprime))
-    return rows, row_tags, s_index
-
-
-def _blocked_rank(module: GModule, m: int, rows, row_tags, s_index) -> int:
-    """Rank of the differential, split along Cartan-weight blocks when the
-    module's Cartan action is diagonal."""
-    weights = module.weights()
-    if weights is None:
-        return rank_of_rows(rows)
-    g = module.g
-    gw = g.weights
-    zero = (0,) * g.rank
-
-    def weight_of(s: tuple) -> tuple:
-        """The Cartan weight of the wedge of the basis vectors in s."""
-        return tuple(map(sum, zip(*(gw[x] for x in s)))) if s else zero
-
-    mdim = module.dim
-    col_weight: Dict[tuple, list] = {}
-    for s, sidx in s_index.items():
-        base = weight_of(s)
-        for k in range(mdim):
-            w = tuple(a - b for a, b in zip(weights[k], base))
-            col_weight.setdefault(w, []).append(sidx * mdim + k)
-    blocks: Dict[tuple, list] = {}
-    col_maps: Dict[tuple, dict] = {
-        w: {c: i for i, c in enumerate(cols)} for w, cols in col_weight.items()}
-    t_weight: Dict[tuple, tuple] = {}
-    for row, (t, kprime) in zip(rows, row_tags):
-        base = t_weight.get(t)
-        if base is None:
-            base = t_weight[t] = weight_of(t)
-        w = tuple(a - b for a, b in zip(weights[kprime], base))
-        cmap = col_maps.get(w)
-        if cmap is None:
-            raise AssertionError("differential row outside every weight block")
-        blocks.setdefault(w, []).append({cmap[c]: v for c, v in row.items()})
-    return sum(rank_of_rows(rs) for rs in blocks.values())
+        if action_rows:
+            raise AssertionError("an action leaves the weight-zero block")
+    return rows, row_tags, ncols
 
 
 def ce_cohomology_dims(module: GModule, up_to: int) -> List[int]:
-    """Exact dimensions of H^0 .. H^up_to via rank-nullity on the
-    differential matrices."""
-    g = module.g
+    """Exact dimensions of H^0 .. H^up_to of the weight-zero subcomplex,
+    which are those of the whole complex.
+
+    Cartan's homotopy formula theta_h = d iota_h + iota_h d (H. Cartan,
+    Colloque de Topologie, Bruxelles 1950; Hochschild-Serre, Ann. Math.
+    1953) says that the Lie derivative theta_h, which is lambda(h) id on
+    the cochains of weight lambda, is null-homotopic; so every block of
+    weight lambda != 0 is acyclic.  With c0_m weight-zero m-cochains and r0
+    the rank of the differential on them, H^m = c0_m - r0(m) - r0(m-1).
+    A module without weights keeps the whole complex."""
     dims = []
     prev_rank = 0
     for m in range(up_to + 1):
-        cm = comb(g.dim, m) * module.dim
-        rows, tags, s_index = _ce_matrix_rows(module, m)
-        r = _blocked_rank(module, m, rows, tags, s_index)
-        dims.append(cm - r - prev_rank)
+        rows, _, ncols = _ce_matrix_rows(module, m)
+        r = rank_of_rows(rows)
+        dims.append(ncols - r - prev_rank)
         prev_rank = r
     return dims
 

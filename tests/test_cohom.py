@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from qcurrent.cohom import (CEChain, CobarChain, Cochain,
-                            CocycleConditionError, _blocked_rank,
+                            CocycleConditionError, GModule,
                             _ce_matrix_rows, _minus_basis, adjoint_module,
                             bicomplex_dh, bicomplex_dv, bicomplex_report,
                             cartier_check, ce_cohomology_dims,
@@ -79,7 +79,8 @@ def _ce_entries_by_matrix(module, m):
 
 
 def _ce_entries_by_apply(module, m):
-    """The same entries, read off `ce_differential` of every basis cochain."""
+    """The entries of the whole differential, read off `ce_differential` of
+    every basis cochain."""
     out = {}
     for sidx, s in enumerate(combinations(range(module.g.dim), m)):
         for k in range(module.dim):
@@ -90,9 +91,43 @@ def _ce_entries_by_apply(module, m):
     return out
 
 
+def _weight(module, s, k):
+    """The Cartan weight of the cochain x_s -> b_k."""
+    g = module.g
+    return tuple(module.weights()[k][i] - sum(g.weights[x][i] for x in s)
+                 for i in range(g.rank))
+
+
+def _column_pair(module, m, col):
+    """(s, k) of a column id."""
+    sidx, k = divmod(col, module.dim)
+    return list(combinations(range(module.g.dim), m))[sidx], k
+
+
+def _non_diagonal(module, a, b):
+    """`module` in the basis with b_b replaced by b_b + b_a: conjugation by
+    P = 1 + E_ab, which makes a diagonal Cartan action non-diagonal when
+    b_a and b_b have different weights."""
+    n = module.dim
+    actions = []
+    for cols in module.actions:
+        mat = [[0] * n for _ in range(n)]
+        for j, col in cols.items():
+            for i, v in col.items():
+                mat[i][j] = v
+        for i in range(n):  # A P: column b += column a
+            mat[i][b] += mat[i][a]
+        for j in range(n):  # P^-1 (A P): row a -= row b
+            mat[a][j] -= mat[b][j]
+        actions.append({j: {i: mat[i][j] for i in range(n) if mat[i][j]}
+                        for j in range(n) if any(mat[i][j] for i in range(n))})
+    return GModule(module.g, n, actions, f"{module.label}'")
+
+
 def test_ce_matrix_rows_match_the_apply_path(sl2, sl3):
-    """Labelled cross-check: every column of `_ce_matrix_rows` is the
-    image of one basis cochain under the independent `ce_differential`."""
+    """Labelled cross-check: every assembled row is the weight-zero part of
+    the image of the basis cochains under the independent
+    `ce_differential`, and every row and column has weight zero."""
     cases = [trivial_module(sl2), adjoint_module(sl2),
              tensor_module(dual_module(adjoint_module(sl2)),
                            u_slice_module(sl2, 1)),
@@ -101,20 +136,61 @@ def test_ce_matrix_rows_match_the_apply_path(sl2, sl3):
         nonzero = 0
         for m in range(3):
             by_matrix = _ce_entries_by_matrix(module, m)
-            assert by_matrix == _ce_entries_by_apply(module, m), \
-                (module.label, m)
+            zero = (0,) * module.g.rank
+            for t, kprime, col in by_matrix:
+                assert _weight(module, t, kprime) == zero
+                assert _weight(module, *_column_pair(module, m, col)) == zero
+            by_apply = {key: v for key, v in _ce_entries_by_apply(module, m).items()
+                        if _weight(module, key[0], key[1]) == zero}
+            assert by_matrix == by_apply, (module.label, m)
             nonzero += len(by_matrix)
         assert nonzero  # the comparison is not vacuous
 
 
-def test_blocked_rank_equals_unblocked_rank(sl2):
+def test_ce_matrix_rows_without_weights_are_the_whole_matrix(sl2):
+    """A module whose Cartan action is not diagonal keeps every row."""
+    module = _non_diagonal(adjoint_module(sl2), 0, 2)  # f, h, e + f
+    module.validate()
+    assert module.weights() is None
+    for m in range(3):
+        by_matrix = _ce_entries_by_matrix(module, m)
+        assert by_matrix and by_matrix == _ce_entries_by_apply(module, m)
+        _, _, ncols = _ce_matrix_rows(module, m)
+        assert ncols == len(list(combinations(range(sl2.dim), m))) * module.dim
+    assert ce_cohomology_dims(module, 2) == [0, 0, 0]
+
+
+def test_ce_matrix_rows_reject_an_action_that_breaks_the_weights(sl2):
+    """A diagonal Cartan action with an e-action that keeps the weight is no
+    g-module: the assembly refuses it instead of dropping its rows."""
+    actions = [dict() for _ in range(sl2.dim)]
+    actions[sl2.names.index("e")] = {0: {1: 1}}
+    module = GModule(sl2, 2, actions, "broken")
+    assert module.weights() == [(0,), (0,)]
+    with pytest.raises(AssertionError, match="weight-zero block"):
+        _ce_matrix_rows(module, 0)
+
+
+def test_zero_block_rank_against_all_blocks(sl2):
+    """The blocks of nonzero weight are acyclic: in each degree their
+    cochains are exactly accounted for by the ranks of the differential on
+    them, which are the all-blocks ranks less the weight-zero ranks."""
     module = tensor_module(dual_module(adjoint_module(sl2)),
                            u_slice_module(sl2, 2))
     assert module.weights() is not None
+    prev_all = prev_zero = 0
     for m in range(3):
-        rows, tags, s_index = _ce_matrix_rows(module, m)
-        assert _blocked_rank(module, m, rows, tags, s_index) == \
-            rank_of_rows(rows)
+        columns, row_ids = {}, {}
+        for (t, kprime, col), v in _ce_entries_by_apply(module, m).items():
+            rid = row_ids.setdefault((t, kprime), len(row_ids))
+            columns.setdefault(col, {})[rid] = v
+        rank_all = rank_of_rows(columns.values())
+        rows, _, ncols = _ce_matrix_rows(module, m)
+        rank_zero = rank_of_rows(rows)
+        all_cols = len(list(combinations(range(sl2.dim), m))) * module.dim
+        assert 0 < ncols < all_cols and 0 < rank_zero < rank_all
+        assert all_cols - ncols == (rank_all - rank_zero) + (prev_all - prev_zero)
+        prev_all, prev_zero = rank_all, rank_zero
 
 
 def test_whitehead_dims(sl2):
