@@ -36,8 +36,8 @@ from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from .envelope import UElement, mono_coproduct_terms, normal_order
-from .exactnum import (ONE, ZERO, CoeffMap, SparseMatrix, _exact, accumulate,
-                       as_fraction, factor, rank_of_rows, solve)
+from .exactnum import (ONE, ZERO, CoeffMap, SparseMatrix, _exact_coeff,
+                       accumulate, factor, rank_of_rows, solve)
 from .liealg import LieAlgebraData
 from .reports import CheckError, Report, run_checks
 
@@ -250,8 +250,31 @@ def _signed_insert(z: int, rest: tuple) -> Optional[Tuple[tuple, int]]:
     return rest[:pos] + (z,) + rest[pos:], (-1) ** pos
 
 
+def _ce_support(omega: CEChain, g: LieAlgebraData) -> List[tuple]:
+    """The (m+1)-sets t, in lexicographic order, on which d(omega) can be
+    nonzero: s + {a} for s in the support and a not in s, and
+    (s - {z}) + {a, b} for z in s and z in [a, b]."""
+    makes: Dict[int, List[tuple]] = {}  # z -> the pairs a < b with z in [a, b]
+    for (a, b), coeffs in g.bracket_table.items():
+        if a < b:
+            for z in coeffs:
+                makes.setdefault(z, []).append((a, b))
+    out = set()
+    for s in omega.data:
+        out.update(tuple(sorted(s + (a,))) for a in range(g.dim) if a not in s)
+        for z in s:
+            rest = [x for x in s if x != z]
+            for a, b in makes.get(z, ()):
+                if a not in rest and b not in rest:
+                    out.add(tuple(sorted(rest + [a, b])))
+    return sorted(out)
+
+
 def ce_differential(omega: CEChain, module: Optional[GModule] = None) -> CEChain:
-    """The alternating-sum differential of Lie-algebra cohomology."""
+    """The alternating-sum differential of Lie-algebra cohomology.
+
+    The faces of every (m+1)-set t are summed by the textbook formula; only
+    the t of `_ce_support` are visited, since d(omega) vanishes elsewhere."""
     module = module or omega.module
     g = module.g
     m = omega.m
@@ -266,7 +289,7 @@ def ce_differential(omega: CEChain, module: Optional[GModule] = None) -> CEChain
         if not cur:
             out.pop(s)
 
-    for t in combinations(range(g.dim), m + 1):
+    for t in _ce_support(omega, g):
         for i in range(m + 1):
             rest = t[:i] + t[i + 1:]
             vec = omega.value(rest)
@@ -451,11 +474,6 @@ def _sym_coproduct(mono: tuple) -> Dict[tuple, int]:
     over the exponent vectors below mono in lexicographic order."""
     return {(left, tuple(map(sub, mono, left))): prod(map(comb, mono, left))
             for left in product(*[range(a + 1) for a in mono])}
-
-
-def _exact_coeff(value):
-    """An exact rational coefficient, as an int when it is integral."""
-    return _exact(as_fraction(value))
 
 
 class CobarChain(CoeffMap):

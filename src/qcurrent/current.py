@@ -1,9 +1,11 @@
 """The graded current Lie algebra g[u], its cobracket, and the degree-0/1
 presentation checks.
 
-Current elements are sparse maps (basis index, u-degree) -> Fraction.  The
-cobracket is built directly from the Casimir pairs and lowers degree by one:
-every output bidegree of delta(x u^n) sums to n - 1.
+Current elements are sparse maps (basis index, u-degree) -> coefficient,
+an int where it is integral and a Fraction otherwise.  The cobracket reads
+the algebra's table `omega_table` of [x (x) 1, Omega], built once from the
+Casimir pairs, and lowers degree by one: every output bidegree of
+delta(x u^n) sums to n - 1.
 """
 
 from __future__ import annotations
@@ -12,19 +14,21 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .envelope import PBWAlgebra
-from .exactnum import (ONE, CoeffMap, TensorMap, accumulate, join_signed,
-                       rank_of_rows)
-from .liealg import LieAlgebraData, LieElement
+from .exactnum import (ONE, CoeffMap, TensorMap, _exact_coeff, accumulate,
+                       join_signed, rank_of_rows)
+from .liealg import LieAlgebraData, LieElement, omega_bracket_table
 from .reports import Report, run_checks, zero_or_residual
 
 CurrentKey = Tuple[int, int]  # (basis index, u-degree)
 
 
 class CurrentElement(CoeffMap):
-    """Sparse element of g[u]: {(basis index, u-degree): Fraction}."""
+    """Sparse element of g[u]: {(basis index, u-degree): coefficient}, an
+    int where it is integral."""
 
     __slots__ = ("alg",)
     _space = ("alg",)
+    _coerce = staticmethod(_exact_coeff)
 
     def __init__(self, alg: LieAlgebraData,
                  data: Optional[Dict[CurrentKey, Fraction]] = None):
@@ -33,7 +37,7 @@ class CurrentElement(CoeffMap):
 
     @classmethod
     def generator(cls, alg: LieAlgebraData, basis: int, degree: int) -> "CurrentElement":
-        return cls(alg, {(basis, degree): ONE})
+        return cls(alg, {(basis, degree): 1})
 
     @classmethod
     def from_lie(cls, x: LieElement, degree: int) -> "CurrentElement":
@@ -48,10 +52,11 @@ class CurrentElement(CoeffMap):
 
 class CurrentTensor(TensorMap):
     """Element of (g x ... x g)[u_1, ..., u_n], sparse over tuples of
-    (basis index, degree) pairs."""
+    (basis index, degree) pairs; coefficients as in `CurrentElement`."""
 
     __slots__ = ("alg",)
     _space = ("alg", "arity")
+    _coerce = staticmethod(_exact_coeff)
 
     def __init__(self, alg: LieAlgebraData, arity: int = 2,
                  data: Optional[Dict[tuple, Fraction]] = None):
@@ -99,38 +104,47 @@ def _omega_pairs(alg: LieAlgebraData, fault: Optional[str]):
     return alg.casimir_pairs
 
 
-def cobracket(f: CurrentElement, fault: Optional[str] = None) -> CurrentTensor:
-    """delta(x u^n) = sum over a+b = n-1 of [x (x) 1, Omega] u^a v^b."""
+def _omega_table(alg: LieAlgebraData, fault: Optional[str]):
+    """The [x (x) 1, Omega] table for the Casimir pairs of `_omega_pairs`."""
+    if fault is None:
+        return alg.omega_table
+    return omega_bracket_table(alg, _omega_pairs(alg, fault))
+
+
+def cobracket(f: CurrentElement, omega: Optional[dict] = None) -> CurrentTensor:
+    """delta(x u^n) = sum over a+b = n-1 of [x (x) 1, Omega] u^a v^b.
+
+    `omega` is the [x (x) 1, Omega] table, the algebra's own by default."""
     alg = f.alg
+    table = alg.omega_table if omega is None else omega
     out = CurrentTensor(alg, 2)
-    pairs = _omega_pairs(alg, fault)
+    data = out.data
     for (x, n), cx in f.data.items():
         if n == 0:
             continue
-        for (p, q, w) in pairs:
-            for z, cz in alg.bracket_table.get((x, p), {}).items():
-                c = cx * w * cz
-                for a in range(n):
-                    out._accumulate(((z, a), (q, n - 1 - a)), c)
+        for (z, q), c in table[x]:
+            c *= cx
+            for a in range(n):
+                accumulate(data, ((z, a), (q, n - 1 - a)), c)
     return out
 
 
 def cobracket_slot(t: CurrentTensor, slot: int,
-                   fault: Optional[str] = None) -> CurrentTensor:
+                   omega: Optional[dict] = None) -> CurrentTensor:
     """Apply the cobracket to one tensor slot, raising arity by one."""
     alg = t.alg
+    table = alg.omega_table if omega is None else omega
     out = CurrentTensor(alg, t.arity + 1)
-    pairs = _omega_pairs(alg, fault)
-    for key, c in t.data.items():
+    data = out.data
+    for key, ck in t.data.items():
         x, n = key[slot]
         if n == 0:
             continue
-        for (p, q, w) in pairs:
-            for z, cz in alg.bracket_table.get((x, p), {}).items():
-                coeff = c * w * cz
-                for a in range(n):
-                    new_key = key[:slot] + ((z, a), (q, n - 1 - a)) + key[slot + 1:]
-                    out._accumulate(new_key, coeff)
+        head, tail = key[:slot], key[slot + 1:]
+        for (z, q), c in table[x]:
+            c *= ck
+            for a in range(n):
+                accumulate(data, head + ((z, a), (q, n - 1 - a)) + tail, c)
     return out
 
 
@@ -138,25 +152,33 @@ def adjoint_coaction_bracket(t: CurrentTensor, w: CurrentElement) -> CurrentTens
     """[t, w(u) (x) 1 + 1 (x) w(v)]: the two-variable adjoint action on a
     2-tensor, acting in each slot with that slot's variable."""
     alg = t.alg
+    table = alg.bracket_table
     out = CurrentTensor(alg, 2)
+    data = out.data
     for ((x1, a), (x2, b)), c in t.data.items():
         for (y, m), cy in w.data.items():
-            for z, cz in alg.bracket_table.get((x1, y), {}).items():
-                out._accumulate(((z, a + m), (x2, b)), c * cy * cz)
-            for z, cz in alg.bracket_table.get((x2, y), {}).items():
-                out._accumulate(((x1, a), (z, b + m)), c * cy * cz)
+            c2 = c * cy
+            for z, cz in table.get((x1, y), {}).items():
+                accumulate(data, ((z, a + m), (x2, b)), c2 * cz)
+            for z, cz in table.get((x2, y), {}).items():
+                accumulate(data, ((x1, a), (z, b + m)), c2 * cz)
     return out
 
 
-def cleared_cobracket_identity(f: CurrentElement,
-                               fault: Optional[str] = None) -> CurrentTensor:
+def cleared_cobracket_identity(f: CurrentElement, fault: Optional[str] = None,
+                               omega: Optional[dict] = None) -> CurrentTensor:
     """(u - v)*delta(f) - [f(u) (x) 1 + 1 (x) f(v), Omega], which must vanish.
 
     This is the denominator-cleared form of the closed cobracket formula and
-    cross-checks the summation form degree by degree.
+    cross-checks the summation form degree by degree.  The left side reads
+    the [x (x) 1, Omega] table through `cobracket` (`omega`, by default the
+    table of the fault's Casimir pairs); the right side is summed from the
+    Casimir pairs and the bracket table directly, so it checks the table.
     """
     alg = f.alg
-    delta = cobracket(f, fault=fault)
+    if omega is None:
+        omega = _omega_table(alg, fault)
+    delta = cobracket(f, omega)
     out = CurrentTensor(alg, 2)
     for ((x1, a), (x2, b)), c in delta.data.items():
         out._accumulate(((x1, a + 1), (x2, b)), c)
@@ -178,12 +200,15 @@ def verify_bialgebra(g: LieAlgebraData, max_degree: int,
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     basis = [(b, n) for n in range(max_degree + 1) for b in range(g.dim)]
+    omega = _omega_table(g, fault)
     specs = []
 
+    def basis_deltas():
+        return {(b, n): cobracket(CurrentElement.generator(g, b, n), omega)
+                for (b, n) in basis}
+
     def chk_antisym():
-        for (b, n) in basis:
-            xi = CurrentElement.generator(g, b, n)
-            d = cobracket(xi, fault=fault)
+        for (b, n), d in basis_deltas().items():
             bad = d + d.swap()
             if bad:
                 return f"at {g.names[b]}*u^{n}: " + bad.render()
@@ -191,15 +216,15 @@ def verify_bialgebra(g: LieAlgebraData, max_degree: int,
     specs.append(("antisymmetry", "delta + delta^21 = 0", chk_antisym))
 
     def chk_cocycle():
+        deltas = basis_deltas()
         for (a, n) in basis:
             fa = CurrentElement.generator(g, a, n)
-            dfa = cobracket(fa, fault=fault)
+            dfa = deltas[a, n]
             for (b, m) in basis:
                 fb = CurrentElement.generator(g, b, m)
-                dfb = cobracket(fb, fault=fault)
-                lhs = cobracket(c_bracket(fa, fb), fault=fault)
+                lhs = cobracket(c_bracket(fa, fb), omega)
                 rhs = (adjoint_coaction_bracket(dfa, fb)
-                       - adjoint_coaction_bracket(dfb, fa))
+                       - adjoint_coaction_bracket(deltas[b, m], fa))
                 bad = lhs - rhs
                 if bad:
                     return (f"at ({g.names[a]}*u^{n}, {g.names[b]}*u^{m}): "
@@ -212,9 +237,8 @@ def verify_bialgebra(g: LieAlgebraData, max_degree: int,
     def chk_cojacobi():
         cyc = (1, 2, 0)
         cyc2 = (2, 0, 1)
-        for (b, n) in basis:
-            xi = CurrentElement.generator(g, b, n)
-            t = cobracket_slot(cobracket(xi, fault=fault), 0, fault=fault)
+        for (b, n), d in basis_deltas().items():
+            t = cobracket_slot(d, 0, omega)
             total = t + t.permute(cyc) + t.permute(cyc2)
             if total:
                 return f"at {g.names[b]}*u^{n}: " + total.render()
@@ -224,8 +248,7 @@ def verify_bialgebra(g: LieAlgebraData, max_degree: int,
                   chk_cojacobi))
 
     def chk_degree():
-        for (b, n) in basis:
-            d = cobracket(CurrentElement.generator(g, b, n), fault=fault)
+        for (b, n), d in basis_deltas().items():
             for ((_, a), (_, bb)) in d.data:
                 if a + bb != n - 1:
                     return f"bidegree ({a},{bb}) from u-degree {n}"
@@ -235,7 +258,7 @@ def verify_bialgebra(g: LieAlgebraData, max_degree: int,
     def chk_closed_form():
         for (b, n) in basis:
             bad = cleared_cobracket_identity(
-                CurrentElement.generator(g, b, n), fault=fault)
+                CurrentElement.generator(g, b, n), fault, omega)
             if bad:
                 return f"at {g.names[b]}*u^{n}: " + bad.render()
         return None

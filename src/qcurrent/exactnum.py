@@ -4,9 +4,10 @@ Everything downstream computes with these primitives.  A coefficient is an
 exact rational, never a float.  In the structure tables, the memo caches
 and the integer kernels of the cohomology layer it is an `int` when it is
 integral and a `fractions.Fraction` otherwise (for sl_n, only the Casimir
-weights have denominators).  The element types (`CoeffMap` subclasses
-other than the cobar chains, and the deformation polynomials `HPoly`)
-keep Fractions.  Ints and Fractions mix freely in arithmetic, hashing and
+weights of the Cartan block have denominators).  So are the coefficients
+of the cobar chains and of the current elements and tensors (`_exact_coeff`);
+the other element types (`CoeffMap` subclasses, and the deformation
+polynomials `HPoly`) keep Fractions.  Ints and Fractions mix freely in arithmetic, hashing and
 comparison (Fraction(2) == 2); the one thing to avoid is dividing two
 ints, which gives a float, so every division has a Fraction operand
 (`Fraction(q, p)`, `_quotient`).  All rank/solve questions are answered by
@@ -453,6 +454,11 @@ def _exact(q: Fraction):
     """q as an int when it is integral: int arithmetic is several times
     cheaper than Fraction arithmetic."""
     return q.numerator if q.denominator == 1 else q
+
+
+def _exact_coeff(value):
+    """An exact rational coefficient, as an int when it is integral."""
+    return _exact(as_fraction(value))
 
 
 def _quotient(q, p):

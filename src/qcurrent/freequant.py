@@ -147,24 +147,17 @@ def fm_word_multiply(fm: FreeModel, w1: FMWord, w2: FMWord) -> dict:
 
 
 def _omega_iota(g: LieAlgebraData) -> TensorElement:
+    # each (a, b) occurs in at most one Casimir pair
     return TensorElement(free_model(g), 2, {
-        (((), (a,)), ((), (b,))): w for a, b, w in _merged_casimir_pairs(g)})
-
-
-def _merged_casimir_pairs(g: LieAlgebraData):
-    merged: Dict[tuple, Fraction] = {}
-    for a, b, w in g.casimir_pairs:
-        accumulate(merged, (a, b), w)
-    return [(a, b, w) for (a, b), w in merged.items()]
+        (((), (a,)), ((), (b,))): w for a, b, w in g.casimir_pairs})
 
 
 def _j_coproduct(fm: FreeModel, x: int, scale: Fraction) -> TensorElement:
     """Delta(J(x)) = box(J(x)) + scale*hbar*[I(x) (x) 1, Omega]."""
     jx: FMWord = ((x,), ())
     out = TensorElement(fm, 2, {(jx, UNIT_WORD): ONE, (UNIT_WORD, jx): ONE})
-    for a, b, w in _merged_casimir_pairs(fm.g):
-        for z, c in fm.g.bracket_table.get((x, a), {}).items():
-            out._accumulate((((), (z,)), ((), (b,))), HPoly.hbar(1, scale * w * c))
+    for (z, q), c in fm.g.omega_table[x]:
+        out._accumulate((((), (z,)), ((), (q,))), HPoly.hbar(1, scale * c))
     return out
 
 

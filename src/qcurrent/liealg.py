@@ -9,10 +9,11 @@ order is the normal-ordering convention used for PBW monomials downstream.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .envelope import PBWAlgebra
-from .exactnum import ONE, ZERO, CoeffMap, accumulate
+from .exactnum import ONE, ZERO, CoeffMap, _exact, _quotient, accumulate
 
 NEGATIVE = "negative"
 CARTAN = "cartan"
@@ -69,8 +70,10 @@ class LieAlgebraData(PBWAlgebra):
 
     Its structure tables are immutable after construction.  The matrix-unit
     realization is integral, so the bracket table, the Gram matrix and the
-    Cartan weights hold int coefficients; the Casimir weights are Fractions
-    (the inverse Gram matrix of the Cartan block has denominators).  As a
+    Cartan weights hold int coefficients.  The Casimir weights are ints
+    wherever they are integral; only the Cartan block, the inverse Gram
+    matrix of the t_i, has Fractions.  The table `omega_table` of
+    [x (x) 1, Omega] is integral again on sl_n: the denominators cancel.  As a
     PBW letter algebra it is also the word algebra of U(g), so it holds the
     memo caches of the U(g) layer (straightening, coproduct, adjoint
     action), whose coefficients are ints wherever they are integral.  The
@@ -144,8 +147,8 @@ class LieAlgebraData(PBWAlgebra):
         # Cartan block is the inverse Gram matrix of the t_i
         self.casimir_pairs: List[Tuple[int, int, Fraction]] = []
         for k in range(p):
-            self.casimir_pairs.append((self.pos_index(k), self.neg_index(k), ONE))
-            self.casimir_pairs.append((self.neg_index(k), self.pos_index(k), ONE))
+            self.casimir_pairs.append((self.pos_index(k), self.neg_index(k), 1))
+            self.casimir_pairs.append((self.neg_index(k), self.pos_index(k), 1))
         cart_gram = [[self.gram.get((self.cartan_index(i), self.cartan_index(j)), 0)
                       for j in range(r)] for i in range(r)]
         inv = _invert_dense(cart_gram)
@@ -153,7 +156,8 @@ class LieAlgebraData(PBWAlgebra):
             for j in range(r):
                 if inv[i][j]:
                     self.casimir_pairs.append(
-                        (self.cartan_index(i), self.cartan_index(j), inv[i][j]))
+                        (self.cartan_index(i), self.cartan_index(j), _exact(inv[i][j])))
+        self.omega_table = omega_bracket_table(self, self.casimir_pairs)
 
         # memo caches of the U(g) layer
         self._pbw_cache: Dict[tuple, dict] = {}
@@ -265,6 +269,23 @@ class LieAlgebraData(PBWAlgebra):
 
     def __repr__(self):
         return f"LieAlgebraData(sl_{self.n})"
+
+
+def omega_bracket_table(g: LieAlgebraData, pairs) -> Dict[int, list]:
+    """[x (x) 1, Omega] = sum of w [x, p] (x) q over the Casimir pairs
+    (p, q, w), for every basis index x, as {x: [((z, q), c), ...]} with
+    no zero c, and c an int wherever it is integral.  The sums run over
+    ints: the weights are scaled by their common denominator."""
+    den = lcm(*(Fraction(w).denominator for _, _, w in pairs))
+    scaled = [(p, q, int(w * den)) for p, q, w in pairs]
+    table = {}
+    for x in range(g.dim):
+        acc: Dict[Tuple[int, int], int] = {}
+        for p, q, w in scaled:
+            for z, cz in g.bracket_table.get((x, p), {}).items():
+                accumulate(acc, (z, q), w * cz)
+        table[x] = [(zq, _quotient(c, den)) for zq, c in acc.items()]
+    return table
 
 
 def build_sl(n: int) -> LieAlgebraData:

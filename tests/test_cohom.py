@@ -16,7 +16,9 @@ from qcurrent.cohom import (CEChain, CobarChain, Cochain,
                             solve_minus_coboundary, solver_report,
                             tensor_module, trivial_module, u_slice_module,
                             whitehead_report)
-from qcurrent.exactnum import ONE, SparseMatrix, kernel_basis, rank_of_rows
+from qcurrent.exactnum import (ONE, SparseMatrix, accumulate, kernel_basis,
+                               rank_of_rows)
+from qcurrent.liealg import build_sl
 
 
 # --- modules ---------------------------------------------------------------
@@ -65,6 +67,50 @@ def test_ce_coboundary_is_closed(sl2):
     mod = adjoint_module(sl2)
     w = random_ce_chain(mod, 0, rng)
     assert not ce_differential(ce_differential(w))
+
+
+def _ce_differential_over_all_subsets(omega):
+    """The CE differential summed over every (m+1)-subset t of the basis."""
+    module, m = omega.module, omega.m
+    g = module.g
+    out = {}
+    for t in combinations(range(g.dim), m + 1):
+        vec = {}
+        for i in range(m + 1):
+            for k, v in module.act(t[i], omega.value(t[:i] + t[i + 1:])).items():
+                accumulate(vec, k, (-1) ** i * v)
+            for j in range(i + 1, m + 1):
+                rest = tuple(x for x in t if x not in (t[i], t[j]))
+                for z, c in g.bracket_table.get((t[i], t[j]), {}).items():
+                    if z in rest:
+                        continue
+                    s = tuple(sorted(rest + (z,)))
+                    sign = (-1) ** (i + j + sum(1 for r in rest if r < z))
+                    for k, v in omega.value(s).items():
+                        accumulate(vec, k, sign * c * v)
+        if vec:
+            out[t] = vec
+    return CEChain(module, m + 1, out)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ce_differential_visits_every_nonzero_face(n):
+    """Sparse and dense seeded chains, m <= 2: the support-driven
+    `ce_differential` equals the sum over all subsets."""
+    g = build_sl(n)
+    rng = Random(31 + n)
+    modules = (adjoint_module(g),
+               tensor_module(dual_module(adjoint_module(g)), u_slice_module(g, 1)))
+    for module in modules:
+        for m in (0, 1, 2):
+            subsets = list(combinations(range(g.dim), m))
+            for entries in (1, 3, len(subsets)):
+                data = {}
+                for s in rng.sample(subsets, min(entries, len(subsets))):
+                    data[s] = {rng.randrange(module.dim): F(rng.randint(1, 5), rng.randint(1, 3))
+                               for _ in range(2)}
+                omega = CEChain(module, m, data)
+                assert ce_differential(omega) == _ce_differential_over_all_subsets(omega)
 
 
 def _ce_entries_by_matrix(module, m):

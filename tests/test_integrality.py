@@ -1,5 +1,6 @@
 """Integral structure tables: every table and memo cache that the suites
-fill on sl_n holds int coefficients, nothing anywhere is a float, and a
+fill on sl_n holds int coefficients, the Casimir weights are ints except
+the non-integral ones of the Cartan block, nothing anywhere is a float, and a
 cached normal form is never changed by a later suite."""
 
 import copy
@@ -96,6 +97,23 @@ def test_structure_tables_and_caches_are_int_valued(exercised):
             bad = [c for coeffs in coeff_maps for c in coeffs.values()
                    if type(c) is not int]
             assert not bad, (g, name, bad[:3])
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_casimir_weights_and_omega_table_are_int_where_integral(k):
+    g = build_sl(k + 1)
+    cartan = range(g.num_positive, g.num_positive + g.rank)
+    for a, b, w in g.casimir_pairs:
+        if a in cartan:
+            assert b in cartan and type(w) is (int if w.denominator == 1 else Fraction)
+        else:
+            assert type(w) is int and w == 1, (a, b, w)
+    assert len({(a, b) for a, b, _ in g.casimir_pairs}) == len(g.casimir_pairs)
+    # the Cartan block has denominators, and [x (x) 1, Omega] clears them
+    assert any(type(w) is Fraction for _, _, w in g.casimir_pairs)
+    bad = [c for entries in g.omega_table.values() for _, c in entries
+           if type(c) is not int]
+    assert not bad, bad[:3]
 
 
 def test_no_float_anywhere(exercised):
