@@ -1,10 +1,10 @@
 """The graded current Lie algebra g[u], its cobracket, and the degree-0/1
 presentation checks.
 
-Current elements are sparse maps (basis index, u-degree) -> coefficient,
-an int where it is integral and a Fraction otherwise.  The cobracket reads
-the algebra's table `omega_table` of [x (x) 1, Omega], built once from the
-Casimir pairs, and lowers degree by one: every output bidegree of
+Current elements are sparse maps (basis index, u-degree) -> coefficient:
+ints when every input is integral, exact Fractions otherwise.  The
+cobracket reads the algebra's table `omega_table` of [x (x) 1, Omega], built
+once per algebra from the Casimir pairs, and lowers degree by one: every output bidegree of
 delta(x u^n) sums to n - 1.
 """
 
@@ -23,8 +23,11 @@ CurrentKey = Tuple[int, int]  # (basis index, u-degree)
 
 
 class CurrentElement(CoeffMap):
-    """Sparse element of g[u]: {(basis index, u-degree): coefficient}, an
-    int where it is integral."""
+    """Sparse element of g[u]: {(basis index, u-degree): coefficient}.
+
+    The constructor stores integral coefficients as ints, and sums and
+    products of ints stay ints; a product of Fractions that happens to be
+    integral may stay a Fraction."""
 
     __slots__ = ("alg",)
     _space = ("alg",)
@@ -165,20 +168,18 @@ def adjoint_coaction_bracket(t: CurrentTensor, w: CurrentElement) -> CurrentTens
     return out
 
 
-def cleared_cobracket_identity(f: CurrentElement, fault: Optional[str] = None,
-                               omega: Optional[dict] = None) -> CurrentTensor:
+def cleared_cobracket_identity(f: CurrentElement,
+                               fault: Optional[str] = None) -> CurrentTensor:
     """(u - v)*delta(f) - [f(u) (x) 1 + 1 (x) f(v), Omega], which must vanish.
 
     This is the denominator-cleared form of the closed cobracket formula and
     cross-checks the summation form degree by degree.  The left side reads
-    the [x (x) 1, Omega] table through `cobracket` (`omega`, by default the
-    table of the fault's Casimir pairs); the right side is summed from the
-    Casimir pairs and the bracket table directly, so it checks the table.
+    the [x (x) 1, Omega] table of the fault's Casimir pairs through
+    `cobracket`; the right side is summed from the Casimir pairs and the
+    bracket table directly, so it checks the table.
     """
     alg = f.alg
-    if omega is None:
-        omega = _omega_table(alg, fault)
-    delta = cobracket(f, omega)
+    delta = cobracket(f, _omega_table(alg, fault))
     out = CurrentTensor(alg, 2)
     for ((x1, a), (x2, b)), c in delta.data.items():
         out._accumulate(((x1, a + 1), (x2, b)), c)
@@ -258,7 +259,7 @@ def verify_bialgebra(g: LieAlgebraData, max_degree: int,
     def chk_closed_form():
         for (b, n) in basis:
             bad = cleared_cobracket_identity(
-                CurrentElement.generator(g, b, n), fault, omega)
+                CurrentElement.generator(g, b, n), fault)
             if bad:
                 return f"at {g.names[b]}*u^{n}: " + bad.render()
         return None

@@ -73,7 +73,9 @@ class LieAlgebraData(PBWAlgebra):
     Cartan weights hold int coefficients.  The Casimir weights are ints
     wherever they are integral; only the Cartan block, the inverse Gram
     matrix of the t_i, has Fractions.  The table `omega_table` of
-    [x (x) 1, Omega] is integral again on sl_n: the denominators cancel.  As a
+    [x (x) 1, Omega] is integral again on sl_n: the denominators cancel.  It
+    is built on first use, like the memo caches below, so it derives from
+    the bracket table and Casimir pairs the algebra holds at that time.  As a
     PBW letter algebra it is also the word algebra of U(g), so it holds the
     memo caches of the U(g) layer (straightening, coproduct, adjoint
     action), whose coefficients are ints wherever they are integral.  The
@@ -157,8 +159,8 @@ class LieAlgebraData(PBWAlgebra):
                 if inv[i][j]:
                     self.casimir_pairs.append(
                         (self.cartan_index(i), self.cartan_index(j), _exact(inv[i][j])))
-        self.omega_table = omega_bracket_table(self, self.casimir_pairs)
 
+        self._omega_table: Optional[Dict[int, list]] = None
         # memo caches of the U(g) layer
         self._pbw_cache: Dict[tuple, dict] = {}
         self._coproduct_cache: Dict[tuple, dict] = {}
@@ -167,6 +169,14 @@ class LieAlgebraData(PBWAlgebra):
         self._current_envelope = None
         self._free_model = None
         self._correction_systems: Dict[int, object] = {}
+
+    @property
+    def omega_table(self) -> Dict[int, list]:
+        """[x (x) 1, Omega] for every basis index x, from
+        `omega_bracket_table` over the Casimir pairs; built on first use."""
+        if self._omega_table is None:
+            self._omega_table = omega_bracket_table(self, self.casimir_pairs)
+        return self._omega_table
 
     # --- matrix-unit realization -------------------------------------------------
 

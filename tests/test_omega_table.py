@@ -66,7 +66,23 @@ def test_cobracket_is_exact_on_fractional_coefficients(sl3):
     expected = _pair_loop_cobracket(f)
     assert d == CurrentTensor(sl3, 2, expected)
     assert any(type(c) is F for c in d.data.values())
-    assert all(type(c) is int or c.denominator != 1 for c in d.data.values())
+
+
+def test_cobracket_of_an_integral_current_is_int_valued(sl3):
+    e, t2 = sl3.name_to_index["e12"], sl3.name_to_index["t2"]
+    f = CurrentElement(sl3, {(e, 2): 3, (t2, 3): -2})
+    d = cobracket(f)
+    assert d == CurrentTensor(sl3, 2, _pair_loop_cobracket(f))
+    assert d and all(type(c) is int for c in d.data.values())
+
+
+def test_table_is_built_from_the_bracket_table_at_first_use():
+    g = build_sl(3)  # fresh: the table has not been read yet
+    (z, c), = g.bracket_table[0, 1].items()
+    g.bracket_table[0, 1] = {z: 2 * c}
+    for x in range(g.dim):
+        assert dict(g.omega_table[x]) == _from_pairs(g, x, left=True)
+    assert not verify_bialgebra(g, 1).passed
 
 
 def test_perturbed_table_fails_bialgebra_and_the_closed_form():
