@@ -4,38 +4,43 @@ constructive two-stage solver for the correction map.
 All complexes are finite-dimensional here: the enveloping algebra enters
 through its PBW filtration slice, which is closed under both the adjoint
 action and the coproduct, so ranks and solves are exact with no truncation
-error for data that fits in the slice.  Lie-algebra cohomology is computed
-on the weight-zero subcomplex alone: by Cartan's homotopy formula
+error for data that fits in the slice.
+
+One operator, `ce_push`, applies the Chevalley-Eilenberg differential
+(Chevalley-Eilenberg, Trans. AMS 1948) for every caller: it scatters each
+entry of a cochain to its faces, so its cost follows the support.  The
+`whitehead` and `cohomology` matrices are read off it column by column, and
+the bicomplex's horizontal differential dH is the same operator on
+dual(adjoint) (x) T^n_{<=D}: the n-fold tensor power of U(g) cut to total
+PBW length D, with g acting slotwise by the adjoint action.
+`ce_differential`, the textbook sum over the faces of each output set, is
+kept as an independent reference.  Cohomology is computed on the
+weight-zero subcomplex alone: by Cartan's homotopy formula
 theta_h = d iota_h + iota_h d (H. Cartan, Colloque de Topologie, Bruxelles
 1950), every block of nonzero Cartan weight is acyclic.
 
-Every operator here is integral on sl_n: the algebra's bracket table, its
-adjoint action on PBW monomials (`_ad_letter`) and the coproduct
-(`mono_coproduct_terms`) hold int coefficients, and the differentials read
-those tables, with no converted copy (dH and dV look a monomial up in the
-memo cache first and call the function only on a miss).  The bicomplex
-differentials scale a cochain once by the lcm of its denominators,
-accumulate every term over int and divide each output entry back once;
-the maps are linear, so this is exact.  The Chevalley-Eilenberg rows and
-the Cartan weights that select the weight-zero block are ints too, and the
-cobar complex of Sym(V) has binomial structure constants, so `CobarChain`
-keeps integral coefficients as ints.  A table value with a denominator
-stays an exact Fraction and the same code computes with it: integrality
-is never assumed.  The correction solver builds its basis images and
-factors its two linear systems once per (algebra, bound), in a dict on
-the algebra, so they start empty with every algebra and are freed with it.
+Every table here is integral on sl_n: the bracket table, the adjoint action
+on PBW monomials (`_ad_letter`) and the coproduct (`mono_coproduct_terms`)
+hold ints, and so do the module actions, the CE rows, the Cartan weights
+and the binomial cobar structure constants.  The bicomplex differentials
+scale a cochain by the lcm of its denominators, work over int and divide
+each output entry back once; the maps are linear, so this is exact.  A
+table value with a denominator stays an exact Fraction: integrality is
+never assumed.  The tensor slices, the dH modules and the solver's
+factored systems are built once per algebra and kept in a dict on it
+(`_correction_systems`), so they are freed with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
-from math import comb, gcd, prod
-from operator import sub
+from itertools import combinations, combinations_with_replacement
+from math import gcd
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from .envelope import UElement, mono_coproduct_terms, normal_order
+from .envelope import (UElement, mono_coproduct_terms, normal_order,
+                       sym_coproduct)
 from .exactnum import (ONE, ZERO, CoeffMap, SparseMatrix, _exact_coeff,
                        accumulate, factor, rank_of_rows, solve)
 from .liealg import LieAlgebraData
@@ -68,6 +73,12 @@ class GModule:
         self.actions = actions
         self.label = label
         self._weights: Optional[List[tuple]] = self._diagonal_weights()
+        self._faces: Dict[tuple, tuple] = {}  # wedge -> `faces`, on first use
+        # z -> the (a, b, c) with a < b and c the coefficient of z in [a, b]
+        self._makers: Dict[int, list] = {}
+        for (a, b), coeffs in g.bracket_table.items():
+            for z, c in coeffs.items() if a < b else ():
+                self._makers.setdefault(z, []).append((a, b, c))
 
     def act(self, x: int, vec: Vector) -> Vector:
         out: Vector = {}
@@ -91,6 +102,25 @@ class GModule:
 
     def weights(self) -> Optional[List[tuple]]:
         return self._weights
+
+    def faces(self, s: tuple) -> tuple:
+        """The faces that `ce_push` scatters the wedge s to, built once per
+        s: the action faces (x, s + {x}, sign) for x not in s, and the
+        bracket faces (t, coefficient) for t = (s - {z}) + {a, b} with z in
+        [a, b], the coefficients of one t summed."""
+        if s not in self._faces:
+            acting = [(x,) + _signed_insert(x, s)
+                      for x in range(self.g.dim) if x not in s]
+            brackets: dict = {}
+            for p, z in enumerate(s):
+                rest = s[:p] + s[p + 1:]
+                for a, b, c in self._makers.get(z, ()):
+                    if a not in rest and b not in rest:
+                        t = tuple(sorted(rest + (a, b)))
+                        sign = -1 if (t.index(a) + t.index(b) + p) & 1 else 1
+                        accumulate(brackets, t, sign * c)
+            self._faces[s] = (acting, list(brackets.items()))
+        return self._faces[s]
 
     def validate(self) -> None:
         """rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) on all basis pairs."""
@@ -145,6 +175,7 @@ def tensor_module(a: GModule, b: GModule) -> GModule:
     """rho(x) = rho_a(x) (x) 1 + 1 (x) rho_b(x) on the tensor product basis."""
     assert a.g is b.g
     dim = a.dim * b.dim
+    ids = list(range(dim))  # one int object per index, shared by every column
     actions = []
     for x in range(a.g.dim):
         cols: Dict[int, Vector] = {}
@@ -152,41 +183,41 @@ def tensor_module(a: GModule, b: GModule) -> GModule:
         for ja in range(a.dim):
             cola = ax.get(ja, {})
             for jb in range(b.dim):
-                j = ja * b.dim + jb
                 col: Vector = {}
                 for ia, c in cola.items():
-                    col[ia * b.dim + jb] = c
+                    col[ids[ia * b.dim + jb]] = c
                 for ib, c in bx.get(jb, {}).items():
-                    accumulate(col, ja * b.dim + ib, c)
+                    accumulate(col, ids[ja * b.dim + ib], c)
                 if col:
-                    cols[j] = col
+                    cols[ids[ja * b.dim + jb]] = col
         actions.append(cols)
     return GModule(a.g, dim, actions, f"{a.label} (x) {b.label}")
 
 
-def u_slice_monomials(g: LieAlgebraData, bound: int) -> List[tuple]:
-    """PBW monomials of length <= bound, in (length, lexicographic) order."""
-    out: List[tuple] = []
-    for length in range(bound + 1):
-        out.extend(combinations_with_replacement(range(g.dim), length))
-    return out
+def tensor_slice_module(g: LieAlgebraData, n: int, bound: int) -> GModule:
+    """T^n_{<=bound}, the n-tuples of PBW monomials of total length <= bound
+    (`tensor_slice_keys`), with g acting slotwise by the adjoint action.
+    It is a g-module because the adjoint action does not raise PBW length."""
+    keys, index = _slice_index(g, n, bound)
+    actions = []
+    for x in range(g.dim):
+        cols: Dict[int, Vector] = {}
+        for j, key in enumerate(keys):
+            col: Vector = {}
+            for slot, mono in enumerate(key):
+                head, tail = key[:slot], key[slot + 1:]
+                for m2, c in _ad_letter(g, x, mono).items():
+                    accumulate(col, index[head + (m2,) + tail], c)
+            if col:
+                cols[j] = col
+        actions.append(cols)
+    label = f"U<= {bound}" if n == 1 else f"(U<= {bound})^(x){n}"
+    return GModule(g, len(keys), actions, label)
 
 
 def u_slice_module(g: LieAlgebraData, bound: int) -> GModule:
     """The filtration slice of the enveloping algebra under the adjoint action."""
-    monos = u_slice_monomials(g, bound)
-    index = {m: k for k, m in enumerate(monos)}
-    actions = []
-    for x in range(g.dim):
-        cols: Dict[int, Vector] = {}
-        for j, mono in enumerate(monos):
-            col: Vector = {}
-            for m2, c in _ad_letter(g, x, mono).items():
-                col[index[m2]] = c
-            if col:
-                cols[j] = col
-        actions.append(cols)
-    return GModule(g, len(monos), actions, f"U<= {bound}")
+    return tensor_slice_module(g, 1, bound)
 
 
 def _ad_letter(g: LieAlgebraData, x: int, mono: tuple) -> dict:
@@ -250,28 +281,25 @@ def _signed_insert(z: int, rest: tuple) -> Optional[Tuple[tuple, int]]:
     return rest[:pos] + (z,) + rest[pos:], (-1) ** pos
 
 
-def _ce_support(omega: CEChain, g: LieAlgebraData) -> List[tuple]:
+def _ce_support(omega: CEChain, module: GModule) -> List[tuple]:
     """The (m+1)-sets t, in lexicographic order, on which d(omega) can be
     nonzero: s + {a} for s in the support and a not in s, and
     (s - {z}) + {a, b} for z in s and z in [a, b]."""
-    makes: Dict[int, List[tuple]] = {}  # z -> the pairs a < b with z in [a, b]
-    for (a, b), coeffs in g.bracket_table.items():
-        if a < b:
-            for z in coeffs:
-                makes.setdefault(z, []).append((a, b))
+    g = module.g
     out = set()
     for s in omega.data:
         out.update(tuple(sorted(s + (a,))) for a in range(g.dim) if a not in s)
         for z in s:
             rest = [x for x in s if x != z]
-            for a, b in makes.get(z, ()):
+            for a, b, _ in module._makers.get(z, ()):
                 if a not in rest and b not in rest:
                     out.add(tuple(sorted(rest + [a, b])))
     return sorted(out)
 
 
 def ce_differential(omega: CEChain, module: Optional[GModule] = None) -> CEChain:
-    """The alternating-sum differential of Lie-algebra cohomology.
+    """The alternating-sum differential of Lie-algebra cohomology, the
+    independent reference for `ce_push`.
 
     The faces of every (m+1)-set t are summed by the textbook formula; only
     the t of `_ce_support` are visited, since d(omega) vanishes elsewhere."""
@@ -289,7 +317,7 @@ def ce_differential(omega: CEChain, module: Optional[GModule] = None) -> CEChain
         if not cur:
             out.pop(s)
 
-    for t in _ce_support(omega, g):
+    for t in _ce_support(omega, module):
         for i in range(m + 1):
             rest = t[:i] + t[i + 1:]
             vec = omega.value(rest)
@@ -306,6 +334,37 @@ def ce_differential(omega: CEChain, module: Optional[GModule] = None) -> CEChain
                     s, sgn = ins
                     add(t, omega.value(s), sign_ij * sgn * c)
     return CEChain(module, m + 1, out)
+
+
+def ce_push(module: GModule, cochain: Dict[tuple, dict]) -> Dict[tuple, dict]:
+    """The Chevalley-Eilenberg differential of the cochain {s: {k: c}}, s a
+    sorted m-tuple and k a module index, as {t: {k': c}}; an entry whose
+    terms cancel is left as a 0 for the caller to skip.
+
+    Each wedge s of the input is scattered to its `GModule.faces`, so the
+    cost follows the input's support.  The output entries are products of
+    the input's, the actions' and the bracket table's values, so they are
+    ints wherever those are."""
+    actions = module.actions
+    out: Dict[tuple, dict] = {}
+    for s, vec in cochain.items():
+        acting, brackets = module.faces(s)
+        for x, t, sign in acting:
+            cols = actions[x]
+            acc = out.setdefault(t, {})
+            get = acc.get
+            for k, c in vec.items():
+                col = cols.get(k)
+                if col:
+                    c *= sign
+                    for i, a in col.items():
+                        acc[i] = get(i, 0) + a * c
+        for t, coeff in brackets:
+            acc = out.setdefault(t, {})
+            get = acc.get
+            for k, c in vec.items():
+                acc[k] = get(k, 0) + coeff * c
+    return out
 
 
 def random_ce_chain(module: GModule, m: int, rng: Random,
@@ -344,51 +403,35 @@ def _weight_zero_slots(module: GModule):
 def _ce_matrix_rows(module: GModule, m: int):
     """Rows of the m-th differential on the weight-zero subcomplex, keyed by
     integer column ids (S-combination index * module dim + module
-    coordinate), their (t, k') tags, and the number of weight-zero m-cochains.
-
-    The differential preserves Cartan weight, so the action terms of a
-    weight-zero row come from weight-zero columns only.  The entries are
-    products of the module's action entries and the bracket table's values,
-    so they are ints wherever those are."""
+    coordinate), their (t, k') tags in lexicographic order, and the number
+    of weight-zero m-cochains.  Column (s, k) is `ce_push` of the basis
+    cochain s -> b_k of weight zero; the differential preserves Cartan
+    weight, so an image entry outside the weight-zero rows means that the
+    module is no g-module."""
     g = module.g
-    bracket = g.bracket_table
-    actions = module.actions
     slots = _weight_zero_slots(module)
-    s_index = {s: k for k, s in enumerate(combinations(range(g.dim), m))}
-    ncols = sum(len(slots(s)) for s in s_index)
     mdim = module.dim
+    by_t: Dict[tuple, dict] = {}
+    ncols = 0
+    for sidx, s in enumerate(combinations(range(g.dim), m)):
+        for k in slots(s):
+            ncols += 1
+            col = sidx * mdim + k
+            for t, vec in ce_push(module, {s: {k: 1}}).items():
+                rows_t = by_t.setdefault(t, {})
+                for kprime, v in vec.items():
+                    if v:
+                        rows_t.setdefault(kprime, {})[col] = v
     rows = []
     row_tags = []
     for t in combinations(range(g.dim), m + 1):
-        kprimes = slots(t)
-        bracket_cols: List[Tuple[int, int]] = []
-        for i in range(m + 1 if kprimes else 0):  # no row, no bracket term
-            for j in range(i + 1, m + 1):
-                rest = tuple(x for k, x in enumerate(t) if k not in (i, j))
-                sign_ij = -1 if (i + j) & 1 else 1
-                for z, c in bracket.get((t[i], t[j]), {}).items():
-                    ins = _signed_insert(z, rest)
-                    if ins is None:
-                        continue
-                    s, sgn = ins
-                    bracket_cols.append((s_index[s], sign_ij * sgn * c))
-        action_rows: Dict[int, dict] = {}
-        for i in range(m + 1):
-            rest = t[:i] + t[i + 1:]
-            base = s_index[rest] * mdim
-            sign = -1 if i & 1 else 1
-            cols = actions[t[i]]
-            for jcol in slots(rest):
-                for irow, v in cols.get(jcol, {}).items():
-                    accumulate(action_rows.setdefault(irow, {}), base + jcol, sign * v)
-        for kprime in kprimes:
-            row: Vector = action_rows.pop(kprime, {})
-            for sidx, c in bracket_cols:
-                accumulate(row, sidx * mdim + kprime, c)
+        rows_t = by_t.pop(t, {})
+        for kprime in slots(t):
+            row = rows_t.pop(kprime, None)
             if row:
                 rows.append(row)
                 row_tags.append((t, kprime))
-        if action_rows:
+        if rows_t:
             raise AssertionError("an action leaves the weight-zero block")
     return rows, row_tags, ncols
 
@@ -417,16 +460,14 @@ def ce_cohomology_dims(module: GModule, up_to: int) -> List[int]:
 def whitehead_report(g: LieAlgebraData, bound: int = 2) -> Report:
     """First and second cohomology vanish for the adjoint module and for
     dual(adjoint) (x) U-slice; invariants of the trivial module are 1-dim."""
+    modules = {"adjoint": lambda: adjoint_module(g),
+               "big": lambda: tensor_module(dual_module(adjoint_module(g)),
+                                            u_slice_module(g, bound))}
     cache: Dict[str, List[int]] = {}
 
     def dims_of(name) -> List[int]:
         if name not in cache:
-            if name == "adjoint":
-                cache[name] = ce_cohomology_dims(adjoint_module(g), 2)
-            else:
-                mod = tensor_module(dual_module(adjoint_module(g)),
-                                    u_slice_module(g, bound))
-                cache[name] = ce_cohomology_dims(mod, 2)
+            cache[name] = ce_cohomology_dims(modules[name](), 2)
         return cache[name]
 
     specs = [
@@ -456,24 +497,8 @@ def _sym_monomials(v_dim: int, degree: int) -> List[tuple]:
     """Exponent vectors of the given total degree, lexicographic order."""
     if v_dim == 0:
         return [()] if degree == 0 else []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + (k,), remaining - k, slots - 1)
-    rec((), degree, v_dim)
-    return out
-
-
-def _sym_coproduct(mono: tuple) -> Dict[tuple, int]:
-    """Binomial splitting of a symmetric-algebra monomial:
-    {(left, right): prod_i binomial(mono_i, left_i)}, with left running
-    over the exponent vectors below mono in lexicographic order."""
-    return {(left, tuple(map(sub, mono, left))): prod(map(comb, mono, left))
-            for left in product(*[range(a + 1) for a in mono])}
+    return [(k,) + rest for k in range(degree + 1)
+            for rest in _sym_monomials(v_dim - 1, degree - k)]
 
 
 class CobarChain(CoeffMap):
@@ -506,7 +531,7 @@ def cobar_differential(y: CobarChain) -> CobarChain:
         for i in range(n):
             sc = c if i & 1 else -c  # (-1)^{i+1} c
             head, tail = key[:i], key[i + 1:]
-            for (l, r), q in _sym_coproduct(key[i]).items():
+            for (l, r), q in sym_coproduct(key[i]).items():
                 accumulate(data, head + (l, r) + tail, sc * q)
     return out
 
@@ -529,18 +554,12 @@ def sigma_split(y: CobarChain) -> Tuple[CobarChain, CobarChain]:
 
 
 def _tensor_basis(v_dim: int, n: int, degree: int) -> List[tuple]:
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            if remaining == 0:
-                out.append(prefix)
-            return
-        for d in range(remaining + 1):
-            for mono in _sym_monomials(v_dim, d):
-                rec(prefix + (mono,), remaining - d, slots - 1)
-    rec((), degree, n)
-    return out
+    """n-tuples of exponent vectors of total degree `degree`."""
+    if n == 0:
+        return [()] if degree == 0 else []
+    return [(mono,) + rest for d in range(degree + 1)
+            for mono in _sym_monomials(v_dim, d)
+            for rest in _tensor_basis(v_dim, n - 1, degree - d)]
 
 
 def _minus_basis(v_dim: int, n: int, degree: int) -> List[CobarChain]:
@@ -659,11 +678,9 @@ class Cochain:
         if data:
             for key, tensor in data.items():
                 tensor = {k: v for k, v in tensor.items() if v}
+                if any(sum(map(len, tkey)) > bound for tkey in tensor):
+                    raise FiltrationError(f"cochain value exceeds filtration {bound}")
                 if tensor:
-                    for tkey in tensor:
-                        if sum(len(mono) for mono in tkey) > bound:
-                            raise FiltrationError(
-                                f"cochain value exceeds filtration {bound}")
                     self.data[key] = tensor
 
     def value(self, s: tuple, v: int) -> dict:
@@ -739,23 +756,42 @@ class Cochain:
 
     @classmethod
     def from_json_dict(cls, g: LieAlgebraData, payload: dict) -> "Cochain":
-        out = cls(g, payload["m"], payload["n"], payload["bound"])
+        """The inverse of `to_json_dict`, with the constructor's filtration
+        check."""
+        data: dict = {}
         for entry in payload["entries"]:
             s = tuple(g.name_to_index[n] for n in entry["args"])
-            v = g.name_to_index[entry["v"]]
+            tensor = data.setdefault((s, g.name_to_index[entry["v"]]), {})
             for term in entry["tensor"]:
                 tkey = tuple(tuple(g.name_to_index[n] for n in mono)
                              for mono in term["slots"])
-                out._accumulate((s, v), tkey, Fraction(term["coeff"]))
-        return out
+                accumulate(tensor, tkey, Fraction(term["coeff"]))
+        return cls(g, payload["m"], payload["n"], payload["bound"], data)
+
+
+def _slice_index(g: LieAlgebraData, n: int, bound: int):
+    """(keys, index): `tensor_slice_keys(g, n, bound)` and the position of
+    each key, built once per algebra."""
+    cache = g._correction_systems
+    hit = cache.get(("slice", n, bound))
+    if hit is None:
+        keys = tensor_slice_keys(g, n, bound)
+        hit = cache["slice", n, bound] = (keys, {k: j for j, k in enumerate(keys)})
+    return hit
 
 
 def _scaled(w: Cochain) -> Tuple[int, dict]:
     """(d, data): d is the lcm of the denominators of w's coefficients and
-    data is w's layout with every coefficient times d, as an int."""
+    data is w's layout with every coefficient times d, as an int.  A tensor
+    key outside T^n_{<=D} is refused with a FiltrationError."""
+    _, index = _slice_index(w.g, w.n, w.bound)
     d = 1
     for tensor in w.data.values():
-        for c in tensor.values():
+        for tkey, c in tensor.items():
+            if tkey not in index:
+                raise FiltrationError(
+                    f"tensor key {tkey} is not in the {w.n}-fold tensor "
+                    f"slice of filtration {w.bound}")
             q = c.denominator
             if d % q:
                 d = d * q // gcd(d, q)
@@ -765,65 +801,31 @@ def _scaled(w: Cochain) -> Tuple[int, dict]:
     return d, data
 
 
-def _unscaled(acc: dict, d: int) -> dict:
-    """Undo `_scaled` on one accumulated value, dropping the zeros."""
-    return {k: Fraction(c, d) for k, c in acc.items() if c}
-
-
 def bicomplex_dh(w: Cochain) -> Cochain:
-    """Horizontal differential: Chevalley-Eilenberg with the adjoint twist."""
+    """Horizontal differential: Chevalley-Eilenberg with the adjoint twist,
+    `ce_push` on dual(adjoint) (x) T^n_{<=D}, which is built once per
+    algebra.  The value w(s, v) at tensor key number j of T^n_{<=D} is entry
+    v * |T^n_{<=D}| + j of the module cochain at s."""
     g = w.g
-    bracket, ad_get = g.bracket_table, g._ad_cache.get
-    m = w.m
+    module = g._correction_systems.get(("dH", w.n, w.bound))
+    if module is None:
+        module = g._correction_systems["dH", w.n, w.bound] = tensor_module(
+            dual_module(adjoint_module(g)), tensor_slice_module(g, w.n, w.bound))
+    keys, index = _slice_index(g, w.n, w.bound)
+    size = len(keys)
     d, data = _scaled(w)
-    out = Cochain(g, m + 1, w.n, w.bound)
-    for t in combinations(range(g.dim), m + 1):
-        faces = [(t[i], t[:i] + t[i + 1:], -1 if i & 1 else 1)
-                 for i in range(m + 1)]
-        # the terms c * w(s, v) from the brackets of two arguments
-        bracket_terms = []
-        for i in range(m + 1):
-            for j in range(i + 1, m + 1):
-                rest = tuple(x for k, x in enumerate(t) if k not in (i, j))
-                sign_ij = -1 if (i + j) & 1 else 1
-                for z, c in bracket.get((t[i], t[j]), {}).items():
-                    ins = _signed_insert(z, rest)
-                    if ins is not None:
-                        s, sgn = ins
-                        bracket_terms.append((s, sign_ij * sgn * c))
-        for v in range(g.dim):
-            acc: dict = {}
-            get = acc.get
-            for x, rest, sign in faces:
-                tensor = data.get((rest, v))
-                if tensor:
-                    # the slotwise adjoint action of x on w(rest, v)
-                    for tkey, c in tensor.items():
-                        c *= sign
-                        for slot, mono in enumerate(tkey):
-                            ad = ad_get((x, mono))
-                            if ad is None:
-                                ad = _ad_letter(g, x, mono)
-                            if ad:
-                                head, tail = tkey[:slot], tkey[slot + 1:]
-                                for m2, q in ad.items():
-                                    k = head + (m2,) + tail
-                                    acc[k] = get(k, 0) + c * q
-                brackets = bracket.get((x, v))
-                for z, c in brackets.items() if brackets else ():
-                    tensor = data.get((rest, z))
-                    if tensor:
-                        c *= -sign
-                        for tkey, e in tensor.items():
-                            acc[tkey] = get(tkey, 0) + c * e
-            for s, c in bracket_terms:
-                tensor = data.get((s, v))
-                if tensor:
-                    for tkey, e in tensor.items():
-                        acc[tkey] = get(tkey, 0) + c * e
-            value = _unscaled(acc, d)
-            if value:
-                out.data[t, v] = value
+    cochain: Dict[tuple, dict] = {}
+    for (s, v), tensor in data.items():
+        vec = cochain.setdefault(s, {})
+        base = v * size
+        for tkey, c in tensor.items():
+            vec[base + index[tkey]] = c
+    out = Cochain(g, w.m + 1, w.n, w.bound)
+    for t, vec in ce_push(module, cochain).items():
+        for k, c in vec.items():
+            if c:
+                v, j = divmod(k, size)
+                out.data.setdefault((t, v), {})[keys[j]] = Fraction(c, d)
     return out
 
 
@@ -851,25 +853,20 @@ def bicomplex_dv(w: Cochain) -> Cochain:
                 for pair, q in terms.items():
                     k = head + pair + tail
                     acc[k] = get(k, 0) + sc * q
-        value = _unscaled(acc, d)
+        value = {k: Fraction(c, d) for k, c in acc.items() if c}
         if value:
             out.data[key] = value
     return out
 
 
 def tensor_slice_keys(g: LieAlgebraData, n: int, bound: int) -> List[tuple]:
-    """All n-tuples of PBW monomials with total length <= bound."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(prefix)
-            return
-        for length in range(remaining + 1):
-            for mono in combinations_with_replacement(range(g.dim), length):
-                rec(prefix + (mono,), remaining - length, slots - 1)
-    rec((), bound, n)
-    return out
+    """All n-tuples of PBW monomials with total length <= bound, each slot
+    in (length, lexicographic) order."""
+    if n == 0:
+        return [()]
+    return [(mono,) + rest for length in range(bound + 1)
+            for mono in combinations_with_replacement(range(g.dim), length)
+            for rest in tensor_slice_keys(g, n - 1, bound - length)]
 
 
 def random_cochain(g: LieAlgebraData, m: int, n: int, bound: int,
@@ -891,50 +888,38 @@ def bicomplex_report(g: LieAlgebraData, bound: int = 2, samples: int = 100,
     """d_H^2 = d_V^2 = 0 and d_H d_V = d_V d_H on seeded random cochains at
     every bidegree (m, n) with m, n <= 2."""
     bidegrees = [(m, n) for m in range(3) for n in range(1, 3)]
-    per = {bd: 0 for bd in bidegrees}
     rng = Random(seed)
     cochains = []
     for k in range(samples):
         bd = bidegrees[k % len(bidegrees)]
-        per[bd] += 1
         cochains.append((bd, random_cochain(g, bd[0], bd[1], bound, rng)))
+    identities = (
+        ("dh-squared", "dH o dH = 0", "dH(dH(w)) != 0",
+         lambda w: bicomplex_dh(bicomplex_dh(w))),
+        ("dv-squared", "dV o dV = 0", "dV(dV(w)) != 0",
+         lambda w: bicomplex_dv(bicomplex_dv(w))),
+        ("dh-dv-commute", "dH o dV = dV o dH", "dH dV != dV dH",
+         lambda w: bicomplex_dv(bicomplex_dh(w)) - bicomplex_dh(bicomplex_dv(w))),
+    )
     specs = []
     for (m, n) in bidegrees:
         group = [w for bd, w in cochains if bd == (m, n)]
-
-        def chk_hh(group=group):
-            for idx, w in enumerate(group):
-                if bicomplex_dh(bicomplex_dh(w)):
-                    return f"sample {idx}: dH(dH(w)) != 0"
-            return None
-        specs.append((f"dh-squared-{m}{n}",
-                      f"dH o dH = 0 at bidegree ({m},{n})", chk_hh))
-
-        def chk_vv(group=group):
-            for idx, w in enumerate(group):
-                if bicomplex_dv(bicomplex_dv(w)):
-                    return f"sample {idx}: dV(dV(w)) != 0"
-            return None
-        specs.append((f"dv-squared-{m}{n}",
-                      f"dV o dV = 0 at bidegree ({m},{n})", chk_vv))
-
-        def chk_comm(group=group):
-            for idx, w in enumerate(group):
-                if bicomplex_dv(bicomplex_dh(w)) - bicomplex_dh(bicomplex_dv(w)):
-                    return f"sample {idx}: dH dV != dV dH"
-            return None
-        specs.append((f"dh-dv-commute-{m}{n}",
-                      f"dH o dV = dV o dH at bidegree ({m},{n})", chk_comm))
-    report = run_checks("bicomplex", g.type_label(), specs, seed=seed)
-    return report
+        for name, anchor, failure, defect in identities:
+            def chk(group=group, failure=failure, defect=defect):
+                for idx, w in enumerate(group):
+                    if defect(w):
+                        return f"sample {idx}: {failure}"
+                return None
+            specs.append((f"{name}-{m}{n}", f"{anchor} at bidegree ({m},{n})", chk))
+    return run_checks("bicomplex", g.type_label(), specs, seed=seed)
 
 
 # --- the correction solver --------------------------------------------------------
 
 
 def _k01_basis(g: LieAlgebraData, bound: int):
-    monos = u_slice_monomials(g, bound)
-    basis = [(v, mono) for v in range(g.dim) for mono in monos]
+    basis = [(v, mono) for v in range(g.dim)
+             for (mono,) in tensor_slice_keys(g, 1, bound)]
     return basis, {b: i for i, b in enumerate(basis)}
 
 
@@ -971,26 +956,26 @@ class CorrectionSystem:
     def __init__(self, g: LieAlgebraData, bound: int):
         self.bound = bound
         self.basis, _ = _k01_basis(g, bound)
-        h_index: dict = {}
-        v_index: dict = {}
+        self.h_index, self.v_index = h_index, v_index = {}, {}
         h_cols, v_cols = [], []
         for i in range(len(self.basis)):
             e = _cochain01_from_coords(g, bound, {i: ONE}, self.basis)
             h_cols.append(_flatten_cochain(bicomplex_dh(e), h_index))
             v_cols.append(_flatten_cochain(bicomplex_dv(e), v_index))
         n_h, n_v = len(h_index), len(v_index)
-        mat_h = SparseMatrix(n_h, len(self.basis))
-        stacked = SparseMatrix(n_v + n_h, len(self.basis))
+        # one matrix at a time, so the first is freed before the second
+        mat = SparseMatrix(n_h, len(self.basis))
+        for j, h_col in enumerate(h_cols):
+            for i, c in h_col.items():
+                mat[i, j] = c
+        self.horizontal = factor(mat)
+        mat = SparseMatrix(n_v + n_h, len(self.basis))
         for j, (h_col, v_col) in enumerate(zip(h_cols, v_cols)):
             for i, c in v_col.items():
-                stacked[i, j] = c
+                mat[i, j] = c
             for i, c in h_col.items():
-                mat_h[i, j] = c
-                stacked[n_v + i, j] = c
-        self.h_index = h_index
-        self.v_index = v_index
-        self.horizontal = factor(mat_h)
-        self.vertical = factor(stacked)
+                mat[n_v + i, j] = c
+        self.vertical = factor(mat)
 
     def _preimage(self, fact, index: dict, w: Cochain, what: str) -> Cochain:
         """The solution of one factored system for right-hand side w; a key
@@ -1054,9 +1039,9 @@ def solve_correction(gamma: Cochain, eta: Cochain, bound: int,
         raise CocycleConditionError("eta != eta^21: eta must be symmetric")
 
     systems = g._correction_systems
-    system = systems.get(bound)
+    system = systems.get(("solver", bound))
     if system is None:
-        system = systems[bound] = CorrectionSystem(g, bound)
+        system = systems["solver", bound] = CorrectionSystem(g, bound)
     psi = system.horizontal_preimage(gamma)
 
     eta1 = eta - bicomplex_dv(psi)

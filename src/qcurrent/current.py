@@ -373,7 +373,6 @@ class CurrentEnvelope(PBWAlgebra):
     def __init__(self, g: LieAlgebraData):
         self.g = g
         self._pbw_cache: Dict[tuple, dict] = {}
-        self._coproduct_cache: Dict[tuple, dict] = {}
 
     def letter(self, basis: int, degree: int) -> int:
         return basis + self.g.dim * degree

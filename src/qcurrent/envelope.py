@@ -16,15 +16,18 @@ descent, recursively; it terminates because each step lowers (word length,
 inversion count) lexicographically, and results are memoized in the
 algebra's `_pbw_cache` so repeated suites share all subword work.  The
 straightening starts from the int 1 and only multiplies by bracket-table
-values, so with an integral bracket table every normal form, coproduct
-and adjoint action is int-valued; a table value with a denominator makes
-the affected entries exact Fractions.
+values, so with an integral bracket table every normal form and adjoint
+action is int-valued; a table value with a denominator makes the affected
+entries exact Fractions.  The coproduct of a PBW monomial needs no
+straightening: its coefficients are binomials (`sym_coproduct`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import comb, prod
+from operator import sub
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from .exactnum import (HPoly, ONE, CoeffMap, TensorMap, accumulate, as_hpoly,
@@ -274,27 +277,34 @@ def box_n(a: UElement, n: int) -> TensorElement:
     return out
 
 
-def mono_coproduct_terms(ctx, mono: Monomial) -> dict:
-    """Cached expansion of Delta on one PBW monomial, as
-    {(left, right): coefficient}."""
-    cache = ctx._coproduct_cache
-    terms = cache.get(mono)
+def sym_coproduct(exponents: tuple) -> Dict[tuple, int]:
+    """Delta of a monomial of primitive letters, on exponent vectors:
+    {(left, right): prod_i binomial(exponents_i, left_i)}, with left running
+    over the exponent vectors below `exponents` in lexicographic order."""
+    return {(left, tuple(map(sub, exponents, left))): prod(map(comb, exponents, left))
+            for left in product(*[range(a + 1) for a in exponents])}
+
+
+def mono_coproduct_terms(g: LieAlgebraData, mono: Monomial) -> dict:
+    """Cached expansion of Delta on one PBW monomial of U(g), as
+    {(left, right): coefficient}.  Every letter is primitive and a subword
+    of a sorted monomial is sorted, so this is `sym_coproduct` on the
+    monomial's runs of equal letters, with no straightening."""
+    terms = g._coproduct_cache.get(mono)
     if terms is None:
-        terms = {((), ()): 1}
-        for letter in mono:
-            new: dict = {}
-            for (m1, m2), c in terms.items():
-                for mm, c2 in normal_order(ctx, m1 + (letter,)).items():
-                    accumulate(new, (mm, m2), c * c2)
-                for mm, c2 in normal_order(ctx, m2 + (letter,)).items():
-                    accumulate(new, (m1, mm), c * c2)
-            terms = new
-        cache[mono] = terms
+        letters = tuple(dict.fromkeys(mono))
+
+        def word(exponents):
+            return sum(((x,) * e for x, e in zip(letters, exponents)), ())
+        terms = g._coproduct_cache[mono] = {
+            (word(left), word(right)): c for (left, right), c
+            in sym_coproduct(tuple(map(mono.count, letters))).items()}
     return terms
 
 
 def coproduct(a: UElement) -> TensorElement:
-    """Algebra morphism with every letter primitive; slots stay normal-ordered."""
+    """Algebra morphism with every letter primitive, on U(g); slots stay
+    normal-ordered."""
     out = TensorElement(a.ctx, 2)
     for mono, poly in a.data.items():
         for key, c in mono_coproduct_terms(a.ctx, mono).items():

@@ -532,7 +532,10 @@ def factor(a: SparseMatrix) -> Factorization:
     one supported on them: it does not depend on which row holds a pivot or
     on the order of the rows.
     """
-    rows = [{j: _exact(v) for j, v in row.items()} for row in a.row_dicts()]
+    rows = a.row_dicts()
+    for row in rows:
+        for j, v in row.items():
+            row[j] = _exact(v)
     col_rows: dict = {}
     for i, row in enumerate(rows):
         for j in row:

@@ -143,6 +143,18 @@ def test_kernel_matches_reference_on_sl3(sl3):
         assert bicomplex_dv(w) == reference_dv(w)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_dh_matches_reference_on_every_sl3_basis_cochain(sl3, n):
+    """The push-style dH against the pull-style reference on every basis
+    cochain at m <= 1, bound 1: by linearity, on the whole slice."""
+    for m in (0, 1):
+        for s in combinations(range(sl3.dim), m):
+            for v in range(sl3.dim):
+                for tkey in tensor_slice_keys(sl3, n, 1):
+                    w = Cochain(sl3, m, n, 1, {(s, v): {tkey: ONE}})
+                    assert bicomplex_dh(w) == reference_dh(w), (m, s, v, tkey)
+
+
 def test_kernel_keeps_non_integral_table_values():
     g = build_sl(2)  # fresh: every cached table below derives from the patch
     g.bracket_table[2, 0] = {1: F(1, 2)}  # [e, f] = h/2

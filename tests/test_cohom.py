@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from qcurrent.cohom import (CEChain, CobarChain, Cochain,
-                            CocycleConditionError, GModule,
+                            CocycleConditionError, FiltrationError, GModule,
                             _ce_matrix_rows, _minus_basis, adjoint_module,
                             bicomplex_dh, bicomplex_dv, bicomplex_report,
                             cartier_check, ce_cohomology_dims,
@@ -14,8 +14,8 @@ from qcurrent.cohom import (CEChain, CobarChain, Cochain,
                             random_ce_chain, random_cochain, sigma_involution,
                             sigma_split, solve_correction,
                             solve_minus_coboundary, solver_report,
-                            tensor_module, trivial_module, u_slice_module,
-                            whitehead_report)
+                            tensor_module, tensor_slice_module,
+                            trivial_module, u_slice_module, whitehead_report)
 from qcurrent.exactnum import (ONE, SparseMatrix, accumulate, kernel_basis,
                                rank_of_rows)
 from qcurrent.liealg import build_sl
@@ -34,6 +34,14 @@ def test_module_constructors_validate(sl2):
 
 def test_sl3_adjoint_module_validates(sl3):
     adjoint_module(sl3).validate()
+
+
+def test_tensor_slice_modules_validate(sl2, sl3):
+    """T^n_{<=D} with the slotwise adjoint action is a g-module, and its
+    n = 1 case is the U-slice."""
+    tensor_slice_module(sl2, 2, 2).validate()
+    tensor_slice_module(sl3, 1, 2).validate()
+    assert tensor_slice_module(sl2, 1, 2).actions == u_slice_module(sl2, 2).actions
 
 
 def test_module_weights_detected(sl2):
@@ -513,6 +521,25 @@ def test_bicomplex_report(sl2):
 def test_cochain_filtration_guard(sl2):
     with pytest.raises(Exception):
         Cochain(sl2, 0, 1, 1, {((), 0): {((0, 0, 0),): ONE}})
+
+
+@pytest.mark.parametrize("tkey", [((0, 0, 0),), ((2, 0),), ((0,), ())])
+def test_differentials_refuse_a_key_outside_the_slice(sl2, tkey):
+    """A tensor key that is too long, not a sorted monomial, or of the wrong
+    arity, put in past the constructor, is a FiltrationError of dH and dV,
+    not a crash."""
+    w = Cochain(sl2, 0, 1, 2)
+    w._accumulate(((), 0), tkey, ONE)
+    for d in (bicomplex_dh, bicomplex_dv):
+        with pytest.raises(FiltrationError, match="slice"):
+            d(w)
+
+
+def test_cochain_json_load_checks_the_filtration(sl2):
+    payload = Cochain(sl2, 0, 1, 3, {((), 0): {((0, 0, 0),): ONE}}).to_json_dict()
+    payload["bound"] = 2
+    with pytest.raises(FiltrationError, match="exceeds filtration 2"):
+        Cochain.from_json_dict(sl2, payload)
 
 
 # --- solver --------------------------------------------------------------------

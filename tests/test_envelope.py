@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 from random import Random
 
 import pytest
@@ -7,8 +8,8 @@ from qcurrent.envelope import (TensorElement, UElement, adjoint_action, box_n,
                                casimir_tensor, coproduct, kappa,
                                mono_coproduct_terms, normal_order, nu,
                                quadratic_casimir, verify_gnw, w_element)
-from qcurrent.exactnum import HPoly
-from qcurrent.liealg import casimir_adjoint_eigenvalue
+from qcurrent.exactnum import HPoly, accumulate
+from qcurrent.liealg import build_sl, casimir_adjoint_eigenvalue
 
 
 def letters(g):
@@ -88,6 +89,34 @@ def test_coproduct_is_algebra_morphism(sl2):
         w2 = tuple(rng.randrange(3) for _ in range(rng.randint(1, 3)))
         a, b = UElement.from_word(sl2, w1), UElement.from_word(sl2, w2)
         assert coproduct(a * b) == coproduct(a) * coproduct(b)
+
+
+def _coproduct_by_straightening(g, mono):
+    """Delta of a PBW monomial as the product of the primitive letters,
+    one letter at a time, each slot straightened by `normal_order`."""
+    terms = {((), ()): 1}
+    for letter in mono:
+        new = {}
+        for (m1, m2), c in terms.items():
+            for mm, c2 in normal_order(g, m1 + (letter,)).items():
+                accumulate(new, (mm, m2), c * c2)
+            for mm, c2 in normal_order(g, m2 + (letter,)).items():
+                accumulate(new, (m1, mm), c * c2)
+        terms = new
+    return terms
+
+
+@pytest.mark.parametrize("n, longest", [(2, 4), (3, 4), (4, 3)])
+def test_binomial_coproduct_matches_straightening(n, longest):
+    """The binomial split of the letter runs is the product of primitive
+    letters, on every PBW monomial up to the given length, with int
+    coefficients."""
+    g = build_sl(n)
+    for length in range(longest + 1):
+        for mono in combinations_with_replacement(range(g.dim), length):
+            terms = mono_coproduct_terms(g, mono)
+            assert terms == _coproduct_by_straightening(g, mono), mono
+            assert all(type(c) is int for c in terms.values())
 
 
 def test_coproduct_coassociative(sl2):

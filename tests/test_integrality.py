@@ -30,7 +30,6 @@ def _caches(g) -> dict:
            for name in ("_pbw_cache", "_coproduct_cache", "_ad_cache")}
     if g._current_envelope is not None:
         out["current._pbw_cache"] = g._current_envelope._pbw_cache
-        out["current._coproduct_cache"] = g._current_envelope._coproduct_cache
     if g._free_model is not None:
         for name in ("_fm_cache", "_fm_push_cache", "_fm_coproduct_cache"):
             out[f"free_model.{name}"] = getattr(g._free_model, name)
