@@ -22,27 +22,29 @@ theta_h = d iota_h + iota_h d (H. Cartan, Colloque de Topologie, Bruxelles
 Every table here is integral on sl_n: the bracket table, the adjoint action
 on PBW monomials (`_ad_letter`) and the coproduct (`mono_coproduct_terms`)
 hold ints, and so do the module actions, the CE rows, the Cartan weights
-and the binomial cobar structure constants.  The bicomplex differentials
-scale a cochain by the lcm of its denominators, work over int and divide
-each output entry back once; the maps are linear, so this is exact.  A
-table value with a denominator stays an exact Fraction: integrality is
-never assumed.  The tensor slices, the dH modules and the solver's
-factored systems are built once per algebra and kept in a dict on it
-(`_correction_systems`), so they are freed with it.
+and the binomial cobar structure constants.  A bicomplex `Cochain` is int
+data over one denominator, and dH, dV and the solver work on the data
+over int and keep the denominator; the maps are linear, so this is exact.
+A table value with a denominator stays an exact Fraction, and dH absorbs
+it into the denominator of its image: integrality is never assumed.  The
+tensor slices, the dH modules, the dV images of the basis tensors and the
+solver's factored systems are built once per algebra and kept in a dict
+on it (`_correction_systems`), so they are freed with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import gcd
+from math import lcm
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from .envelope import (UElement, mono_coproduct_terms, normal_order,
                        sym_coproduct)
-from .exactnum import (ONE, ZERO, CoeffMap, SparseMatrix, _exact_coeff,
-                       accumulate, factor, rank_of_rows, solve)
+from .exactnum import (ONE, ZERO, CoeffMap, SparseMatrix, _cleared,
+                       _exact_coeff, _quotient, accumulate, factor,
+                       rank_of_rows, solve)
 from .liealg import LieAlgebraData
 from .reports import CheckError, Report, run_checks
 
@@ -662,11 +664,17 @@ def cartier_check(v_dim: int, d_max: int) -> Report:
 class Cochain:
     """Element of Hom(Lambda^m g (x) g_ad, U^{(x) n}) within filtration D.
 
-    data maps (sorted m-tuple, adjoint index) to a sparse tensor
-    {(monomial, ..., monomial): Fraction} with total length <= D.
+    Stored over the integers with one denominator: `data` maps (sorted
+    m-tuple, adjoint index) to a sparse tensor {(monomial, ..., monomial):
+    nonzero int} with total length <= D, and the cochain is data / den for
+    an int den >= 1.  A Fraction given to the constructor or to
+    `_accumulate` is absorbed by raising den to the lcm with its
+    denominator and rescaling the data.  den is not reduced, so equal
+    cochains may store different (den, data): `==` compares values, and
+    `value`, `render` and the JSON form show exact values.
     """
 
-    __slots__ = ("g", "m", "n", "bound", "data")
+    __slots__ = ("g", "m", "n", "bound", "den", "data")
 
     def __init__(self, g: LieAlgebraData, m: int, n: int, bound: int,
                  data: Optional[dict] = None):
@@ -674,61 +682,103 @@ class Cochain:
         self.m = m
         self.n = n
         self.bound = bound
+        self.den = 1
         self.data = {}
         if data:
             for key, tensor in data.items():
                 tensor = {k: v for k, v in tensor.items() if v}
                 if any(sum(map(len, tkey)) > bound for tkey in tensor):
                     raise FiltrationError(f"cochain value exceeds filtration {bound}")
-                if tensor:
-                    self.data[key] = tensor
+                for tkey, c in tensor.items():
+                    self._accumulate(key, tkey, c)
+
+    def _like(self, m: int, n: int, den: int, data: dict) -> "Cochain":
+        """A cochain on the same algebra and bound, taking ownership of the
+        int `data` over `den`."""
+        out = Cochain(self.g, m, n, self.bound)
+        out.den = den
+        out.data = data
+        return out
+
+    def _times(self, f: int) -> dict:
+        """A copy of the data, times f."""
+        if f == 1:
+            return {key: dict(tensor) for key, tensor in self.data.items()}
+        return {key: {tkey: c * f for tkey, c in tensor.items()}
+                for key, tensor in self.data.items()}
 
     def value(self, s: tuple, v: int) -> dict:
-        return self.data.get((s, v), {})
+        """The exact values at (s, v): ints where integral, else Fractions."""
+        den = self.den
+        return {tkey: _quotient(c, den)
+                for tkey, c in self.data.get((s, v), {}).items()}
 
     def __bool__(self):
         return bool(self.data)
 
     def __eq__(self, other):
-        return (isinstance(other, Cochain) and (self.m, self.n) == (other.m, other.n)
-                and self.data == other.data)
+        if not (isinstance(other, Cochain)
+                and (self.m, self.n) == (other.m, other.n)):
+            return False
+        if self.den == other.den:
+            return self.data == other.data
+        return self._times(other.den) == other._times(self.den)
 
     def _accumulate(self, key, tkey, c):
+        """Add the exact rational c at (key, tkey)."""
+        q = c.denominator
+        if self.den % q:
+            den = lcm(self.den, q)
+            self.data = self._times(den // self.den)
+            self.den = den
         tensor = self.data.setdefault(key, {})
-        accumulate(tensor, tkey, c)
+        accumulate(tensor, tkey, c.numerator * (self.den // q))
         if not tensor:
             del self.data[key]
 
-    def __add__(self, other):
+    def _combine(self, other: "Cochain", sign: int) -> "Cochain":
+        """self + sign * other, over the lcm of the two denominators."""
         assert (self.m, self.n) == (other.m, other.n)
-        out = Cochain(self.g, self.m, self.n, max(self.bound, other.bound))
-        out.data = {k: dict(t) for k, t in self.data.items()}
+        den = lcm(self.den, other.den)
+        data = self._times(den // self.den)
+        f = sign * (den // other.den)
         for key, tensor in other.data.items():
+            acc = data.get(key)
+            if acc is None:
+                data[key] = {tkey: c * f for tkey, c in tensor.items()}
+                continue
             for tkey, c in tensor.items():
-                out._accumulate(key, tkey, c)
+                new = acc.get(tkey, 0) + c * f
+                if new:
+                    acc[tkey] = new
+                else:
+                    del acc[tkey]
+            if not acc:
+                del data[key]
+        out = self._like(self.m, self.n, den, data)
+        out.bound = max(self.bound, other.bound)
         return out
 
-    def __neg__(self):
-        out = Cochain(self.g, self.m, self.n, self.bound)
-        out.data = {k: {tk: -c for tk, c in t.items()} for k, t in self.data.items()}
-        return out
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._like(self.m, self.n, self.den, self._times(-1))
 
     def swap_tensor(self) -> "Cochain":
         assert self.n == 2
-        out = Cochain(self.g, self.m, self.n, self.bound)
-        for key, tensor in self.data.items():
-            for (a, b), c in tensor.items():
-                out._accumulate(key, (b, a), c)
-        return out
+        return self._like(self.m, self.n, self.den, {
+            key: {(b, a): c for (a, b), c in tensor.items()}
+            for key, tensor in self.data.items()})
 
     def render(self) -> str:
         parts = []
         for (s, v) in sorted(self.data):
             names = ",".join(self.g.names[i] for i in s) or "-"
-            tensor = self.data[s, v]
+            tensor = self.value(s, v)
             terms = []
             for tkey in sorted(tensor):
                 mono = " (x) ".join("*".join(self.g.names[i] for i in m) or "1"
@@ -742,7 +792,7 @@ class Cochain:
         indices, so fixtures stay readable and stable."""
         entries = []
         for (s, v) in sorted(self.data):
-            tensor = self.data[s, v]
+            tensor = self.value(s, v)
             entries.append({
                 "args": [self.g.names[i] for i in s],
                 "v": self.g.names[v],
@@ -780,83 +830,100 @@ def _slice_index(g: LieAlgebraData, n: int, bound: int):
     return hit
 
 
-def _scaled(w: Cochain) -> Tuple[int, dict]:
-    """(d, data): d is the lcm of the denominators of w's coefficients and
-    data is w's layout with every coefficient times d, as an int.  A tensor
-    key outside T^n_{<=D} is refused with a FiltrationError."""
-    _, index = _slice_index(w.g, w.n, w.bound)
-    d = 1
-    for tensor in w.data.values():
-        for tkey, c in tensor.items():
-            if tkey not in index:
-                raise FiltrationError(
-                    f"tensor key {tkey} is not in the {w.n}-fold tensor "
-                    f"slice of filtration {w.bound}")
-            q = c.denominator
-            if d % q:
-                d = d * q // gcd(d, q)
-    data = {key: {tkey: c.numerator * (d // c.denominator)
-                  for tkey, c in tensor.items()}
-            for key, tensor in w.data.items()}
-    return d, data
+def _outside_slice(w: Cochain, tkey: tuple) -> FiltrationError:
+    return FiltrationError(f"tensor key {tkey} is not in the {w.n}-fold "
+                           f"tensor slice of filtration {w.bound}")
+
+
+def _dh_module(g: LieAlgebraData, n: int, bound: int):
+    """(module, scale): dual(adjoint) (x) T^n_{<=bound}, built once per
+    algebra, and the lcm of the denominators of the values that `ce_push`
+    multiplies by on it, so that its image of an int cochain times scale
+    is int.  scale is 1 on sl_n."""
+    hit = g._correction_systems.get(("dH", n, bound))
+    if hit is None:
+        slice_module = tensor_slice_module(g, n, bound)
+        module = tensor_module(dual_module(adjoint_module(g)), slice_module)
+        # the module's entries are sums of the bracket table's and the
+        # slice module's
+        scale = lcm(*{c.denominator
+                      for table in (g.bracket_table, *slice_module.actions)
+                      for col in table.values() for c in col.values()})
+        hit = g._correction_systems["dH", n, bound] = (module, scale)
+    return hit
 
 
 def bicomplex_dh(w: Cochain) -> Cochain:
     """Horizontal differential: Chevalley-Eilenberg with the adjoint twist,
-    `ce_push` on dual(adjoint) (x) T^n_{<=D}, which is built once per
-    algebra.  The value w(s, v) at tensor key number j of T^n_{<=D} is entry
-    v * |T^n_{<=D}| + j of the module cochain at s."""
+    `ce_push` on dual(adjoint) (x) T^n_{<=D}, over the integers.  The value
+    w(s, v) at tensor key number j of T^n_{<=D} is entry v * |T^n_{<=D}| + j
+    of the module cochain at s.  The image keeps w's denominator, times the
+    scale of a module with non-integral entries.  A tensor key outside
+    T^n_{<=D} is refused with a FiltrationError."""
     g = w.g
-    module = g._correction_systems.get(("dH", w.n, w.bound))
-    if module is None:
-        module = g._correction_systems["dH", w.n, w.bound] = tensor_module(
-            dual_module(adjoint_module(g)), tensor_slice_module(g, w.n, w.bound))
+    module, scale = _dh_module(g, w.n, w.bound)
     keys, index = _slice_index(g, w.n, w.bound)
     size = len(keys)
-    d, data = _scaled(w)
     cochain: Dict[tuple, dict] = {}
-    for (s, v), tensor in data.items():
+    for (s, v), tensor in w.data.items():
         vec = cochain.setdefault(s, {})
         base = v * size
         for tkey, c in tensor.items():
-            vec[base + index[tkey]] = c
-    out = Cochain(g, w.m + 1, w.n, w.bound)
+            j = index.get(tkey)
+            if j is None:
+                raise _outside_slice(w, tkey)
+            vec[base + j] = c
+    data: dict = {}
     for t, vec in ce_push(module, cochain).items():
         for k, c in vec.items():
             if c:
                 v, j = divmod(k, size)
-                out.data.setdefault((t, v), {})[keys[j]] = Fraction(c, d)
-    return out
+                data.setdefault((t, v), {})[keys[j]] = c
+    if scale != 1:
+        data = {key: {tkey: int(c * scale) for tkey, c in tensor.items()}
+                for key, tensor in data.items()}
+    return w._like(w.m + 1, w.n, w.den * scale, data)
+
+
+def _dv_terms(g: LieAlgebraData, tkey: tuple) -> tuple:
+    """dV of the basis tensor tkey, as (tensor key, int coefficient) pairs."""
+    n = len(tkey)
+    out: dict = {}
+    accumulate(out, ((),) + tkey, 1)
+    accumulate(out, tkey + ((),), 1 if n & 1 else -1)  # (-1)^{n+1}
+    for i, mono in enumerate(tkey):
+        sign = 1 if i & 1 else -1  # (-1)^{i+1}
+        head, tail = tkey[:i], tkey[i + 1:]
+        for pair, q in mono_coproduct_terms(g, mono).items():
+            accumulate(out, head + pair + tail, sign * q)
+    return tuple(out.items())
 
 
 def bicomplex_dv(w: Cochain) -> Cochain:
     """Vertical differential: the coalgebra differential on each value,
-    1 (x) y + alternating inner coproducts + (-1)^{n+1} y (x) 1."""
+    1 (x) y + alternating inner coproducts + (-1)^{n+1} y (x) 1.  Its
+    coefficients are binomials, so the image is int over w's denominator.
+    The image of each basis tensor is built once per algebra, on the first
+    use of its key, which must lie in T^n_{<=D}: a key outside is refused
+    with a FiltrationError."""
     g = w.g
-    coproduct_get = g._coproduct_cache.get
-    n = w.n
-    last = -1 if n & 1 == 0 else 1
-    d, data = _scaled(w)
-    out = Cochain(g, w.m, n + 1, w.bound)
-    for key, tensor in data.items():
+    terms_of = g._correction_systems.setdefault(("dV", w.n, w.bound), {})
+    data: dict = {}
+    for key, tensor in w.data.items():
         acc: dict = {}
         get = acc.get
         for tkey, c in tensor.items():
-            k = ((),) + tkey
-            acc[k] = get(k, 0) + c
-            k = tkey + ((),)
-            acc[k] = get(k, 0) + last * c
-            for i, mono in enumerate(tkey):
-                sc = c if i & 1 else -c
-                head, tail = tkey[:i], tkey[i + 1:]
-                terms = coproduct_get(mono) or mono_coproduct_terms(g, mono)
-                for pair, q in terms.items():
-                    k = head + pair + tail
-                    acc[k] = get(k, 0) + sc * q
-        value = {k: Fraction(c, d) for k, c in acc.items() if c}
+            terms = terms_of.get(tkey)
+            if terms is None:
+                if tkey not in _slice_index(g, w.n, w.bound)[1]:
+                    raise _outside_slice(w, tkey)
+                terms = terms_of[tkey] = _dv_terms(g, tkey)
+            for k, q in terms:
+                acc[k] = get(k, 0) + q * c
+        value = {k: c for k, c in acc.items() if c}
         if value:
-            out.data[key] = value
-    return out
+            data[key] = value
+    return w._like(w.m, w.n + 1, w.den, data)
 
 
 def tensor_slice_keys(g: LieAlgebraData, n: int, bound: int) -> List[tuple]:
@@ -871,15 +938,18 @@ def tensor_slice_keys(g: LieAlgebraData, n: int, bound: int) -> List[tuple]:
 
 def random_cochain(g: LieAlgebraData, m: int, n: int, bound: int,
                    rng: Random, density: float = 0.25) -> Cochain:
+    """Each coefficient is a/b with a in [-4, 4] and b in [1, 3], stored
+    over the denominator 6."""
     keys = tensor_slice_keys(g, n, bound)
     out = Cochain(g, m, n, bound)
+    out.den = 6
     for s in combinations(range(g.dim), m):
         for v in range(g.dim):
             for tkey in keys:
                 if rng.random() < density:
-                    c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                    if c:
-                        out._accumulate((s, v), tkey, c)
+                    a, b = rng.randint(-4, 4), rng.randint(1, 3)
+                    if a:
+                        out.data.setdefault((s, v), {})[tkey] = a * (6 // b)
     return out
 
 
@@ -933,10 +1003,12 @@ def _cochain01_from_coords(g, bound, coords: dict, basis) -> Cochain:
 
 
 def _flatten_cochain(w: Cochain, key_index: dict) -> dict:
+    """{column id: exact value} of w, numbering new keys in key_index."""
     flat = {}
     for (s, v), tensor in w.data.items():
         for tkey, c in tensor.items():
-            flat[key_index.setdefault((s, v, tkey), len(key_index))] = c
+            i = key_index.setdefault((s, v, tkey), len(key_index))
+            flat[i] = _quotient(c, w.den)
     return flat
 
 
@@ -979,10 +1051,12 @@ class CorrectionSystem:
 
     def _preimage(self, fact, index: dict, w: Cochain, what: str) -> Cochain:
         """The solution of one factored system for right-hand side w; a key
-        of w that the system does not reach means it has no solution."""
+        of w that the system does not reach means it has no solution.  The
+        system is solved for w's int data, and the solution is put over the
+        lcm of its denominators times w's."""
         error = (f"no {what} preimage within filtration degree "
                  f"{self.bound}; retry with a larger degree")
-        rhs = [ZERO] * fact.nrows
+        rhs = [0] * fact.nrows
         for (s, v), tensor in w.data.items():
             for tkey, c in tensor.items():
                 i = index.get((s, v, tkey))
@@ -992,9 +1066,12 @@ class CorrectionSystem:
         coords = fact.solve(rhs)
         if coords is None:
             raise FiltrationError(error)
-        return _cochain01_from_coords(
-            w.g, self.bound, {i: c for i, c in enumerate(coords) if c},
-            self.basis)
+        den, ints = _cleared({i: c for i, c in enumerate(coords) if c})
+        data: dict = {}
+        for i, c in ints.items():
+            v, mono = self.basis[i]
+            data.setdefault(((), v), {})[(mono,)] = c
+        return w._like(0, 1, den * w.den, data)
 
     def horizontal_preimage(self, gamma: Cochain) -> Cochain:
         return self._preimage(self.horizontal, self.h_index, gamma,

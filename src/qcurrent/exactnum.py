@@ -5,20 +5,25 @@ exact rational, never a float.  In the structure tables, the memo caches
 and the integer kernels of the cohomology layer it is an `int` when it is
 integral and a `fractions.Fraction` otherwise (for sl_n, only the Casimir
 weights of the Cartan block have denominators).  So are the coefficients
-of the cobar chains and of the current elements and tensors (`_exact_coeff`);
-the other element types (`CoeffMap` subclasses, and the deformation
-polynomials `HPoly`) keep Fractions.  Ints and Fractions mix freely in arithmetic, hashing and
-comparison (Fraction(2) == 2); the one thing to avoid is dividing two
-ints, which gives a float, so every division has a Fraction operand
-(`Fraction(q, p)`, `_quotient`).  All rank/solve questions are answered by
-exact elimination.
+of the cobar chains and of the current elements and tensors (`_exact_coeff`).
+The bicomplex cochains (`cohom.Cochain`) are int data over one int
+denominator, and a `Factorization` records only ints: each row is cleared
+of denominators by its own scale and eliminated without division, so a
+solve divides only in its back-substitution.  The other element types
+(`CoeffMap` subclasses, the deformation polynomials `HPoly`) keep
+Fractions, and a `SparseMatrix` holds ints where integral.  Ints and
+Fractions mix freely in arithmetic, hashing and comparison
+(Fraction(2) == 2); the one thing to avoid is dividing two ints, which
+gives a float, so every division has a Fraction operand (`Fraction(q, p)`,
+`_quotient`).  All rank/solve questions are answered by exact
+elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
 ZERO = Fraction(0)
@@ -282,7 +287,8 @@ class TensorMap(CoeffMap):
 
 
 class SparseMatrix:
-    """Sparse matrix over the rationals: {(row, col): nonzero Fraction}."""
+    """Sparse matrix over the rationals: {(row, col): nonzero entry}, an
+    int where integral and a Fraction otherwise."""
 
     __slots__ = ("nrows", "ncols", "entries")
 
@@ -299,7 +305,7 @@ class SparseMatrix:
         i, j = key
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError(f"index {key} out of bounds")
-        v = as_fraction(value)
+        v = value if type(value) is int else _exact_coeff(value)
         if v:
             self.entries[i, j] = v
         else:
@@ -345,24 +351,25 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
 
 
-def _scaled_integer_rows(rows: Iterable[Mapping]) -> list:
-    """Clear denominators and strip common factors; drops empty rows.
+def _cleared(row: Mapping) -> tuple:
+    """(d, ints): d is the lcm of the denominators of the row's entries, ints
+    or Fractions, and ints is the row times d, computed as
+    `numerator * (d // denominator)` with no Fraction arithmetic."""
+    d = 1
+    for v in row.values():
+        q = v.denominator
+        if d % q:
+            d = d * q // gcd(d, q)
+    return d, {j: v.numerator * (d // v.denominator) for j, v in row.items()}
 
-    Entries may be ints or Fractions: each becomes
-    `numerator * (d // denominator)` for the lcm `d` of the row's
-    denominators, with no Fraction arithmetic.
-    """
+
+def _scaled_integer_rows(rows: Iterable[Mapping]) -> list:
+    """Clear denominators and strip common factors; drops empty rows."""
     out = []
     for row in rows:
         if not row:
             continue
-        denom = 1
-        for v in row.values():
-            q = v.denominator
-            if denom % q:
-                denom = denom * q // gcd(denom, q)
-        ints = {j: v.numerator * (denom // v.denominator)
-                for j, v in row.items()}
+        _, ints = _cleared(row)
         g = gcd(*ints.values())
         if g > 1:
             ints = {j: v // g for j, v in ints.items()}
@@ -472,70 +479,85 @@ def _quotient(q, p):
 class Factorization:
     """The recorded elimination of a matrix, replayed on each right-hand side.
 
-    `steps` holds one entry per pivot, in elimination order:
-    `(col, prow, pivot, rest, ops)`, where row `prow` of the matrix had been
-    reduced to `pivot` at `col` plus the entries `rest` (all right of `col`)
-    when it was chosen, and `ops` lists the `(row, multiplier)` pairs that
-    added a multiple of it to the rows below it in the column.  Entries and
-    multipliers are ints wherever they are integral.  Only the pivot rows
-    and the multipliers are kept: the rows that reduce to zero are not.
+    Every recorded number is an int.  `row_scales` lists the `(row, scale)`
+    pairs, scale > 1, by which a row with denominators was multiplied to
+    clear them before the elimination.  `steps` holds one entry per pivot,
+    in elimination order: `(col, prow, pivot, rest, ops)`, where row `prow`
+    had been reduced to `pivot` at `col` plus the entries `rest` (all right
+    of `col`) when it was chosen, and `ops` lists the `(row, p, q)` triples
+    of the fraction-free updates `row <- p * row - q * prow` that cleared
+    `col` from the other rows holding it: for an entry `a` there,
+    `p = pivot / gcd(pivot, a)` and `q = a / gcd(pivot, a)` (Bareiss, Math.
+    Comp. 1968; Nakos-Turner-Williams, SIGSAM Bull. 1997).  Only the pivot
+    rows and the updates are kept: the rows that reduce to zero are not.
     """
 
-    __slots__ = ("nrows", "ncols", "steps", "pivot_rows")
+    __slots__ = ("nrows", "ncols", "row_scales", "steps", "pivot_rows")
 
-    def __init__(self, nrows: int, ncols: int, steps: list):
+    def __init__(self, nrows: int, ncols: int, row_scales: list, steps: list):
         self.nrows = nrows
         self.ncols = ncols
+        self.row_scales = row_scales
         self.steps = steps
         self.pivot_rows = frozenset(step[1] for step in steps)
 
     def solve(self, b: list) -> Optional[list]:
         """The solution of a*x = b with the free variables set to zero, or
-        None when the system is inconsistent."""
+        None when the system is inconsistent.  The entries of b are exact
+        rationals; those of x are ints where integral, Fractions otherwise.
+
+        b is scaled by the lcm d of its denominators and the recorded row
+        scales and updates are replayed on it over the integers; the only
+        divisions are those of the back-substitution."""
         if len(b) != self.nrows:
             raise ValueError(f"dimension mismatch: matrix has {self.nrows} "
                              f"rows, vector has {len(b)}")
-        rhs = [as_fraction(v) for v in b]
-        # replay on integers: b scaled by the lcm of its denominators
-        d = 1
-        for v in rhs:
-            if v.denominator != 1:
-                d = d * v.denominator // gcd(d, v.denominator)
+        rhs = [v if type(v) is int else as_fraction(v) for v in b]
+        d = lcm(*(v.denominator for v in rhs))
         r = [v.numerator * (d // v.denominator) for v in rhs]
+        for i, scale in self.row_scales:
+            r[i] *= scale
         for _, prow, _, _, ops in self.steps:
             c = r[prow]
-            if c:
-                for i, f in ops:
-                    r[i] += f * c
+            for i, p, q in ops:
+                r[i] = p * r[i] - q * c
         pivot_rows = self.pivot_rows
         for i, v in enumerate(r):
             if v and i not in pivot_rows:
                 return None
-        x = [ZERO] * self.ncols
+        x = [0] * self.ncols
         for col, prow, pivot, rest, _ in reversed(self.steps):
-            s = Fraction(r[prow], d)
+            s = r[prow]
             for j, v in rest:
-                s -= v * x[j]
-            x[col] = s / pivot
+                xj = x[j]
+                if xj:
+                    s -= v * xj
+            x[col] = _quotient(s, pivot)
+        if d != 1:
+            x = [_quotient(v, d) if v else 0 for v in x]
         return x
 
 
 def factor(a: SparseMatrix) -> Factorization:
     """Eliminate `a` once, for any number of right-hand sides.
 
-    Pivots are taken column by column, left to right, each in the lowest
-    row not yet used whose entry there is nonzero; a column->rows index
-    finds those rows without scanning the matrix.  A column gets a pivot
-    exactly when it is not in the span of the columns left of it, so the
-    pivot columns are the lexicographically first basis of the column space
-    and, with the free variables set to zero, the solution is the unique
-    one supported on them: it does not depend on which row holds a pivot or
-    on the order of the rows.
+    Each row is first cleared of denominators by its own integer scale,
+    and the elimination runs over the integers with no division.  Pivots
+    are taken column by column, left to right, each in the lowest row not
+    yet used whose entry there is nonzero; a column->rows index finds those
+    rows without scanning the matrix.  A column gets a pivot exactly when it
+    is not in the span of the columns left of it, so the pivot columns are
+    the lexicographically first basis of the column space and, with the
+    free variables set to zero, the solution is the unique one supported on
+    them: it does not depend on which row holds a pivot, on the order of
+    the rows or on their scales.
     """
     rows = a.row_dicts()
-    for row in rows:
-        for j, v in row.items():
-            row[j] = _exact(v)
+    row_scales = []
+    for i, row in enumerate(rows):
+        scale, rows[i] = _cleared(row)
+        if scale != 1:
+            row_scales.append((i, scale))
     col_rows: dict = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -557,11 +579,17 @@ def factor(a: SparseMatrix) -> Factorization:
             if i == prow:
                 continue
             row = rows[i]
-            f = _quotient(-row.pop(col), p)
-            ops.append((i, f))
+            q = row.pop(col)
+            g = gcd(p, q)
+            pi, qi = p // g, q // g
+            ops.append((i, pi, qi))
+            # row * pi - pivot_row * qi, which is zero at col
+            if pi != 1:
+                for j in row:
+                    row[j] *= pi
             for j, v in rest:
                 old = row.get(j)
-                new = f * v if old is None else old + f * v
+                new = -qi * v if old is None else old - qi * v
                 if new:
                     if old is None:
                         col_rows[j].add(i)
@@ -570,7 +598,7 @@ def factor(a: SparseMatrix) -> Factorization:
                     del row[j]
                     col_rows[j].discard(i)
         steps.append((col, prow, p, rest, tuple(ops)))
-    return Factorization(a.nrows, a.ncols, steps)
+    return Factorization(a.nrows, a.ncols, row_scales, steps)
 
 
 def solve(a: SparseMatrix, b: list) -> Optional[list]:
@@ -602,7 +630,7 @@ def kernel_basis(m: SparseMatrix) -> list:
                     accumulate(row, j, f * v)
             else:
                 lead = row[c]
-                pivots[c] = {j: v / lead for j, v in row.items()}
+                pivots[c] = {j: _quotient(v, lead) for j, v in row.items()}
                 break
     for c in sorted(pivots, reverse=True):
         prow = pivots[c]

@@ -168,7 +168,8 @@ class LieAlgebraData(PBWAlgebra):
         self._casimir_eigenvalue: Optional[Fraction] = None
         self._current_envelope = None
         self._free_model = None
-        # cohom's per-algebra state: tensor slices, dH modules, solver systems
+        # cohom's per-algebra state: tensor slices, dH modules, dV images of
+        # the basis tensors, solver systems
         self._correction_systems: Dict[tuple, object] = {}
 
     @property

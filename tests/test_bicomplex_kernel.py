@@ -1,9 +1,11 @@
 """The integer dH/dV kernel: an exhaustive proof of the bicomplex identities
-on small slices, its fault-injection twin, and exactness against a
-Fraction reference."""
+on small slices, its fault-injection twin, exactness against a Fraction
+reference, and the value semantics of the one-denominator `Cochain`."""
 
+import json
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -16,6 +18,7 @@ from qcurrent.exactnum import ONE, accumulate
 from qcurrent.liealg import build_sl
 
 BIDEGREES = [(m, n) for m in range(3) for n in (1, 2)]
+GOLDEN = Path(__file__).parent / "data" / "cochain_golden.json"
 
 
 # --- the Fraction reference: the operators written out term by term ----------
@@ -48,15 +51,23 @@ def reference_dh(w: Cochain) -> Cochain:
                         s, sgn = ins
                         for tkey, e in w.value(s, v).items():
                             accumulate(acc, tkey, (-1) ** (i + j) * sgn * c * e)
-            if acc:
-                out.data[t, v] = acc
+            for tkey, c in acc.items():
+                out._accumulate((t, v), tkey, c)
     return out
+
+
+def keys_and_values(w: Cochain):
+    """(s, v, {tensor key: exact value}) for every (s, v) of w's bidegree."""
+    for s in combinations(range(w.g.dim), w.m):
+        for v in range(w.g.dim):
+            yield s, v, w.value(s, v)
 
 
 def reference_dv(w: Cochain) -> Cochain:
     n = w.n
     out = Cochain(w.g, w.m, n + 1, w.bound)
-    for key, tensor in w.data.items():
+    for s, v, tensor in keys_and_values(w):
+        key = (s, v)
         for tkey, c in tensor.items():
             out._accumulate(key, ((),) + tkey, c)
             out._accumulate(key, tkey + ((),), c * (-1) ** (n + 1))
@@ -69,8 +80,8 @@ def reference_dv(w: Cochain) -> Cochain:
 
 def scaled(w: Cochain, q) -> Cochain:
     return Cochain(w.g, w.m, w.n, w.bound,
-                   {key: {tkey: q * c for tkey, c in tensor.items()}
-                    for key, tensor in w.data.items()})
+                   {(s, v): {tkey: q * c for tkey, c in tensor.items()}
+                    for s, v, tensor in keys_and_values(w)})
 
 
 def mixed_cochain(g, m, n, bound, rng) -> Cochain:
@@ -172,3 +183,44 @@ def test_kernel_keeps_non_integral_table_values():
     assert all(type(c) in (int, F)
                for table in (g._ad_cache, g._coproduct_cache, g._pbw_cache)
                for coeffs in table.values() for c in coeffs.values())
+
+
+# --- one denominator, exact values ---------------------------------------------
+
+
+def golden_cochain(g) -> Cochain:
+    """A fixed sl_2 cochain at bidegree (1, 2), bound 2, whose coefficients
+    have denominators 1, 2, 3 and 6."""
+    return Cochain(g, 1, 2, 2, {
+        ((0,), 1): {((0,), (2,)): F(1, 2), ((1, 1), ()): F(-2, 3), ((), ()): 3},
+        ((1,), 0): {((0, 2), ()): F(5, 6), ((), (1,)): F(-1)},
+        ((2,), 2): {((2,), (0,)): F(7, 3), ((1,), (1,)): F(-1, 6),
+                    ((), (0, 0)): F(4, 2)},
+    })
+
+
+def test_cochains_with_equal_values_are_equal_over_any_denominator(sl2):
+    half = Cochain(sl2, 0, 1, 2, {((), 0): {((0,),): F(1, 2)}})
+    third = Cochain(sl2, 0, 1, 2, {((), 1): {((1, 1),): F(1, 3)}})
+    same = half + third - third
+    assert (half.den, same.den) == (2, 6)
+    assert same == half and half == same
+    assert half + half == Cochain(sl2, 0, 1, 2, {((), 0): {((0,),): 1}})
+    assert half != half + half and half + third != half
+    assert not (third - third)
+
+
+def test_mixed_denominator_cochain_json_roundtrip(sl2):
+    w = golden_cochain(sl2)
+    assert w.den == 6
+    payload = json.loads(json.dumps(w.to_json_dict(), sort_keys=True))
+    back = Cochain.from_json_dict(sl2, payload)
+    assert back == w
+    assert back.to_json_dict() == w.to_json_dict()
+
+
+def test_cochain_render_and_json_match_the_golden_file(sl2):
+    w = golden_cochain(sl2)
+    golden = json.loads(GOLDEN.read_text())
+    assert w.render() == golden["render"]
+    assert w.to_json_dict() == golden["json"]

@@ -142,6 +142,80 @@ def test_factor_replays_on_many_right_hand_sides():
             assert fact.solve(b) == solve(m, b)
 
 
+def _fraction_pivot_columns(rows: list, ncols: int) -> list:
+    """The pivot columns of a plain Fraction Gauss-Jordan elimination of
+    dense rows: column by column, a pivot wherever a row not used yet has a
+    nonzero entry."""
+    rows = [[F(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        used = len(pivots)
+        pick = next((i for i in range(used, len(rows)) if rows[i][col]), None)
+        if pick is None:
+            continue
+        rows[used], rows[pick] = rows[pick], rows[used]
+        prow = rows[used]
+        for i, row in enumerate(rows):
+            if i != used and row[col]:
+                f = row[col] / prow[col]
+                rows[i] = [a - f * b for a, b in zip(row, prow)]
+        pivots.append(col)
+    return pivots
+
+
+def _rank_deficient_matrix(rng) -> SparseMatrix:
+    """A product of an r x k and a k x c matrix with k < min(r, c), whose
+    entries have denominators 1, 2, 3 and 5."""
+    r, c = rng.randint(2, 8), rng.randint(2, 8)
+    k = rng.randint(1, min(r, c) - 1)
+
+    def entry():
+        if rng.random() < 0.4:
+            return F(0)
+        return F(rng.randint(-3, 3), rng.choice((1, 2, 3, 5)))
+    left = [[entry() for _ in range(k)] for _ in range(r)]
+    right = [[entry() for _ in range(c)] for _ in range(k)]
+    return SparseMatrix.from_rows(
+        [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(c)]
+         for i in range(r)])
+
+
+def test_factor_solves_rank_deficient_systems_exactly():
+    """factor(m).solve(b) solves m*x = b exactly, is None exactly when b is
+    outside the column space, and pivots where a Fraction elimination
+    does; the matrices exercise the row scales and the multipliers p of
+    the updates p * row - q * prow."""
+    rng = Random(1968)
+    scaled_rows = multiplied_rows = 0
+    outcomes = set()
+    for _ in range(30):
+        m = _rank_deficient_matrix(rng)
+        dense = [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
+        fact = factor(m)
+        pivots = _fraction_pivot_columns(dense, m.ncols)
+        assert [step[0] for step in fact.steps] == pivots
+        scaled_rows += len(fact.row_scales)
+        multiplied_rows += sum(p != 1 for step in fact.steps
+                               for _, p, _ in step[4])
+        for consistent in (True, False):
+            if consistent:
+                x0 = [F(rng.randint(-3, 3), rng.choice((1, 2, 7)))
+                      for _ in range(m.ncols)]
+                b = [sum(v * x for v, x in zip(row, x0)) for row in dense]
+            else:
+                b = [F(rng.randint(-3, 3), rng.choice((1, 4, 9)))
+                     for _ in range(m.nrows)]
+            in_span = m.ncols not in _fraction_pivot_columns(
+                [row + [v] for row, v in zip(dense, b)], m.ncols + 1)
+            x = fact.solve(b)
+            assert (x is not None) == in_span
+            outcomes.add(in_span)
+            if x is not None:
+                assert [sum(v * xj for v, xj in zip(row, x))
+                        for row in dense] == b
+    assert scaled_rows and multiplied_rows and outcomes == {True, False}
+
+
 def test_factor_inconsistent_rhs_is_none():
     m = SparseMatrix.from_rows([[1, 2], [2, 4], [0, 0]])
     fact = factor(m)

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from qcurrent import cohom
 from qcurrent.cli import SUITES, run_suite
 from qcurrent.exactnum import CoeffMap, HPoly
 from qcurrent.liealg import build_sl
@@ -145,3 +146,59 @@ def test_later_suites_never_change_a_cached_normal_form(first):
         live = _caches(g)[name]
         for key, value in entries.items():
             assert live[key] == value, (name, key)
+
+
+@pytest.fixture(scope="module")
+def bicomplex_path():
+    """The cochains that dH, dV and `solve_correction` return while
+    `bicomplex` runs on sl_2 and `solver` on sl_2 and sl_3, all at bound 2,
+    by function name; and the two algebras."""
+    returned = {}
+
+    def recording(name, f):
+        def wrapper(*args, **kwargs):
+            out = f(*args, **kwargs)
+            returned.setdefault(name, []).append(out)
+            return out
+        return wrapper
+    patch = pytest.MonkeyPatch()
+    for name in ("bicomplex_dh", "bicomplex_dv", "solve_correction"):
+        patch.setattr(cohom, name, recording(name, getattr(cohom, name)))
+    try:
+        algebras = [build_sl(2), build_sl(3)]
+        _run(algebras[0], "bicomplex", degree=2)
+        for g in algebras:
+            _run(g, "solver", degree=2)
+    finally:
+        patch.undo()
+    return returned, algebras
+
+
+def test_bicomplex_and_solver_cochains_are_int_over_one_denominator(
+        bicomplex_path):
+    returned, _ = bicomplex_path
+    assert sorted(returned) == ["bicomplex_dh", "bicomplex_dv",
+                                "solve_correction"]
+    for name, cochains in returned.items():
+        for w in cochains:
+            assert type(w.den) is int and w.den >= 1, (name, w.den)
+            bad = [c for tensor in w.data.values() for c in tensor.values()
+                   if type(c) is not int]
+            assert not bad, (name, bad[:3])
+
+
+def test_solver_factorizations_hold_only_ints(bicomplex_path):
+    _, algebras = bicomplex_path
+    for g in algebras:
+        systems = [s for s in g._correction_systems.values()
+                   if isinstance(s, cohom.CorrectionSystem)]
+        assert systems, g
+        for system in systems:
+            for fact in (system.horizontal, system.vertical):
+                numbers = [scale for _, scale in fact.row_scales]
+                for _, _, pivot, rest, ops in fact.steps:
+                    numbers.append(pivot)
+                    numbers.extend(v for _, v in rest)
+                    numbers.extend(x for _, p, q in ops for x in (p, q))
+                assert fact.steps
+                assert all(type(x) is int for x in numbers), (g, fact)
