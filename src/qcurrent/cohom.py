@@ -175,7 +175,8 @@ def dual_module(m: GModule) -> GModule:
 
 def tensor_module(a: GModule, b: GModule) -> GModule:
     """rho(x) = rho_a(x) (x) 1 + 1 (x) rho_b(x) on the tensor product basis."""
-    assert a.g is b.g
+    if a.g is not b.g:
+        raise ValueError("modules of different algebras do not combine")
     dim = a.dim * b.dim
     ids = list(range(dim))  # one int object per index, shared by every column
     actions = []
@@ -738,7 +739,8 @@ class Cochain:
 
     def _combine(self, other: "Cochain", sign: int) -> "Cochain":
         """self + sign * other, over the lcm of the two denominators."""
-        assert (self.m, self.n) == (other.m, other.n)
+        if (self.m, self.n) != (other.m, other.n):
+            raise ValueError("cochains of different bidegrees do not combine")
         den = lcm(self.den, other.den)
         data = self._times(den // self.den)
         f = sign * (den // other.den)
@@ -769,7 +771,8 @@ class Cochain:
         return self._like(self.m, self.n, self.den, self._times(-1))
 
     def swap_tensor(self) -> "Cochain":
-        assert self.n == 2
+        if self.n != 2:
+            raise ValueError("swap_tensor needs n = 2")
         return self._like(self.m, self.n, self.den, {
             key: {(b, a): c for (a, b), c in tensor.items()}
             for key, tensor in self.data.items()})

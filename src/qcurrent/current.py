@@ -87,7 +87,8 @@ def _render_rational_terms(items, key_text) -> str:
 def c_bracket(f: CurrentElement, g: CurrentElement) -> CurrentElement:
     """[x u^n, y u^m] = [x, y] u^{n+m}, extended bilinearly."""
     alg = f.alg
-    assert g.alg is alg
+    if g.alg is not alg:
+        raise ValueError("currents of different algebras do not combine")
     out = CurrentElement(alg)
     for (a, n), ca in f.data.items():
         for (b, m), cb in g.data.items():

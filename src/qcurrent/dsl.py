@@ -316,7 +316,7 @@ def _as_lie(g: LieAlgebraData, v: Value, what: str) -> LieElement:
         u = pure_iota_part(v)
         if u is not None:
             data = {}
-            for mono, p in u.data.items():
+            for mono, p in u.terms():
                 if len(mono) != 1 or set(p.coeffs) - {0}:
                     raise DSLError(f"{what} expects a Lie-algebra element")
                 data[mono[0]] = p.coeff(0)

@@ -3,10 +3,17 @@ algebra U(g) with its PBW normal form and coproduct.
 
 An element is a sparse map from normal-form words to deformation
 polynomials over a *word algebra*: any object with `multiply_words(a, b)`
-(the product of two normal words, as {normal word: exact coefficient}),
+(the product of two normal words, as {normal word: int coefficient}),
 `render_word(word, wrap)` and a `unit_word`.  `UElement` and
 `TensorElement` do all their arithmetic through that protocol, so the same
 two classes serve U(g), U(g[u]) and the free quantization model.
+
+An element is int data over one int `den`, like `cohom.Cochain`: `data`
+maps each word (word tuple, for a tensor) to {hbar power: nonzero int}.
+The store is reduced, gcd(den, entries) = 1, so `==` is dict equality; it
+relies on int word products, which every algebra of the package has.  The
+format is private to this module: constructors take exact values (`HPoly`,
+int or Fraction) and `terms()` gives `HPoly` values back.
 
 The PBW letter algebras, `LieAlgebraData` for U(g) and `CurrentEnvelope`
 for U(g[u]), derive from `PBWAlgebra`: their words are sorted monomials
@@ -24,14 +31,15 @@ straightening: its coefficients are binomials (`sym_coproduct`).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import product
-from math import comb, prod
+from math import comb, gcd, lcm, prod
 from operator import sub
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
-from .exactnum import (HPoly, ONE, CoeffMap, TensorMap, accumulate, as_hpoly,
-                       join_signed)
+from .exactnum import HPoly, ONE, _quotient, accumulate, as_hpoly, join_signed
 from .reports import Report, run_checks, zero_or_residual
 
 if TYPE_CHECKING:
@@ -84,25 +92,194 @@ class PBWAlgebra:
         return f"({body})" if wrap and len(mono) > 1 else body
 
 
-class UElement(CoeffMap):
-    """Normal-form element of a word algebra over HPoly scalars."""
+def _int_store(values) -> tuple:
+    """(den, data) of {key: HPoly, int or Fraction}: reduced, den the lcm."""
+    polys = {key: as_hpoly(v).coeffs for key, v in values.items()}
+    den = lcm(*(c.denominator for poly in polys.values() for c in poly.values()))
+    return den, {key: {k: c.numerator * (den // c.denominator) for k, c in poly.items()}
+                 for key, poly in polys.items() if poly}
 
-    __slots__ = ("ctx",)
-    _space = ("ctx",)
-    _coerce = staticmethod(as_hpoly)
+
+def _poly_product(p1: dict, p2: dict) -> dict:
+    """Product of two int polynomials in hbar; a cancelled entry stays as 0."""
+    if len(p1) == 1 and len(p2) == 1:
+        (k1, c1), = p1.items()
+        (k2, c2), = p2.items()
+        return {k1 + k2: c1 * c2}
+    out: dict = {}
+    for k1, c1 in p1.items():
+        for k2, c2 in p2.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return out
+
+
+def _scatter(data: dict, poly: dict, terms: dict) -> None:
+    """data[key] += c * poly for each key, c of `terms`; zeros stay for `_like`."""
+    for key, c in terms.items():
+        acc = data.get(key)
+        if acc is None:
+            data[key] = {k: v * c for k, v in poly.items()}
+        else:
+            for k, v in poly.items():
+                acc[k] = acc.get(k, 0) + v * c
+
+
+class WordElement:
+    """The int store and linear structure of `UElement` and `TensorElement`,
+    never changed in place; `_space` names the attributes fixing the space."""
+
+    __slots__ = ("ctx", "den", "data")
+    _space: tuple = ("ctx",)
 
     def __init__(self, ctx, data: Optional[dict] = None):
         self.ctx = ctx
-        super().__init__(data)
+        self.den, self.data = _int_store(data or {})
+
+    def _like(self, data: dict, den: int):
+        """data / den as a new element of the same space, zeros dropped, reduced."""
+        out = {}
+        for key, poly in data.items():
+            if not poly or 0 in poly.values():
+                poly = {k: c for k, c in poly.items() if c}
+            if poly:
+                out[key] = poly
+        g = gcd(den, *[c for poly in out.values() for c in poly.values()]) if den > 1 else 1
+        new = object.__new__(type(self))
+        for name in self._space:
+            setattr(new, name, getattr(self, name))
+        new.den = den // g
+        new.data = out if g == 1 else {
+            key: {k: c // g for k, c in poly.items()} for key, poly in out.items()}
+        return new
+
+    def _same_space(self, other) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self._space)
+
+    def _check(self, other) -> None:
+        if not self._same_space(other):
+            raise ValueError("elements of different spaces do not combine")
+
+    def __bool__(self) -> bool:
+        return bool(self.data)
+
+    def __eq__(self, other) -> bool:
+        return self._same_space(other) and (self.den, self.data) == (other.den, other.data)
+
+    def __add__(self, other, sign: int = 1):
+        """self + sign * other, over the lcm of the two denominators."""
+        self._check(other)
+        den = lcm(self.den, other.den)
+        f = den // self.den
+        data = {key: {k: c * f for k, c in poly.items()} for key, poly in self.data.items()}
+        f = sign * (den // other.den)
+        for key, poly in other.data.items():
+            acc = data.setdefault(key, {})
+            for k, c in poly.items():
+                acc[k] = acc.get(k, 0) + c * f
+        return self._like(data, den)
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, q):
+        """Multiply by a scalar: an HPoly, int or Fraction."""
+        qden, qdata = _int_store({(): q})
+        return self._like({key: _poly_product(poly, qdata.get((), {}))
+                           for key, poly in self.data.items()}, self.den * qden)
+
+    __rmul__ = scale
+
+    def _product(self, other, terms_of):
+        """self * other, terms_of(k1, k2) expanding k1 * k2 as {key: int}."""
+        if type(other) is not type(self):
+            return self.scale(other)
+        self._check(other)
+        out: dict = {}
+        for k1, p1 in self.data.items():
+            for k2, p2 in other.data.items():
+                _scatter(out, _poly_product(p1, p2), terms_of(k1, k2))
+        return self._like(out, self.den * other.den)
+
+    def bracket(self, other):
+        return self * other - other * self
+
+    def expand(self, terms_of, target):
+        """The linear map to `target`'s space with key -> terms_of(key), {key: int}."""
+        data: dict = {}
+        for key, poly in self.data.items():
+            _scatter(data, poly, terms_of(key))
+        return target._like(data, self.den)
+
+    def linear_map(self, image_of, target):
+        """The linear map to `target`'s space with key -> the element image_of(key)."""
+        images = [(poly, image_of(key)) for key, poly in self.data.items()]
+        if self.den == 1 and len(images) == 1 and images[0][0] == {0: 1}:
+            return images[0][1]
+        common = lcm(*(image.den for _, image in images))
+        data: dict = {}
+        for poly, image in images:
+            f = common // image.den
+            for key, q in image.data.items():
+                _scatter(data, _poly_product(poly, q), {key: f})
+        return target._like(data, self.den * common)
+
+    def terms(self):
+        """The (key, exact HPoly coefficient) pairs, in store order."""
+        for key, poly in self.data.items():
+            yield key, HPoly({k: Fraction(c, self.den) for k, c in poly.items()})
+
+    def hbar_coefficient(self, k: int) -> dict:
+        """{key: exact coefficient of hbar^k}, an int where integral."""
+        return {key: _quotient(poly[k], self.den)
+                for key, poly in self.data.items() if k in poly}
+
+    def divide_hbar(self):
+        """Exact division by hbar; fails when a constant term survives."""
+        if any(0 in poly for poly in self.data.values()):
+            raise ValueError("element is not divisible by hbar")
+        return self._like({key: {k - 1: c for k, c in poly.items()}
+                           for key, poly in self.data.items()}, self.den)
+
+    def render(self) -> str:
+        parts = []
+        for key, poly in sorted(self.terms()):
+            mono = self._key_text(key)
+            if len(poly.coeffs) == 1:
+                ((k, c),) = poly.coeffs.items()
+                pieces = [] if c in (1, -1) else [str(c)]
+                if k:
+                    pieces.append("hbar" if k == 1 else f"hbar^{k}")
+                if mono != "1" or not pieces:
+                    pieces.append(mono)
+                text = ("-" if c == -1 else "") + "*".join(pieces)
+            else:
+                text = f"({poly.render()})"
+                if mono != "1":
+                    text += f"*{mono}"
+            parts.append(text)
+        return join_signed(parts) if parts else "0"
+
+    def __repr__(self):
+        return self.render()
+
+
+class UElement(WordElement):
+    """Normal-form element of a word algebra over deformation polynomials."""
+
+    __slots__ = ()
 
     @classmethod
     def unit(cls, ctx) -> "UElement":
-        return cls(ctx, {ctx.unit_word: HPoly.one()})
+        return cls(ctx, {ctx.unit_word: 1})
 
     @classmethod
     def letter(cls, ctx, i: int) -> "UElement":
         """A single letter of a PBW letter algebra."""
-        return cls(ctx, {(i,): HPoly.one()})
+        return cls(ctx, {(i,): 1})
 
     @classmethod
     def from_lie(cls, g, x: LieElement) -> "UElement":
@@ -114,154 +291,61 @@ class UElement(CoeffMap):
         return cls(ctx, normal_order(ctx, tuple(word)))
 
     def __mul__(self, other):
-        if not isinstance(other, UElement):
-            return self.scale(other)
-        assert self.ctx is other.ctx
-        out: dict = {}
-        multiply = self.ctx.multiply_words
-        for w1, p1 in self.data.items():
-            for w2, p2 in other.data.items():
-                poly = p1 * p2
-                for word, c in multiply(w1, w2).items():
-                    accumulate(out, word, poly * c)
-        return self._like(out)
+        return self._product(other, self.ctx.multiply_words)
 
-    def bracket(self, other: "UElement") -> "UElement":
-        return self * other - other * self
-
-    def hbar_coefficient(self, k: int) -> Dict[tuple, Fraction]:
-        out = {}
-        for w, p in self.data.items():
-            c = p.coeff(k)
-            if c:
-                out[w] = c
-        return out
-
-    def divide_hbar(self) -> "UElement":
-        """Exact division by hbar; fails when a constant term survives."""
-        if any(p.coeff(0) for p in self.data.values()):
-            raise ValueError("element is not divisible by hbar")
-        return self._like({w: p.shift(-1) for w, p in self.data.items()})
-
-    def render(self) -> str:
-        return _render_terms(sorted(self.data.items()), self.ctx.render_word)
+    def _key_text(self, word) -> str:
+        return self.ctx.render_word(word)
 
 
-class TensorElement(TensorMap):
+class TensorElement(WordElement):
     """Element of a tensor power of a word algebra, slotwise normal words."""
 
-    __slots__ = ("ctx",)
+    __slots__ = ("arity",)
     _space = ("ctx", "arity")
-    _coerce = staticmethod(as_hpoly)
 
     def __init__(self, ctx, arity: int, data: Optional[dict] = None):
-        self.ctx = ctx
         self.arity = arity
-        super().__init__(data)
+        super().__init__(ctx, data)
 
     @classmethod
     def unit(cls, ctx, arity: int) -> "TensorElement":
-        return cls(ctx, arity, {(ctx.unit_word,) * arity: HPoly.one()})
+        return cls(ctx, arity, {(ctx.unit_word,) * arity: 1})
 
     @classmethod
     def pure(cls, factors: Iterable[UElement]) -> "TensorElement":
         factors = list(factors)
-        out = cls(factors[0].ctx, len(factors))
-        for combo in product(*(list(f.data.items()) for f in factors)):
-            key = tuple(w for w, _ in combo)
-            poly = HPoly.one()
-            for _, p in combo:
-                poly = poly * p
-            out._accumulate(key, poly)
-        return out
+        data = {tuple(w for w, _ in combo): reduce(_poly_product, (p for _, p in combo))
+                for combo in product(*(f.data.items() for f in factors))}
+        return cls(factors[0].ctx, len(factors))._like(data, prod(f.den for f in factors))
 
     def __mul__(self, other):
-        if not isinstance(other, TensorElement):
-            return self.scale(other)
-        assert self.ctx is other.ctx
-        if self.arity != other.arity:
-            raise ValueError("tensor arity mismatch")
-        out: dict = {}
         multiply = self.ctx.multiply_words
-        for k1, p1 in self.data.items():
-            for k2, p2 in other.data.items():
-                poly = p1 * p2
-                keys = [()]
-                coeffs = [1]
-                for a, b in zip(k1, k2):
-                    terms = multiply(a, b)
-                    keys = [base + (w,) for base in keys for w in terms]
-                    coeffs = [c * c2 for c in coeffs for c2 in terms.values()]
-                for key, c in zip(keys, coeffs):
-                    accumulate(out, key, poly * c)
-        return self._like(out)
 
-    def bracket(self, other: "TensorElement") -> "TensorElement":
-        return self * other - other * self
+        def terms_of(k1, k2):
+            terms = {(): 1}
+            for a, b in zip(k1, k2):
+                slot = multiply(a, b).items()
+                terms = {key + (w,): c * c2 for key, c in terms.items() for w, c2 in slot}
+            return terms
+        return self._product(other, terms_of)
+
+    def swap(self) -> "TensorElement":
+        if self.arity != 2:
+            raise ValueError("swap needs a 2-tensor")
+        return self.expand(lambda key: {key[::-1]: 1}, self)
 
     def multiply_slots(self) -> UElement:
         """Total multiplication map m: a1 (x) ... (x) an -> a1*...*an."""
-        multiply = self.ctx.multiply_words
-        out = UElement(self.ctx)
-        for key, p in self.data.items():
-            terms = {key[0]: 1}
-            for w in key[1:]:
-                nxt: dict = {}
-                for acc_w, c in terms.items():
-                    for w2, c2 in multiply(acc_w, w).items():
-                        accumulate(nxt, w2, c * c2)
-                terms = nxt
-            for w, c in terms.items():
-                out._accumulate(w, p * c)
-        return out
+        return self.linear_map(lambda key: reduce(
+            UElement.__mul__, (UElement(self.ctx, {w: 1}) for w in key)), UElement(self.ctx))
 
     def apply_slot(self, slot: int, fn) -> "TensorElement":
         """Map a UElement-valued function over one tensor slot."""
-        out = self._like({})
-        for key, p in self.data.items():
-            piece = UElement(self.ctx, {key[slot]: HPoly.one()})
-            for w, q in fn(piece).data.items():
-                out._accumulate(key[:slot] + (w,) + key[slot + 1:], p * q)
-        return out
+        return self.linear_map(lambda key: fn(UElement(self.ctx, {key[slot]: 1})).expand(
+            lambda w: {key[:slot] + (w,) + key[slot + 1:]: 1}, self), self)
 
-    def render(self) -> str:
-        def key_text(key):
-            return " (x) ".join(self.ctx.render_word(w, wrap=True) for w in key)
-        return _render_terms(sorted(self.data.items()), key_text)
-
-
-# --- rendering ---------------------------------------------------------------
-
-
-def _render_terms(items, key_text) -> str:
-    if not items:
-        return "0"
-    parts = []
-    for key, poly in items:
-        mono = key_text(key)
-        if len(poly.coeffs) == 1:
-            ((k, c),) = poly.coeffs.items()
-            pieces = []
-            if c == -1:
-                sign = "-"
-            elif c == 1:
-                sign = ""
-            else:
-                sign = ""
-                pieces.append(str(c))
-            if k:
-                pieces.append("hbar" if k == 1 else f"hbar^{k}")
-            if mono != "1" or not pieces:
-                pieces.append(mono)
-            text = sign + "*".join(pieces)
-            if c == -1 and not pieces:
-                text = "-1"
-        else:
-            text = f"({poly.render()})"
-            if mono != "1":
-                text += f"*{mono}"
-        parts.append(text)
-    return join_signed(parts)
+    def _key_text(self, key) -> str:
+        return " (x) ".join(self.ctx.render_word(w, wrap=True) for w in key)
 
 
 # --- operations ---------------------------------------------------------------
@@ -269,12 +353,9 @@ def _render_terms(items, key_text) -> str:
 
 def box_n(a: UElement, n: int) -> TensorElement:
     """Sum of a placed in each slot against units: the n-fold cocommutative box."""
-    out = TensorElement(a.ctx, n)
     unit = a.ctx.unit_word
-    for word, p in a.data.items():
-        for slot in range(n):
-            out._accumulate(tuple(word if k == slot else unit for k in range(n)), p)
-    return out
+    return a.expand(lambda word: Counter(tuple(word if k == slot else unit for k in range(n))
+                                         for slot in range(n)), TensorElement(a.ctx, n))
 
 
 def sym_coproduct(exponents: tuple) -> Dict[tuple, int]:
@@ -305,11 +386,7 @@ def mono_coproduct_terms(g: LieAlgebraData, mono: Monomial) -> dict:
 def coproduct(a: UElement) -> TensorElement:
     """Algebra morphism with every letter primitive, on U(g); slots stay
     normal-ordered."""
-    out = TensorElement(a.ctx, 2)
-    for mono, poly in a.data.items():
-        for key, c in mono_coproduct_terms(a.ctx, mono).items():
-            out._accumulate(key, poly * c)
-    return out
+    return a.expand(lambda mono: mono_coproduct_terms(a.ctx, mono), TensorElement(a.ctx, 2))
 
 
 def adjoint_action(x: LieElement, a: UElement) -> UElement:
@@ -324,14 +401,8 @@ def nu(g: LieAlgebraData, h: LieElement) -> UElement:
     """
     if not g.is_cartan(h):
         raise ValueError("nu is defined on the Cartan subalgebra only")
-    out = UElement(g)
-    half = Fraction(1, 2)
-    for k in range(g.num_positive):
-        val = g.root_value(k, h)
-        if val:
-            out._accumulate((g.neg_index(k), g.pos_index(k)),
-                            HPoly.rational(half * val))
-    return out
+    return UElement(g, {(g.neg_index(k), g.pos_index(k)): Fraction(g.root_value(k, h), 2)
+                        for k in range(g.num_positive)})
 
 
 def w_element(g: LieAlgebraData, i: int, sign: int) -> UElement:
@@ -346,10 +417,7 @@ def w_element(g: LieAlgebraData, i: int, sign: int) -> UElement:
 
 def casimir_tensor(g: LieAlgebraData) -> TensorElement:
     """Casimir 2-tensor from dual bases of the invariant form."""
-    out = TensorElement(g, 2)
-    for a, b, wgt in g.casimir_pairs:
-        out._accumulate(((a,), (b,)), HPoly.rational(wgt))
-    return out
+    return TensorElement(g, 2, {((a,), (b,)): wgt for a, b, wgt in g.casimir_pairs})
 
 
 def quadratic_casimir(g: LieAlgebraData) -> UElement:

@@ -5,18 +5,18 @@ exact rational, never a float.  In the structure tables, the memo caches
 and the integer kernels of the cohomology layer it is an `int` when it is
 integral and a `fractions.Fraction` otherwise (for sl_n, only the Casimir
 weights of the Cartan block have denominators).  So are the coefficients
-of the cobar chains and of the current elements and tensors (`_exact_coeff`).
-The bicomplex cochains (`cohom.Cochain`) are int data over one int
+of the cobar chains, of the current elements and tensors, of the
+deformation polynomials `HPoly` (`_exact_coeff`) and of a `SparseMatrix`.
+The bicomplex cochains (`cohom.Cochain`) and the word-algebra elements
+(`envelope.UElement`, `TensorElement`) are int data over one int
 denominator, and a `Factorization` records only ints: each row is cleared
 of denominators by its own scale and eliminated without division, so a
-solve divides only in its back-substitution.  The other element types
-(`CoeffMap` subclasses, the deformation polynomials `HPoly`) keep
-Fractions, and a `SparseMatrix` holds ints where integral.  Ints and
-Fractions mix freely in arithmetic, hashing and comparison
-(Fraction(2) == 2); the one thing to avoid is dividing two ints, which
-gives a float, so every division has a Fraction operand (`Fraction(q, p)`,
-`_quotient`).  All rank/solve questions are answered by exact
-elimination.
+solve divides only in its back-substitution.  `LieElement`s keep
+Fractions.  Ints and Fractions mix freely in arithmetic, hashing and
+comparison (Fraction(2) == 2); the one thing to avoid is dividing two
+ints, which gives a float, so every division has a Fraction operand
+(`Fraction(q, p)`, `_quotient`).  All rank/solve questions are answered by
+exact elimination.
 """
 
 from __future__ import annotations
@@ -60,10 +60,12 @@ def join_signed(parts) -> str:
 
 
 class HPoly:
-    """Polynomial in the formal deformation parameter, exact rational coefficients.
+    """Polynomial in the formal deformation parameter, exact rational
+    coefficients, each an int where integral (`_exact_coeff`).
 
     Stored sparsely as {exponent: coefficient} with no zero coefficients.
-    The parameter has grading degree 1.
+    The parameter has grading degree 1.  It is the scalar type of the
+    word-algebra elements, which store their coefficients as ints.
     """
 
     __slots__ = ("coeffs",)
@@ -74,18 +76,18 @@ class HPoly:
             for k, c in coeffs.items():
                 if k < 0:
                     raise ValueError("negative exponent in deformation polynomial")
-                c = as_fraction(c)
+                c = _exact_coeff(c)
                 if c:
                     data[k] = c
         self.coeffs = data
 
     @classmethod
     def rational(cls, q) -> "HPoly":
-        return cls({0: as_fraction(q)})
+        return cls({0: q})
 
     @classmethod
     def hbar(cls, k: int = 1, coeff=1) -> "HPoly":
-        return cls({k: as_fraction(coeff)})
+        return cls({k: coeff})
 
     @classmethod
     def zero(cls) -> "HPoly":
@@ -93,21 +95,13 @@ class HPoly:
 
     @classmethod
     def one(cls) -> "HPoly":
-        return cls({0: ONE})
+        return cls({0: 1})
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs.get(k, ZERO)
-
-    def constant_term(self) -> Fraction:
-        """Value at hbar = 0."""
-        return self.coeffs.get(0, ZERO)
+        return self.coeffs.get(k, 0)
 
     def degrees(self) -> set:
         return set(self.coeffs)
-
-    def shift(self, k: int) -> "HPoly":
-        """Multiply by hbar^k."""
-        return HPoly({d + k: c for d, c in self.coeffs.items()})
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -125,10 +119,8 @@ class HPoly:
     def __add__(self, other) -> "HPoly":
         out = dict(self.coeffs)
         for k, c in as_hpoly(other).coeffs.items():
-            accumulate(out, k, c)
-        res = HPoly.__new__(HPoly)
-        res.coeffs = out
-        return res
+            out[k] = out.get(k, 0) + c
+        return HPoly(out)
 
     __radd__ = __add__
 
@@ -145,20 +137,14 @@ class HPoly:
 
     def __mul__(self, other) -> "HPoly":
         if isinstance(other, (int, Fraction)):
-            # the coefficients are Fractions, so c * other is one too
-            if not other:
-                return HPoly()
-            res = HPoly.__new__(HPoly)
-            res.coeffs = {k: c * other for k, c in self.coeffs.items()}
-            return res
+            # HPoly() turns an integral product of Fractions back into an int
+            return HPoly({k: c * other for k, c in self.coeffs.items()})
         if isinstance(other, HPoly):
             out = {}
             for k1, c1 in self.coeffs.items():
                 for k2, c2 in other.coeffs.items():
-                    accumulate(out, k1 + k2, c1 * c2)
-            res = HPoly.__new__(HPoly)
-            res.coeffs = out
-            return res
+                    out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+            return HPoly(out)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -239,7 +225,8 @@ class CoeffMap:
                 and self.data == other.data)
 
     def __add__(self, other):
-        assert self._space_key() == other._space_key()
+        if self._space_key() != other._space_key():
+            raise ValueError("elements of different spaces do not combine")
         out = dict(self.data)
         for k, c in other.data.items():
             accumulate(out, k, c)
@@ -282,7 +269,8 @@ class TensorMap(CoeffMap):
         return out
 
     def swap(self):
-        assert self.arity == 2
+        if self.arity != 2:
+            raise ValueError("swap needs a 2-tensor")
         return self.permute((1, 0))
 
 

@@ -17,6 +17,7 @@ associativity property tests guard confluence.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, Optional, Tuple
 
 from .current import current_envelope
@@ -72,7 +73,7 @@ class FreeModel:
         if isinstance(x, LieElement):
             return UElement(self, {((), (i,)): c for i, c in x.data.items()})
         if isinstance(x, UElement) and x.ctx is self.g:
-            return UElement(self, {((), m): p for m, p in x.data.items()})
+            return x.expand(lambda m: {((), m): 1}, UElement(self))
         raise TypeError("iota embeds LieElement or U(g) element values")
 
     def j_of(self, x: LieElement) -> UElement:
@@ -91,7 +92,7 @@ def pure_iota_part(a: UElement) -> Optional[UElement]:
     else None."""
     if any(jw for (jw, _) in a.data):
         return None
-    return UElement(a.ctx.g, {iw: p for (_, iw), p in a.data.items()})
+    return a.expand(lambda word: {word[1]: 1}, UElement(a.ctx.g))
 
 
 def _fm_push(fm: FreeModel, x: int, jword: tuple) -> dict:
@@ -155,10 +156,10 @@ def _omega_iota(g: LieAlgebraData) -> TensorElement:
 def _j_coproduct(fm: FreeModel, x: int, scale: Fraction) -> TensorElement:
     """Delta(J(x)) = box(J(x)) + scale*hbar*[I(x) (x) 1, Omega]."""
     jx: FMWord = ((x,), ())
-    out = TensorElement(fm, 2, {(jx, UNIT_WORD): ONE, (UNIT_WORD, jx): ONE})
+    values = {(jx, UNIT_WORD): 1, (UNIT_WORD, jx): 1}
     for (z, q), c in fm.g.omega_table[x]:
-        out._accumulate((((), (z,)), ((), (q,))), HPoly.hbar(1, scale * c))
-    return out
+        values[((), (z,)), ((), (q,))] = HPoly.hbar(1, scale * c)
+    return TensorElement(fm, 2, values)
 
 
 def fm_coproduct(a: UElement, cocycle_scale: Fraction = HALF) -> TensorElement:
@@ -166,8 +167,9 @@ def fm_coproduct(a: UElement, cocycle_scale: Fraction = HALF) -> TensorElement:
     coproduct; `cocycle_scale` is the coefficient of hbar in the J cocycle
     term (1/2 is the structural value; anything else is a fault injection)."""
     fm = a.ctx
-    out = TensorElement(fm, 2)
-    for (jw, iw), poly in a.data.items():
+
+    def image_of(word: FMWord) -> TensorElement:
+        jw, iw = word
         key = (jw, iw, cocycle_scale)
         image = fm._fm_coproduct_cache.get(key)
         if image is None:
@@ -175,44 +177,37 @@ def fm_coproduct(a: UElement, cocycle_scale: Fraction = HALF) -> TensorElement:
             for x in jw:
                 image = image * _j_coproduct(fm, x, cocycle_scale)
             if iw:
-                iota_cop = coproduct(UElement(fm.g, {iw: HPoly.one()}))
-                image = image * TensorElement(fm, 2, {
-                    (((), m1), ((), m2)): q for (m1, m2), q in iota_cop.data.items()})
+                image = image * coproduct(UElement(fm.g, {iw: 1})).expand(
+                    lambda m: {(((), m[0]), ((), m[1])): 1}, image)
             fm._fm_coproduct_cache[key] = image
-        for k, p in image.data.items():
-            out._accumulate(k, poly * p)
-    return out
+        return image
+    return a.linear_map(image_of, TensorElement(fm, 2))
 
 
 def fm_counit(a: UElement) -> HPoly:
     """The algebra morphism killing every generator."""
-    return a.data.get(UNIT_WORD, HPoly.zero())
+    return dict(a.terms()).get(UNIT_WORD, HPoly.zero())
 
 
 def fm_antipode(a: UElement) -> UElement:
     """Anti-morphism with S(I(x)) = -I(x), S(J(x)) = -J(x) + (hbar/4) c_g I(x)."""
     fm = a.ctx
     cg = casimir_adjoint_eigenvalue(fm.g)
-    out = UElement(fm)
-    for (jw, iw), poly in a.data.items():
-        acc = UElement.unit(fm)
-        for i in reversed(iw):
-            acc = acc * (-fm.iota_letter(i))
-        for j in reversed(jw):
-            acc = acc * (-fm.j_letter(j) + fm.iota_letter(j).scale(HPoly.hbar(1, cg / 4)))
-        for w, p in acc.data.items():
-            out._accumulate(w, poly * p)
-    return out
+
+    def image_of(word: FMWord) -> UElement:
+        jw, iw = word
+        return reduce(UElement.__mul__, [-fm.iota_letter(i) for i in reversed(iw)] + [
+            -fm.j_letter(j) + fm.iota_letter(j).scale(HPoly.hbar(1, cg / 4))
+            for j in reversed(jw)], UElement.unit(fm))
+    return a.linear_map(image_of, UElement(fm))
 
 
 def counit_slot(t: TensorElement, slot: int) -> UElement:
     """Collapse one slot of a 2-tensor through the counit."""
-    assert t.arity == 2
-    out = UElement(t.ctx)
-    for key, p in t.data.items():
-        if key[slot] == UNIT_WORD:
-            out._accumulate(key[1 - slot], p)
-    return out
+    if t.arity != 2:
+        raise ValueError("counit_slot needs a 2-tensor")
+    return t.expand(lambda key: {key[1 - slot]: 1} if key[slot] == UNIT_WORD else {},
+                    UElement(t.ctx))
 
 
 # --- distinguished elements ----------------------------------------------------
@@ -304,7 +299,7 @@ def lift_gamma_eta(g: LieAlgebraData, shift: Dict[int, UElement]):
         resid = (fm_coproduct(fb) - box_n(fb, 2)
                  - _omega_slot1_bracket(g, b).scale(HPoly.hbar(1, HALF)))
         tensor: Dict[tuple, Fraction] = {}
-        for (w1, w2), p in resid.data.items():
+        for (w1, w2), p in resid.terms():
             if w1[0] or w2[0]:
                 raise ValueError("eta has J-letters: the lift is malformed")
             if p.coeff(0):
@@ -322,15 +317,12 @@ def classical_limit(a: UElement) -> UElement:
     """Set hbar = 0 and map J-letters to degree-1 currents, I-letters to
     degree-0 currents, inside the PBW normal form of U(g[u])."""
     ce = current_envelope(a.ctx.g)
-    out = UElement(ce)
-    for (jw, iw), poly in a.data.items():
-        c = poly.constant_term()
-        if not c:
-            continue
+    out: dict = {}
+    for (jw, iw), c in a.hbar_coefficient(0).items():
         word = tuple(ce.letter(x, 1) for x in jw) + tuple(ce.letter(x, 0) for x in iw)
         for mono, c2 in normal_order(ce, word).items():
-            out._accumulate(mono, HPoly.rational(c * c2))
-    return out
+            accumulate(out, mono, c * c2)
+    return UElement(ce, out)
 
 
 # --- verification suites --------------------------------------------------------

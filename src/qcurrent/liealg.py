@@ -237,7 +237,8 @@ class LieAlgebraData(PBWAlgebra):
         return self.names[i]
 
     def bracket(self, x: LieElement, y: LieElement) -> LieElement:
-        assert x.alg is self and y.alg is self
+        if x.alg is not self or y.alg is not self:
+            raise ValueError(f"elements of another algebra given to {self!r}")
         out: Dict[int, Fraction] = {}
         for a, ca in x.data.items():
             for b, cb in y.data.items():
@@ -246,7 +247,8 @@ class LieAlgebraData(PBWAlgebra):
         return x._like(out)
 
     def form(self, x: LieElement, y: LieElement) -> Fraction:
-        assert x.alg is self and y.alg is self
+        if x.alg is not self or y.alg is not self:
+            raise ValueError(f"elements of another algebra given to {self!r}")
         total = ZERO
         for a, ca in x.data.items():
             for b, cb in y.data.items():

@@ -9,6 +9,7 @@ from qcurrent.dsl import (Bracket, Call, DSLError, Hbar, Name, Num, Prod, Sum,
 from qcurrent.envelope import TensorElement, UElement
 from qcurrent.exactnum import HPoly
 from qcurrent.freequant import _omega_iota, free_model, relation_defect_sl2
+from qcurrent.liealg import build_sl
 
 GOLDEN = Path(__file__).parent / "data" / "render_golden.txt"
 
@@ -66,7 +67,7 @@ def test_tensor_operator_binds_tighter_than_product(sl2):
 def test_parenthesized_slots(sl2):
     v = evaluate("(f*e) (x) h", sl2)
     assert isinstance(v, TensorElement)
-    assert len(v.data) == 1
+    assert len(list(v.terms())) == 1
 
 
 def test_error_reports_position():
@@ -129,12 +130,13 @@ def test_parse_print_roundtrip_random():
 
 
 def test_golden_renderings(sl2, sl3):
+    algebras = {"A2:": sl3, "A3:": build_sl(4)}
     for line in GOLDEN.read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         expr, expected = (part.strip() for part in line.split(";;"))
-        g = sl2
-        if expr.startswith("A2:"):
-            g, expr = sl3, expr[3:].strip()
+        g = algebras.get(expr[:3], sl2)
+        if g is not sl2:
+            expr = expr[3:].strip()
         assert render_value(evaluate(expr, g)) == expected, expr

@@ -161,7 +161,7 @@ def test_nu_sl3_value(sl3):
     expected = {(sl3.neg_index(0), sl3.pos_index(0)): HPoly.rational(1),
                 (sl3.neg_index(1), sl3.pos_index(1)): HPoly.rational(F(-1, 2)),
                 (sl3.neg_index(2), sl3.pos_index(2)): HPoly.rational(F(1, 2))}
-    assert val.data == expected
+    assert dict(val.terms()) == expected
 
 
 def test_nu_rejects_non_cartan(sl2):

@@ -81,9 +81,9 @@ def test_coproduct_coassociative_on_j(sl2, sl3):
             d = fm_coproduct(el)
             left = {}
             right = {}
-            for (w1, w2), p in d.data.items():
+            for (w1, w2), p in d.terms():
                 for (a1, a2), q in fm_coproduct(
-                        UElement(free_model(g), {w1: HPoly.one()})).data.items():
+                        UElement(free_model(g), {w1: HPoly.one()})).terms():
                     key = (a1, a2, w2)
                     s = left.get(key, HPoly.zero()) + p * q
                     if s:
@@ -91,7 +91,7 @@ def test_coproduct_coassociative_on_j(sl2, sl3):
                     else:
                         left.pop(key, None)
                 for (a1, a2), q in fm_coproduct(
-                        UElement(free_model(g), {w2: HPoly.one()})).data.items():
+                        UElement(free_model(g), {w2: HPoly.one()})).terms():
                     key = (w1, a1, a2)
                     s = right.get(key, HPoly.zero()) + p * q
                     if s:
@@ -117,13 +117,13 @@ def test_grading_homogeneous(sl2):
         a, b = homogeneous(d1), homogeneous(d2)
         prod = a * b
         degrees = set()
-        for (jw, _), p in prod.data.items():
+        for (jw, _), p in prod.terms():
             for k in p.degrees():
                 degrees.add(len(jw) + k)
         assert degrees <= {d1 + d2}
         cop = fm_coproduct(a)
         degrees = set()
-        for (w1, w2), p in cop.data.items():
+        for (w1, w2), p in cop.terms():
             for k in p.degrees():
                 degrees.add(len(w1[0]) + len(w2[0]) + k)
         assert degrees <= {d1}
@@ -164,7 +164,7 @@ def test_defect_sl2_structure(sl2):
     i_f, i_h, i_e, j_f, j_h, j_e = gens(sl2)
     classical = j_e.bracket(j_f).bracket(j_h)
     zero_part = UElement(free_model(sl2), {w: HPoly.rational(p.coeff(0))
-                                for w, p in d.data.items()})
+                                for w, p in d.terms()})
     assert zero_part == classical
 
 
@@ -235,7 +235,7 @@ def test_x1_hbar0_is_loop_generator(sl2):
     # modulo hbar, x_{1,1}^+ reduces to J(e)
     val = x1_element(sl2, 0, 1)
     zero_part = UElement(free_model(sl2), {w: HPoly.rational(p.coeff(0))
-                                for w, p in val.data.items()})
+                                for w, p in val.terms()})
     assert zero_part == free_model(sl2).j_letter(2)
 
 

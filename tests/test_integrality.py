@@ -1,7 +1,8 @@
 """Integral structure tables: every table and memo cache that the suites
 fill on sl_n holds int coefficients, the Casimir weights are ints except
-the non-integral ones of the Cartan block, nothing anywhere is a float, and a
-cached normal form is never changed by a later suite."""
+the non-integral ones of the Cartan block, every word-algebra element is a
+reduced int store, nothing anywhere is a float, and a cached normal form is
+never changed by a later suite."""
 
 import copy
 from fractions import Fraction
@@ -9,8 +10,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from math import gcd
+
 from qcurrent import cohom
 from qcurrent.cli import SUITES, run_suite
+from qcurrent.envelope import TensorElement, UElement
 from qcurrent.exactnum import CoeffMap, HPoly
 from qcurrent.liealg import build_sl
 
@@ -40,6 +44,12 @@ def _caches(g) -> dict:
 def _numbers(root):
     """Every number reachable from root through containers, elements and
     the package's own objects (keys included)."""
+    return (x for x in _reachable(root) if isinstance(x, (int, float, Fraction)))
+
+
+def _reachable(root):
+    """Every object reachable from root through containers, elements and
+    the package's own objects (keys included); numbers as often as met."""
     seen = set()
     stack = [root]
     while stack:
@@ -50,6 +60,7 @@ def _numbers(root):
         if id(x) in seen:
             continue
         seen.add(id(x))
+        yield x
         if isinstance(x, dict):
             stack.extend(x)
             stack.extend(x.values())
@@ -88,10 +99,14 @@ def test_structure_tables_and_caches_are_int_valued(exercised):
         tables = {"bracket_table": g.bracket_table.values(),
                   "weights": [dict(enumerate(w)) for w in g.weights]}
         for name, cache in _caches(g).items():
-            if name != "free_model._fm_coproduct_cache":  # HPoly elements
-                tables[name] = cache.values()
+            tables[name] = cache.values()
+        # the coproduct images are elements: check their int store
+        tables["free_model._fm_coproduct_cache"] = [
+            poly for element in tables["free_model._fm_coproduct_cache"]
+            for poly in element.data.values()]
         # the suites reached the caches: the adjoint action only on sl_2
         assert tables["_pbw_cache"] and tables["free_model._fm_cache"]
+        assert tables["free_model._fm_coproduct_cache"]
         assert tables["_ad_cache"] or g.n != 2
         for name, coeff_maps in tables.items():
             bad = [c for coeffs in coeff_maps for c in coeffs.values()
@@ -125,6 +140,27 @@ def test_no_float_anywhere(exercised):
         # sl_2, the factored correction systems
         assert any(type(x) is Fraction and x.denominator != 1 for x in numbers)
         assert g._correction_systems or g.n != 2
+
+
+def test_word_algebra_elements_are_reduced_int_stores(exercised):
+    """Every UElement and TensorElement the suites left behind is int data
+    over a reduced int den, and its HPoly values are ints where integral."""
+    for g in exercised:
+        elements = [x for x in _reachable(g) if isinstance(x, (UElement, TensorElement))]
+        assert any(x.den > 1 for x in elements), g
+        for x in elements:
+            entries = [c for poly in x.data.values() for c in poly.values()]
+            assert type(x.den) is int and x.den >= 1, (g, x.den)
+            assert all(type(c) is int and c for c in entries), (g, x.data)
+            assert gcd(x.den, *entries) == 1, (g, x.den, x.data)
+            for _, value in x.terms():
+                assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                           for c in value.coeffs.values()), value
+    half = HPoly({0: Fraction(1, 2), 1: Fraction(3, 2)})
+    for value in (half + half, half * 2, half * half * 4, -half - half,
+                  HPoly.rational(Fraction(4, 2))):
+        assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                   for c in value.coeffs.values()), value
 
 
 @pytest.mark.parametrize("first", ["defects", "whitehead"])

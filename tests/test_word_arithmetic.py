@@ -1,0 +1,162 @@
+"""The int-over-one-denominator arithmetic of `UElement` and `TensorElement`
+against a reference written here: exact Fraction polynomials in hbar,
+multiplied through the same word products, on seeded random elements of
+U(g) and of the free model at A1 and A2."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+from itertools import product
+from math import gcd
+from pathlib import Path
+from random import Random
+
+import pytest
+
+from qcurrent.envelope import TensorElement, UElement
+from qcurrent.exactnum import HPoly
+from qcurrent.freequant import free_model
+from qcurrent.liealg import build_sl
+
+# --- reference: {key: {hbar power: Fraction}} ------------------------------------
+
+
+def poly_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+def ref_add(*parts):
+    """The sum of scale * vals over the (scale, vals) pairs, zeros dropped."""
+    out = {}
+    for scale, vals in parts:
+        for key, poly in vals.items():
+            acc = out.setdefault(key, {})
+            for k, c in poly.items():
+                acc[k] = acc.get(k, 0) + scale * c
+    out = {key: {k: c for k, c in poly.items() if c} for key, poly in out.items()}
+    return {key: poly for key, poly in out.items() if poly}
+
+
+def ref_mul(ctx, a, b, tensor):
+    """a * b word by word (slot by slot for a tensor) over Fractions."""
+    out = {}
+    for (k1, p1), (k2, p2) in product(a.items(), b.items()):
+        slots = list(zip(k1, k2)) if tensor else [(k1, k2)]
+        for combo in product(*(ctx.multiply_words(x, y).items() for x, y in slots)):
+            key = tuple(w for w, _ in combo) if tensor else combo[0][0]
+            c = F(1)
+            for _, cw in combo:
+                c *= cw
+            out = ref_add((1, out), (c, {key: poly_mul(p1, p2)}))
+    return out
+
+
+def values(x):
+    return {key: dict(p.coeffs) for key, p in x.terms()}
+
+
+def assert_reduced_int_store(x):
+    entries = [c for poly in x.data.values() for c in poly.values()]
+    assert type(x.den) is int and x.den >= 1
+    assert all(type(c) is int and c for c in entries), x.data
+    assert all(x.data.values()) and gcd(x.den, *entries) == 1
+
+
+# --- seeded inputs: denominators 2, 3 and 4, hbar powers 0-2 ----------------------
+
+
+def random_poly(rng):
+    return {k: F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3, 4]))
+            for k in rng.sample(range(3), rng.randint(1, 2))}
+
+
+def random_values(rng, ctx, g, arity):
+    def word():
+        iword = tuple(sorted(rng.randrange(g.dim) for _ in range(rng.randint(0, 2))))
+        if ctx is g:
+            return iword
+        return tuple(rng.randrange(g.dim) for _ in range(rng.randint(0, 1))), iword
+
+    def key():
+        return tuple(word() for _ in range(arity)) if arity else word()
+    return {key(): random_poly(rng) for _ in range(rng.randint(1, 3))}
+
+
+def build(ctx, arity, vals):
+    data = {key: HPoly(poly) for key, poly in vals.items()}
+    return TensorElement(ctx, arity, data) if arity else UElement(ctx, data)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("model", (False, True), ids=("U(g)", "free-model"))
+@pytest.mark.parametrize("arity", (0, 2, 3), ids=("UElement", "arity-2", "arity-3"))
+def test_int_arithmetic_matches_fraction_reference(n, model, arity):
+    g = build_sl(n)
+    ctx = free_model(g) if model else g
+    rng = Random(100 * n + 10 * arity + model)
+    for _ in range(5 if n == 2 else 3):
+        av, bv, cv = (random_values(rng, ctx, g, k) for k in (arity, arity, 0))
+        a, b = build(ctx, arity, av), build(ctx, arity, bv)
+        q = random_poly(rng)
+        r = F(rng.choice([-3, -1, 1, 2]), rng.choice([2, 3, 4]))
+        ab, ba = ref_mul(ctx, av, bv, arity), ref_mul(ctx, bv, av, arity)
+        shifted = {key: {k + 1: c for k, c in poly.items()} for key, poly in av.items()}
+        cases = [
+            (a, ref_add((1, av))),
+            (a * b, ab),
+            (a.bracket(b), ref_add((1, ab), (-1, ba))),
+            (a + b, ref_add((1, av), (1, bv))),
+            (a - b, ref_add((1, av), (-1, bv))),
+            (a - a, {}),
+            (-a, ref_add((-1, av))),
+            (a.scale(HPoly(q)), ref_add((1, {k: poly_mul(p, q) for k, p in av.items()}))),
+            (a.scale(r), ref_add((r, av))),
+            (build(ctx, arity, shifted).divide_hbar(), ref_add((1, av))),
+        ]
+        # the slot maps, also on a one-term element with a denominator
+        monomial = {next(iter(av)): {0: F(1, 2)}}
+        for xv in (av, monomial) if arity else ():
+            x = build(ctx, arity, xv)
+            product_of_slots = {}
+            for key, poly in xv.items():
+                acc = {key[0]: {0: F(1)}}
+                for w in key[1:]:
+                    acc = ref_mul(ctx, acc, {w: {0: F(1)}}, False)
+                product_of_slots = ref_add(
+                    (1, product_of_slots), (1, {w: poly_mul(p, poly) for w, p in acc.items()}))
+            cases.append((x.multiply_slots(), product_of_slots))
+            c = build(ctx, 0, cv)
+            slot = rng.randrange(arity)
+            applied = {}
+            for key, poly in xv.items():
+                image = ref_mul(ctx, {key[slot]: {0: F(1)}}, cv, False)
+                applied = ref_add((1, applied), (1, {
+                    key[:slot] + (w,) + key[slot + 1:]: poly_mul(p, poly)
+                    for w, p in image.items()}))
+            cases.append((x.apply_slot(slot, lambda u: u * c), applied))
+        for got, expected in cases:
+            assert_reduced_int_store(got)
+            assert values(got) == expected
+
+
+def test_mixing_spaces_fails_under_python_O():
+    """The space checks are ValueErrors, not asserts, so `python -O` keeps
+    them: adding an arity-2 and an arity-3 tensor is refused."""
+    code = ("from qcurrent.envelope import TensorElement\n"
+            "from qcurrent.liealg import build_sl\n"
+            "g = build_sl(2)\n"
+            "try:\n"
+            "    TensorElement.unit(g, 2) + TensorElement.unit(g, 3)\n"
+            "except ValueError:\n"
+            "    print('refused')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "refused"
