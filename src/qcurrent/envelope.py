@@ -405,14 +405,13 @@ def nu(g: LieAlgebraData, h: LieElement) -> UElement:
                         for k in range(g.num_positive)})
 
 
-def w_element(g: LieAlgebraData, i: int, sign: int) -> UElement:
-    """w_i^+- = +-(alpha_i, alpha_i)^{-1} [nu(t_i), x_i^+-]."""
+def w_element(g: LieAlgebraData, i: int, sign: int, nu_ti: UElement) -> UElement:
+    """w_i^+- = +-(alpha_i, alpha_i)^{-1} [nu(t_i), x_i^+-], where `nu_ti`
+    is the nu(t_i) it brackets."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    t_i = g.cartan_generator(i)
     x = UElement.letter(g, g.simple_pos_index(i) if sign == 1 else g.simple_neg_index(i))
-    norm = g.simple_root_norm(i)
-    return nu(g, t_i).bracket(x).scale(Fraction(sign, 1) / norm)
+    return nu_ti.bracket(x).scale(Fraction(sign, 1) / g.simple_root_norm(i))
 
 
 def casimir_tensor(g: LieAlgebraData) -> TensorElement:
@@ -468,9 +467,7 @@ def verify_gnw(g: LieAlgebraData, fault: Optional[str] = None) -> Report:
         return base
 
     def w_of(i: int, sign: int) -> UElement:
-        t_i = g.cartan_generator(i)
-        x = UElement.letter(g, g.simple_pos_index(i) if sign == 1 else g.simple_neg_index(i))
-        return nu_of(t_i).bracket(x).scale(Fraction(sign, 1) / g.simple_root_norm(i))
+        return w_element(g, i, sign, nu_of(g.cartan_generator(i)))
 
     specs = []
     r = g.rank

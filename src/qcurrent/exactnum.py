@@ -9,14 +9,16 @@ of the cobar chains, of the current elements and tensors, of the
 deformation polynomials `HPoly` (`_exact_coeff`) and of a `SparseMatrix`.
 The bicomplex cochains (`cohom.Cochain`) and the word-algebra elements
 (`envelope.UElement`, `TensorElement`) are int data over one int
-denominator, and a `Factorization` records only ints: each row is cleared
-of denominators by its own scale and eliminated without division, so a
-solve divides only in its back-substitution.  `LieElement`s keep
-Fractions.  Ints and Fractions mix freely in arithmetic, hashing and
-comparison (Fraction(2) == 2); the one thing to avoid is dividing two
-ints, which gives a float, so every division has a Fraction operand
-(`Fraction(q, p)`, `_quotient`).  All rank/solve questions are answered by
-exact elimination.
+denominator.  Rank and factorization share one elimination step
+(`_eliminate`) and differ only in their pivot rule: each row is cleared of
+denominators by its own scale and eliminated in place over the integers
+without division, so a rank works in ints only, a `Factorization` records
+only ints, and a solve divides only in its back-substitution.
+`LieElement`s keep Fractions.  Ints and Fractions mix freely in
+arithmetic, hashing and comparison (Fraction(2) == 2); the one thing to
+avoid is dividing two ints, which gives a float, so every division has a
+Fraction operand (`Fraction(q, p)`, `_quotient`).  All rank/solve
+questions are answered by exact elimination.
 """
 
 from __future__ import annotations
@@ -351,98 +353,104 @@ def _cleared(row: Mapping) -> tuple:
     return d, {j: v.numerator * (d // v.denominator) for j, v in row.items()}
 
 
-def _scaled_integer_rows(rows: Iterable[Mapping]) -> list:
-    """Clear denominators and strip common factors; drops empty rows."""
-    out = []
-    for row in rows:
-        if not row:
+def _column_index(rows: list) -> dict:
+    """{column: set of the rows holding an entry there}."""
+    col_rows: dict = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
+    return col_rows
+
+
+def _eliminate(rows: list, col_rows: dict, prow: int, col) -> tuple:
+    """One fraction-free elimination step on integer rows, in place.
+
+    Row `prow` becomes the pivot row: it is taken out of `rows` (set to
+    None) and of the column index.  Every other row holding `col` is
+    updated as `row <- p' * row - q' * prow`, with p' = p / gcd(p, q) and
+    q' = q / gcd(p, q) for the pivot p and the row's entry q (Bareiss, Math.
+    Comp. 1968), which clears `col` with no division and no copy; `col_rows`
+    follows the entries each update creates or cancels, and `col` leaves
+    it.  A row's support does not depend on p', so the supports, and any
+    pivot rule that reads only them, are those of an elimination that
+    strips each row's content.  Returns `(p, rest, ops)`: the pivot, the
+    other entries of the pivot row and the `(row, p', q')` updates.
+    """
+    holders = col_rows.pop(col)
+    pivot_row = rows[prow]
+    rows[prow] = None
+    p = pivot_row.pop(col)
+    rest = tuple(pivot_row.items())
+    for j, _ in rest:
+        col_rows[j].discard(prow)
+    ops = []
+    for i in holders:
+        if i == prow:
             continue
-        _, ints = _cleared(row)
-        g = gcd(*ints.values())
-        if g > 1:
-            ints = {j: v // g for j, v in ints.items()}
-        out.append(ints)
-    return out
+        row = rows[i]
+        q = row.pop(col)
+        g = gcd(p, q)
+        pi, qi = p // g, q // g
+        ops.append((i, pi, qi))
+        # row * pi - pivot_row * qi, which is zero at col
+        if pi != 1:
+            for j in row:
+                row[j] *= pi
+        for j, v in rest:
+            old = row.get(j)
+            new = -qi * v if old is None else old - qi * v
+            if new:
+                if old is None:
+                    col_rows[j].add(i)
+                row[j] = new
+            elif old is not None:
+                del row[j]
+                col_rows[j].discard(i)
+    return p, rest, tuple(ops)
 
 
 def _integer_row_rank(rows: list) -> int:
-    """Exact rank of integer rows via sparse fraction-free elimination.
+    """Exact rank of nonempty integer rows, which it eliminates in place.
 
-    Pivots are chosen to limit fill (Markowitz): the column with the fewest
-    entries, then the lowest column index; in it, the shortest row, then
-    the lowest row index.  The next pivot column comes from a lazy min-heap
-    of `(entry count, column)` pairs.  A step changes the entry count of
-    the pivot row's columns only (a row gains or loses an entry where the
-    pivot row has one), so the new count of each of them is pushed after
-    the step; a popped pair whose column is gone, or whose count is no
-    longer the column's, is stale and skipped.  Every live column always
-    has a pair with its current count in the heap, so the first valid pair
-    popped is the minimum of `(count, column)` over the live columns: the
-    same pivot that a scan of every column picks, with the same fill and
-    the same arithmetic.
+    The update is `_eliminate`'s, as in `factor`; only the pivot rule
+    differs.  Pivots are chosen to limit fill (Markowitz): the column with
+    the fewest entries, then the lowest column index; in it, the shortest
+    row, then the lowest row index.  The next pivot column comes from a
+    lazy min-heap of `(entry count, column)` pairs.  A step changes the
+    entry count of the pivot row's columns only (a row gains or loses an
+    entry where the pivot row has one), so the new count of each of them is
+    pushed after the step; a popped pair whose column is gone, or whose
+    count is no longer the column's, is stale and skipped.  Every live
+    column always has a pair with its current count in the heap, so the
+    first valid pair popped is the minimum of `(count, column)` over the
+    live columns: the same pivot that a scan of every column picks.
     """
-    rows = [dict(r) for r in rows if r]
-    col_rows: dict = {}
-    for rid, row in enumerate(rows):
-        for j in row:
-            col_rows.setdefault(j, set()).add(rid)
+    col_rows = _column_index(rows)
     heap = [(len(s), j) for j, s in col_rows.items()]
     heapify(heap)
     rank = 0
     while heap:
-        count, pc = heappop(heap)
-        holders = col_rows.get(pc)
-        if holders is None or len(holders) != count:
+        count, col = heappop(heap)
+        holders = col_rows.get(col, ())
+        if len(holders) != count:
             continue
-        pr = min(holders, key=lambda r: (len(rows[r]), r))
-        pivot_row = rows[pr]
-        p = pivot_row[pc]
-        pivot_rest = [(j, v) for j, v in pivot_row.items() if j != pc]
+        prow = min(holders, key=lambda r: (len(rows[r]), r))
+        _, rest, _ = _eliminate(rows, col_rows, prow, col)
         rank += 1
-        for rid in holders:
-            if rid == pr:
-                continue
-            row = rows[rid]
-            q = row.pop(pc)
-            # row * p - pivot_row * q, which is zero at pc
-            new_row = {j: v * p for j, v in row.items()}
-            for j, v in pivot_rest:
-                w = new_row.get(j)
-                if w is None:
-                    new_row[j] = -v * q
-                    col_rows[j].add(rid)
-                else:
-                    w -= v * q
-                    if w:
-                        new_row[j] = w
-                    else:
-                        del new_row[j]
-                        col_rows[j].discard(rid)
-            g = gcd(*new_row.values())
-            if g > 1:
-                new_row = {j: v // g for j, v in new_row.items()}
-            rows[rid] = new_row
-        del col_rows[pc]
-        for j in pivot_row:
-            s = col_rows.get(j)
-            if s is not None:
-                s.discard(pr)
-                if s:
-                    heappush(heap, (len(s), j))
-                else:
-                    del col_rows[j]
-        rows[pr] = {}
+        for j, _ in rest:
+            holders = col_rows[j]
+            if holders:
+                heappush(heap, (len(holders), j))
+            else:
+                del col_rows[j]  # a set keeps its table when emptied
     return rank
 
 
-def rank(m: SparseMatrix) -> int:
-    """Exact rank over the rationals."""
-    return _integer_row_rank(_scaled_integer_rows(m.row_dicts()))
-
-
 def rank_of_rows(rows: Iterable[Mapping[int, Fraction]]) -> int:
-    """Rank of a collection of sparse rational row vectors."""
-    return _integer_row_rank(_scaled_integer_rows(rows))
+    """Rank of a collection of sparse rational row vectors.  Each row is
+    cleared of denominators by its own scale (`_cleared`), which keeps its
+    support."""
+    return _integer_row_rank([_cleared(row)[1] for row in rows if row])
 
 
 def _exact(q: Fraction):
@@ -530,10 +538,11 @@ def factor(a: SparseMatrix) -> Factorization:
     """Eliminate `a` once, for any number of right-hand sides.
 
     Each row is first cleared of denominators by its own integer scale,
-    and the elimination runs over the integers with no division.  Pivots
-    are taken column by column, left to right, each in the lowest row not
-    yet used whose entry there is nonzero; a column->rows index finds those
-    rows without scanning the matrix.  A column gets a pivot exactly when it
+    and the elimination runs over the integers with no division: the
+    update is `_eliminate`'s, as in `rank_of_rows`; only the pivot rule
+    differs.  Pivots are taken column by column, left to right, each in the
+    lowest row not yet used whose entry there is nonzero; a column->rows
+    index finds those rows without scanning the matrix.  A column gets a pivot exactly when it
     is not in the span of the columns left of it, so the pivot columns are
     the lexicographically first basis of the column space and, with the
     free variables set to zero, the solution is the unique one supported on
@@ -546,46 +555,13 @@ def factor(a: SparseMatrix) -> Factorization:
         scale, rows[i] = _cleared(row)
         if scale != 1:
             row_scales.append((i, scale))
-    col_rows: dict = {}
-    for i, row in enumerate(rows):
-        for j in row:
-            col_rows.setdefault(j, set()).add(i)
+    col_rows = _column_index(rows)
     steps = []
     for col in range(a.ncols):
-        holders = col_rows.pop(col, None)
-        if not holders:
-            continue
-        prow = min(holders)
-        pivot_row = rows[prow]
-        rows[prow] = None
-        p = pivot_row.pop(col)
-        rest = tuple(pivot_row.items())
-        for j, _ in rest:
-            col_rows[j].discard(prow)
-        ops = []
-        for i in holders:
-            if i == prow:
-                continue
-            row = rows[i]
-            q = row.pop(col)
-            g = gcd(p, q)
-            pi, qi = p // g, q // g
-            ops.append((i, pi, qi))
-            # row * pi - pivot_row * qi, which is zero at col
-            if pi != 1:
-                for j in row:
-                    row[j] *= pi
-            for j, v in rest:
-                old = row.get(j)
-                new = -qi * v if old is None else old - qi * v
-                if new:
-                    if old is None:
-                        col_rows[j].add(i)
-                    row[j] = new
-                elif old is not None:
-                    del row[j]
-                    col_rows[j].discard(i)
-        steps.append((col, prow, p, rest, tuple(ops)))
+        holders = col_rows.get(col)
+        if holders:
+            prow = min(holders)
+            steps.append((col, prow) + _eliminate(rows, col_rows, prow, col))
     return Factorization(a.nrows, a.ncols, row_scales, steps)
 
 
@@ -602,8 +578,8 @@ def solve(a: SparseMatrix, b: list) -> Optional[list]:
 def kernel_basis(m: SparseMatrix) -> list:
     """Basis of the right kernel, built from the reduced row echelon form.
 
-    Independent of the elimination used by :func:`rank`, so the two can
-    cross-check each other.
+    Independent of the elimination of `rank_of_rows` and `factor`, so
+    they can cross-check each other.
     """
     rows = [r for r in m.row_dicts() if r]
     n = m.ncols
@@ -641,6 +617,3 @@ def kernel_basis(m: SparseMatrix) -> list:
         basis.append(vec)
     return basis
 
-
-def nullity(m: SparseMatrix) -> int:
-    return len(kernel_basis(m))

@@ -172,9 +172,10 @@ def test_nu_rejects_non_cartan(sl2):
 def test_w_elements_sl2(sl2):
     f, h, e = letters(sl2)
     nu_h = nu(sl2, sl2.element_by_name("h"))
+    w_plus = w_element(sl2, 0, 1, nu(sl2, sl2.cartan_generator(0)))
     # Lemma-style instances: [nu(h), e] = 2 w+ and [w+, f] = nu(h) - h^2/2
-    assert nu_h.bracket(e) == w_element(sl2, 0, 1).scale(2)
-    assert w_element(sl2, 0, 1).bracket(f) == nu_h - (h * h).scale(F(1, 2))
+    assert nu_h.bracket(e) == w_plus.scale(2)
+    assert w_plus.bracket(f) == nu_h - (h * h).scale(F(1, 2))
 
 
 def test_casimir_tensor_sl2(sl2):
