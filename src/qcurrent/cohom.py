@@ -8,8 +8,8 @@ error for data that fits in the slice.
 
 One operator, `ce_push`, applies the Chevalley-Eilenberg differential
 (Chevalley-Eilenberg, Trans. AMS 1948) for every caller: it scatters each
-entry of a cochain to its faces, so its cost follows the support.  The
-`whitehead` and `cohomology` matrices are read off it column by column, and
+entry of a cochain to its faces, so its cost follows the support.  For
+`whitehead` and `cohomology` each pushed image is one row of the rank, and
 the bicomplex's horizontal differential dH is the same operator on
 dual(adjoint) (x) T^n_{<=D}: the n-fold tensor power of U(g) cut to total
 PBW length D, with g acting slotwise by the adjoint action.
@@ -35,7 +35,7 @@ on it (`_correction_systems`), so they are freed with it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, count
 from math import lcm
 from random import Random
 from typing import Dict, List, Optional, Tuple
@@ -49,6 +49,7 @@ from .liealg import LieAlgebraData
 from .reports import CheckError, Report, run_checks
 
 Vector = Dict[int, Fraction]
+_SYM_COPRODUCTS: Dict[tuple, tuple] = {}  # the memo of `cobar_differential`
 
 
 class CocycleConditionError(CheckError):
@@ -403,40 +404,31 @@ def _weight_zero_slots(module: GModule):
         tuple(map(sum, zip(*(gw[x] for x in s)))) if s else zero, ())
 
 
-def _ce_matrix_rows(module: GModule, m: int):
-    """Rows of the m-th differential on the weight-zero subcomplex, keyed by
-    integer column ids (S-combination index * module dim + module
-    coordinate), their (t, k') tags in lexicographic order, and the number
-    of weight-zero m-cochains.  Column (s, k) is `ce_push` of the basis
-    cochain s -> b_k of weight zero; the differential preserves Cartan
-    weight, so an image entry outside the weight-zero rows means that the
-    module is no g-module."""
-    g = module.g
+def _ce_matrix_rows(module: GModule, m: int) -> List[dict]:
+    """One row per weight-zero m-cochain s -> b_k, empty rows kept: `ce_push`
+    of it, with int ids for the (t, k') in order of first appearance.  Row
+    rank = column rank, and the m-side is the short side of the large blocks,
+    so fewer dependent rows are cancelled.  The differential keeps Cartan
+    weight: an entry outside the weight-zero slots means no g-module."""
     slots = _weight_zero_slots(module)
-    mdim = module.dim
-    by_t: Dict[tuple, dict] = {}
-    ncols = 0
-    for sidx, s in enumerate(combinations(range(g.dim), m)):
+    ids: Dict[tuple, Dict[int, int]] = {}  # t -> {k': id}
+    new_id = count()
+    rows = []
+    for s in combinations(range(module.g.dim), m):
         for k in slots(s):
-            ncols += 1
-            col = sidx * mdim + k
+            row = {}
             for t, vec in ce_push(module, {s: {k: 1}}).items():
-                rows_t = by_t.setdefault(t, {})
+                ids_t = ids.setdefault(t, {})
                 for kprime, v in vec.items():
                     if v:
-                        rows_t.setdefault(kprime, {})[col] = v
-    rows = []
-    row_tags = []
-    for t in combinations(range(g.dim), m + 1):
-        rows_t = by_t.pop(t, {})
-        for kprime in slots(t):
-            row = rows_t.pop(kprime, None)
-            if row:
-                rows.append(row)
-                row_tags.append((t, kprime))
-        if rows_t:
-            raise AssertionError("an action leaves the weight-zero block")
-    return rows, row_tags, ncols
+                        j = ids_t.get(kprime)
+                        if j is None:
+                            j = ids_t[kprime] = next(new_id)
+                        row[j] = v
+            rows.append(row)
+    if any(ids_t.keys() - slots(t) for t, ids_t in ids.items()):
+        raise AssertionError("an action leaves the weight-zero block")
+    return rows
 
 
 def ce_cohomology_dims(module: GModule, up_to: int) -> List[int]:
@@ -449,13 +441,15 @@ def ce_cohomology_dims(module: GModule, up_to: int) -> List[int]:
     the cochains of weight lambda, is null-homotopic; so every block of
     weight lambda != 0 is acyclic.  With c0_m weight-zero m-cochains and r0
     the rank of the differential on them, H^m = c0_m - r0(m) - r0(m-1).
-    A module without weights keeps the whole complex."""
+    A module without weights keeps the whole complex.  r0 is the rank of the
+    c0_m image rows (row rank = column rank): on the large blocks they are
+    fewer than the (t, k') rows, 2,214 against 4,128 at A2 degree 3."""
     dims = []
     prev_rank = 0
     for m in range(up_to + 1):
-        rows, _, ncols = _ce_matrix_rows(module, m)
+        rows = _ce_matrix_rows(module, m)
         r = rank_of_rows(rows)
-        dims.append(ncols - r - prev_rank)
+        dims.append(len(rows) - r - prev_rank)
         prev_rank = r
     return dims
 
@@ -522,7 +516,10 @@ class CobarChain(CoeffMap):
 
 
 def cobar_differential(y: CobarChain) -> CobarChain:
-    """1 (x) y + alternating inner coproducts + (-1)^{n+1} y (x) 1."""
+    """1 (x) y + alternating inner coproducts + (-1)^{n+1} y (x) 1.  A
+    monomial's coproduct is read from `_SYM_COPRODUCTS`, `sym_coproduct` as
+    a tuple memoized by exponent vector: at most C(d+v, v) entries for V of
+    dimension v up to symmetric degree d."""
     n = y.n
     zero_mono = (0,) * y.v_dim
     last = 1 if n & 1 else -1  # (-1)^{n+1}
@@ -534,7 +531,10 @@ def cobar_differential(y: CobarChain) -> CobarChain:
         for i in range(n):
             sc = c if i & 1 else -c  # (-1)^{i+1} c
             head, tail = key[:i], key[i + 1:]
-            for (l, r), q in sym_coproduct(key[i]).items():
+            terms = _SYM_COPRODUCTS.get(key[i])
+            if terms is None:
+                terms = _SYM_COPRODUCTS[key[i]] = tuple(sym_coproduct(key[i]).items())
+            for (l, r), q in terms:
                 accumulate(data, head + (l, r) + tail, sc * q)
     return out
 

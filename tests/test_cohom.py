@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 from random import Random
@@ -122,13 +123,17 @@ def test_ce_differential_visits_every_nonzero_face(n):
 
 
 def _ce_entries_by_matrix(module, m):
-    """{(t, row coordinate, column id): entry} of the matrix path."""
-    rows, tags, _ = _ce_matrix_rows(module, m)
+    """{(cochain id, column id): entry} of the matrix path.  Row i is the
+    image of the i-th basis cochain of `_weight_zero_cochains`, named by its
+    id sidx * module.dim + k; the column ids are the assembly's own."""
+    rows = _ce_matrix_rows(module, m)
+    cochains = _weight_zero_cochains(module, m)
+    assert len(rows) == len(cochains)
     out = {}
-    for row, (t, kprime) in zip(rows, tags):
-        assert row and all(row.values())
+    for cid, row in zip(cochains, rows):
+        assert all(row.values())
         for col, v in row.items():
-            out[t, kprime, col] = v
+            out[cid, col] = v
     return out
 
 
@@ -152,10 +157,23 @@ def _weight(module, s, k):
                  for i in range(g.rank))
 
 
-def _column_pair(module, m, col):
-    """(s, k) of a column id."""
-    sidx, k = divmod(col, module.dim)
-    return list(combinations(range(module.g.dim), m))[sidx], k
+def _weight_zero_cochains(module, m):
+    """The ids sidx * module.dim + k of the basis cochains s -> b_k of
+    weight zero, in order; every one when the module has no weights."""
+    zero = (0,) * module.g.rank
+    return [sidx * module.dim + k
+            for sidx, s in enumerate(combinations(range(module.g.dim), m))
+            for k in range(module.dim)
+            if module.weights() is None or _weight(module, s, k) == zero]
+
+
+def _columns(entries):
+    """The columns {row: entry} of {(row, column): entry}, as a multiset:
+    it is blind to the naming of the columns."""
+    out = {}
+    for (row, col), v in entries.items():
+        out.setdefault(col, set()).add((row, v))
+    return Counter(map(frozenset, out.values()))
 
 
 def _non_diagonal(module, a, b):
@@ -179,9 +197,10 @@ def _non_diagonal(module, a, b):
 
 
 def test_ce_matrix_rows_match_the_apply_path(sl2, sl3):
-    """Labelled cross-check: every assembled row is the weight-zero part of
-    the image of the basis cochains under the independent
-    `ce_differential`, and every row and column has weight zero."""
+    """Labelled cross-check: the assembled row of every weight-zero basis
+    cochain is its image under the independent `ce_differential`, and every
+    row and column has weight zero.  The column ids are private, so the
+    columns are matched by their entries."""
     cases = [trivial_module(sl2), adjoint_module(sl2),
              tensor_module(dual_module(adjoint_module(sl2)),
                            u_slice_module(sl2, 1)),
@@ -189,14 +208,15 @@ def test_ce_matrix_rows_match_the_apply_path(sl2, sl3):
     for module in cases:
         nonzero = 0
         for m in range(3):
-            by_matrix = _ce_entries_by_matrix(module, m)
             zero = (0,) * module.g.rank
-            for t, kprime, col in by_matrix:
-                assert _weight(module, t, kprime) == zero
-                assert _weight(module, *_column_pair(module, m, col)) == zero
-            by_apply = {key: v for key, v in _ce_entries_by_apply(module, m).items()
-                        if _weight(module, key[0], key[1]) == zero}
-            assert by_matrix == by_apply, (module.label, m)
+            rows = set(_weight_zero_cochains(module, m))
+            by_apply = {}
+            for (t, kprime, cid), v in _ce_entries_by_apply(module, m).items():
+                if cid in rows:
+                    assert _weight(module, t, kprime) == zero
+                    by_apply[cid, (t, kprime)] = v
+            by_matrix = _ce_entries_by_matrix(module, m)
+            assert _columns(by_matrix) == _columns(by_apply), (module.label, m)
             nonzero += len(by_matrix)
         assert nonzero  # the comparison is not vacuous
 
@@ -208,9 +228,11 @@ def test_ce_matrix_rows_without_weights_are_the_whole_matrix(sl2):
     assert module.weights() is None
     for m in range(3):
         by_matrix = _ce_entries_by_matrix(module, m)
-        assert by_matrix and by_matrix == _ce_entries_by_apply(module, m)
-        _, _, ncols = _ce_matrix_rows(module, m)
-        assert ncols == len(list(combinations(range(sl2.dim), m))) * module.dim
+        by_apply = {(cid, (t, kprime)): v for (t, kprime, cid), v
+                    in _ce_entries_by_apply(module, m).items()}
+        assert by_matrix and _columns(by_matrix) == _columns(by_apply)
+        assert (len(_ce_matrix_rows(module, m))
+                == len(list(combinations(range(sl2.dim), m))) * module.dim)
     assert ce_cohomology_dims(module, 2) == [0, 0, 0]
 
 
@@ -239,12 +261,32 @@ def test_zero_block_rank_against_all_blocks(sl2):
             rid = row_ids.setdefault((t, kprime), len(row_ids))
             columns.setdefault(col, {})[rid] = v
         rank_all = rank_of_rows(columns.values())
-        rows, _, ncols = _ce_matrix_rows(module, m)
-        rank_zero = rank_of_rows(rows)
+        rows = _ce_matrix_rows(module, m)
+        ncols, rank_zero = len(rows), rank_of_rows(rows)
         all_cols = len(list(combinations(range(sl2.dim), m))) * module.dim
         assert 0 < ncols < all_cols and 0 < rank_zero < rank_all
         assert all_cols - ncols == (rank_all - rank_zero) + (prev_all - prev_zero)
         prev_all, prev_zero = rank_all, rank_zero
+
+
+@pytest.mark.parametrize("n, bound", [(2, None), (2, 2), (3, 1)])
+def test_image_rows_and_their_transpose_have_one_rank(n, bound):
+    """Row rank equals column rank on real blocks: the Markowitz kernel
+    ranks the image rows of the assembly and their transpose, the (t, k')
+    rows, through two different pivot sequences to the same rank."""
+    g = build_sl(n)
+    module = adjoint_module(g) if bound is None else tensor_module(
+        dual_module(adjoint_module(g)), u_slice_module(g, bound))
+    ranks = []
+    for m in range(3):
+        rows = _ce_matrix_rows(module, m)
+        transpose = {}
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                transpose.setdefault(j, {})[i] = v
+        ranks.append(rank_of_rows(rows))
+        assert rank_of_rows(transpose.values()) == ranks[-1]
+    assert ranks[1] and ranks[2]  # the comparison is not vacuous
 
 
 def test_whitehead_dims(sl2):
