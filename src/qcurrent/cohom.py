@@ -6,13 +6,13 @@ through its PBW filtration slice, which is closed under both the adjoint
 action and the coproduct, so ranks and solves are exact with no truncation
 error for data that fits in the slice.
 
-One operator, `ce_push`, applies the Chevalley-Eilenberg differential
-(Chevalley-Eilenberg, Trans. AMS 1948) for every caller: it scatters each
-entry of a cochain to its faces, so its cost follows the support.  For
-`whitehead` and `cohomology` each pushed image is one row of the rank, and
-the bicomplex's horizontal differential dH is the same operator on
-dual(adjoint) (x) T^n_{<=D}: the n-fold tensor power of U(g) cut to total
-PBW length D, with g acting slotwise by the adjoint action.
+The Chevalley-Eilenberg differential (Chevalley-Eilenberg, Trans. AMS
+1948) scatters each cochain entry to the faces of its wedge
+(`GModule.faces`), so its cost follows the support.  `ce_push` applies it
+on one module, for `whitehead` and `cohomology`, where each pushed image
+is one row of the rank.  The bicomplex's horizontal differential dH
+applies it with values in dual(adjoint) (x) T^n_{<=D}, the n-fold tensor
+power of U(g) cut to total PBW length D, one tensor factor at a time.
 `ce_differential`, the textbook sum over the faces of each output set, is
 kept as an independent reference.  Cohomology is computed on the
 weight-zero subcomplex alone: by Cartan's homotopy formula
@@ -27,9 +27,9 @@ data over one denominator, and dH, dV and the solver work on the data
 over int and keep the denominator; the maps are linear, so this is exact.
 A table value with a denominator stays an exact Fraction, and dH absorbs
 it into the denominator of its image: integrality is never assumed.  The
-tensor slices, the dH modules, the dV images of the basis tensors and the
-solver's factored systems are built once per algebra and kept in a dict
-on it (`_correction_systems`), so they are freed with it.
+tensor slices and their modules, the dV images of the basis tensors and
+the solver's factored systems are built once per algebra and kept in a
+dict on it (`_correction_systems`), so they are freed with it.
 """
 
 from __future__ import annotations
@@ -107,10 +107,10 @@ class GModule:
         return self._weights
 
     def faces(self, s: tuple) -> tuple:
-        """The faces that `ce_push` scatters the wedge s to, built once per
-        s: the action faces (x, s + {x}, sign) for x not in s, and the
-        bracket faces (t, coefficient) for t = (s - {z}) + {a, b} with z in
-        [a, b], the coefficients of one t summed."""
+        """The faces that `ce_push` and `bicomplex_dh` scatter the wedge s
+        to, built once per s: the action faces (x, s + {x}, sign) for x not
+        in s, and the bracket faces (t, coefficient) for t = (s - {z}) +
+        {a, b} with z in [a, b], the coefficients of one t summed."""
         if s not in self._faces:
             acting = [(x,) + _signed_insert(x, s)
                       for x in range(self.g.dim) if x not in s]
@@ -202,7 +202,8 @@ def tensor_slice_module(g: LieAlgebraData, n: int, bound: int) -> GModule:
     """T^n_{<=bound}, the n-tuples of PBW monomials of total length <= bound
     (`tensor_slice_keys`), with g acting slotwise by the adjoint action.
     It is a g-module because the adjoint action does not raise PBW length."""
-    keys, index = _slice_index(g, n, bound)
+    keys = tensor_slice_keys(g, n, bound)
+    index = {key: j for j, key in enumerate(keys)}
     actions = []
     for x in range(g.dim):
         cols: Dict[int, Vector] = {}
@@ -822,14 +823,22 @@ class Cochain:
         return cls(g, payload["m"], payload["n"], payload["bound"], data)
 
 
-def _slice_index(g: LieAlgebraData, n: int, bound: int):
-    """(keys, index): `tensor_slice_keys(g, n, bound)` and the position of
-    each key, built once per algebra."""
+def _slice(g: LieAlgebraData, n: int, bound: int):
+    """(keys, index, module, dual, scale) of T^n_{<=bound}, built once per
+    algebra: `tensor_slice_keys` and their positions, `tensor_slice_module`,
+    the dual(adjoint) actions, and the lcm of the denominators of the
+    bracket table and the slice actions (1 on sl_n), which clears dH."""
     cache = g._correction_systems
     hit = cache.get(("slice", n, bound))
     if hit is None:
         keys = tensor_slice_keys(g, n, bound)
-        hit = cache["slice", n, bound] = (keys, {k: j for j, k in enumerate(keys)})
+        module = tensor_slice_module(g, n, bound)
+        scale = lcm(*{c.denominator
+                      for table in (g.bracket_table, *module.actions)
+                      for col in table.values() for c in col.values()})
+        hit = cache["slice", n, bound] = (
+            keys, {k: j for j, k in enumerate(keys)}, module,
+            dual_module(adjoint_module(g)).actions, scale)
     return hit
 
 
@@ -838,53 +847,52 @@ def _outside_slice(w: Cochain, tkey: tuple) -> FiltrationError:
                            f"tensor slice of filtration {w.bound}")
 
 
-def _dh_module(g: LieAlgebraData, n: int, bound: int):
-    """(module, scale): dual(adjoint) (x) T^n_{<=bound}, built once per
-    algebra, and the lcm of the denominators of the values that `ce_push`
-    multiplies by on it, so that its image of an int cochain times scale
-    is int.  scale is 1 on sl_n."""
-    hit = g._correction_systems.get(("dH", n, bound))
-    if hit is None:
-        slice_module = tensor_slice_module(g, n, bound)
-        module = tensor_module(dual_module(adjoint_module(g)), slice_module)
-        # the module's entries are sums of the bracket table's and the
-        # slice module's
-        scale = lcm(*{c.denominator
-                      for table in (g.bracket_table, *slice_module.actions)
-                      for col in table.values() for c in col.values()})
-        hit = g._correction_systems["dH", n, bound] = (module, scale)
-    return hit
-
-
 def bicomplex_dh(w: Cochain) -> Cochain:
-    """Horizontal differential: Chevalley-Eilenberg with the adjoint twist,
-    `ce_push` on dual(adjoint) (x) T^n_{<=D}, over the integers.  The value
-    w(s, v) at tensor key number j of T^n_{<=D} is entry v * |T^n_{<=D}| + j
-    of the module cochain at s.  The image keeps w's denominator, times the
-    scale of a module with non-integral entries.  A tensor key outside
-    T^n_{<=D} is refused with a FiltrationError."""
-    g = w.g
-    module, scale = _dh_module(g, w.n, w.bound)
-    keys, index = _slice_index(g, w.n, w.bound)
-    size = len(keys)
-    cochain: Dict[tuple, dict] = {}
+    """Horizontal differential: Chevalley-Eilenberg with values in
+    dual(adjoint) (x) T^n_{<=D}, over the integers, acting by
+    rho_dual(x) (x) 1 + 1 (x) rho_slice(x): each acting face (x, t, sign)
+    of the slice module's `GModule.faces(s)` sends w(s, v) to (t, v') by
+    the dual adjoint column of v and to (t, v) by the slice action, and
+    each bracket face adds w(s, v) to (t, v).  The image keeps w's
+    denominator, times the scale of non-integral tables.  A tensor key
+    outside T^n_{<=D} is refused with a FiltrationError."""
+    keys, index, module, dual, scale = _slice(w.g, w.n, w.bound)
+    acc_of: Dict[tuple, dict] = {}  # (t, v) -> {slice id: int}
     for (s, v), tensor in w.data.items():
-        vec = cochain.setdefault(s, {})
-        base = v * size
-        for tkey, c in tensor.items():
-            j = index.get(tkey)
-            if j is None:
-                raise _outside_slice(w, tkey)
-            vec[base + j] = c
-    data: dict = {}
-    for t, vec in ce_push(module, cochain).items():
-        for k, c in vec.items():
-            if c:
-                v, j = divmod(k, size)
-                data.setdefault((t, v), {})[keys[j]] = c
+        try:
+            ids = [(index[tkey], c) for tkey, c in tensor.items()]
+        except KeyError as missing:
+            raise _outside_slice(w, missing.args[0]) from None
+        acting, brackets = module.faces(s)
+        scalars = [((t, v), a) for t, a in brackets]  # w(s, v) times a
+        for x, t, sign in acting:
+            dcol = dual[x].get(v)
+            if dcol:
+                scalars += [((t, v2), sign * a) for v2, a in dcol.items()]
+            cols = module.actions[x]
+            acc = acc_of.setdefault((t, v), {})
+            get = acc.get
+            for j, c in ids:
+                col = cols.get(j)
+                if col:
+                    c *= sign
+                    for i, a in col.items():
+                        acc[i] = get(i, 0) + a * c
+        for key, a in scalars:
+            acc = acc_of.setdefault(key, {})
+            get = acc.get
+            for j, c in ids:
+                acc[j] = get(j, 0) + a * c
+    data = {key: tensor for key, acc in acc_of.items()
+            if (tensor := {keys[j]: c for j, c in acc.items() if c})}
     if scale != 1:
-        data = {key: {tkey: int(c * scale) for tkey, c in tensor.items()}
-                for key, tensor in data.items()}
+        for tensor in data.values():
+            for tkey, c in tensor.items():
+                c *= scale
+                if c.denominator != 1:  # raised, not asserted: holds under -O
+                    raise ValueError(f"the scale {scale} does not clear "
+                                     f"the dH value {c / scale}")
+                tensor[tkey] = int(c)
     return w._like(w.m + 1, w.n, w.den * scale, data)
 
 
@@ -918,7 +926,7 @@ def bicomplex_dv(w: Cochain) -> Cochain:
         for tkey, c in tensor.items():
             terms = terms_of.get(tkey)
             if terms is None:
-                if tkey not in _slice_index(g, w.n, w.bound)[1]:
+                if tkey not in _slice(g, w.n, w.bound)[1]:
                     raise _outside_slice(w, tkey)
                 terms = terms_of[tkey] = _dv_terms(g, tkey)
             for k, q in terms:

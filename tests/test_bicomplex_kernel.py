@@ -10,9 +10,9 @@ from random import Random
 
 import pytest
 
-from qcurrent.cohom import (Cochain, _ad_letter, _signed_insert,
+from qcurrent.cohom import (Cochain, GModule, _ad_letter, _signed_insert,
                             bicomplex_dh, bicomplex_dv, random_cochain,
-                            tensor_slice_keys)
+                            solver_report, tensor_slice_keys)
 from qcurrent.envelope import mono_coproduct_terms
 from qcurrent.exactnum import ONE, accumulate
 from qcurrent.liealg import build_sl
@@ -130,6 +130,18 @@ def test_exhaustive_check_catches_a_perturbed_bracket():
     assert bicomplex_violation(g, 1) is not None
 
 
+def test_bicomplex_identities_exhaustive_sl3():
+    """All 7,696 basis cochains at A2, bound 1."""
+    assert bicomplex_violation(build_sl(3), 1) is None
+
+
+def test_exhaustive_sl3_check_catches_a_perturbed_bracket():
+    g = build_sl(3)  # fresh, as above
+    assert (g.names[2], g.names[7]) == ("f12", "e12")
+    g.bracket_table[2, 7] = {z: 2 * c for z, c in g.bracket_table[2, 7].items()}
+    assert bicomplex_violation(g, 1) is not None
+
+
 # --- exactness of the integer kernel -------------------------------------------
 
 
@@ -174,6 +186,8 @@ def test_kernel_keeps_non_integral_table_values():
         w = mixed_cochain(g, m, n, 2, rng)
         assert bicomplex_dh(w) == reference_dh(w)
         assert bicomplex_dv(w) == reference_dv(w)
+        # the image is put over w's denominator times the tables' scale, 2
+        assert bicomplex_dh(w).den == 2 * w.den
     (half,) = g.bracket_table[2, 0].values()
     assert type(half) is F and half == F(1, 2)
     # the adjoint action reads through the patched entry; a product of
@@ -183,6 +197,41 @@ def test_kernel_keeps_non_integral_table_values():
     assert all(type(c) in (int, F)
                for table in (g._ad_cache, g._coproduct_cache, g._pbw_cache)
                for coeffs in table.values() for c in coeffs.values())
+
+
+def test_dh_refuses_a_scale_that_does_not_clear_its_tables():
+    g = build_sl(2)
+    g.bracket_table[2, 0] = {1: F(1, 2)}  # [e, f] = h/2
+    w = Cochain(g, 0, 1, 1, {((), 0): {((2,),): 1}})
+    assert bicomplex_dh(w).den == 2
+    *tables, _ = g._correction_systems["slice", 1, 1]
+    g._correction_systems["slice", 1, 1] = (*tables, 3)
+    with pytest.raises(ValueError, match="does not clear"):
+        bicomplex_dh(w)
+
+
+def action_table_widths(x):
+    """The index range of every GModule and action table (a list of
+    {column: {row: coeff}} dicts) reachable through tuples and lists."""
+    if isinstance(x, GModule):
+        yield x.dim
+        x = x.actions
+    if isinstance(x, list) and x and all(isinstance(cols, dict) for cols in x):
+        yield 1 + max((j for cols in x for j in cols), default=-1)
+    elif isinstance(x, (tuple, list)):
+        for y in x:
+            yield from action_table_widths(y)
+
+
+def test_solver_caches_no_product_module():
+    """dH acts on dual(adjoint) (x) T^n factor by factor, so no module or
+    action table as wide as the product is kept on the algebra."""
+    g = build_sl(3)
+    assert solver_report(g, bound=2, runs=1).passed
+    sizes = [len(tensor_slice_keys(g, n, 2)) for n in (1, 2)]
+    widths = set(action_table_widths(tuple(g._correction_systems.values())))
+    assert max(widths) < g.dim * min(sizes), sorted(widths)
+    assert set(sizes) <= widths  # the walk reached both slice modules
 
 
 # --- one denominator, exact values ---------------------------------------------
