@@ -152,21 +152,21 @@ def cobracket_slot(t: CurrentTensor, slot: int,
     return out
 
 
-def adjoint_coaction_bracket(t: CurrentTensor, w: CurrentElement) -> CurrentTensor:
-    """[t, w(u) (x) 1 + 1 (x) w(v)]: the two-variable adjoint action on a
-    2-tensor, acting in each slot with that slot's variable."""
-    alg = t.alg
-    table = alg.bracket_table
-    out = CurrentTensor(alg, 2)
-    data = out.data
+def adjoint_coaction_bracket(data: dict, t: CurrentTensor, w: CurrentElement,
+                             sign: int) -> None:
+    """data += sign * [t, w(u) (x) 1 + 1 (x) w(v)]: the two-variable adjoint
+    action on a 2-tensor, acting in each slot with that slot's variable.
+    Cancelled entries stay in `data` as zeros."""
+    table = t.alg.bracket_table
     for ((x1, a), (x2, b)), c in t.data.items():
         for (y, m), cy in w.data.items():
-            c2 = c * cy
+            c2 = sign * c * cy
             for z, cz in table.get((x1, y), {}).items():
-                accumulate(data, ((z, a + m), (x2, b)), c2 * cz)
+                key = ((z, a + m), (x2, b))
+                data[key] = data.get(key, 0) + c2 * cz
             for z, cz in table.get((x2, y), {}).items():
-                accumulate(data, ((x1, a), (z, b + m)), c2 * cz)
-    return out
+                key = ((x1, a), (z, b + m))
+                data[key] = data.get(key, 0) + c2 * cz
 
 
 def cleared_cobracket_identity(f: CurrentElement,
@@ -219,16 +219,17 @@ def verify_bialgebra(g: LieAlgebraData, max_degree: int,
 
     def chk_cocycle():
         deltas = basis_deltas()
-        for (a, n) in basis:
-            fa = CurrentElement.generator(g, a, n)
-            dfa = deltas[a, n]
-            for (b, m) in basis:
-                fb = CurrentElement.generator(g, b, m)
+        gens = {key: CurrentElement.generator(g, *key) for key in basis}
+        for (a, n), fa in gens.items():
+            for (b, m), fb in gens.items():
+                # delta([fa, fb]) - [delta(fa), D(fb)] + [delta(fb), D(fa)],
+                # summed into the cobracket's store
                 lhs = cobracket(c_bracket(fa, fb), omega)
-                rhs = (adjoint_coaction_bracket(dfa, fb)
-                       - adjoint_coaction_bracket(deltas[b, m], fa))
-                bad = lhs - rhs
-                if bad:
+                residual = lhs.data
+                adjoint_coaction_bracket(residual, deltas[a, n], fb, -1)
+                adjoint_coaction_bracket(residual, deltas[b, m], fa, 1)
+                if any(residual.values()):
+                    bad = lhs._like({k: c for k, c in residual.items() if c})
                     return (f"at ({g.names[a]}*u^{n}, {g.names[b]}*u^{m}): "
                             + bad.render())
         return None

@@ -13,7 +13,9 @@ maps each word (word tuple, for a tensor) to {hbar power: nonzero int}.
 The store is reduced, gcd(den, entries) = 1, so `==` is dict equality; it
 relies on int word products, which every algebra of the package has.  The
 format is private to this module: constructors take exact values (`HPoly`,
-int or Fraction) and `terms()` gives `HPoly` values back.
+int or Fraction) and `terms()` gives `HPoly` values back.  One product loop
+serves both `*` and `bracket`: a bracket sums self*other - other*self into
+one int store and reduces it once.
 
 The PBW letter algebras, `LieAlgebraData` for U(g) and `CurrentEnvelope`
 for U(g[u]), derive from `PBWAlgebra`: their words are sorted monomials
@@ -113,9 +115,9 @@ def _poly_product(p1: dict, p2: dict) -> dict:
     return out
 
 
-def _scatter(data: dict, poly: dict, terms: dict) -> None:
-    """data[key] += c * poly for each key, c of `terms`; zeros stay for `_like`."""
-    for key, c in terms.items():
+def _scatter(data: dict, poly: dict, terms) -> None:
+    """data[key] += c * poly for each (key, c) of `terms`; zeros stay for `_like`."""
+    for key, c in terms:
         acc = data.get(key)
         if acc is None:
             data[key] = {k: v * c for k, v in poly.items()}
@@ -193,25 +195,38 @@ class WordElement:
 
     __rmul__ = scale
 
-    def _product(self, other, terms_of):
-        """self * other, terms_of(k1, k2) expanding k1 * k2 as {key: int}."""
+    def _product(self, other, bracket: bool = False):
+        """self * other, or self*other - other*self when `bracket`, as one int
+        store; `_key_product(k1, k2)` expands k1 * k2 as (key, int) pairs."""
         if type(other) is not type(self):
-            return self.scale(other)
+            as_hpoly(other)  # a scalar: it scales, and it commutes
+            return self._like({}, 1) if bracket else self.scale(other)
         self._check(other)
+        key_product = self._key_product
+        passes = [(self.data, other.data)]
+        if bracket:
+            passes.append((other.data, {key: {k: -c for k, c in poly.items()}
+                                        for key, poly in self.data.items()}))
         out: dict = {}
-        for k1, p1 in self.data.items():
-            for k2, p2 in other.data.items():
-                _scatter(out, _poly_product(p1, p2), terms_of(k1, k2))
+        for left, right in passes:
+            for k1, p1 in left.items():
+                for k2, p2 in right.items():
+                    _scatter(out, _poly_product(p1, p2), key_product(k1, k2))
         return self._like(out, self.den * other.den)
 
+    def __mul__(self, other):
+        return self._product(other)
+
     def bracket(self, other):
-        return self * other - other * self
+        """[self, other] = self*other - other*self, by the product loop of `*`
+        summing both orders into one store; zero for a scalar `other`."""
+        return self._product(other, bracket=True)
 
     def expand(self, terms_of, target):
         """The linear map to `target`'s space with key -> terms_of(key), {key: int}."""
         data: dict = {}
         for key, poly in self.data.items():
-            _scatter(data, poly, terms_of(key))
+            _scatter(data, poly, terms_of(key).items())
         return target._like(data, self.den)
 
     def linear_map(self, image_of, target):
@@ -224,7 +239,7 @@ class WordElement:
         for poly, image in images:
             f = common // image.den
             for key, q in image.data.items():
-                _scatter(data, _poly_product(poly, q), {key: f})
+                _scatter(data, _poly_product(poly, q), ((key, f),))
         return target._like(data, self.den * common)
 
     def terms(self):
@@ -290,8 +305,8 @@ class UElement(WordElement):
         """The normal form of an arbitrary word of a PBW letter algebra."""
         return cls(ctx, normal_order(ctx, tuple(word)))
 
-    def __mul__(self, other):
-        return self._product(other, self.ctx.multiply_words)
+    def _key_product(self, w1, w2):
+        return self.ctx.multiply_words(w1, w2).items()
 
     def _key_text(self, word) -> str:
         return self.ctx.render_word(word)
@@ -318,16 +333,13 @@ class TensorElement(WordElement):
                 for combo in product(*(f.data.items() for f in factors))}
         return cls(factors[0].ctx, len(factors))._like(data, prod(f.den for f in factors))
 
-    def __mul__(self, other):
-        multiply = self.ctx.multiply_words
-
-        def terms_of(k1, k2):
-            terms = {(): 1}
-            for a, b in zip(k1, k2):
-                slot = multiply(a, b).items()
-                terms = {key + (w,): c * c2 for key, c in terms.items() for w, c2 in slot}
-            return terms
-        return self._product(other, terms_of)
+    def _key_product(self, k1, k2):
+        """k1 * k2 slot by slot, as (word tuple, int) pairs."""
+        slots = map(self.ctx.multiply_words, k1, k2)
+        terms = [((w,), c) for w, c in next(slots).items()]
+        for slot in slots:
+            terms = [(key + (w,), c * c2) for key, c in terms for w, c2 in slot.items()]
+        return terms
 
     def swap(self) -> "TensorElement":
         if self.arity != 2:
@@ -389,11 +401,6 @@ def coproduct(a: UElement) -> TensorElement:
     return a.expand(lambda mono: mono_coproduct_terms(a.ctx, mono), TensorElement(a.ctx, 2))
 
 
-def adjoint_action(x: LieElement, a: UElement) -> UElement:
-    """x . a = [x, a], the adjoint action of the Lie algebra on its envelope."""
-    return UElement.from_lie(a.ctx, x).bracket(a)
-
-
 def nu(g: LieAlgebraData, h: LieElement) -> UElement:
     """The half-sum over positive roots of alpha(h) x^-_alpha x^+_alpha.
 
@@ -417,15 +424,6 @@ def w_element(g: LieAlgebraData, i: int, sign: int, nu_ti: UElement) -> UElement
 def casimir_tensor(g: LieAlgebraData) -> TensorElement:
     """Casimir 2-tensor from dual bases of the invariant form."""
     return TensorElement(g, 2, {((a,), (b,)): wgt for a, b, wgt in g.casimir_pairs})
-
-
-def quadratic_casimir(g: LieAlgebraData) -> UElement:
-    """C = m(Omega), checked central on the generators."""
-    c = casimir_tensor(g).multiply_slots()
-    for b in range(g.dim):
-        if c.bracket(UElement.letter(g, b)):
-            raise ValueError("quadratic Casimir fails to be central")
-    return c
 
 
 def kappa(g: LieAlgebraData) -> UElement:

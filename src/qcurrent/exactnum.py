@@ -226,19 +226,20 @@ class CoeffMap:
                 and self._space_key() == other._space_key()
                 and self.data == other.data)
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
+        """self + sign * other, in one pass over `other`."""
         if self._space_key() != other._space_key():
             raise ValueError("elements of different spaces do not combine")
         out = dict(self.data)
         for k, c in other.data.items():
-            accumulate(out, k, c)
+            accumulate(out, k, c if sign == 1 else -c)
         return self._like(out)
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.data.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def scale(self, q):
         """Multiply every coefficient by a scalar the coefficients accept."""

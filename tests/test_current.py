@@ -3,12 +3,15 @@ from random import Random
 
 import pytest
 
-from qcurrent.current import (CurrentElement, CurrentTensor, c_bracket,
+from qcurrent.current import (CurrentElement, CurrentTensor, _omega_table,
+                              adjoint_coaction_bracket, c_bracket,
                               cleared_cobracket_identity, cobracket,
                               cobracket_slot, current_envelope,
                               verify_bialgebra, verify_generation,
                               verify_min_presentation)
 from qcurrent.envelope import UElement
+from qcurrent.liealg import build_sl
+from reference import coaction_bracket
 
 
 def cur(g, name, deg):
@@ -98,6 +101,64 @@ def test_bialgebra_fault_breaks_cocycle(sl2):
     assert not report.passed
     failed = {c.id for c in report.checks if not c.passed}
     assert "cocycle" in failed
+
+
+def basis_currents(g, max_degree):
+    return {(b, n): CurrentElement.generator(g, b, n)
+            for n in range(max_degree + 1) for b in range(g.dim)}
+
+
+def three_tensor_residual(f, g, df, dg, omega):
+    """delta([f, g]) - ([delta(f), D(g)] - [delta(g), D(f)]), one tensor at
+    a time through the slotwise reference."""
+    rhs = coaction_bracket(df, g) - coaction_bracket(dg, f)
+    return cobracket(c_bracket(f, g), omega) - rhs
+
+
+@pytest.mark.parametrize("fault", (None, "omega"))
+def test_coaction_kernel_matches_slotwise_reference(sl3, fault):
+    """Every basis pair at A2, u-degree <= 2: the accumulating kernel
+    against `c_bracket` slot by slot, with either sign and into a shared
+    store, and the in-place cocycle residual against the three-tensor form
+    (nonzero under the omega fault)."""
+    omega = _omega_table(sl3, fault)
+    gens = basis_currents(sl3, 2)
+    deltas = {key: cobracket(f, omega) for key, f in gens.items()}
+    nonzero = 0
+    for ka, fa in gens.items():
+        for kb, fb in gens.items():
+            expected = coaction_bracket(deltas[ka], fb)
+            for sign in (1, -1):
+                data = {}
+                adjoint_coaction_bracket(data, deltas[ka], fb, sign)
+                assert {k: c for k, c in data.items() if c} == expected.scale(sign).data
+            lhs = cobracket(c_bracket(fa, fb), omega)
+            adjoint_coaction_bracket(lhs.data, deltas[ka], fb, -1)
+            adjoint_coaction_bracket(lhs.data, deltas[kb], fa, 1)
+            residual = {k: c for k, c in lhs.data.items() if c}
+            assert residual == three_tensor_residual(
+                fa, fb, deltas[ka], deltas[kb], omega).data
+            nonzero += bool(residual)
+    assert bool(nonzero) == (fault == "omega")
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_bialgebra_omega_fault_fails_cocycle_with_the_reference_residual(n):
+    """At A1 and A2 the omega fault fails `cocycle`, and its residual is the
+    first nonzero three-tensor residual in basis order."""
+    g = build_sl(n)
+    report = verify_bialgebra(g, 2, fault="omega")
+    cocycle = next(c for c in report.checks if c.id == "cocycle")
+    assert not cocycle.passed and cocycle.residual
+    omega = _omega_table(g, "omega")
+    gens = basis_currents(g, 2)
+    first = next(
+        (ka, kb, bad) for ka, fa in gens.items() for kb, fb in gens.items()
+        for bad in [three_tensor_residual(fa, fb, cobracket(fa, omega),
+                                          cobracket(fb, omega), omega)] if bad)
+    (a, m), (b, k), bad = first
+    assert cocycle.residual == (f"at ({g.names[a]}*u^{m}, {g.names[b]}*u^{k}): "
+                                + bad.render())
 
 
 def test_cojacobi_slot_arity(sl2):

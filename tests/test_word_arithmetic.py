@@ -144,6 +144,33 @@ def test_int_arithmetic_matches_fraction_reference(n, model, arity):
             assert values(got) == expected
 
 
+@pytest.mark.parametrize("model", (False, True), ids=("U(g)", "free-model"))
+@pytest.mark.parametrize("arity", (0, 2, 3), ids=("UElement", "arity-2", "arity-3"))
+def test_bracket_edge_cases(model, arity):
+    """A scalar commutes with everything, an element with itself (here
+    with den > 1), and a bracket across spaces is refused."""
+    g = build_sl(3)
+    ctx = free_model(g) if model else g
+    rng = Random(7 + 10 * arity + model)
+    a = build(ctx, arity, random_values(rng, ctx, g, arity))
+    while a.den == 1:
+        a = build(ctx, arity, random_values(rng, ctx, g, arity))
+    for scalar in (3, F(-1, 2), HPoly({0: F(1, 3), 2: F(2)})):
+        zero = a.bracket(scalar)
+        assert_reduced_int_store(zero)
+        assert type(zero) is type(a) and not zero and zero == a - a
+    zero = a.bracket(a)
+    assert_reduced_int_store(zero)
+    assert not zero and zero.den == 1
+    if arity:
+        other = build(ctx, 5 - arity, random_values(rng, ctx, g, 5 - arity))
+        with pytest.raises(ValueError):
+            a.bracket(other)
+    mixed = 0 if arity else 2
+    with pytest.raises(TypeError):  # a UElement against a tensor is no scalar
+        a.bracket(build(ctx, mixed, random_values(rng, ctx, g, mixed)))
+
+
 def test_mixing_spaces_fails_under_python_O():
     """The space checks are ValueErrors, not asserts, so `python -O` keeps
     them: adding an arity-2 and an arity-3 tensor is refused."""
