@@ -13,9 +13,9 @@ on one module, for `whitehead` and `cohomology`, where each pushed image
 is one row of the rank.  The bicomplex's horizontal differential dH
 applies it with values in dual(adjoint) (x) T^n_{<=D}, the n-fold tensor
 power of U(g) cut to total PBW length D, one tensor factor at a time.
-`ce_differential`, the textbook sum over the faces of each output set, is
-kept as an independent reference.  Cohomology is computed on the
-weight-zero subcomplex alone: by Cartan's homotopy formula
+Its independent reference, `ce_differential`, the textbook sum over the
+faces of each output set, lives in `tests/reference.py`.  Cohomology is
+computed on the weight-zero subcomplex alone: by Cartan's homotopy formula
 theta_h = d iota_h + iota_h d (H. Cartan, Colloque de Topologie, Bruxelles
 1950), every block of nonzero Cartan weight is acyclic.
 
@@ -42,14 +42,13 @@ from typing import Dict, List, Optional, Tuple
 
 from .envelope import (UElement, mono_coproduct_terms, normal_order,
                        sym_coproduct)
-from .exactnum import (ONE, ZERO, CoeffMap, SparseMatrix, _cleared,
-                       _exact_coeff, _quotient, accumulate, factor,
-                       rank_of_rows, solve)
+from .exactnum import (ONE, ZERO, CoeffMap, _cleared, _exact_coeff,
+                       _quotient, accumulate, factor, rank_of_rows)
 from .liealg import LieAlgebraData
 from .reports import CheckError, Report, run_checks
 
 Vector = Dict[int, Fraction]
-_SYM_COPRODUCTS: Dict[tuple, tuple] = {}  # the memo of `cobar_differential`
+_SYM_COPRODUCTS: Dict[tuple, tuple] = {}  # the memo of `_sym_coproduct_terms`
 
 
 class CocycleConditionError(CheckError):
@@ -82,14 +81,6 @@ class GModule:
         for (a, b), coeffs in g.bracket_table.items():
             for z, c in coeffs.items() if a < b else ():
                 self._makers.setdefault(z, []).append((a, b, c))
-
-    def act(self, x: int, vec: Vector) -> Vector:
-        out: Vector = {}
-        cols = self.actions[x]
-        for j, c in vec.items():
-            for i, a in cols.get(j, {}).items():
-                accumulate(out, i, a * c)
-        return out
 
     def _diagonal_weights(self) -> Optional[List[tuple]]:
         g = self.g
@@ -124,26 +115,6 @@ class GModule:
                         accumulate(brackets, t, sign * c)
             self._faces[s] = (acting, list(brackets.items()))
         return self._faces[s]
-
-    def validate(self) -> None:
-        """rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) on all basis pairs."""
-        g = self.g
-        basis = [{k: ONE} for k in range(self.dim)]
-        for a in range(g.dim):
-            for b in range(g.dim):
-                table = g.bracket_table.get((a, b), {})
-                for k, vec in enumerate(basis):
-                    lhs: Vector = {}
-                    for z, c in table.items():
-                        for i, v in self.act(z, vec).items():
-                            accumulate(lhs, i, c * v)
-                    rhs = self.act(a, self.act(b, vec))
-                    for i, v in self.act(b, self.act(a, vec)).items():
-                        accumulate(rhs, i, -v)
-                    if lhs != rhs:
-                        raise ValueError(
-                            f"not a g-module: pair ({g.names[a]}, {g.names[b]}) "
-                            f"fails on basis vector {k} of {self.label}")
 
 
 def trivial_module(g: LieAlgebraData, dim: int = 1) -> GModule:
@@ -242,103 +213,12 @@ def _ad_letter(g: LieAlgebraData, x: int, mono: tuple) -> dict:
 # --- Chevalley-Eilenberg complex -------------------------------------------------
 
 
-class CEChain:
-    """Alternating m-cochain valued in a GModule, stored on sorted tuples."""
-
-    __slots__ = ("module", "m", "data")
-
-    def __init__(self, module: GModule, m: int,
-                 data: Optional[Dict[tuple, Vector]] = None):
-        self.module = module
-        self.m = m
-        self.data = {}
-        if data:
-            for s, vec in data.items():
-                vec = {k: v for k, v in vec.items() if v}
-                if vec:
-                    self.data[s] = vec
-
-    def value(self, s: tuple) -> Vector:
-        return self.data.get(s, {})
-
-    def __bool__(self):
-        return bool(self.data)
-
-    def __eq__(self, other):
-        return isinstance(other, CEChain) and self.m == other.m and self.data == other.data
-
-    def __sub__(self, other: "CEChain") -> "CEChain":
-        out: Dict[tuple, Vector] = {s: dict(v) for s, v in self.data.items()}
-        for s, vec in other.data.items():
-            cur = out.setdefault(s, {})
-            for k, v in vec.items():
-                accumulate(cur, k, -v)
-            if not cur:
-                out.pop(s)
-        return CEChain(self.module, self.m, out)
-
-
 def _signed_insert(z: int, rest: tuple) -> Optional[Tuple[tuple, int]]:
     """Sort (z,) + rest (rest sorted); None when z repeats an entry."""
     if z in rest:
         return None
     pos = sum(1 for r in rest if r < z)
     return rest[:pos] + (z,) + rest[pos:], (-1) ** pos
-
-
-def _ce_support(omega: CEChain, module: GModule) -> List[tuple]:
-    """The (m+1)-sets t, in lexicographic order, on which d(omega) can be
-    nonzero: s + {a} for s in the support and a not in s, and
-    (s - {z}) + {a, b} for z in s and z in [a, b]."""
-    g = module.g
-    out = set()
-    for s in omega.data:
-        out.update(tuple(sorted(s + (a,))) for a in range(g.dim) if a not in s)
-        for z in s:
-            rest = [x for x in s if x != z]
-            for a, b, _ in module._makers.get(z, ()):
-                if a not in rest and b not in rest:
-                    out.add(tuple(sorted(rest + [a, b])))
-    return sorted(out)
-
-
-def ce_differential(omega: CEChain, module: Optional[GModule] = None) -> CEChain:
-    """The alternating-sum differential of Lie-algebra cohomology, the
-    independent reference for `ce_push`.
-
-    The faces of every (m+1)-set t are summed by the textbook formula; only
-    the t of `_ce_support` are visited, since d(omega) vanishes elsewhere."""
-    module = module or omega.module
-    g = module.g
-    m = omega.m
-    out: Dict[tuple, Vector] = {}
-
-    def add(s, vec, factor):
-        if not vec:
-            return
-        cur = out.setdefault(s, {})
-        for k, v in vec.items():
-            accumulate(cur, k, factor * v)
-        if not cur:
-            out.pop(s)
-
-    for t in _ce_support(omega, module):
-        for i in range(m + 1):
-            rest = t[:i] + t[i + 1:]
-            vec = omega.value(rest)
-            if vec:
-                add(t, module.act(t[i], vec), (-1) ** i)
-        for i in range(m + 1):
-            for j in range(i + 1, m + 1):
-                rest = tuple(x for k, x in enumerate(t) if k not in (i, j))
-                sign_ij = (-1) ** (i + j)  # 0-based == 1-based (i+j)-2
-                for z, c in g.bracket_table.get((t[i], t[j]), {}).items():
-                    ins = _signed_insert(z, rest)
-                    if ins is None:
-                        continue
-                    s, sgn = ins
-                    add(t, omega.value(s), sign_ij * sgn * c)
-    return CEChain(module, m + 1, out)
 
 
 def ce_push(module: GModule, cochain: Dict[tuple, dict]) -> Dict[tuple, dict]:
@@ -370,22 +250,6 @@ def ce_push(module: GModule, cochain: Dict[tuple, dict]) -> Dict[tuple, dict]:
             for k, c in vec.items():
                 acc[k] = get(k, 0) + coeff * c
     return out
-
-
-def random_ce_chain(module: GModule, m: int, rng: Random,
-                    density: Fraction = Fraction(1, 3)) -> CEChain:
-    g = module.g
-    data: Dict[tuple, Vector] = {}
-    for s in combinations(range(g.dim), m):
-        vec: Vector = {}
-        for k in range(module.dim):
-            if rng.random() < density:
-                c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                if c:
-                    vec[k] = c
-        if vec:
-            data[s] = vec
-    return CEChain(module, m, data)
 
 
 def _weight_zero_slots(module: GModule):
@@ -516,45 +380,40 @@ class CobarChain(CoeffMap):
         super().__init__(data)
 
 
+def _cobar_push(data: dict, key: tuple, c, unit, coproduct_of) -> None:
+    """Add c times the cobar differential of the basis tensor `key` to
+    `data`: 1 (x) key + sum_i (-1)^{i+1} Delta_i(key) + (-1)^{n+1} key (x) 1,
+    where `unit` is the monomial 1 and `coproduct_of(mono)` gives the
+    ((left, right), coefficient) terms of Delta(mono).  The one kernel of
+    `cobar_differential`, on exponent vectors of Sym(V), and of dV, on PBW
+    monomials of U(g), whose coproduct is that of Sym(g)."""
+    n = len(key)
+    accumulate(data, (unit,) + key, c)
+    accumulate(data, key + (unit,), c if n & 1 else -c)  # (-1)^{n+1}
+    for i in range(n):
+        sc = c if i & 1 else -c  # (-1)^{i+1} c
+        head, tail = key[:i], key[i + 1:]
+        for (l, r), q in coproduct_of(key[i]):
+            accumulate(data, head + (l, r) + tail, sc * q)
+
+
+def _sym_coproduct_terms(mono: tuple) -> tuple:
+    """`sym_coproduct(mono)` as a tuple, memoized in `_SYM_COPRODUCTS`: at
+    most C(d+v, v) entries for V of dimension v up to symmetric degree d."""
+    terms = _SYM_COPRODUCTS.get(mono)
+    if terms is None:
+        terms = _SYM_COPRODUCTS[mono] = tuple(sym_coproduct(mono).items())
+    return terms
+
+
 def cobar_differential(y: CobarChain) -> CobarChain:
-    """1 (x) y + alternating inner coproducts + (-1)^{n+1} y (x) 1.  A
-    monomial's coproduct is read from `_SYM_COPRODUCTS`, `sym_coproduct` as
-    a tuple memoized by exponent vector: at most C(d+v, v) entries for V of
-    dimension v up to symmetric degree d."""
-    n = y.n
-    zero_mono = (0,) * y.v_dim
-    last = 1 if n & 1 else -1  # (-1)^{n+1}
-    out = CobarChain(y.v_dim, n + 1, y.degree)
-    data = out.data
+    """1 (x) y + alternating inner coproducts + (-1)^{n+1} y (x) 1, by
+    `_cobar_push` on each basis tensor of y."""
+    out = CobarChain(y.v_dim, y.n + 1, y.degree)
+    unit = (0,) * y.v_dim
     for key, c in y.data.items():
-        accumulate(data, (zero_mono,) + key, c)
-        accumulate(data, key + (zero_mono,), last * c)
-        for i in range(n):
-            sc = c if i & 1 else -c  # (-1)^{i+1} c
-            head, tail = key[:i], key[i + 1:]
-            terms = _SYM_COPRODUCTS.get(key[i])
-            if terms is None:
-                terms = _SYM_COPRODUCTS[key[i]] = tuple(sym_coproduct(key[i]).items())
-            for (l, r), q in terms:
-                accumulate(data, head + (l, r) + tail, sc * q)
+        _cobar_push(out.data, key, c, unit, _sym_coproduct_terms)
     return out
-
-
-def sigma_involution(y: CobarChain) -> CobarChain:
-    """Reverse the tensor factors with the sign (-1)^{n(n+1)/2}."""
-    sign = (-1) ** (y.n * (y.n + 1) // 2)
-    out = CobarChain(y.v_dim, y.n, y.degree)
-    for key, c in y.data.items():
-        out._accumulate(tuple(reversed(key)), sign * c)
-    return out
-
-
-def sigma_split(y: CobarChain) -> Tuple[CobarChain, CobarChain]:
-    """Eigenprojections (plus, minus) of the reversal involution."""
-    s = sigma_involution(y)
-    plus = (y + s).scale(Fraction(1, 2))
-    minus = (y - s).scale(Fraction(1, 2))
-    return plus, minus
 
 
 def _tensor_basis(v_dim: int, n: int, degree: int) -> List[tuple]:
@@ -605,47 +464,6 @@ def minus_cohomology_dim(v_dim: int, n: int, degree: int) -> int:
     return len(cur) - rank_out - rank_in
 
 
-def solve_minus_coboundary(y: CobarChain) -> CobarChain:
-    """Write a minus 2-cocycle as the differential of a 1-chain.
-
-    Rejects inputs that are not in the minus eigenspace or not cocycles;
-    this is the constructive face of the vanishing of H^2.
-    """
-    if y.n != 2:
-        raise ValueError("expected a 2-chain")
-    _, minus = sigma_split(y)
-    if minus != y:
-        raise CocycleConditionError("input is not in the minus eigenspace")
-    if cobar_differential(y):
-        raise CocycleConditionError("input is not a cocycle: delta(y) != 0")
-    basis = _minus_basis(y.v_dim, 1, y.degree)
-    col_index: Dict[tuple, int] = {}
-    images = []
-    for b in basis:
-        images.append(cobar_differential(b))
-        for key in images[-1].data:
-            col_index.setdefault(key, len(col_index))
-    for key in y.data:
-        col_index.setdefault(key, len(col_index))
-    mat = SparseMatrix(len(col_index), len(basis))
-    for j, img in enumerate(images):
-        for key, c in img.data.items():
-            mat[col_index[key], j] = c
-    rhs = [ZERO] * len(col_index)
-    for key, c in y.data.items():
-        rhs[col_index[key]] = c
-    x = solve(mat, rhs)
-    if x is None:
-        raise FiltrationError("no preimage found; H^2 of the minus complex "
-                              "should vanish, check the input degree")
-    out = CobarChain(y.v_dim, 1, y.degree)
-    for b, c in zip(basis, x):
-        if c:
-            for key, q in b.data.items():
-                out._accumulate(key, c * q)
-    return out
-
-
 def cartier_check(v_dim: int, d_max: int) -> Report:
     """H^2 of the minus cobar subcomplex vanishes in every symmetric degree
     up to d_max."""
@@ -673,7 +491,7 @@ class Cochain:
     `_accumulate` is absorbed by raising den to the lcm with its
     denominator and rescaling the data.  den is not reduced, so equal
     cochains may store different (den, data): `==` compares values, and
-    `value`, `render` and the JSON form show exact values.
+    `value` and `render` show exact values.
     """
 
     __slots__ = ("g", "m", "n", "bound", "den", "data")
@@ -791,37 +609,6 @@ class Cochain:
             parts.append(f"({names}; {self.g.names[v]}) -> " + " + ".join(terms))
         return "; ".join(parts) if parts else "0"
 
-    def to_json_dict(self) -> dict:
-        """JSON-compatible nested map, deterministic ordering, names not
-        indices, so fixtures stay readable and stable."""
-        entries = []
-        for (s, v) in sorted(self.data):
-            tensor = self.value(s, v)
-            entries.append({
-                "args": [self.g.names[i] for i in s],
-                "v": self.g.names[v],
-                "tensor": [{"slots": [[self.g.names[i] for i in mono]
-                                      for mono in tkey],
-                            "coeff": str(tensor[tkey])}
-                           for tkey in sorted(tensor)],
-            })
-        return {"m": self.m, "n": self.n, "bound": self.bound,
-                "entries": entries}
-
-    @classmethod
-    def from_json_dict(cls, g: LieAlgebraData, payload: dict) -> "Cochain":
-        """The inverse of `to_json_dict`, with the constructor's filtration
-        check."""
-        data: dict = {}
-        for entry in payload["entries"]:
-            s = tuple(g.name_to_index[n] for n in entry["args"])
-            tensor = data.setdefault((s, g.name_to_index[entry["v"]]), {})
-            for term in entry["tensor"]:
-                tkey = tuple(tuple(g.name_to_index[n] for n in mono)
-                             for mono in term["slots"])
-                accumulate(tensor, tkey, Fraction(term["coeff"]))
-        return cls(g, payload["m"], payload["n"], payload["bound"], data)
-
 
 def _slice(g: LieAlgebraData, n: int, bound: int):
     """(keys, index, module, dual, scale) of T^n_{<=bound}, built once per
@@ -898,15 +685,9 @@ def bicomplex_dh(w: Cochain) -> Cochain:
 
 def _dv_terms(g: LieAlgebraData, tkey: tuple) -> tuple:
     """dV of the basis tensor tkey, as (tensor key, int coefficient) pairs."""
-    n = len(tkey)
     out: dict = {}
-    accumulate(out, ((),) + tkey, 1)
-    accumulate(out, tkey + ((),), 1 if n & 1 else -1)  # (-1)^{n+1}
-    for i, mono in enumerate(tkey):
-        sign = 1 if i & 1 else -1  # (-1)^{i+1}
-        head, tail = tkey[:i], tkey[i + 1:]
-        for pair, q in mono_coproduct_terms(g, mono).items():
-            accumulate(out, head + pair + tail, sign * q)
+    _cobar_push(out, tkey, 1, (),
+                lambda mono: mono_coproduct_terms(g, mono).items())
     return tuple(out.items())
 
 
@@ -1028,9 +809,9 @@ class CorrectionSystem:
 
     The unknowns are the coordinates of phi in the basis of
     Hom(g_ad, U-slice).  `h_index` and `v_index` number the cochain keys
-    that dH and dV of the basis elements reach; `horizontal` is the
-    factored dH system and `vertical` the factored stack of the dV system
-    over the dH system, which imposes equivariance.
+    that dH and dV of the basis elements reach, one sparse row each;
+    `horizontal` is the factored dH system and `vertical` the factored
+    stack of the dV rows over the same dH rows, which imposes equivariance.
     """
 
     __slots__ = ("bound", "basis", "h_index", "v_index", "horizontal",
@@ -1040,25 +821,21 @@ class CorrectionSystem:
         self.bound = bound
         self.basis, _ = _k01_basis(g, bound)
         self.h_index, self.v_index = h_index, v_index = {}, {}
+        n = len(self.basis)
         h_cols, v_cols = [], []
-        for i in range(len(self.basis)):
-            e = _cochain01_from_coords(g, bound, {i: ONE}, self.basis)
+        for j in range(n):
+            e = _cochain01_from_coords(g, bound, {j: ONE}, self.basis)
             h_cols.append(_flatten_cochain(bicomplex_dh(e), h_index))
             v_cols.append(_flatten_cochain(bicomplex_dv(e), v_index))
-        n_h, n_v = len(h_index), len(v_index)
-        # one matrix at a time, so the first is freed before the second
-        mat = SparseMatrix(n_h, len(self.basis))
-        for j, h_col in enumerate(h_cols):
-            for i, c in h_col.items():
-                mat[i, j] = c
-        self.horizontal = factor(mat)
-        mat = SparseMatrix(n_v + n_h, len(self.basis))
+        h_rows = [{} for _ in h_index]
+        v_rows = [{} for _ in v_index]
         for j, (h_col, v_col) in enumerate(zip(h_cols, v_cols)):
-            for i, c in v_col.items():
-                mat[i, j] = c
             for i, c in h_col.items():
-                mat[n_v + i, j] = c
-        self.vertical = factor(mat)
+                h_rows[i][j] = c
+            for i, c in v_col.items():
+                v_rows[i][j] = c
+        self.horizontal = factor(h_rows, n)
+        self.vertical = factor(v_rows + h_rows, n)
 
     def _preimage(self, fact, index: dict, w: Cochain, what: str) -> Cochain:
         """The solution of one factored system for right-hand side w; a key

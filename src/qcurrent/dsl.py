@@ -258,50 +258,6 @@ def parse(source: str) -> Expr:
     return expr
 
 
-# --- canonical printing ---------------------------------------------------------
-
-
-def print_expr(node: Expr) -> str:
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Hbar):
-        return "hbar" if node.power == 1 else f"hbar^{node.power}"
-    if isinstance(node, Name):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({', '.join(print_expr(a) for a in node.args)})"
-    if isinstance(node, Bracket):
-        return f"[{print_expr(node.left)}, {print_expr(node.right)}]"
-    if isinstance(node, Tensor):
-        parts = []
-        for p in node.parts:
-            text = print_expr(p)
-            if isinstance(p, (Sum, Prod)):
-                text = f"({text})"
-            parts.append(text)
-        return " (x) ".join(parts)
-    if isinstance(node, Prod):
-        parts = []
-        for p in node.factors:
-            text = print_expr(p)
-            if isinstance(p, (Sum, Tensor)) or (isinstance(p, Num) and p.value < 0):
-                text = f"({text})"
-            parts.append(text)
-        return "*".join(parts)
-    if isinstance(node, Sum):
-        out = ""
-        for k, (sign, term) in enumerate(node.terms):
-            text = print_expr(term)
-            if isinstance(term, Sum):
-                text = f"({text})"
-            if k == 0:
-                out = text if sign == 1 else f"-{text}"
-            else:
-                out += f" + {text}" if sign == 1 else f" - {text}"
-        return out
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 # --- evaluation -----------------------------------------------------------------
 
 Value = Union[HPoly, UElement, TensorElement, CurrentElement]

@@ -5,15 +5,16 @@ exact rational, never a float.  In the structure tables, the memo caches
 and the integer kernels of the cohomology layer it is an `int` when it is
 integral and a `fractions.Fraction` otherwise (for sl_n, only the Casimir
 weights of the Cartan block have denominators).  So are the coefficients
-of the cobar chains, of the current elements and tensors, of the
-deformation polynomials `HPoly` (`_exact_coeff`) and of a `SparseMatrix`.
-The bicomplex cochains (`cohom.Cochain`) and the word-algebra elements
-(`envelope.UElement`, `TensorElement`) are int data over one int
-denominator.  Rank and factorization share one elimination step
-(`_eliminate`) and differ only in their pivot rule: each row is cleared of
-denominators by its own scale and eliminated in place over the integers
-without division, so a rank works in ints only, a `Factorization` records
-only ints, and a solve divides only in its back-substitution.
+of the cobar chains, of the current elements and tensors and of the
+deformation polynomials `HPoly` (`_exact_coeff`).  The bicomplex cochains
+(`cohom.Cochain`) and the word-algebra elements (`envelope.UElement`,
+`TensorElement`) are int data over one int denominator.  A matrix is a list
+of sparse rows {column: nonzero entry}.  Rank and factorization share one
+elimination step (`_eliminate`) and differ only in their pivot rule: each
+row is cleared of denominators by its own scale and eliminated in place
+over the integers without division, so a rank works in ints only, a
+`Factorization` records only ints, and a solve divides only in its
+back-substitution.
 `LieElement`s keep Fractions.  Ints and Fractions mix freely in
 arithmetic, hashing and comparison (Fraction(2) == 2); the one thing to
 avoid is dividing two ints, which gives a float, so every division has a
@@ -101,9 +102,6 @@ class HPoly:
 
     def coeff(self, k: int) -> Fraction:
         return self.coeffs.get(k, 0)
-
-    def degrees(self) -> set:
-        return set(self.coeffs)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -275,71 +273,6 @@ class TensorMap(CoeffMap):
         if self.arity != 2:
             raise ValueError("swap needs a 2-tensor")
         return self.permute((1, 0))
-
-
-class SparseMatrix:
-    """Sparse matrix over the rationals: {(row, col): nonzero entry}, an
-    int where integral and a Fraction otherwise."""
-
-    __slots__ = ("nrows", "ncols", "entries")
-
-    def __init__(self, nrows: int, ncols: int,
-                 entries: Optional[Mapping[tuple, Fraction]] = None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = {}
-        if entries:
-            for (i, j), v in entries.items():
-                self[i, j] = v
-
-    def __setitem__(self, key, value):
-        i, j = key
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(f"index {key} out of bounds")
-        v = value if type(value) is int else _exact_coeff(value)
-        if v:
-            self.entries[i, j] = v
-        else:
-            self.entries.pop((i, j), None)
-
-    def __getitem__(self, key) -> Fraction:
-        return self.entries.get(key, ZERO)
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, {(i, i): ONE for i in range(n)})
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "SparseMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        m = cls(len(rows), ncols)
-        for i, r in enumerate(rows):
-            for j, v in enumerate(r):
-                m[i, j] = v
-        return m
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.ncols, self.nrows,
-                            {(j, i): v for (i, j), v in self.entries.items()})
-
-    def row_dicts(self) -> list:
-        rows = [dict() for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
-    def apply(self, vec: Mapping[int, Fraction]) -> dict:
-        """Sparse matrix-vector product; vec maps column index to value."""
-        out = {}
-        for (i, j), v in self.entries.items():
-            x = vec.get(j)
-            if x:
-                accumulate(out, i, v * x)
-        return out
-
-    def __repr__(self):
-        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
 
 
 def _cleared(row: Mapping) -> tuple:
@@ -535,86 +468,44 @@ class Factorization:
         return x
 
 
-def factor(a: SparseMatrix) -> Factorization:
-    """Eliminate `a` once, for any number of right-hand sides.
+def factor(rows: list, ncols: int) -> Factorization:
+    """Eliminate the matrix of the sparse rows `rows` ({column: nonzero
+    entry}, columns in range(ncols)) once, for any number of right-hand
+    sides.  The rows are read, never changed.
 
     Each row is first cleared of denominators by its own integer scale,
-    and the elimination runs over the integers with no division: the
-    update is `_eliminate`'s, as in `rank_of_rows`; only the pivot rule
-    differs.  Pivots are taken column by column, left to right, each in the
-    lowest row not yet used whose entry there is nonzero; a column->rows
-    index finds those rows without scanning the matrix.  A column gets a pivot exactly when it
-    is not in the span of the columns left of it, so the pivot columns are
-    the lexicographically first basis of the column space and, with the
-    free variables set to zero, the solution is the unique one supported on
-    them: it does not depend on which row holds a pivot, on the order of
-    the rows or on their scales.
+    into a new row, and the elimination runs over the integers with no
+    division: the update is `_eliminate`'s, as in `rank_of_rows`; only the
+    pivot rule differs.  Pivots are taken column by column, left to right,
+    each in the lowest row not yet used whose entry there is nonzero; a
+    column->rows index finds those rows without scanning the matrix.  A
+    column gets a pivot exactly when it is not in the span of the columns
+    left of it, so the pivot columns are the lexicographically first basis
+    of the column space and, with the free variables set to zero, the
+    solution is the unique one supported on them: it does not depend on
+    which row holds a pivot, on the order of the rows or on their scales.
     """
-    rows = a.row_dicts()
-    row_scales = []
+    ints, row_scales = [], []
     for i, row in enumerate(rows):
-        scale, rows[i] = _cleared(row)
+        scale, row = _cleared(row)
+        ints.append(row)
         if scale != 1:
             row_scales.append((i, scale))
-    col_rows = _column_index(rows)
+    col_rows = _column_index(ints)
+    outside = col_rows.keys() - range(ncols)
+    if outside:
+        raise ValueError(f"column {next(iter(outside))!r} is outside "
+                         f"range({ncols})")
     steps = []
-    for col in range(a.ncols):
+    for col in range(ncols):
         holders = col_rows.get(col)
         if holders:
             prow = min(holders)
-            steps.append((col, prow) + _eliminate(rows, col_rows, prow, col))
-    return Factorization(a.nrows, a.ncols, row_scales, steps)
+            steps.append((col, prow) + _eliminate(ints, col_rows, prow, col))
+    return Factorization(len(ints), ncols, row_scales, steps)
 
 
-def solve(a: SparseMatrix, b: list) -> Optional[list]:
-    """One exact solution of a*x = b, or None when inconsistent.
-
-    The same as `factor(a).solve(b)`: pivots scan columns left to right,
-    taking the lowest remaining row with a nonzero entry, and free variables
-    are set to zero, so repeated calls return identical solutions.
-    """
-    return factor(a).solve(b)
-
-
-def kernel_basis(m: SparseMatrix) -> list:
-    """Basis of the right kernel, built from the reduced row echelon form.
-
-    Independent of the elimination of `rank_of_rows` and `factor`, so
-    they can cross-check each other.
-    """
-    rows = [r for r in m.row_dicts() if r]
-    n = m.ncols
-    pivots = {}  # col -> reduced row dict
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c in pivots:
-                f = -row[c]
-                for j, v in pivots[c].items():
-                    accumulate(row, j, f * v)
-            else:
-                lead = row[c]
-                pivots[c] = {j: _quotient(v, lead) for j, v in row.items()}
-                break
-    for c in sorted(pivots, reverse=True):
-        prow = pivots[c]
-        for c2, row2 in pivots.items():
-            if c2 == c:
-                continue
-            f = row2.get(c)
-            if f:
-                for j, v in prow.items():
-                    accumulate(row2, j, -f * v)
-    basis = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        vec = {free: ONE}
-        for c, row in pivots.items():
-            v = row.get(free)
-            if v:
-                vec[c] = -v
-        basis.append(vec)
-    return basis
-
+def solve(rows: list, ncols: int, b: list) -> Optional[list]:
+    """`factor(rows, ncols).solve(b)`: one exact solution of a*x = b for
+    the matrix a of `rows`, the same on every call, or None."""
+    return factor(rows, ncols).solve(b)

@@ -246,17 +246,6 @@ class LieAlgebraData(PBWAlgebra):
                     accumulate(out, z, ca * cb * cz)
         return x._like(out)
 
-    def form(self, x: LieElement, y: LieElement) -> Fraction:
-        if x.alg is not self or y.alg is not self:
-            raise ValueError(f"elements of another algebra given to {self!r}")
-        total = ZERO
-        for a, ca in x.data.items():
-            for b, cb in y.data.items():
-                g = self.gram.get((a, b))
-                if g:
-                    total += ca * cb * g
-        return total
-
     def is_cartan(self, x: LieElement) -> bool:
         return all(self.block[i] == CARTAN for i in x.data)
 

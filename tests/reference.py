@@ -1,9 +1,20 @@
-"""Reference constructions that only the tests use, built on the public
-element API of `qcurrent`.  Each one is an independent cross-check of a
-fast path in the package, not a code path of its own."""
+"""Reference constructions that only the tests use, built on the element
+API of `qcurrent`.  Each one is an independent cross-check of a fast path
+in the package, not a code path of its own; the sparse-row helpers build
+the test matrices in the one format of `rank_of_rows` and `factor`."""
 
+from fractions import Fraction
+from itertools import combinations
+from random import Random
+from typing import Dict, List, Optional, Tuple
+
+from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
+                            FiltrationError, GModule, Vector, _minus_basis,
+                            _signed_insert, cobar_differential)
 from qcurrent.current import CurrentElement, CurrentTensor, c_bracket
+from qcurrent.dsl import Bracket, Call, Hbar, Name, Num, Prod, Sum, Tensor
 from qcurrent.envelope import UElement, casimir_tensor
+from qcurrent.exactnum import ONE, ZERO, _quotient, accumulate, solve
 
 
 def adjoint_action(x, a):
@@ -20,6 +31,19 @@ def quadratic_casimir(g):
     return c
 
 
+def form(g, x, y):
+    """The invariant form (x, y) of two Lie elements, from the Gram table."""
+    if x.alg is not g or y.alg is not g:
+        raise ValueError(f"elements of another algebra given to {g!r}")
+    total = ZERO
+    for a, ca in x.data.items():
+        for b, cb in y.data.items():
+            v = g.gram.get((a, b))
+            if v:
+                total += ca * cb * v
+    return total
+
+
 def coaction_bracket(t, w):
     """[t, w(u) (x) 1 + 1 (x) w(v)] on a 2-tensor, slot by slot through
     `c_bracket`: [x u^a (x) y u^b, ...] = [x u^a, w] (x) y u^b
@@ -32,3 +56,343 @@ def coaction_bracket(t, w):
         for k, v in c_bracket(CurrentElement(alg, {k2: c}), w).data.items():
             out._accumulate((k1, k), v)
     return out
+
+
+# --- sparse rows, the matrix format of `rank_of_rows` and `factor` -----------
+
+
+def sparse_rows(dense) -> list:
+    """The sparse rows {column: nonzero entry} of a dense matrix."""
+    return [{j: v for j, v in enumerate(row) if v} for row in dense]
+
+
+def transpose(rows: list, ncols: int) -> list:
+    """The sparse rows of the transpose of the matrix of `rows`."""
+    out = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[j][i] = v
+    return out
+
+
+def kernel_basis(rows: list, ncols: int) -> list:
+    """Basis of the right kernel, built from the reduced row echelon form.
+
+    Independent of the elimination of `rank_of_rows` and `factor`, so
+    they can cross-check each other.
+    """
+    pivots = {}  # col -> reduced row dict
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            if c in pivots:
+                f = -row[c]
+                for j, v in pivots[c].items():
+                    accumulate(row, j, f * v)
+            else:
+                lead = row[c]
+                pivots[c] = {j: _quotient(v, lead) for j, v in row.items()}
+                break
+    for c in sorted(pivots, reverse=True):
+        prow = pivots[c]
+        for c2, row2 in pivots.items():
+            if c2 == c:
+                continue
+            f = row2.get(c)
+            if f:
+                for j, v in prow.items():
+                    accumulate(row2, j, -f * v)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = {free: ONE}
+        for c, row in pivots.items():
+            v = row.get(free)
+            if v:
+                vec[c] = -v
+        basis.append(vec)
+    return basis
+
+
+# --- g-modules and Chevalley-Eilenberg cochains --------------------------------
+
+
+def act(module: GModule, x: int, vec: Vector) -> Vector:
+    """x . vec in a module, from its action matrices."""
+    out: Vector = {}
+    cols = module.actions[x]
+    for j, c in vec.items():
+        for i, a in cols.get(j, {}).items():
+            accumulate(out, i, a * c)
+    return out
+
+
+def validate(module: GModule) -> None:
+    """rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) on all basis pairs."""
+    g = module.g
+    basis = [{k: ONE} for k in range(module.dim)]
+    for a in range(g.dim):
+        for b in range(g.dim):
+            table = g.bracket_table.get((a, b), {})
+            for k, vec in enumerate(basis):
+                lhs: Vector = {}
+                for z, c in table.items():
+                    for i, v in act(module, z, vec).items():
+                        accumulate(lhs, i, c * v)
+                rhs = act(module, a, act(module, b, vec))
+                for i, v in act(module, b, act(module, a, vec)).items():
+                    accumulate(rhs, i, -v)
+                if lhs != rhs:
+                    raise ValueError(
+                        f"not a g-module: pair ({g.names[a]}, {g.names[b]}) "
+                        f"fails on basis vector {k} of {module.label}")
+
+
+class CEChain:
+    """Alternating m-cochain valued in a GModule, stored on sorted tuples."""
+
+    __slots__ = ("module", "m", "data")
+
+    def __init__(self, module: GModule, m: int,
+                 data: Optional[Dict[tuple, Vector]] = None):
+        self.module = module
+        self.m = m
+        self.data = {}
+        if data:
+            for s, vec in data.items():
+                vec = {k: v for k, v in vec.items() if v}
+                if vec:
+                    self.data[s] = vec
+
+    def value(self, s: tuple) -> Vector:
+        return self.data.get(s, {})
+
+    def __bool__(self):
+        return bool(self.data)
+
+    def __eq__(self, other):
+        return isinstance(other, CEChain) and self.m == other.m and self.data == other.data
+
+    def __sub__(self, other: "CEChain") -> "CEChain":
+        out: Dict[tuple, Vector] = {s: dict(v) for s, v in self.data.items()}
+        for s, vec in other.data.items():
+            cur = out.setdefault(s, {})
+            for k, v in vec.items():
+                accumulate(cur, k, -v)
+            if not cur:
+                out.pop(s)
+        return CEChain(self.module, self.m, out)
+
+
+def _ce_support(omega: CEChain, module: GModule) -> List[tuple]:
+    """The (m+1)-sets t, in lexicographic order, on which d(omega) can be
+    nonzero: s + {a} for s in the support and a not in s, and
+    (s - {z}) + {a, b} for z in s and z in [a, b]."""
+    g = module.g
+    out = set()
+    for s in omega.data:
+        out.update(tuple(sorted(s + (a,))) for a in range(g.dim) if a not in s)
+        for z in s:
+            rest = [x for x in s if x != z]
+            for a, b, _ in module._makers.get(z, ()):
+                if a not in rest and b not in rest:
+                    out.add(tuple(sorted(rest + [a, b])))
+    return sorted(out)
+
+
+def ce_differential(omega: CEChain, module: Optional[GModule] = None) -> CEChain:
+    """The alternating-sum differential of Lie-algebra cohomology, the
+    independent reference for `ce_push`.
+
+    The faces of every (m+1)-set t are summed by the textbook formula; only
+    the t of `_ce_support` are visited, since d(omega) vanishes elsewhere."""
+    module = module or omega.module
+    g = module.g
+    m = omega.m
+    out: Dict[tuple, Vector] = {}
+
+    def add(s, vec, factor):
+        if not vec:
+            return
+        cur = out.setdefault(s, {})
+        for k, v in vec.items():
+            accumulate(cur, k, factor * v)
+        if not cur:
+            out.pop(s)
+
+    for t in _ce_support(omega, module):
+        for i in range(m + 1):
+            rest = t[:i] + t[i + 1:]
+            vec = omega.value(rest)
+            if vec:
+                add(t, act(module, t[i], vec), (-1) ** i)
+        for i in range(m + 1):
+            for j in range(i + 1, m + 1):
+                rest = tuple(x for k, x in enumerate(t) if k not in (i, j))
+                sign_ij = (-1) ** (i + j)  # 0-based == 1-based (i+j)-2
+                for z, c in g.bracket_table.get((t[i], t[j]), {}).items():
+                    ins = _signed_insert(z, rest)
+                    if ins is None:
+                        continue
+                    s, sgn = ins
+                    add(t, omega.value(s), sign_ij * sgn * c)
+    return CEChain(module, m + 1, out)
+
+
+def random_ce_chain(module: GModule, m: int, rng: Random,
+                    density: Fraction = Fraction(1, 3)) -> CEChain:
+    g = module.g
+    data: Dict[tuple, Vector] = {}
+    for s in combinations(range(g.dim), m):
+        vec: Vector = {}
+        for k in range(module.dim):
+            if rng.random() < density:
+                c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                if c:
+                    vec[k] = c
+        if vec:
+            data[s] = vec
+    return CEChain(module, m, data)
+
+
+# --- the reversal involution of the cobar complex ------------------------------
+
+
+def sigma_involution(y: CobarChain) -> CobarChain:
+    """Reverse the tensor factors with the sign (-1)^{n(n+1)/2}."""
+    sign = (-1) ** (y.n * (y.n + 1) // 2)
+    out = CobarChain(y.v_dim, y.n, y.degree)
+    for key, c in y.data.items():
+        out._accumulate(tuple(reversed(key)), sign * c)
+    return out
+
+
+def sigma_split(y: CobarChain) -> Tuple[CobarChain, CobarChain]:
+    """Eigenprojections (plus, minus) of the reversal involution."""
+    s = sigma_involution(y)
+    plus = (y + s).scale(Fraction(1, 2))
+    minus = (y - s).scale(Fraction(1, 2))
+    return plus, minus
+
+
+def solve_minus_coboundary(y: CobarChain) -> CobarChain:
+    """Write a minus 2-cocycle as the differential of a 1-chain.
+
+    Rejects inputs that are not in the minus eigenspace or not cocycles;
+    this is the constructive face of the vanishing of H^2.
+    """
+    if y.n != 2:
+        raise ValueError("expected a 2-chain")
+    _, minus = sigma_split(y)
+    if minus != y:
+        raise CocycleConditionError("input is not in the minus eigenspace")
+    if cobar_differential(y):
+        raise CocycleConditionError("input is not a cocycle: delta(y) != 0")
+    basis = _minus_basis(y.v_dim, 1, y.degree)
+    col_index: Dict[tuple, int] = {}
+    images = []
+    for b in basis:
+        images.append(cobar_differential(b))
+        for key in images[-1].data:
+            col_index.setdefault(key, len(col_index))
+    for key in y.data:
+        col_index.setdefault(key, len(col_index))
+    rows = [{} for _ in col_index]
+    for j, img in enumerate(images):
+        for key, c in img.data.items():
+            rows[col_index[key]][j] = c
+    rhs = [ZERO] * len(col_index)
+    for key, c in y.data.items():
+        rhs[col_index[key]] = c
+    x = solve(rows, len(basis), rhs)
+    if x is None:
+        raise FiltrationError("no preimage found; H^2 of the minus complex "
+                              "should vanish, check the input degree")
+    out = CobarChain(y.v_dim, 1, y.degree)
+    for b, c in zip(basis, x):
+        if c:
+            for key, q in b.data.items():
+                out._accumulate(key, c * q)
+    return out
+
+
+# --- the JSON form of a bicomplex cochain ---------------------------------------
+
+
+def cochain_to_json(w: Cochain) -> dict:
+    """JSON-compatible nested map, deterministic ordering, names not
+    indices, so fixtures stay readable and stable."""
+    entries = []
+    for (s, v) in sorted(w.data):
+        tensor = w.value(s, v)
+        entries.append({
+            "args": [w.g.names[i] for i in s],
+            "v": w.g.names[v],
+            "tensor": [{"slots": [[w.g.names[i] for i in mono]
+                                  for mono in tkey],
+                        "coeff": str(tensor[tkey])}
+                       for tkey in sorted(tensor)],
+        })
+    return {"m": w.m, "n": w.n, "bound": w.bound, "entries": entries}
+
+
+def cochain_from_json(g, payload: dict) -> Cochain:
+    """The inverse of `cochain_to_json`, with the constructor's filtration
+    check."""
+    data: dict = {}
+    for entry in payload["entries"]:
+        s = tuple(g.name_to_index[n] for n in entry["args"])
+        tensor = data.setdefault((s, g.name_to_index[entry["v"]]), {})
+        for term in entry["tensor"]:
+            tkey = tuple(tuple(g.name_to_index[n] for n in mono)
+                         for mono in term["slots"])
+            accumulate(tensor, tkey, Fraction(term["coeff"]))
+    return Cochain(g, payload["m"], payload["n"], payload["bound"], data)
+
+
+# --- the canonical printer of the expression language, the parser's inverse ----
+
+
+def print_expr(node) -> str:
+    """The text of an expression tree that `parse` reads back to the same
+    tree."""
+    if isinstance(node, Num):
+        return str(node.value)
+    if isinstance(node, Hbar):
+        return "hbar" if node.power == 1 else f"hbar^{node.power}"
+    if isinstance(node, Name):
+        return node.name
+    if isinstance(node, Call):
+        return f"{node.fn}({', '.join(print_expr(a) for a in node.args)})"
+    if isinstance(node, Bracket):
+        return f"[{print_expr(node.left)}, {print_expr(node.right)}]"
+    if isinstance(node, Tensor):
+        parts = []
+        for p in node.parts:
+            text = print_expr(p)
+            if isinstance(p, (Sum, Prod)):
+                text = f"({text})"
+            parts.append(text)
+        return " (x) ".join(parts)
+    if isinstance(node, Prod):
+        parts = []
+        for p in node.factors:
+            text = print_expr(p)
+            if isinstance(p, (Sum, Tensor)) or (isinstance(p, Num) and p.value < 0):
+                text = f"({text})"
+            parts.append(text)
+        return "*".join(parts)
+    if isinstance(node, Sum):
+        out = ""
+        for k, (sign, term) in enumerate(node.terms):
+            text = print_expr(term)
+            if isinstance(term, Sum):
+                text = f"({text})"
+            if k == 0:
+                out = text if sign == 1 else f"-{text}"
+            else:
+                out += f" + {text}" if sign == 1 else f" - {text}"
+        return out
+    raise TypeError(f"not an expression node: {node!r}")

@@ -5,11 +5,12 @@ from random import Random
 import pytest
 
 from qcurrent.dsl import (Bracket, Call, DSLError, Hbar, Name, Num, Prod, Sum,
-                          Tensor, evaluate, parse, print_expr, render_value)
+                          Tensor, evaluate, parse, render_value)
 from qcurrent.envelope import TensorElement, UElement
 from qcurrent.exactnum import HPoly
 from qcurrent.freequant import _omega_iota, free_model, relation_defect_sl2
 from qcurrent.liealg import build_sl
+from reference import print_expr
 
 GOLDEN = Path(__file__).parent / "data" / "render_golden.txt"
 

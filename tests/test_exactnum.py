@@ -3,69 +3,78 @@ from random import Random
 
 import pytest
 
-from qcurrent.exactnum import (HPoly, SparseMatrix, factor, kernel_basis,
-                               rank_of_rows, solve)
+from qcurrent.exactnum import HPoly, factor, rank_of_rows, solve
+from reference import kernel_basis, sparse_rows, transpose
 
 
 def test_rank_identity():
-    assert rank_of_rows(SparseMatrix.identity(3).row_dicts()) == 3
+    assert rank_of_rows([{i: 1} for i in range(3)]) == 3
 
 
 def test_rank_zero():
-    assert rank_of_rows(SparseMatrix(4, 4).row_dicts()) == 0
+    assert rank_of_rows([{} for _ in range(4)]) == 0
 
 
 def test_rank_outer_product():
     u = [F(1), F(2), F(0), F(-1), F(3)]
     v = [F(2), F(1), F(1), F(1), F(1)]
-    m = SparseMatrix(5, 5, {(i, j): a * b for i, a in enumerate(u)
-                            for j, b in enumerate(v) if a * b})
-    assert rank_of_rows(m.row_dicts()) == 1
+    rows = [{j: a * b for j, b in enumerate(v) if a * b} for a in u]
+    assert rank_of_rows(rows) == 1
 
 
 def test_solve_identity():
     b = [F(3), F(-1, 2), F(7)]
-    assert solve(SparseMatrix.identity(3), b) == b
+    assert solve([{i: 1} for i in range(3)], 3, b) == b
 
 
 def test_solve_inconsistent():
-    assert solve(SparseMatrix(2, 2), [F(1), F(0)]) is None
+    assert solve([{}, {}], 2, [F(1), F(0)]) is None
 
 
 def test_solve_back_substitution():
-    m = SparseMatrix.from_rows([[1, 1], [0, 2]])
-    assert solve(m, [F(3), F(4)]) == [F(1), F(2)]
+    rows = sparse_rows([[1, 1], [0, 2]])
+    assert solve(rows, 2, [F(3), F(4)]) == [F(1), F(2)]
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve(SparseMatrix.identity(2), [F(1)])
+        solve([{i: 1} for i in range(2)], 2, [F(1)])
 
 
 def test_solve_deterministic_repeats():
-    m = SparseMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
-    first = solve(m, [F(6), F(12)])
+    rows = sparse_rows([[1, 2, 3], [2, 4, 6]])
+    first = solve(rows, 3, [F(6), F(12)])
     assert first is not None
     for _ in range(3):
-        assert solve(m, [F(6), F(12)]) == first
+        assert solve(rows, 3, [F(6), F(12)]) == first
+
+
+def test_factor_rejects_a_column_outside_the_range():
+    """A column id outside range(ncols) is refused, not solved for."""
+    for bad in (2, -1, "x"):
+        with pytest.raises(ValueError, match="outside range"):
+            factor([{0: 1}, {1: F(1, 2), bad: 3}], 2)
 
 
 def _random_matrix(rng, nrows, ncols, density=0.4):
-    m = SparseMatrix(nrows, ncols)
-    for i in range(nrows):
-        for j in range(ncols):
-            if rng.random() < density:
-                m[i, j] = F(rng.randint(-5, 5), rng.randint(1, 3))
-    return m
+    return sparse_rows(
+        [[F(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < density
+          else 0 for j in range(ncols)] for i in range(nrows)])
+
+
+def _times(rows, x):
+    """The product of the matrix of `rows` and the dense vector x."""
+    return [sum(v * x[j] for j, v in row.items()) for row in rows]
 
 
 def test_rank_transpose_and_nullity_random():
     rng = Random(20240202)
     for _ in range(25):
-        m = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        r = rank_of_rows(m.row_dicts())
-        assert r == rank_of_rows(m.transpose().row_dicts())
-        assert r + len(kernel_basis(m)) == m.ncols
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        m = _random_matrix(rng, nrows, ncols)
+        r = rank_of_rows(m)
+        assert r == rank_of_rows(transpose(m, ncols))
+        assert r + len(kernel_basis(m, ncols)) == ncols
 
 
 def _low_rank_matrix(rng, nrows, ncols, r):
@@ -90,34 +99,36 @@ def _low_rank_matrix(rng, nrows, ncols, r):
                     row[j] = row.get(j, 0) + f * v
             rows.append(row)
     rng.shuffle(rows)
-    return SparseMatrix(nrows, ncols, {(i, j): v for i, row in enumerate(rows)
-                                       for j, v in row.items() if v})
+    return [{j: v for j, v in row.items() if v} for row in rows]
 
 
-def _rescaled_rows(rng, m: SparseMatrix) -> SparseMatrix:
-    """m with each row multiplied by a random integer up to 2^64 and by a
+def _rescaled_rows(rng, rows):
+    """The rows each multiplied by a random integer up to 2^64 and by a
     random 1/k, so that pivots are not units and entries are large."""
     factors = [F(rng.randint(1, 2 ** 64) * rng.choice((1, -1)), rng.randint(1, 97))
-               for _ in range(m.nrows)]
-    return SparseMatrix(m.nrows, m.ncols, {(i, j): factors[i] * v
-                                           for (i, j), v in m.entries.items()})
+               for _ in range(len(rows))]
+    return [{j: factors[i] * v for j, v in row.items()}
+            for i, row in enumerate(rows)]
 
 
 def test_rank_matches_kernel_on_larger_rank_deficient_matrices():
     """The Markowitz elimination of `rank_of_rows` and the left-to-right
     one of `factor`, which share one update with no content gcd, against
     the independent reduced echelon form of `kernel_basis`, on matrices up
-    to 40 x 50, as given and with rescaled rows."""
+    to 40 x 50, as given and with rescaled rows.  `factor` eliminates a
+    cleared copy: the caller's rows, Fractions and all, are unchanged."""
     rng = Random(4040)
     for _ in range(30):
         nrows, ncols = rng.randint(8, 40), rng.randint(8, 50)
         r = rng.randint(1, min(nrows, ncols) - 1)
         m = _low_rank_matrix(rng, nrows, ncols, r)
         for a in (m, _rescaled_rows(rng, m)):
-            got = rank_of_rows(a.row_dicts())
-            assert got == a.ncols - len(kernel_basis(a))
-            assert got == len(factor(a).steps)
-            assert got == rank_of_rows(a.transpose().row_dicts())
+            before = [dict(row) for row in a]
+            got = rank_of_rows(a)
+            assert got == ncols - len(kernel_basis(a, ncols))
+            assert got == len(factor(a, ncols).steps)
+            assert a == before
+            assert got == rank_of_rows(transpose(a, ncols))
             assert got <= r
 
 
@@ -125,34 +136,32 @@ def test_kernel_vectors_are_in_kernel():
     rng = Random(99)
     for _ in range(10):
         m = _random_matrix(rng, 5, 6)
-        for vec in kernel_basis(m):
-            assert not m.apply(vec)
+        for vec in kernel_basis(m, 6):
+            assert not any(_times(m, [vec.get(j, 0) for j in range(6)]))
 
 
 def test_solve_is_exact_when_consistent():
     rng = Random(7)
     for _ in range(20):
-        m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        x0 = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m.ncols)]
-        b = [F(0)] * m.nrows
-        for (i, j), v in m.entries.items():
-            b[i] += v * x0[j]
-        x = solve(m, b)
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        m = _random_matrix(rng, nrows, ncols)
+        x0 = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ncols)]
+        b = _times(m, x0)
+        x = solve(m, ncols, b)
         assert x is not None
-        residual = list(b)
-        for (i, j), v in m.entries.items():
-            residual[i] -= v * x[j]
+        residual = [bi - ai for bi, ai in zip(b, _times(m, x))]
         assert all(not r for r in residual)
 
 
 def test_factor_replays_on_many_right_hand_sides():
     rng = Random(31)
     for _ in range(15):
-        m = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-        fact = factor(m)
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        m = _random_matrix(rng, nrows, ncols)
+        fact = factor(m, ncols)
         for _ in range(4):
-            b = [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(m.nrows)]
-            assert fact.solve(b) == solve(m, b)
+            b = [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(nrows)]
+            assert fact.solve(b) == solve(m, ncols, b)
 
 
 def _fraction_pivot_columns(rows: list, ncols: int) -> list:
@@ -176,7 +185,7 @@ def _fraction_pivot_columns(rows: list, ncols: int) -> list:
     return pivots
 
 
-def _rank_deficient_matrix(rng) -> SparseMatrix:
+def _rank_deficient_matrix(rng) -> list:
     """A product of an r x k and a k x c matrix with k < min(r, c), whose
     entries have denominators 1, 2, 3 and 5."""
     r, c = rng.randint(2, 8), rng.randint(2, 8)
@@ -188,9 +197,8 @@ def _rank_deficient_matrix(rng) -> SparseMatrix:
         return F(rng.randint(-3, 3), rng.choice((1, 2, 3, 5)))
     left = [[entry() for _ in range(k)] for _ in range(r)]
     right = [[entry() for _ in range(c)] for _ in range(k)]
-    return SparseMatrix.from_rows(
-        [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(c)]
-         for i in range(r)])
+    return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(c)]
+            for i in range(r)]
 
 
 def test_factor_solves_rank_deficient_systems_exactly():
@@ -202,10 +210,10 @@ def test_factor_solves_rank_deficient_systems_exactly():
     scaled_rows = multiplied_rows = 0
     outcomes = set()
     for _ in range(30):
-        m = _rank_deficient_matrix(rng)
-        dense = [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
-        fact = factor(m)
-        pivots = _fraction_pivot_columns(dense, m.ncols)
+        dense = _rank_deficient_matrix(rng)
+        nrows, ncols = len(dense), len(dense[0])
+        fact = factor(sparse_rows(dense), ncols)
+        pivots = _fraction_pivot_columns(dense, ncols)
         assert [step[0] for step in fact.steps] == pivots
         scaled_rows += len(fact.row_scales)
         multiplied_rows += sum(p != 1 for step in fact.steps
@@ -213,13 +221,13 @@ def test_factor_solves_rank_deficient_systems_exactly():
         for consistent in (True, False):
             if consistent:
                 x0 = [F(rng.randint(-3, 3), rng.choice((1, 2, 7)))
-                      for _ in range(m.ncols)]
+                      for _ in range(ncols)]
                 b = [sum(v * x for v, x in zip(row, x0)) for row in dense]
             else:
                 b = [F(rng.randint(-3, 3), rng.choice((1, 4, 9)))
-                     for _ in range(m.nrows)]
-            in_span = m.ncols not in _fraction_pivot_columns(
-                [row + [v] for row, v in zip(dense, b)], m.ncols + 1)
+                     for _ in range(nrows)]
+            in_span = ncols not in _fraction_pivot_columns(
+                [row + [v] for row, v in zip(dense, b)], ncols + 1)
             x = fact.solve(b)
             assert (x is not None) == in_span
             outcomes.add(in_span)
@@ -230,8 +238,7 @@ def test_factor_solves_rank_deficient_systems_exactly():
 
 
 def test_factor_inconsistent_rhs_is_none():
-    m = SparseMatrix.from_rows([[1, 2], [2, 4], [0, 0]])
-    fact = factor(m)
+    fact = factor(sparse_rows([[1, 2], [2, 4], [0, 0]]), 2)
     assert fact.solve([F(1), F(3), F(0)]) is None
     assert fact.solve([F(1), F(2), F(1)]) is None
     assert fact.solve([F(1), F(2), F(0)]) == [F(1), F(0)]
@@ -244,24 +251,21 @@ def test_solve_is_supported_on_the_first_basic_columns():
     largest index at a free column."""
     rng = Random(2024)
     for _ in range(40):
-        m = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), 0.5)
-        x0 = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.ncols)]
-        b = [F(0)] * m.nrows
-        for (i, j), v in m.entries.items():
-            b[i] += v * x0[j]
-        fact = factor(m)
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        m = _random_matrix(rng, nrows, ncols, 0.5)
+        x0 = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+        b = _times(m, x0)
+        fact = factor(m, ncols)
         x = fact.solve(b)
         assert x is not None
-        residual = list(b)
-        for (i, j), v in m.entries.items():
-            residual[i] -= v * x[j]
+        residual = [bi - ai for bi, ai in zip(b, _times(m, x))]
         assert not any(residual)
         pivots = {step[0] for step in fact.steps}
-        assert all(not x[j] for j in range(m.ncols) if j not in pivots)
-        kernel = kernel_basis(m)
-        assert len(pivots) == rank_of_rows(m.row_dicts()) == m.ncols - len(kernel)
+        assert all(not x[j] for j in range(ncols) if j not in pivots)
+        kernel = kernel_basis(m, ncols)
+        assert len(pivots) == rank_of_rows(m) == ncols - len(kernel)
         free = {max(vec) for vec in kernel}
-        assert free == set(range(m.ncols)) - pivots
+        assert free == set(range(ncols)) - pivots
 
 
 def _random_hpoly(rng):
