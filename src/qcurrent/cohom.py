@@ -22,14 +22,15 @@ theta_h = d iota_h + iota_h d (H. Cartan, Colloque de Topologie, Bruxelles
 Every table here is integral on sl_n: the bracket table, the adjoint action
 on PBW monomials (`_ad_letter`) and the coproduct (`mono_coproduct_terms`)
 hold ints, and so do the module actions, the CE rows, the Cartan weights
-and the binomial cobar structure constants.  A bicomplex `Cochain` is int
-data over one denominator, and dH, dV and the solver work on the data
-over int and keep the denominator; the maps are linear, so this is exact.
-A table value with a denominator stays an exact Fraction, and dH absorbs
-it into the denominator of its image: integrality is never assumed.  The
-tensor slices and their modules, the dV images of the basis tensors and
-the solver's factored systems are built once per algebra and kept in a
-dict on it (`_correction_systems`), so they are freed with it.
+and the binomial cobar structure constants.  A bicomplex `Cochain` is an
+`exactnum.IntStore`, int data over one reduced denominator, and dH, dV and
+the solver work on the data over int and carry the denominator; the maps
+are linear, so this is exact.  A table value with a denominator stays an
+exact Fraction, and dH absorbs it into the denominator of its image:
+integrality is never assumed.  The tensor slices and their modules, the dV
+images of the basis tensors and the solver's factored systems are built
+once per algebra and kept in a dict on it (`_correction_systems`), so they
+are freed with it.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .envelope import (UElement, mono_coproduct_terms, normal_order,
                        sym_coproduct)
-from .exactnum import (ONE, ZERO, CoeffMap, _cleared, _exact_coeff,
-                       _quotient, accumulate, factor, rank_of_rows)
+from .exactnum import (ONE, ZERO, CoeffMap, IntStore, _quotient, accumulate,
+                       factor, rank_of_rows)
 from .liealg import LieAlgebraData
 from .reports import CheckError, Report, run_checks
 
@@ -364,13 +365,10 @@ def _sym_monomials(v_dim: int, degree: int) -> List[tuple]:
 
 
 class CobarChain(CoeffMap):
-    """Element of the n-fold tensor power of Sym(V) in one symmetric degree.
-
-    Integral coefficients are kept as ints, others as Fractions."""
+    """Element of the n-fold tensor power of Sym(V) in one symmetric degree."""
 
     __slots__ = ("v_dim", "n", "degree")
     _space = ("v_dim", "n", "degree")
-    _coerce = staticmethod(_exact_coeff)
 
     def __init__(self, v_dim: int, n: int, degree: int,
                  data: Optional[Dict[tuple, Fraction]] = None):
@@ -481,20 +479,18 @@ def cartier_check(v_dim: int, d_max: int) -> Report:
 # --- the bicomplex ---------------------------------------------------------------
 
 
-class Cochain:
+class Cochain(IntStore):
     """Element of Hom(Lambda^m g (x) g_ad, U^{(x) n}) within filtration D.
 
-    Stored over the integers with one denominator: `data` maps (sorted
-    m-tuple, adjoint index) to a sparse tensor {(monomial, ..., monomial):
-    nonzero int} with total length <= D, and the cochain is data / den for
-    an int den >= 1.  A Fraction given to the constructor or to
-    `_accumulate` is absorbed by raising den to the lcm with its
-    denominator and rescaling the data.  den is not reduced, so equal
-    cochains may store different (den, data): `==` compares values, and
-    `value` and `render` show exact values.
+    An `IntStore`: `data` maps (sorted m-tuple, adjoint index) to a sparse
+    tensor {(monomial, ..., monomial): nonzero int} with total length <= D,
+    and the cochain is data / den.  Cochains compare equal and combine only
+    on one algebra, bidegree and bound.  `value` and `render` show exact
+    values.
     """
 
-    __slots__ = ("g", "m", "n", "bound", "den", "data")
+    __slots__ = ("g", "m", "n", "bound")
+    _space = ("g", "m", "n", "bound")
 
     def __init__(self, g: LieAlgebraData, m: int, n: int, bound: int,
                  data: Optional[dict] = None):
@@ -502,30 +498,11 @@ class Cochain:
         self.m = m
         self.n = n
         self.bound = bound
-        self.den = 1
-        self.data = {}
-        if data:
-            for key, tensor in data.items():
-                tensor = {k: v for k, v in tensor.items() if v}
-                if any(sum(map(len, tkey)) > bound for tkey in tensor):
-                    raise FiltrationError(f"cochain value exceeds filtration {bound}")
-                for tkey, c in tensor.items():
-                    self._accumulate(key, tkey, c)
-
-    def _like(self, m: int, n: int, den: int, data: dict) -> "Cochain":
-        """A cochain on the same algebra and bound, taking ownership of the
-        int `data` over `den`."""
-        out = Cochain(self.g, m, n, self.bound)
-        out.den = den
-        out.data = data
-        return out
-
-    def _times(self, f: int) -> dict:
-        """A copy of the data, times f."""
-        if f == 1:
-            return {key: dict(tensor) for key, tensor in self.data.items()}
-        return {key: {tkey: c * f for tkey, c in tensor.items()}
-                for key, tensor in self.data.items()}
+        data = data or {}
+        if any(sum(map(len, tkey)) > bound
+               for tensor in data.values() for tkey, c in tensor.items() if c):
+            raise FiltrationError(f"cochain value exceeds filtration {bound}")
+        super().__init__(data)
 
     def value(self, s: tuple, v: int) -> dict:
         """The exact values at (s, v): ints where integral, else Fractions."""
@@ -533,68 +510,11 @@ class Cochain:
         return {tkey: _quotient(c, den)
                 for tkey, c in self.data.get((s, v), {}).items()}
 
-    def __bool__(self):
-        return bool(self.data)
-
-    def __eq__(self, other):
-        if not (isinstance(other, Cochain)
-                and (self.m, self.n) == (other.m, other.n)):
-            return False
-        if self.den == other.den:
-            return self.data == other.data
-        return self._times(other.den) == other._times(self.den)
-
-    def _accumulate(self, key, tkey, c):
-        """Add the exact rational c at (key, tkey)."""
-        q = c.denominator
-        if self.den % q:
-            den = lcm(self.den, q)
-            self.data = self._times(den // self.den)
-            self.den = den
-        tensor = self.data.setdefault(key, {})
-        accumulate(tensor, tkey, c.numerator * (self.den // q))
-        if not tensor:
-            del self.data[key]
-
-    def _combine(self, other: "Cochain", sign: int) -> "Cochain":
-        """self + sign * other, over the lcm of the two denominators."""
-        if (self.m, self.n) != (other.m, other.n):
-            raise ValueError("cochains of different bidegrees do not combine")
-        den = lcm(self.den, other.den)
-        data = self._times(den // self.den)
-        f = sign * (den // other.den)
-        for key, tensor in other.data.items():
-            acc = data.get(key)
-            if acc is None:
-                data[key] = {tkey: c * f for tkey, c in tensor.items()}
-                continue
-            for tkey, c in tensor.items():
-                new = acc.get(tkey, 0) + c * f
-                if new:
-                    acc[tkey] = new
-                else:
-                    del acc[tkey]
-            if not acc:
-                del data[key]
-        out = self._like(self.m, self.n, den, data)
-        out.bound = max(self.bound, other.bound)
-        return out
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        return self._like(self.m, self.n, self.den, self._times(-1))
-
     def swap_tensor(self) -> "Cochain":
         if self.n != 2:
             raise ValueError("swap_tensor needs n = 2")
-        return self._like(self.m, self.n, self.den, {
-            key: {(b, a): c for (a, b), c in tensor.items()}
-            for key, tensor in self.data.items()})
+        return self._like({key: {(b, a): c for (a, b), c in tensor.items()}
+                           for key, tensor in self.data.items()}, self.den)
 
     def render(self) -> str:
         parts = []
@@ -640,9 +560,9 @@ def bicomplex_dh(w: Cochain) -> Cochain:
     rho_dual(x) (x) 1 + 1 (x) rho_slice(x): each acting face (x, t, sign)
     of the slice module's `GModule.faces(s)` sends w(s, v) to (t, v') by
     the dual adjoint column of v and to (t, v) by the slice action, and
-    each bracket face adds w(s, v) to (t, v).  The image keeps w's
-    denominator, times the scale of non-integral tables.  A tensor key
-    outside T^n_{<=D} is refused with a FiltrationError."""
+    each bracket face adds w(s, v) to (t, v).  The image is put over w's
+    denominator times the scale of non-integral tables, and reduced.  A
+    tensor key outside T^n_{<=D} is refused with a FiltrationError."""
     keys, index, module, dual, scale = _slice(w.g, w.n, w.bound)
     acc_of: Dict[tuple, dict] = {}  # (t, v) -> {slice id: int}
     for (s, v), tensor in w.data.items():
@@ -670,8 +590,7 @@ def bicomplex_dh(w: Cochain) -> Cochain:
             get = acc.get
             for j, c in ids:
                 acc[j] = get(j, 0) + a * c
-    data = {key: tensor for key, acc in acc_of.items()
-            if (tensor := {keys[j]: c for j, c in acc.items() if c})}
+    data = {key: {keys[j]: c for j, c in acc.items() if c} for key, acc in acc_of.items()}
     if scale != 1:
         for tensor in data.values():
             for tkey, c in tensor.items():
@@ -680,7 +599,7 @@ def bicomplex_dh(w: Cochain) -> Cochain:
                     raise ValueError(f"the scale {scale} does not clear "
                                      f"the dH value {c / scale}")
                 tensor[tkey] = int(c)
-    return w._like(w.m + 1, w.n, w.den * scale, data)
+    return w._like(data, w.den * scale, m=w.m + 1)
 
 
 def _dv_terms(g: LieAlgebraData, tkey: tuple) -> tuple:
@@ -712,10 +631,8 @@ def bicomplex_dv(w: Cochain) -> Cochain:
                 terms = terms_of[tkey] = _dv_terms(g, tkey)
             for k, q in terms:
                 acc[k] = get(k, 0) + q * c
-        value = {k: c for k, c in acc.items() if c}
-        if value:
-            data[key] = value
-    return w._like(w.m, w.n + 1, w.den, data)
+        data[key] = acc
+    return w._like(data, w.den, n=w.n + 1)
 
 
 def tensor_slice_keys(g: LieAlgebraData, n: int, bound: int) -> List[tuple]:
@@ -730,19 +647,18 @@ def tensor_slice_keys(g: LieAlgebraData, n: int, bound: int) -> List[tuple]:
 
 def random_cochain(g: LieAlgebraData, m: int, n: int, bound: int,
                    rng: Random, density: float = 0.25) -> Cochain:
-    """Each coefficient is a/b with a in [-4, 4] and b in [1, 3], stored
-    over the denominator 6."""
+    """Each coefficient is a/b with a in [-4, 4] and b in [1, 3], drawn as
+    the int a * (6 // b) over the denominator 6."""
     keys = tensor_slice_keys(g, n, bound)
-    out = Cochain(g, m, n, bound)
-    out.den = 6
+    data: dict = {}
     for s in combinations(range(g.dim), m):
         for v in range(g.dim):
             for tkey in keys:
                 if rng.random() < density:
                     a, b = rng.randint(-4, 4), rng.randint(1, 3)
                     if a:
-                        out.data.setdefault((s, v), {})[tkey] = a * (6 // b)
-    return out
+                        data.setdefault((s, v), {})[tkey] = a * (6 // b)
+    return Cochain(g, m, n, bound)._like(data, 6)
 
 
 def bicomplex_report(g: LieAlgebraData, bound: int = 2, samples: int = 100,
@@ -786,12 +702,12 @@ def _k01_basis(g: LieAlgebraData, bound: int):
 
 
 def _cochain01_from_coords(g, bound, coords: dict, basis) -> Cochain:
-    out = Cochain(g, 0, 1, bound)
+    """The (0, 1)-cochain with the exact coordinates {basis position: c}."""
+    data: dict = {}
     for i, c in coords.items():
         v, mono = basis[i]
-        if c:
-            out._accumulate(((), v), (mono,), c)
-    return out
+        data.setdefault(((), v), {})[(mono,)] = c
+    return Cochain(g, 0, 1, bound, data)
 
 
 def _flatten_cochain(w: Cochain, key_index: dict) -> dict:
@@ -824,7 +740,7 @@ class CorrectionSystem:
         n = len(self.basis)
         h_cols, v_cols = [], []
         for j in range(n):
-            e = _cochain01_from_coords(g, bound, {j: ONE}, self.basis)
+            e = _cochain01_from_coords(g, bound, {j: 1}, self.basis)
             h_cols.append(_flatten_cochain(bicomplex_dh(e), h_index))
             v_cols.append(_flatten_cochain(bicomplex_dv(e), v_index))
         h_rows = [{} for _ in h_index]
@@ -840,8 +756,8 @@ class CorrectionSystem:
     def _preimage(self, fact, index: dict, w: Cochain, what: str) -> Cochain:
         """The solution of one factored system for right-hand side w; a key
         of w that the system does not reach means it has no solution.  The
-        system is solved for w's int data, and the solution is put over the
-        lcm of its denominators times w's."""
+        system is solved for w's int data, and the solution is divided by
+        w's denominator."""
         error = (f"no {what} preimage within filtration degree "
                  f"{self.bound}; retry with a larger degree")
         rhs = [0] * fact.nrows
@@ -854,12 +770,9 @@ class CorrectionSystem:
         coords = fact.solve(rhs)
         if coords is None:
             raise FiltrationError(error)
-        den, ints = _cleared({i: c for i, c in enumerate(coords) if c})
-        data: dict = {}
-        for i, c in ints.items():
-            v, mono = self.basis[i]
-            data.setdefault(((), v), {})[(mono,)] = c
-        return w._like(0, 1, den * w.den, data)
+        phi = _cochain01_from_coords(
+            w.g, w.bound, {i: c for i, c in enumerate(coords) if c}, self.basis)
+        return phi._like(phi.data, phi.den * w.den)
 
     def horizontal_preimage(self, gamma: Cochain) -> Cochain:
         return self._preimage(self.horizontal, self.h_index, gamma,
@@ -918,9 +831,8 @@ def solve_correction(gamma: Cochain, eta: Cochain, bound: int,
     theta = system.equivariant_vertical_preimage(eta1)
 
     if fault == "noneq-theta":
-        shift = Cochain(g, 0, 1, bound)
-        shift._accumulate(((), 0), ((g.cartan_index(0),),), ONE)
-        theta = theta + shift
+        theta = theta + Cochain(g, 0, 1, bound,
+                                {((), 0): {((g.cartan_index(0),),): 1}})
 
     phi = psi + theta
     bad_h = bicomplex_dh(phi) - gamma
@@ -989,14 +901,10 @@ def solver_report(g: LieAlgebraData, bound: int = 2, runs: int = 20,
         shift = {v: UElement(g, {mono: c for (mono,), c in b_cochain.value((), v).items()})
                  for v in range(g.dim)}
         gamma_map, eta_map = lift_gamma_eta(g, shift)
-        gamma = Cochain(g, 1, 1, bound)
-        for (a, b), val in gamma_map.items():
-            for mono, c in val.hbar_coefficient(0).items():
-                gamma._accumulate(((a,), b), (mono,), c)
-        eta = Cochain(g, 0, 2, bound)
-        for b, tensor in eta_map.items():
-            for tkey, c in tensor.items():
-                eta._accumulate(((), b), tkey, c)
+        gamma = Cochain(g, 1, 1, bound, {
+            ((a,), b): {(mono,): c for mono, c in val.hbar_coefficient(0).items()}
+            for (a, b), val in gamma_map.items()})
+        eta = Cochain(g, 0, 2, bound, {((), b): tensor for b, tensor in eta_map.items()})
         phi = solve_correction(gamma, eta, bound, fault=fault)
         lam = identity_shift_of(phi + b_cochain)
         if lam is None:

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .envelope import PBWAlgebra
-from .exactnum import (ONE, CoeffMap, TensorMap, _exact_coeff, accumulate,
-                       join_signed, rank_of_rows)
+from .exactnum import (ONE, CoeffMap, TensorMap, accumulate, join_signed,
+                       rank_of_rows)
 from .liealg import LieAlgebraData, LieElement, omega_bracket_table
 from .reports import Report, run_checks, zero_or_residual
 
@@ -31,7 +31,6 @@ class CurrentElement(CoeffMap):
 
     __slots__ = ("alg",)
     _space = ("alg",)
-    _coerce = staticmethod(_exact_coeff)
 
     def __init__(self, alg: LieAlgebraData,
                  data: Optional[Dict[CurrentKey, Fraction]] = None):
@@ -59,7 +58,6 @@ class CurrentTensor(TensorMap):
 
     __slots__ = ("alg",)
     _space = ("alg", "arity")
-    _coerce = staticmethod(_exact_coeff)
 
     def __init__(self, alg: LieAlgebraData, arity: int = 2,
                  data: Optional[Dict[tuple, Fraction]] = None):

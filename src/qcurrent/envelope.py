@@ -8,14 +8,14 @@ polynomials over a *word algebra*: any object with `multiply_words(a, b)`
 `TensorElement` do all their arithmetic through that protocol, so the same
 two classes serve U(g), U(g[u]) and the free quantization model.
 
-An element is int data over one int `den`, like `cohom.Cochain`: `data`
-maps each word (word tuple, for a tensor) to {hbar power: nonzero int}.
-The store is reduced, gcd(den, entries) = 1, so `==` is dict equality; it
-relies on int word products, which every algebra of the package has.  The
-format is private to this module: constructors take exact values (`HPoly`,
-int or Fraction) and `terms()` gives `HPoly` values back.  One product loop
-serves both `*` and `bracket`: a bracket sums self*other - other*self into
-one int store and reduces it once.
+An element is an `exactnum.IntStore`, like `cohom.Cochain`: `data` maps
+each word (word tuple, for a tensor) to {hbar power: nonzero int} over one
+reduced int `den`, so `==` is dict equality; the products rely on int word
+products, which every algebra of the package has.  The format is private to
+this module: constructors take exact values (`HPoly`, int or Fraction) and
+`terms()` gives `HPoly` values back.  One product loop serves both `*` and
+`bracket`: a bracket sums self*other - other*self into one int store and
+reduces it once.
 
 The PBW letter algebras, `LieAlgebraData` for U(g) and `CurrentEnvelope`
 for U(g[u]), derive from `PBWAlgebra`: their words are sorted monomials
@@ -37,11 +37,12 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import comb, gcd, lcm, prod
+from math import comb, lcm, prod
 from operator import sub
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
-from .exactnum import HPoly, ONE, _quotient, accumulate, as_hpoly, join_signed
+from .exactnum import (HPoly, ONE, IntStore, _int_store, _quotient, accumulate,
+                       as_hpoly, join_signed)
 from .reports import Report, run_checks, zero_or_residual
 
 if TYPE_CHECKING:
@@ -94,12 +95,10 @@ class PBWAlgebra:
         return f"({body})" if wrap and len(mono) > 1 else body
 
 
-def _int_store(values) -> tuple:
-    """(den, data) of {key: HPoly, int or Fraction}: reduced, den the lcm."""
-    polys = {key: as_hpoly(v).coeffs for key, v in values.items()}
-    den = lcm(*(c.denominator for poly in polys.values() for c in poly.values()))
-    return den, {key: {k: c.numerator * (den // c.denominator) for k, c in poly.items()}
-                 for key, poly in polys.items() if poly}
+def _hbar_map(value) -> dict:
+    """{hbar power: exact coefficient} of an HPoly, int or Fraction, with no
+    HPoly coercion: `_cleared` refuses a value that is not exact."""
+    return value.coeffs if type(value) is HPoly else {0: value}
 
 
 def _poly_product(p1: dict, p2: dict) -> dict:
@@ -126,70 +125,21 @@ def _scatter(data: dict, poly: dict, terms) -> None:
                 acc[k] = acc.get(k, 0) + v * c
 
 
-class WordElement:
-    """The int store and linear structure of `UElement` and `TensorElement`,
-    never changed in place; `_space` names the attributes fixing the space."""
+class WordElement(IntStore):
+    """The hbar-graded products of `UElement` and `TensorElement` over the
+    linear structure of `IntStore`; `_space` names the attributes fixing
+    the space."""
 
-    __slots__ = ("ctx", "den", "data")
+    __slots__ = ("ctx",)
     _space: tuple = ("ctx",)
 
     def __init__(self, ctx, data: Optional[dict] = None):
         self.ctx = ctx
-        self.den, self.data = _int_store(data or {})
-
-    def _like(self, data: dict, den: int):
-        """data / den as a new element of the same space, zeros dropped, reduced."""
-        out = {}
-        for key, poly in data.items():
-            if not poly or 0 in poly.values():
-                poly = {k: c for k, c in poly.items() if c}
-            if poly:
-                out[key] = poly
-        g = gcd(den, *[c for poly in out.values() for c in poly.values()]) if den > 1 else 1
-        new = object.__new__(type(self))
-        for name in self._space:
-            setattr(new, name, getattr(self, name))
-        new.den = den // g
-        new.data = out if g == 1 else {
-            key: {k: c // g for k, c in poly.items()} for key, poly in out.items()}
-        return new
-
-    def _same_space(self, other) -> bool:
-        return type(other) is type(self) and all(
-            getattr(self, name) == getattr(other, name) for name in self._space)
-
-    def _check(self, other) -> None:
-        if not self._same_space(other):
-            raise ValueError("elements of different spaces do not combine")
-
-    def __bool__(self) -> bool:
-        return bool(self.data)
-
-    def __eq__(self, other) -> bool:
-        return self._same_space(other) and (self.den, self.data) == (other.den, other.data)
-
-    def __add__(self, other, sign: int = 1):
-        """self + sign * other, over the lcm of the two denominators."""
-        self._check(other)
-        den = lcm(self.den, other.den)
-        f = den // self.den
-        data = {key: {k: c * f for k, c in poly.items()} for key, poly in self.data.items()}
-        f = sign * (den // other.den)
-        for key, poly in other.data.items():
-            acc = data.setdefault(key, {})
-            for k, c in poly.items():
-                acc[k] = acc.get(k, 0) + c * f
-        return self._like(data, den)
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def __neg__(self):
-        return self.scale(-1)
+        super().__init__({key: _hbar_map(v) for key, v in (data or {}).items()})
 
     def scale(self, q):
         """Multiply by a scalar: an HPoly, int or Fraction."""
-        qden, qdata = _int_store({(): q})
+        qden, qdata = _int_store({(): _hbar_map(q)})
         return self._like({key: _poly_product(poly, qdata.get((), {}))
                            for key, poly in self.data.items()}, self.den * qden)
 
@@ -277,9 +227,6 @@ class WordElement:
                     text += f"*{mono}"
             parts.append(text)
         return join_signed(parts) if parts else "0"
-
-    def __repr__(self):
-        return self.render()
 
 
 class UElement(WordElement):

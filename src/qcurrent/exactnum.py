@@ -5,21 +5,24 @@ exact rational, never a float.  In the structure tables, the memo caches
 and the integer kernels of the cohomology layer it is an `int` when it is
 integral and a `fractions.Fraction` otherwise (for sl_n, only the Casimir
 weights of the Cartan block have denominators).  So are the coefficients
-of the cobar chains, of the current elements and tensors and of the
-deformation polynomials `HPoly` (`_exact_coeff`).  The bicomplex cochains
-(`cohom.Cochain`) and the word-algebra elements (`envelope.UElement`,
-`TensorElement`) are int data over one int denominator.  A matrix is a list
-of sparse rows {column: nonzero entry}.  Rank and factorization share one
-elimination step (`_eliminate`) and differ only in their pivot rule: each
-row is cleared of denominators by its own scale and eliminated in place
-over the integers without division, so a rank works in ints only, a
-`Factorization` records only ints, and a solve divides only in its
-back-substitution.
-`LieElement`s keep Fractions.  Ints and Fractions mix freely in
-arithmetic, hashing and comparison (Fraction(2) == 2); the one thing to
-avoid is dividing two ints, which gives a float, so every division has a
-Fraction operand (`Fraction(q, p)`, `_quotient`).  All rank/solve
-questions are answered by exact elimination.
+of the flat `CoeffMap` elements (Lie elements, cobar chains, current
+elements and tensors) and of the deformation polynomials `HPoly`
+(`_exact_coeff`).  The elements with a two-level key, the word-algebra
+elements (`envelope.UElement`, `TensorElement`) and the bicomplex cochains
+(`cohom.Cochain`), share one store, `IntStore`: int data over one int
+denominator, always reduced, so that `==` is dict equality.  A matrix is a
+list of sparse rows {column: nonzero entry}.  One loop, `_cleared`, turns
+exact values into ints over their common denominator, dropping zeros: for
+every store, every rank and every factorization.  Rank and factorization
+share one elimination step (`_eliminate`) and differ only in their pivot
+rule: each row is cleared of denominators by its own scale and eliminated
+in place over the integers without division, so a rank works in ints only,
+a `Factorization` records only ints, and a solve divides only in its
+back-substitution.  Ints and Fractions mix freely in arithmetic, hashing
+and comparison (Fraction(2) == 2); the one thing to avoid is dividing two
+ints, which gives a float, so every division has a Fraction operand
+(`Fraction(q, p)`, `_quotient`).  All rank/solve questions are answered by
+exact elimination.
 """
 
 from __future__ import annotations
@@ -181,24 +184,22 @@ def as_hpoly(value) -> HPoly:
 
 
 class CoeffMap:
-    """A sparse linear combination {key: nonzero coefficient}.
+    """A sparse linear combination {key: nonzero exact coefficient}, an int
+    where the constructor or `scale` is given an integral value.
 
-    The vector-space operations shared by every element type of the
-    package, written once.  A subclass names the attributes that fix its
-    ambient space in `_space` (elements are comparable and addable only
-    within one space) and may override `_coerce`, which normalizes the
-    coefficients given to the constructor and the scalars given to `scale`.
+    The vector-space operations of the flat elements, written once.  A
+    subclass names the attributes that fix its ambient space in `_space`
+    (elements are comparable and addable only within one space).
     """
 
     __slots__ = ("data",)
     _space: tuple = ()
-    _coerce = staticmethod(as_fraction)
 
     def __init__(self, data: Optional[Mapping] = None):
         self.data = {}
         if data:
             for k, c in data.items():
-                c = self._coerce(c)
+                c = _exact_coeff(c)
                 if c:
                     self.data[k] = c
 
@@ -241,7 +242,7 @@ class CoeffMap:
 
     def scale(self, q):
         """Multiply every coefficient by a scalar the coefficients accept."""
-        q = self._coerce(q)
+        q = _exact_coeff(q)
         if not q:
             return self._like({})
         return self._like({k: c * q for k, c in self.data.items()})
@@ -277,14 +278,111 @@ class TensorMap(CoeffMap):
 
 def _cleared(row: Mapping) -> tuple:
     """(d, ints): d is the lcm of the denominators of the row's entries, ints
-    or Fractions, and ints is the row times d, computed as
-    `numerator * (d // denominator)` with no Fraction arithmetic."""
+    or Fractions, and ints is the row times d with its zeros dropped,
+    computed as `numerator * (d // denominator)` with no Fraction
+    arithmetic.  The entries of ints and d have no common factor."""
     d = 1
-    for v in row.values():
-        q = v.denominator
-        if d % q:
-            d = d * q // gcd(d, q)
-    return d, {j: v.numerator * (d // v.denominator) for j, v in row.items()}
+    try:
+        for v in row.values():
+            q = v.denominator
+            if d % q:
+                d = d * q // gcd(d, q)
+    except AttributeError:
+        raise TypeError(f"expected an exact rational, got {type(v).__name__}") from None
+    return d, {j: v.numerator * (d // v.denominator) for j, v in row.items() if v}
+
+
+def _int_store(values: Mapping) -> tuple:
+    """(den, data) of the exact values {key: {inner key: value}}: each inner
+    map is cleared by `_cleared` and put over den, the lcm of their scales.
+    So (den, data) is reduced, with no zero entry and no empty inner map."""
+    cleared = [(key, *_cleared(inner)) for key, inner in values.items()]
+    den = lcm(*(d for _, d, _ in cleared))
+    return den, {key: ints if d == den else {k: c * (den // d) for k, c in ints.items()}
+                 for key, d, ints in cleared if ints}
+
+
+class IntStore:
+    """Int data over one int denominator: `data` maps an outer key to a
+    sparse map {inner key: nonzero int}, and the element is data / den.
+
+    Never changed in place, and always reduced: gcd(den, entries) = 1, with
+    no zero entry and no empty inner map, so `==` is dict equality.  The
+    constructor takes exact values (`_int_store`); every result is built
+    by `_like`, which takes int data over a denominator and reduces it.  A
+    subclass names the attributes that fix its space in `_space`: elements
+    compare equal and combine only within one space.
+    """
+
+    __slots__ = ("den", "data")
+    _space: tuple = ()
+
+    def __init__(self, values: Mapping):
+        self.den, self.data = _int_store(values)
+
+    def _like(self, data: dict, den: int, **space):
+        """data / den in self's space, with the attributes in `space`
+        replaced, as a new element taking ownership of `data`: the only
+        pass that drops zeros and empty maps, and the reduction, which
+        takes one gcd per inner map and stops once it reaches 1."""
+        out = {}
+        g = den
+        for key, inner in data.items():
+            if not all(inner.values()):
+                inner = {k: c for k, c in inner.items() if c}
+            if inner:
+                out[key] = inner
+                if g != 1:
+                    g = gcd(g, *inner.values())
+        new = object.__new__(type(self))
+        for name in self._space:
+            setattr(new, name, space[name] if name in space else getattr(self, name))
+        new.den = den // g
+        new.data = out if g == 1 else {
+            key: {k: c // g for k, c in inner.items()} for key, inner in out.items()}
+        return new
+
+    def _same_space(self, other) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self._space)
+
+    def _check(self, other) -> None:
+        if not self._same_space(other):
+            raise ValueError("elements of different spaces do not combine")
+
+    def __bool__(self) -> bool:
+        return bool(self.data)
+
+    def __eq__(self, other) -> bool:
+        return self._same_space(other) and (self.den, self.data) == (other.den, other.data)
+
+    def __add__(self, other, sign: int = 1):
+        """self + sign * other, over the lcm of the two denominators."""
+        self._check(other)
+        den = lcm(self.den, other.den)
+        f = den // self.den
+        data = {key: dict(inner) if f == 1 else {k: c * f for k, c in inner.items()}
+                for key, inner in self.data.items()}
+        f = sign * (den // other.den)
+        for key, inner in other.data.items():
+            acc = data.get(key)
+            if acc is None:
+                data[key] = {k: c * f for k, c in inner.items()}
+            else:
+                get = acc.get
+                for k, c in inner.items():
+                    acc[k] = get(k, 0) + c * f
+        return self._like(data, den)
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        return self._like({key: {k: -c for k, c in inner.items()}
+                           for key, inner in self.data.items()}, self.den)
+
+    def __repr__(self):
+        return self.render()
 
 
 def _column_index(rows: list) -> dict:
@@ -383,8 +481,8 @@ def _integer_row_rank(rows: list) -> int:
 def rank_of_rows(rows: Iterable[Mapping[int, Fraction]]) -> int:
     """Rank of a collection of sparse rational row vectors.  Each row is
     cleared of denominators by its own scale (`_cleared`), which keeps its
-    support."""
-    return _integer_row_rank([_cleared(row)[1] for row in rows if row])
+    support and drops a stored zero, so a zero is never a pivot."""
+    return _integer_row_rank([r for _, r in map(_cleared, rows) if r])
 
 
 def _exact(q: Fraction):
@@ -436,15 +534,14 @@ class Factorization:
         None when the system is inconsistent.  The entries of b are exact
         rationals; those of x are ints where integral, Fractions otherwise.
 
-        b is scaled by the lcm d of its denominators and the recorded row
-        scales and updates are replayed on it over the integers; the only
-        divisions are those of the back-substitution."""
+        b is scaled by the lcm d of its denominators (`_cleared`) and the
+        recorded row scales and updates are replayed on it over the
+        integers; the only divisions are those of the back-substitution."""
         if len(b) != self.nrows:
             raise ValueError(f"dimension mismatch: matrix has {self.nrows} "
                              f"rows, vector has {len(b)}")
-        rhs = [v if type(v) is int else as_fraction(v) for v in b]
-        d = lcm(*(v.denominator for v in rhs))
-        r = [v.numerator * (d // v.denominator) for v in rhs]
+        d, ints = _cleared(dict(enumerate(b)))
+        r = [ints.get(i, 0) for i in range(self.nrows)]
         for i, scale in self.row_scales:
             r[i] *= scale
         for _, prow, _, _, ops in self.steps:

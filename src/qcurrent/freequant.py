@@ -63,10 +63,10 @@ class FreeModel:
         return f"({body})" if wrap and len(parts) > 1 else body
 
     def iota_letter(self, i: int) -> UElement:
-        return UElement(self, {((), (i,)): HPoly.one()})
+        return UElement(self, {((), (i,)): 1})
 
     def j_letter(self, i: int) -> UElement:
-        return UElement(self, {((i,), ()): HPoly.one()})
+        return UElement(self, {((i,), ()): 1})
 
     def iota(self, x) -> UElement:
         """Embed a Lie element or a U(g) element through the I-letters."""
@@ -197,7 +197,7 @@ def fm_antipode(a: UElement) -> UElement:
     def image_of(word: FMWord) -> UElement:
         jw, iw = word
         return reduce(UElement.__mul__, [-fm.iota_letter(i) for i in reversed(iw)] + [
-            -fm.j_letter(j) + fm.iota_letter(j).scale(HPoly.hbar(1, cg / 4))
+            -fm.j_letter(j) + fm.iota_letter(j).scale(HPoly.hbar(1, Fraction(cg, 4)))
             for j in reversed(jw)], UElement.unit(fm))
     return a.linear_map(image_of, UElement(fm))
 
@@ -591,7 +591,7 @@ def verify_hopf_axioms(g: LieAlgebraData) -> Report:
         for b in range(g.dim):
             jx = fm.j_letter(b)
             expected = (-jx + fm.iota_letter(b).scale(
-                HPoly.hbar(1, cg / 4)))
+                HPoly.hbar(1, Fraction(cg, 4))))
             bad = fm_antipode(jx) - expected
             if bad:
                 return f"at J({g.names[b]}): " + bad.render()

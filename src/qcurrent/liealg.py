@@ -49,7 +49,7 @@ class RootDatum:
 
 
 class LieElement(CoeffMap):
-    """Sparse vector in the Lie algebra: {basis index: Fraction}."""
+    """Sparse vector in the Lie algebra: {basis index: coefficient}."""
 
     __slots__ = ("alg",)
     _space = ("alg",)

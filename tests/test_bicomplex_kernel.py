@@ -5,6 +5,7 @@ reference, and the value semantics of the one-denominator `Cochain`."""
 import json
 from fractions import Fraction as F
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 from random import Random
 
@@ -28,7 +29,7 @@ GOLDEN = Path(__file__).parent / "data" / "cochain_golden.json"
 
 def reference_dh(w: Cochain) -> Cochain:
     g, m = w.g, w.m
-    out = Cochain(g, m + 1, w.n, w.bound)
+    data = {}
     for t in combinations(range(g.dim), m + 1):
         for v in range(g.dim):
             acc = {}
@@ -53,9 +54,8 @@ def reference_dh(w: Cochain) -> Cochain:
                         s, sgn = ins
                         for tkey, e in w.value(s, v).items():
                             accumulate(acc, tkey, (-1) ** (i + j) * sgn * c * e)
-            for tkey, c in acc.items():
-                out._accumulate((t, v), tkey, c)
-    return out
+            data[t, v] = acc
+    return Cochain(g, m + 1, w.n, w.bound, data)
 
 
 def keys_and_values(w: Cochain):
@@ -67,17 +67,17 @@ def keys_and_values(w: Cochain):
 
 def reference_dv(w: Cochain) -> Cochain:
     n = w.n
-    out = Cochain(w.g, w.m, n + 1, w.bound)
+    data = {}
     for s, v, tensor in keys_and_values(w):
-        key = (s, v)
+        acc = data[s, v] = {}
         for tkey, c in tensor.items():
-            out._accumulate(key, ((),) + tkey, c)
-            out._accumulate(key, tkey + ((),), c * (-1) ** (n + 1))
+            accumulate(acc, ((),) + tkey, c)
+            accumulate(acc, tkey + ((),), c * (-1) ** (n + 1))
             for i in range(n):
                 for (a, b), q in mono_coproduct_terms(w.g, tkey[i]).items():
-                    out._accumulate(key, tkey[:i] + (a, b) + tkey[i + 1:],
-                                    c * q * (-1) ** (i + 1))
-    return out
+                    accumulate(acc, tkey[:i] + (a, b) + tkey[i + 1:],
+                               c * q * (-1) ** (i + 1))
+    return Cochain(w.g, w.m, n + 1, w.bound, data)
 
 
 def scaled(w: Cochain, q) -> Cochain:
@@ -88,14 +88,14 @@ def scaled(w: Cochain, q) -> Cochain:
 
 def mixed_cochain(g, m, n, bound, rng) -> Cochain:
     """A random cochain whose coefficients have denominators 1, 2, 3 and 6."""
-    out = Cochain(g, m, n, bound)
+    data = {}
     for s in combinations(range(g.dim), m):
         for v in range(g.dim):
             for tkey in tensor_slice_keys(g, n, bound):
                 if rng.random() < 0.2:
-                    out._accumulate((s, v), tkey,
-                                    F(rng.randint(-7, 7), rng.choice((1, 2, 3, 6))))
-    return out
+                    data.setdefault((s, v), {})[tkey] = \
+                        F(rng.randint(-7, 7), rng.choice((1, 2, 3, 6)))
+    return Cochain(g, m, n, bound, data)
 
 
 # --- the exhaustive proof ------------------------------------------------------
@@ -191,8 +191,7 @@ def test_dv_is_the_cobar_differential_of_sym_g(sl2, n):
         return tuple(mono.count(x) for x in range(sl2.dim))
     nonzero = 0
     for tkey in tensor_slice_keys(sl2, n, 3):
-        w = Cochain(sl2, 0, n, 3)
-        w._accumulate(((), 0), tkey, 1)
+        w = Cochain(sl2, 0, n, 3, {((), 0): {tkey: 1}})
         image = bicomplex_dv(w).value((), 0)
         y = CobarChain(sl2.dim, n, sum(map(len, tkey)),
                        {tuple(map(exponents, tkey)): 1})
@@ -210,8 +209,10 @@ def test_kernel_keeps_non_integral_table_values():
         w = mixed_cochain(g, m, n, 2, rng)
         assert bicomplex_dh(w) == reference_dh(w)
         assert bicomplex_dv(w) == reference_dv(w)
-        # the image is put over w's denominator times the tables' scale, 2
-        assert bicomplex_dh(w).den == 2 * w.den
+        # the image is put over the lcm of the denominators of its values
+        image = bicomplex_dh(w)
+        assert image.den == lcm(*(F(c).denominator for s, v, tensor
+                                  in keys_and_values(image) for c in tensor.values()))
     (half,) = g.bracket_table[2, 0].values()
     assert type(half) is F and half == F(1, 2)
     # the adjoint action reads through the patched entry; a product of
@@ -276,11 +277,27 @@ def test_cochains_with_equal_values_are_equal_over_any_denominator(sl2):
     half = Cochain(sl2, 0, 1, 2, {((), 0): {((0,),): F(1, 2)}})
     third = Cochain(sl2, 0, 1, 2, {((), 1): {((1, 1),): F(1, 3)}})
     same = half + third - third
-    assert (half.den, same.den) == (2, 6)
+    assert (half.den, same.den) == (2, 2)
     assert same == half and half == same
     assert half + half == Cochain(sl2, 0, 1, 2, {((), 0): {((0,),): 1}})
     assert half != half + half and half + third != half
     assert not (third - third)
+
+
+def test_cochains_of_different_spaces_neither_compare_nor_combine(sl2):
+    """Equality and sums need one algebra, bidegree and bound; a float
+    value is refused."""
+    value = {((), 0): {((0,),): 1}}
+    w = Cochain(sl2, 0, 1, 2, value)
+    assert w == Cochain(sl2, 0, 1, 2, {((), 0): {((0,),): F(3, 3)}})
+    for other in (Cochain(sl2, 0, 1, 3, value), Cochain(build_sl(2), 0, 1, 2, value),
+                  Cochain(sl2, 1, 1, 2), Cochain(sl2, 0, 2, 2)):
+        assert w != other and other != w
+        for combine in (w.__add__, w.__sub__):
+            with pytest.raises(ValueError, match="different spaces"):
+                combine(other)
+    with pytest.raises(TypeError, match="float"):
+        Cochain(sl2, 0, 1, 2, {((), 0): {((0,),): 0.5}})
 
 
 def test_mixed_denominator_cochain_json_roundtrip(sl2):

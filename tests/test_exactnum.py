@@ -15,6 +15,17 @@ def test_rank_zero():
     assert rank_of_rows([{} for _ in range(4)]) == 0
 
 
+def test_stored_zeros_are_never_pivots():
+    """A stored zero, int or Fraction, is dropped as the row is cleared of
+    denominators, so neither rank nor factor takes it as a pivot."""
+    assert rank_of_rows([{0: 0}]) == 0
+    assert rank_of_rows([{0: 0, 1: 1}, {1: 1}]) == 1
+    assert rank_of_rows([{0: F(0), 1: F(1, 2)}, {1: 1}]) == 1
+    assert factor([{0: 0, 1: 1}, {0: 1, 1: 1}], 2).solve([1, 2]) == [1, 1]
+    with pytest.raises(TypeError, match="float"):
+        rank_of_rows([{0: 0.5}])
+
+
 def test_rank_outer_product():
     u = [F(1), F(2), F(0), F(-1), F(3)]
     v = [F(2), F(1), F(1), F(1), F(1)]

@@ -218,9 +218,12 @@ def test_bicomplex_and_solver_cochains_are_int_over_one_denominator(
     for name, cochains in returned.items():
         for w in cochains:
             assert type(w.den) is int and w.den >= 1, (name, w.den)
-            bad = [c for tensor in w.data.values() for c in tensor.values()
-                   if type(c) is not int]
+            entries = [c for tensor in w.data.values() for c in tensor.values()]
+            bad = [c for c in entries if type(c) is not int]
             assert not bad, (name, bad[:3])
+            # reduced: no zero entry, no empty tensor, no common factor
+            assert all(entries) and all(w.data.values()), (name, w.data)
+            assert gcd(w.den, *entries) == 1, (name, w.den, entries[:3])
 
 
 def test_solver_factorizations_hold_only_ints(bicomplex_path):

@@ -171,6 +171,25 @@ def test_bracket_edge_cases(model, arity):
         a.bracket(build(ctx, mixed, random_values(rng, ctx, g, mixed)))
 
 
+@pytest.mark.parametrize("model", (False, True), ids=("U(g)", "free-model"))
+def test_every_exact_form_of_a_value_gives_one_store(model):
+    """The int 1 (the constructors' int fast path), Fraction(2, 2) and
+    HPoly.one() give one store; a zero value gives a zero element, and a
+    float is refused."""
+    g = build_sl(2)
+    ctx = free_model(g) if model else g
+    unit = ctx.unit_word
+    for make in (lambda v: UElement(ctx, {unit: v}),
+                 lambda v: TensorElement(ctx, 2, {(unit, unit): v})):
+        one = make(1)
+        assert one == make(F(2, 2)) == make(HPoly.one())
+        assert (one.den, list(one.data.values())) == (1, [{0: 1}])
+        for zero in (0, F(0), HPoly.zero()):
+            assert not make(zero) and make(zero) == one - one
+        with pytest.raises(TypeError):
+            make(0.5)
+
+
 def test_mixing_spaces_fails_under_python_O():
     """The space checks are ValueErrors, not asserts, so `python -O` keeps
     them: adding an arity-2 and an arity-3 tensor is refused."""
