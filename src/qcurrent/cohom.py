@@ -17,7 +17,9 @@ Its independent reference, `ce_differential`, the textbook sum over the
 faces of each output set, lives in `tests/reference.py`.  Cohomology is
 computed on the weight-zero subcomplex alone: by Cartan's homotopy formula
 theta_h = d iota_h + iota_h d (H. Cartan, Colloque de Topologie, Bruxelles
-1950), every block of nonzero Cartan weight is acyclic.
+1950), every block of nonzero Cartan weight is acyclic.  The minus cobar
+complex of Sym(V), for `cartier`, splits likewise into multidegree blocks,
+and one block is ranked per S_v orbit, counted by the size of its orbit.
 
 Every table here is integral on sl_n: the bracket table, the adjoint action
 on PBW monomials (`_ad_letter`) and the coproduct (`mono_coproduct_terms`)
@@ -35,8 +37,10 @@ are freed with it.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, count
+from itertools import (combinations, combinations_with_replacement, count,
+                       product)
 from math import lcm
 from random import Random
 from typing import Dict, List, Optional, Tuple
@@ -414,52 +418,60 @@ def cobar_differential(y: CobarChain) -> CobarChain:
     return out
 
 
-def _tensor_basis(v_dim: int, n: int, degree: int) -> List[tuple]:
-    """n-tuples of exponent vectors of total degree `degree`."""
-    if n == 0:
-        return [()] if degree == 0 else []
-    return [(mono,) + rest for d in range(degree + 1)
-            for mono in _sym_monomials(v_dim, d)
-            for rest in _tensor_basis(v_dim, n - 1, degree - d)]
+def _tensor_basis(alpha: tuple, n: int) -> List[tuple]:
+    """n-tuples of exponent vectors that sum to the multidegree alpha: one
+    composition of alpha_i into n parts per coordinate i."""
+    return [tuple(zip(*split))
+            for split in product(*(_sym_monomials(n, a) for a in alpha))]
 
 
-def _minus_basis(v_dim: int, n: int, degree: int) -> List[CobarChain]:
-    """Basis of the minus eigenspace of the reversal involution."""
+def _minus_basis(alpha: tuple, n: int) -> List[CobarChain]:
+    """Basis of the minus eigenspace of the reversal in the block alpha."""
     sign = (-1) ** (n * (n + 1) // 2)
     seen = set()
     basis = []
-    for key in _tensor_basis(v_dim, n, degree):
+    for key in _tensor_basis(alpha, n):
         rkey = tuple(reversed(key))
         if key == rkey:
             if sign == 1:
                 continue  # sigma fixes it with +1: not in the minus part
-            basis.append(CobarChain(v_dim, n, degree, {key: ONE}))
+            basis.append(CobarChain(len(alpha), n, sum(alpha), {key: ONE}))
         else:
             pair = min(key, rkey)
             if pair in seen:
                 continue
             seen.add(pair)
-            basis.append(CobarChain(v_dim, n, degree,
+            basis.append(CobarChain(len(alpha), n, sum(alpha),
                                     {key: ONE, rkey: -sign * ONE}))
     return basis
 
 
+def _image_rank(chains: List[CobarChain]) -> int:
+    """Rank of the cobar differential's images of `chains`."""
+    index: Dict[tuple, int] = {}
+    return rank_of_rows([{index.setdefault(key, len(index)): c
+                          for key, c in cobar_differential(y).data.items()}
+                         for y in chains])
+
+
+def _block_cohomology_dim(alpha: tuple, n: int) -> int:
+    """dim H^n of the minus subcomplex in the block of multidegree alpha."""
+    cur = _minus_basis(alpha, n)
+    prev = _minus_basis(alpha, n - 1) if n >= 1 else []
+    return len(cur) - _image_rank(cur) - _image_rank(prev)
+
+
 def minus_cohomology_dim(v_dim: int, n: int, degree: int) -> int:
-    """dim H^n of the minus subcomplex of the cobar complex at one degree."""
-    cur = _minus_basis(v_dim, n, degree)
-    prev = _minus_basis(v_dim, n - 1, degree) if n >= 1 else []
+    """dim H^n of the minus subcomplex of the cobar complex at one degree.
 
-    def flatten(chain: CobarChain, index: Dict[tuple, int]) -> Vector:
-        row: Vector = {}
-        for key, c in chain.data.items():
-            row[index.setdefault(key, len(index))] = c
-        return row
-
-    up_index: Dict[tuple, int] = {}
-    rank_out = rank_of_rows([flatten(cobar_differential(y), up_index) for y in cur])
-    mid_index: Dict[tuple, int] = {}
-    rank_in = rank_of_rows([flatten(cobar_differential(y), mid_index) for y in prev])
-    return len(cur) - rank_out - rank_in
+    The differential and the reversal keep the multidegree alpha, the sum of
+    a tensor's exponent vectors, and permuting the coordinates of V maps the
+    block of alpha onto that of each rearrangement.  So only sorted alpha
+    are ranked, each counted by the size of its S_v orbit."""
+    orbits = Counter(tuple(sorted(alpha, reverse=True))
+                     for alpha in _sym_monomials(v_dim, degree))
+    return sum(size * _block_cohomology_dim(alpha, n)
+               for alpha, size in orbits.items())
 
 
 def cartier_check(v_dim: int, d_max: int) -> Report:
@@ -802,6 +814,9 @@ def solve_correction(gamma: Cochain, eta: Cochain, bound: int,
         raise ValueError("gamma must live at bidegree (1,1)")
     if (eta.m, eta.n) != (0, 2):
         raise ValueError("eta must live at bidegree (0,2)")
+    if not gamma.bound == eta.bound == bound:
+        raise ValueError(f"gamma, eta and bound must agree: got "
+                         f"{gamma.bound}, {eta.bound} and {bound}")
     g = gamma.g
     if bicomplex_dh(gamma):
         raise CocycleConditionError(

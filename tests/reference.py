@@ -10,7 +10,8 @@ from typing import Dict, List, Optional, Tuple
 
 from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
                             FiltrationError, GModule, Vector, _minus_basis,
-                            _signed_insert, cobar_differential)
+                            _signed_insert, _sym_monomials, _tensor_basis,
+                            cobar_differential)
 from qcurrent.current import CurrentElement, CurrentTensor, c_bracket
 from qcurrent.dsl import Bracket, Call, Hbar, Name, Num, Prod, Sum, Tensor
 from qcurrent.envelope import UElement, casimir_tensor
@@ -260,6 +261,22 @@ def random_ce_chain(module: GModule, m: int, rng: Random,
 # --- the reversal involution of the cobar complex ------------------------------
 
 
+def tensor_basis(v_dim: int, n: int, degree: int) -> List[tuple]:
+    """n-tuples of exponent vectors of total degree `degree`: the union over
+    multidegrees alpha of the package's `_tensor_basis(alpha, n)`, ordered
+    factor by factor by (degree, exponent vector)."""
+    keys = [key for alpha in _sym_monomials(v_dim, degree)
+            for key in _tensor_basis(alpha, n)]
+    return sorted(keys, key=lambda key: [(sum(m), m) for m in key])
+
+
+def minus_basis(v_dim: int, n: int, degree: int) -> List[CobarChain]:
+    """Basis of the minus eigenspace at one degree: the union over
+    multidegrees alpha of the package's `_minus_basis(alpha, n)`."""
+    return [b for alpha in _sym_monomials(v_dim, degree)
+            for b in _minus_basis(alpha, n)]
+
+
 def sigma_involution(y: CobarChain) -> CobarChain:
     """Reverse the tensor factors with the sign (-1)^{n(n+1)/2}."""
     sign = (-1) ** (y.n * (y.n + 1) // 2)
@@ -290,7 +307,7 @@ def solve_minus_coboundary(y: CobarChain) -> CobarChain:
         raise CocycleConditionError("input is not in the minus eigenspace")
     if cobar_differential(y):
         raise CocycleConditionError("input is not a cocycle: delta(y) != 0")
-    basis = _minus_basis(y.v_dim, 1, y.degree)
+    basis = minus_basis(y.v_dim, 1, y.degree)
     col_index: Dict[tuple, int] = {}
     images = []
     for b in basis:

@@ -1,13 +1,15 @@
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
+from math import comb
 from random import Random
 
 import pytest
 
 from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
-                            FiltrationError, GModule, _ce_matrix_rows,
-                            _minus_basis, adjoint_module, bicomplex_dh,
+                            FiltrationError, GModule, _block_cohomology_dim,
+                            _ce_matrix_rows, _minus_basis, _sym_monomials,
+                            _tensor_basis, adjoint_module, bicomplex_dh,
                             bicomplex_dv, bicomplex_report, cartier_check,
                             ce_cohomology_dims, cobar_differential,
                             dual_module, identity_shift_of,
@@ -18,9 +20,10 @@ from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
 from qcurrent.exactnum import ONE, accumulate, rank_of_rows
 from qcurrent.liealg import build_sl
 from reference import (CEChain, act, ce_differential, cochain_from_json,
-                       cochain_to_json, kernel_basis, random_ce_chain,
-                       sigma_involution, sigma_split, solve_minus_coboundary,
-                       transpose, validate)
+                       cochain_to_json, kernel_basis, minus_basis,
+                       random_ce_chain, sigma_involution, sigma_split,
+                       solve_minus_coboundary, tensor_basis, transpose,
+                       validate)
 
 
 # --- modules ---------------------------------------------------------------
@@ -332,9 +335,8 @@ def test_primitives_are_cocycles():
 
 
 def _random_cobar(v_dim, n, degree, rng):
-    from qcurrent.cohom import _tensor_basis
     data = {}
-    for key in _tensor_basis(v_dim, n, degree):
+    for key in tensor_basis(v_dim, n, degree):
         if rng.random() < 0.4:
             c = F(rng.randint(-3, 3), rng.randint(1, 2))
             if c:
@@ -406,15 +408,61 @@ def _rank_by_kernel(chains):
 
 
 def test_minus_cohomology_matches_kernel_reference():
+    """`minus_cohomology_dim`, ranked block by block, against the ranks of
+    the whole, unsplit complex at each degree; every mismatch is listed."""
+    mismatches = []
     for v_dim in (1, 2, 3):
         for n in (1, 2, 3):
             for d in range(5):
-                cur = _minus_basis(v_dim, n, d)
-                prev = _minus_basis(v_dim, n - 1, d)
+                cur = minus_basis(v_dim, n, d)
+                prev = minus_basis(v_dim, n - 1, d)
                 expected = len(cur) - _rank_by_kernel(cur) - \
                     _rank_by_kernel(prev)
-                assert minus_cohomology_dim(v_dim, n, d) == expected, \
-                    (v_dim, n, d)
+                got = minus_cohomology_dim(v_dim, n, d)
+                if got != expected:
+                    mismatches.append(((v_dim, n, d), got, expected))
+    assert mismatches == []
+
+
+def _multidegree(key, v_dim):
+    return tuple(sum(mono[i] for mono in key) for i in range(v_dim))
+
+
+def test_cobar_blocks_partition_each_degree_and_the_differential_keeps_them():
+    """The multidegree blocks of one degree are disjoint and together hold
+    every tensor, and the cobar differential of each tensor and of each minus
+    basis chain of block alpha has only keys of multidegree alpha."""
+    for v_dim in (1, 2, 3):
+        for n in range(4):
+            for d in range(5):
+                count = 0
+                for alpha in _sym_monomials(v_dim, d):
+                    block = _tensor_basis(alpha, n)
+                    count += len(block)
+                    chains = [CobarChain(v_dim, n, d, {key: ONE})
+                              for key in block] + _minus_basis(alpha, n)
+                    for y in chains:
+                        keys = list(y.data) + list(cobar_differential(y).data)
+                        assert {_multidegree(key, v_dim) for key in keys} \
+                            <= {alpha}, (alpha, n, y.data)
+                    assert len(set(block)) == len(block)
+                assert count == (comb(d + n * v_dim - 1, d) if n else d == 0)
+
+
+def test_block_cohomology_is_the_same_on_every_rearrangement():
+    """Permuting the coordinates of V preserves the dim H^n of a block, and
+    the blocks of all multidegrees, each ranked directly, add up to
+    `minus_cohomology_dim`."""
+    for v_dim in (1, 2, 3):
+        for n in (1, 2, 3):
+            for d in range(5):
+                dims = {alpha: _block_cohomology_dim(alpha, n)
+                        for alpha in _sym_monomials(v_dim, d)}
+                for alpha, dim in dims.items():
+                    for perm in permutations(alpha):
+                        assert dims[perm] == dim, (alpha, perm, n)
+                assert sum(dims.values()) == \
+                    minus_cohomology_dim(v_dim, n, d), (v_dim, n, d)
 
 
 def test_cartier_check_report():
@@ -423,10 +471,9 @@ def test_cartier_check_report():
 
 def test_solve_minus_coboundary_roundtrip():
     rng = Random(4)
-    from qcurrent.cohom import _minus_basis
     for d in (1, 2, 3):
         chain = CobarChain(2, 1, d)
-        for b in _minus_basis(2, 1, d):
+        for b in minus_basis(2, 1, d):
             if rng.random() < 0.6:
                 chain = chain + b.scale(F(rng.randint(-2, 2)))
         y = cobar_differential(chain)
@@ -605,6 +652,22 @@ def test_solver_rejects_bad_gamma(sl2):
         gamma = random_cochain(sl2, 1, 1, 2, rng)
     with pytest.raises(CocycleConditionError, match="gamma"):
         solve_correction(gamma, Cochain(sl2, 0, 2, 2), 2)
+
+
+def test_solver_checks_the_filtration_bounds_first(sl2):
+    """gamma, eta and the solve must share one bound: a mismatch is refused
+    up front, naming all three, and matched bounds still solve."""
+    rng = Random(77)
+    phi2 = random_cochain(sl2, 0, 1, 2, rng, density=0.7)
+    phi3 = random_cochain(sl2, 0, 1, 3, rng, density=0.5)
+    gamma, eta = bicomplex_dh(phi2), bicomplex_dv(phi2)
+    with pytest.raises(ValueError, match="got 2, 3 and 2"):
+        solve_correction(gamma, bicomplex_dv(phi3), 2)
+    with pytest.raises(ValueError, match="got 2, 2 and 3"):
+        solve_correction(gamma, eta, 3)
+    phi = solve_correction(gamma, eta, 2)
+    assert bicomplex_dh(phi) == gamma
+    assert bicomplex_dv(phi) == eta
 
 
 def test_solver_rejects_asymmetric_eta(sl2):
