@@ -31,16 +31,11 @@ SUITE_FAULTS = {
     "solver": ("noneq-theta",),
 }
 
-_ALGEBRAS: dict = {}
-
-
 def _algebra(label: str) -> LieAlgebraData:
     if not (label.startswith("A") and label[1:].isdigit() and int(label[1:]) >= 1):
         raise UsageError(f"unsupported algebra type {label!r}; expected A<k> "
                          "with k >= 1 (A1 = sl_2, A2 = sl_3, ...)")
-    if label not in _ALGEBRAS:
-        _ALGEBRAS[label] = build_sl(int(label[1:]) + 1)
-    return _ALGEBRAS[label]
+    return build_sl(int(label[1:]) + 1)
 
 
 class UsageError(Exception):

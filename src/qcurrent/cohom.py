@@ -31,7 +31,7 @@ are linear, so this is exact.  A table value with a denominator stays an
 exact Fraction, and dH absorbs it into the denominator of its image:
 integrality is never assumed.  The tensor slices and their modules, the dV
 images of the basis tensors and the solver's factored systems are built
-once per algebra and kept in a dict on it (`_correction_systems`), so they
+once per algebra and kept in its memo (`LieAlgebraData.derived`), so they
 are freed with it.
 """
 
@@ -203,7 +203,7 @@ def u_slice_module(g: LieAlgebraData, bound: int) -> GModule:
 
 def _ad_letter(g: LieAlgebraData, x: int, mono: tuple) -> dict:
     """[x, mono] in PBW normal form; stays within the filtration slice."""
-    cache = g._ad_cache
+    cache = g.derived("ad", dict)
     key = (x, mono)
     hit = cache.get(key)
     if hit is not None:
@@ -547,18 +547,15 @@ def _slice(g: LieAlgebraData, n: int, bound: int):
     algebra: `tensor_slice_keys` and their positions, `tensor_slice_module`,
     the dual(adjoint) actions, and the lcm of the denominators of the
     bracket table and the slice actions (1 on sl_n), which clears dH."""
-    cache = g._correction_systems
-    hit = cache.get(("slice", n, bound))
-    if hit is None:
+    def build():
         keys = tensor_slice_keys(g, n, bound)
         module = tensor_slice_module(g, n, bound)
         scale = lcm(*{c.denominator
                       for table in (g.bracket_table, *module.actions)
                       for col in table.values() for c in col.values()})
-        hit = cache["slice", n, bound] = (
-            keys, {k: j for j, k in enumerate(keys)}, module,
-            dual_module(adjoint_module(g)).actions, scale)
-    return hit
+        return (keys, {k: j for j, k in enumerate(keys)}, module,
+                dual_module(adjoint_module(g)).actions, scale)
+    return g.derived(("slice", n, bound), build)
 
 
 def _outside_slice(w: Cochain, tkey: tuple) -> FiltrationError:
@@ -630,7 +627,7 @@ def bicomplex_dv(w: Cochain) -> Cochain:
     use of its key, which must lie in T^n_{<=D}: a key outside is refused
     with a FiltrationError."""
     g = w.g
-    terms_of = g._correction_systems.setdefault(("dV", w.n, w.bound), {})
+    terms_of = g.derived(("dV", w.n, w.bound), dict)
     data: dict = {}
     for key, tensor in w.data.items():
         acc: dict = {}
@@ -804,8 +801,8 @@ def solve_correction(gamma: Cochain, eta: Cochain, bound: int,
     linear constraints dH(theta) = 0).  Both determinations use the
     deterministic pivot rule of the exact solver, and the returned cochain
     is re-substituted into both equations rather than trusted.  The two
-    systems are built and factored once per (algebra, bound) and kept on
-    the algebra (`_correction_systems`).
+    systems are built and factored once per (algebra, bound) and kept in
+    the algebra's memo.
 
     `fault="noneq-theta"` adds a non-equivariant primitive-valued shift to
     theta after stage two; the re-substitution must then reject the result.
@@ -831,10 +828,7 @@ def solve_correction(gamma: Cochain, eta: Cochain, bound: int,
     if eta.swap_tensor() - eta:
         raise CocycleConditionError("eta != eta^21: eta must be symmetric")
 
-    systems = g._correction_systems
-    system = systems.get(("solver", bound))
-    if system is None:
-        system = systems["solver", bound] = CorrectionSystem(g, bound)
+    system = g.derived(("solver", bound), lambda: CorrectionSystem(g, bound))
     psi = system.horizontal_preimage(gamma)
 
     eta1 = eta - bicomplex_dv(psi)

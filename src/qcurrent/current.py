@@ -106,7 +106,7 @@ def _omega_pairs(alg: LieAlgebraData, fault: Optional[str]):
     return alg.casimir_pairs
 
 
-def _omega_table(alg: LieAlgebraData, fault: Optional[str]):
+def _omega_brackets(alg: LieAlgebraData, fault: Optional[str]):
     """The [x (x) 1, Omega] table for the Casimir pairs of `_omega_pairs`."""
     if fault is None:
         return alg.omega_table
@@ -178,7 +178,7 @@ def cleared_cobracket_identity(f: CurrentElement,
     bracket table directly, so it checks the table.
     """
     alg = f.alg
-    delta = cobracket(f, _omega_table(alg, fault))
+    delta = cobracket(f, _omega_brackets(alg, fault))
     out = CurrentTensor(alg, 2)
     for ((x1, a), (x2, b)), c in delta.data.items():
         out._accumulate(((x1, a + 1), (x2, b)), c)
@@ -200,7 +200,7 @@ def verify_bialgebra(g: LieAlgebraData, max_degree: int,
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     basis = [(b, n) for n in range(max_degree + 1) for b in range(g.dim)]
-    omega = _omega_table(g, fault)
+    omega = _omega_brackets(g, fault)
     specs = []
 
     def basis_deltas():
@@ -390,6 +390,4 @@ class CurrentEnvelope(PBWAlgebra):
 
 def current_envelope(g: LieAlgebraData) -> CurrentEnvelope:
     """Shared U(g[u]) letter algebra for g (memoization lives on it)."""
-    if g._current_envelope is None:
-        g._current_envelope = CurrentEnvelope(g)
-    return g._current_envelope
+    return g.derived(CurrentEnvelope, lambda: CurrentEnvelope(g))

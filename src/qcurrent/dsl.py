@@ -31,10 +31,15 @@ from .liealg import LieAlgebraData, LieElement
 
 
 class DSLError(ValueError):
-    """Parse or evaluation error with source position information."""
+    """Parse or evaluation error.  Tokenizer and parser errors carry the
+    source position, which is appended to the message; evaluation errors
+    have none."""
 
-    def __init__(self, message: str, line: int = 1, column: int = 0):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message: str, line: Optional[int] = None,
+                 column: Optional[int] = None):
+        if line is not None:
+            message += f" (line {line}, column {column})"
+        super().__init__(message)
         self.line = line
         self.column = column
 

@@ -143,8 +143,6 @@ class WordElement(IntStore):
         return self._like({key: _poly_product(poly, qdata.get((), {}))
                            for key, poly in self.data.items()}, self.den * qden)
 
-    __rmul__ = scale
-
     def _product(self, other, bracket: bool = False):
         """self * other, or self*other - other*self when `bracket`, as one int
         store; `_key_product(k1, k2)` expands k1 * k2 as (key, int) pairs."""
@@ -330,13 +328,14 @@ def mono_coproduct_terms(g: LieAlgebraData, mono: Monomial) -> dict:
     {(left, right): coefficient}.  Every letter is primitive and a subword
     of a sorted monomial is sorted, so this is `sym_coproduct` on the
     monomial's runs of equal letters, with no straightening."""
-    terms = g._coproduct_cache.get(mono)
+    cache = g.derived("coproduct", dict)
+    terms = cache.get(mono)
     if terms is None:
         letters = tuple(dict.fromkeys(mono))
 
         def word(exponents):
             return sum(((x,) * e for x, e in zip(letters, exponents)), ())
-        terms = g._coproduct_cache[mono] = {
+        terms = cache[mono] = {
             (word(left), word(right)): c for (left, right), c
             in sym_coproduct(tuple(map(mono.count, letters))).items()}
     return terms

@@ -116,16 +116,11 @@ class HPoly:
             return self == HPoly.rational(other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def __add__(self, other) -> "HPoly":
         out = dict(self.coeffs)
         for k, c in as_hpoly(other).coeffs.items():
             out[k] = out.get(k, 0) + c
         return HPoly(out)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "HPoly":
         res = HPoly.__new__(HPoly)
@@ -134,9 +129,6 @@ class HPoly:
 
     def __sub__(self, other) -> "HPoly":
         return self + (-as_hpoly(other))
-
-    def __rsub__(self, other) -> "HPoly":
-        return as_hpoly(other) + (-self)
 
     def __mul__(self, other) -> "HPoly":
         if isinstance(other, (int, Fraction)):
@@ -149,8 +141,6 @@ class HPoly:
                     out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
             return HPoly(out)
         return NotImplemented
-
-    __rmul__ = __mul__
 
     def render(self) -> str:
         """Deterministic text form, e.g. ``1/2 + 3*hbar^2``."""

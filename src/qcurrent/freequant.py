@@ -48,7 +48,7 @@ class FreeModel:
         self.g = g
         self._fm_cache: Dict[tuple, dict] = {}
         self._fm_push_cache: Dict[tuple, dict] = {}
-        self._fm_coproduct_cache: Dict[tuple, TensorElement] = {}
+        self._fm_delta_cache: Dict[tuple, TensorElement] = {}
 
     def multiply_words(self, w1: FMWord, w2: FMWord) -> dict:
         return fm_word_multiply(self, w1, w2)
@@ -82,9 +82,7 @@ class FreeModel:
 
 def free_model(g: LieAlgebraData) -> FreeModel:
     """The free model of g, built on first use and kept on g."""
-    if g._free_model is None:
-        g._free_model = FreeModel(g)
-    return g._free_model
+    return g.derived(FreeModel, lambda: FreeModel(g))
 
 
 def pure_iota_part(a: UElement) -> Optional[UElement]:
@@ -171,7 +169,7 @@ def fm_coproduct(a: UElement, cocycle_scale: Fraction = HALF) -> TensorElement:
     def image_of(word: FMWord) -> TensorElement:
         jw, iw = word
         key = (jw, iw, cocycle_scale)
-        image = fm._fm_coproduct_cache.get(key)
+        image = fm._fm_delta_cache.get(key)
         if image is None:
             image = TensorElement.unit(fm, 2)
             for x in jw:
@@ -179,7 +177,7 @@ def fm_coproduct(a: UElement, cocycle_scale: Fraction = HALF) -> TensorElement:
             if iw:
                 image = image * coproduct(UElement(fm.g, {iw: 1})).expand(
                     lambda m: {(((), m[0]), ((), m[1])): 1}, image)
-            fm._fm_coproduct_cache[key] = image
+            fm._fm_delta_cache[key] = image
         return image
     return a.linear_map(image_of, TensorElement(fm, 2))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .envelope import PBWAlgebra
 from .exactnum import ONE, ZERO, CoeffMap, _exact, _quotient, accumulate
@@ -73,16 +73,10 @@ class LieAlgebraData(PBWAlgebra):
     Cartan weights hold int coefficients.  The Casimir weights are ints
     wherever they are integral; only the Cartan block, the inverse Gram
     matrix of the t_i, has Fractions.  The table `omega_table` of
-    [x (x) 1, Omega] is integral again on sl_n: the denominators cancel.  It
-    is built on first use, like the memo caches below, so it derives from
-    the bracket table and Casimir pairs the algebra holds at that time.  As a
-    PBW letter algebra it is also the word algebra of U(g), so it holds the
-    memo caches of the U(g) layer (straightening, coproduct, adjoint
-    action), whose coefficients are ints wherever they are integral.  The
-    cohomology layer reads these tables directly and keeps its factored
-    correction systems here, one per filtration bound.  The current
-    envelope and the free model are built on first use and hang off the
-    algebra too, so every cache lives and dies with it.
+    [x (x) 1, Omega] is integral again on sl_n: the denominators cancel.
+    State derived from these tables is kept in one memo, through `derived`:
+    it is built on first use, from the tables the algebra holds at that
+    time, and is freed with the algebra.
     """
 
     def __init__(self, n: int):
@@ -160,25 +154,24 @@ class LieAlgebraData(PBWAlgebra):
                     self.casimir_pairs.append(
                         (self.cartan_index(i), self.cartan_index(j), _exact(inv[i][j])))
 
-        self._omega_table: Optional[Dict[int, list]] = None
-        # memo caches of the U(g) layer
+        # the PBWAlgebra straightening memo, and the memo of `derived`
         self._pbw_cache: Dict[tuple, dict] = {}
-        self._coproduct_cache: Dict[tuple, dict] = {}
-        self._ad_cache: Dict[tuple, dict] = {}
-        self._casimir_eigenvalue: Optional[Fraction] = None
-        self._current_envelope = None
-        self._free_model = None
-        # cohom's per-algebra state: tensor slices, dH modules, dV images of
-        # the basis tensors, solver systems
-        self._correction_systems: Dict[tuple, object] = {}
+        self._memo: dict = {}
+
+    def derived(self, key, build: Callable[[], Any]):
+        """The value kept under `key` in this algebra's memo, from `build()`
+        on first use.  A key is a plain value: a string, a tuple, or the
+        class being built."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     @property
     def omega_table(self) -> Dict[int, list]:
         """[x (x) 1, Omega] for every basis index x, from
-        `omega_bracket_table` over the Casimir pairs; built on first use."""
-        if self._omega_table is None:
-            self._omega_table = omega_bracket_table(self, self.casimir_pairs)
-        return self._omega_table
+        `omega_bracket_table` over the Casimir pairs."""
+        return self.derived("omega_table",
+                            lambda: omega_bracket_table(self, self.casimir_pairs))
 
     # --- matrix-unit realization -------------------------------------------------
 
@@ -303,24 +296,23 @@ def casimir_adjoint_eigenvalue(g: LieAlgebraData) -> Fraction:
     insists the action is scalar; a non-scalar action signals a broken
     bracket table or bilinear form.
     """
-    if g._casimir_eigenvalue is not None:
-        return g._casimir_eigenvalue
-    value: Optional[Fraction] = None
-    for b in range(g.dim):
-        x = g.basis_element(b)
-        acc = LieElement(g)
-        for (i, j, w) in g.casimir_pairs:
-            acc = acc + w * g.bracket(g.basis_element(i),
-                                      g.bracket(g.basis_element(j), x))
-        expected = acc.data.get(b, ZERO)
-        if acc.data != ({b: expected} if expected else {}):
-            raise ValueError("Casimir does not act diagonally on the adjoint basis")
-        if value is None:
-            value = expected
-        elif value != expected:
-            raise ValueError("Casimir action on the adjoint is not scalar")
-    g._casimir_eigenvalue = value
-    return value
+    def scalar() -> Fraction:
+        value: Optional[Fraction] = None
+        for b in range(g.dim):
+            x = g.basis_element(b)
+            acc = LieElement(g)
+            for (i, j, w) in g.casimir_pairs:
+                acc = acc + w * g.bracket(g.basis_element(i),
+                                          g.bracket(g.basis_element(j), x))
+            expected = acc.data.get(b, ZERO)
+            if acc.data != ({b: expected} if expected else {}):
+                raise ValueError("Casimir does not act diagonally on the adjoint basis")
+            if value is None:
+                value = expected
+            elif value != expected:
+                raise ValueError("Casimir action on the adjoint is not scalar")
+        return value
+    return g.derived("casimir_eigenvalue", scalar)
 
 
 # --- small dense helpers (matrix-unit realization only) ---------------------------

@@ -218,9 +218,9 @@ def test_kernel_keeps_non_integral_table_values():
     # the adjoint action reads through the patched entry; a product of
     # halves may come out integral, but a coefficient is never a float
     assert any(type(c) is F and c.denominator != 1
-               for coeffs in g._ad_cache.values() for c in coeffs.values())
+               for coeffs in g._memo["ad"].values() for c in coeffs.values())
     assert all(type(c) in (int, F)
-               for table in (g._ad_cache, g._coproduct_cache, g._pbw_cache)
+               for table in (g._memo["ad"], g._memo["coproduct"], g._pbw_cache)
                for coeffs in table.values() for c in coeffs.values())
 
 
@@ -229,8 +229,8 @@ def test_dh_refuses_a_scale_that_does_not_clear_its_tables():
     g.bracket_table[2, 0] = {1: F(1, 2)}  # [e, f] = h/2
     w = Cochain(g, 0, 1, 1, {((), 0): {((2,),): 1}})
     assert bicomplex_dh(w).den == 2
-    *tables, _ = g._correction_systems["slice", 1, 1]
-    g._correction_systems["slice", 1, 1] = (*tables, 3)
+    *tables, _ = g._memo["slice", 1, 1]
+    g._memo["slice", 1, 1] = (*tables, 3)
     with pytest.raises(ValueError, match="does not clear"):
         bicomplex_dh(w)
 
@@ -254,7 +254,7 @@ def test_solver_caches_no_product_module():
     g = build_sl(3)
     assert solver_report(g, bound=2, runs=1).passed
     sizes = [len(tensor_slice_keys(g, n, 2)) for n in (1, 2)]
-    widths = set(action_table_widths(tuple(g._correction_systems.values())))
+    widths = set(action_table_widths(tuple(g._memo.values())))
     assert max(widths) < g.dim * min(sizes), sorted(widths)
     assert set(sizes) <= widths  # the walk reached both slice modules
 

@@ -1,8 +1,12 @@
+import gc
 import json
+import weakref
 
 import pytest
 
+from qcurrent import cli
 from qcurrent.cli import main
+from qcurrent.liealg import build_sl
 
 
 def test_verify_exit_zero(capsys):
@@ -10,6 +14,20 @@ def test_verify_exit_zero(capsys):
     out = capsys.readouterr().out
     assert "suite gnw [A1]" in out
     assert "FAIL" not in out
+
+
+def test_verify_keeps_no_algebra_alive(monkeypatch, capsys):
+    """Each command builds its algebra, and nothing holds it afterwards."""
+    built = []
+
+    def recording_build_sl(n):
+        g = build_sl(n)
+        built.append(weakref.ref(g))
+        return g
+    monkeypatch.setattr(cli, "build_sl", recording_build_sl)
+    assert main(["verify", "gnw", "--type", "A1"]) == 0
+    gc.collect()
+    assert len(built) == 1 and built[0]() is None
 
 
 def test_verify_multi_type(capsys):
@@ -157,6 +175,13 @@ def test_expand_zero_denominator_exit_two(capsys):
     assert main(["expand", "1/0", "--type", "A1"]) == 2
     err = capsys.readouterr().err
     assert "zero denominator" in err and "line 1, column 2" in err
+
+
+def test_expand_evaluation_error_reports_no_position(capsys):
+    """An evaluation error has no source position, so it claims none."""
+    assert main(["expand", "1 + nu(e)", "--type", "A1"]) == 2
+    err = capsys.readouterr().err
+    assert "nu expects a Cartan element" in err and "column" not in err
 
 
 def test_unwritable_json_path_exit_three(tmp_path, capsys):

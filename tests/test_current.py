@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from qcurrent.current import (CurrentElement, CurrentTensor, _omega_table,
+from qcurrent.current import (CurrentElement, CurrentTensor, _omega_brackets,
                               adjoint_coaction_bracket, c_bracket,
                               cleared_cobracket_identity, cobracket,
                               cobracket_slot, current_envelope,
@@ -121,7 +121,7 @@ def test_coaction_kernel_matches_slotwise_reference(sl3, fault):
     against `c_bracket` slot by slot, with either sign and into a shared
     store, and the in-place cocycle residual against the three-tensor form
     (nonzero under the omega fault)."""
-    omega = _omega_table(sl3, fault)
+    omega = _omega_brackets(sl3, fault)
     gens = basis_currents(sl3, 2)
     deltas = {key: cobracket(f, omega) for key, f in gens.items()}
     nonzero = 0
@@ -150,7 +150,7 @@ def test_bialgebra_omega_fault_fails_cocycle_with_the_reference_residual(n):
     report = verify_bialgebra(g, 2, fault="omega")
     cocycle = next(c for c in report.checks if c.id == "cocycle")
     assert not cocycle.passed and cocycle.residual
-    omega = _omega_table(g, "omega")
+    omega = _omega_brackets(g, "omega")
     gens = basis_currents(g, 2)
     first = next(
         (ka, kb, bad) for ka, fa in gens.items() for kb, fb in gens.items()

@@ -14,8 +14,10 @@ from math import gcd
 
 from qcurrent import cohom
 from qcurrent.cli import SUITES, run_suite
+from qcurrent.current import CurrentEnvelope
 from qcurrent.envelope import TensorElement, UElement
 from qcurrent.exactnum import CoeffMap, HPoly
+from qcurrent.freequant import FreeModel
 from qcurrent.liealg import build_sl
 
 STRUCTURAL_SUITES = ("gnw", "defects", "t-identities", "coproduct-wd",
@@ -31,13 +33,13 @@ def _run(g, suite, degree=None):
 
 def _caches(g) -> dict:
     """The memo caches of U(g), U(g[u]) and the free model, by name."""
-    out = {name: getattr(g, name)
-           for name in ("_pbw_cache", "_coproduct_cache", "_ad_cache")}
-    if g._current_envelope is not None:
-        out["current._pbw_cache"] = g._current_envelope._pbw_cache
-    if g._free_model is not None:
-        for name in ("_fm_cache", "_fm_push_cache", "_fm_coproduct_cache"):
-            out[f"free_model.{name}"] = getattr(g._free_model, name)
+    out = {"_pbw_cache": g._pbw_cache, "coproduct": g._memo.get("coproduct", {}),
+           "ad": g._memo.get("ad", {})}
+    if CurrentEnvelope in g._memo:
+        out["current._pbw_cache"] = g._memo[CurrentEnvelope]._pbw_cache
+    if FreeModel in g._memo:
+        for name in ("_fm_cache", "_fm_push_cache", "_fm_delta_cache"):
+            out[f"free_model.{name}"] = getattr(g._memo[FreeModel], name)
     return out
 
 
@@ -101,13 +103,13 @@ def test_structure_tables_and_caches_are_int_valued(exercised):
         for name, cache in _caches(g).items():
             tables[name] = cache.values()
         # the coproduct images are elements: check their int store
-        tables["free_model._fm_coproduct_cache"] = [
-            poly for element in tables["free_model._fm_coproduct_cache"]
+        tables["free_model._fm_delta_cache"] = [
+            poly for element in tables["free_model._fm_delta_cache"]
             for poly in element.data.values()]
         # the suites reached the caches: the adjoint action only on sl_2
         assert tables["_pbw_cache"] and tables["free_model._fm_cache"]
-        assert tables["free_model._fm_coproduct_cache"]
-        assert tables["_ad_cache"] or g.n != 2
+        assert tables["free_model._fm_delta_cache"]
+        assert tables["ad"] or g.n != 2
         for name, coeff_maps in tables.items():
             bad = [c for coeffs in coeff_maps for c in coeffs.values()
                    if type(c) is not int]
@@ -139,7 +141,7 @@ def test_no_float_anywhere(exercised):
         # the walk reached the Fraction-valued Casimir weights and, on
         # sl_2, the factored correction systems
         assert any(type(x) is Fraction and x.denominator != 1 for x in numbers)
-        assert g._correction_systems or g.n != 2
+        assert ("solver", 2) in g._memo or g.n != 2
 
 
 def test_word_algebra_elements_are_reduced_int_stores(exercised):
@@ -171,8 +173,9 @@ def test_later_suites_never_change_a_cached_normal_form(first):
     # the elements in the free-model coproduct cache point at the model:
     # copy their coefficients, not the algebra
     memo = {id(g): g}
-    if g._free_model is not None:
-        memo[id(g._free_model)] = g._free_model
+    fm = g._memo.get(FreeModel)
+    if fm is not None:
+        memo[id(fm)] = fm
     snapshot = copy.deepcopy(caches, memo)
     assert sum(map(len, snapshot.values())) > 0
     for suite in SUITES:
@@ -229,7 +232,7 @@ def test_bicomplex_and_solver_cochains_are_int_over_one_denominator(
 def test_solver_factorizations_hold_only_ints(bicomplex_path):
     _, algebras = bicomplex_path
     for g in algebras:
-        systems = [s for s in g._correction_systems.values()
+        systems = [s for s in g._memo.values()
                    if isinstance(s, cohom.CorrectionSystem)]
         assert systems, g
         for system in systems:

@@ -1,9 +1,15 @@
+import gc
+import weakref
 from fractions import Fraction as F
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
+from qcurrent.cli import run_suite
+from qcurrent.current import CurrentEnvelope, current_envelope
 from qcurrent.exactnum import rank_of_rows
+from qcurrent.freequant import FreeModel, free_model
 from qcurrent.liealg import build_sl, casimir_adjoint_eigenvalue
 from reference import form, kernel_basis
 
@@ -130,3 +136,18 @@ def test_root_value_requires_cartan(sl2):
 def test_names_resolve_with_aliases(sl2):
     assert sl2.name_to_index["e"] == sl2.name_to_index["e1"]
     assert sl2.name_to_index["h"] == sl2.name_to_index["t1"]
+
+
+def test_derived_state_is_freed_with_its_algebra():
+    """The suites fill one algebra's memo; dropping the algebra frees the
+    algebra and every layer's state kept in its memo."""
+    g = build_sl(3)
+    for suite, degree in (("defects", None), ("whitehead", None), ("solver", 1)):
+        args = SimpleNamespace(inject_fault=None, max_u_degree=None,
+                               degree=degree, seed=0)
+        assert run_suite(suite, g, args).passed, suite
+    assert {CurrentEnvelope, FreeModel, "ad", ("solver", 1)} <= set(g._memo)
+    refs = [weakref.ref(x) for x in (g, free_model(g), current_envelope(g))]
+    del g
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
