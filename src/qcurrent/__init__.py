@@ -3,8 +3,8 @@
 The package materializes simple Lie algebras of type A, their enveloping
 algebras with PBW normal form, the graded current Lie bialgebra, the free
 model of its deformation on degree-0/1 generators, and the cohomological
-machinery (Chevalley-Eilenberg, cobar, their bicomplex and the two-stage
-correction solver), all over exact rationals, and mechanically checks the
+machinery (Chevalley-Eilenberg, cobar, their bicomplex and the correction
+solver), all over exact rationals, and mechanically checks the
 identities tying them together.
 """
 

@@ -31,11 +31,12 @@ SUITE_FAULTS = {
     "solver": ("noneq-theta",),
 }
 
-def _algebra(label: str) -> LieAlgebraData:
+def _sl_n(label: str) -> int:
+    """The n of sl_n for the type label A<k>: n = k + 1."""
     if not (label.startswith("A") and label[1:].isdigit() and int(label[1:]) >= 1):
         raise UsageError(f"unsupported algebra type {label!r}; expected A<k> "
                          "with k >= 1 (A1 = sl_2, A2 = sl_3, ...)")
-    return build_sl(int(label[1:]) + 1)
+    return int(label[1:]) + 1
 
 
 class UsageError(Exception):
@@ -100,40 +101,37 @@ def run_suite(name: str, g: LieAlgebraData, args) -> Report:
     raise UsageError(f"unknown suite {name!r}")
 
 
-def _usage_problem(args) -> Optional[str]:
-    """Why the verify arguments cannot run a meaningful suite, or None."""
+def _verify_sizes(args) -> List[int]:
+    """The n of each sl_n that `--type` names, once every verify argument
+    is checked: a UsageError says why they cannot run a meaningful suite,
+    before any suite runs."""
     if args.suite not in SUITES:
-        return f"unknown suite {args.suite!r}; choose from: {', '.join(SUITES)}"
+        raise UsageError(f"unknown suite {args.suite!r}; choose from: "
+                         f"{', '.join(SUITES)}")
     if args.inject_fault is not None:
         allowed = SUITE_FAULTS.get(args.suite, ())
         if args.inject_fault not in allowed:
-            return (f"suite {args.suite!r} supports faults: "
-                    f"{', '.join(allowed) or '(none)'}")
+            raise UsageError(f"suite {args.suite!r} supports faults: "
+                             f"{', '.join(allowed) or '(none)'}")
     for option in ("degree", "max_u_degree"):
         value = getattr(args, option)
         least = SUITE_MINIMUMS.get(args.suite, {}).get(option, 0)
         if value is not None and value < least:
-            return (f"--{option.replace('_', '-')} must be at least {least} "
-                    f"for suite {args.suite!r}, got {value}")
-    if not _type_labels(args.type):
-        return "--type names no algebra; expected A<k>, e.g. A1 or A1,A2"
-    return None
-
-
-def _type_labels(text: str) -> List[str]:
-    return [t.strip() for t in text.split(",") if t.strip()]
+            raise UsageError(f"--{option.replace('_', '-')} must be at least "
+                             f"{least} for suite {args.suite!r}, got {value}")
+    sizes = [_sl_n(t.strip()) for t in args.type.split(",") if t.strip()]
+    if not sizes:
+        raise UsageError("--type names no algebra; expected A<k>, e.g. A1 or A1,A2")
+    if args.suite == "sl2-steps" and set(sizes) != {2}:
+        raise UsageError("sl2-steps runs on --type A1 only")
+    return sizes
 
 
 def _verify(args) -> int:
-    problem = _usage_problem(args)
-    if problem is not None:
-        print(problem, file=sys.stderr)
-        return 2
     reports = []
     try:
-        for label in _type_labels(args.type):
-            g = _algebra(label)
-            report = run_suite(args.suite, g, args)
+        for n in _verify_sizes(args):
+            report = run_suite(args.suite, build_sl(n), args)
             reports.append(report)
             print(report.render())
     except UsageError as exc:
@@ -153,7 +151,7 @@ def _verify(args) -> int:
 
 def _expand(args) -> int:
     try:
-        g = _algebra(args.type)
+        g = build_sl(_sl_n(args.type))
         value = evaluate(args.expression, g)
     except (DSLError, UsageError) as exc:
         print(str(exc), file=sys.stderr)
@@ -230,7 +228,7 @@ def _cohomology(args) -> int:
     try:
         if args.up_to < 0:
             raise UsageError(f"--up-to must be at least 0, got {args.up_to}")
-        g = _algebra(args.type)
+        g = build_sl(_sl_n(args.type))
         module = _parse_module_ctor(args.module, g)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
@@ -268,7 +266,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_expand = sub.add_parser("expand", help="evaluate an expression to "
                                              "canonical form")
-    p_expand.add_argument("expression")
+    # optional to argparse, which reads an expression that starts with "-",
+    # such as "-G(e)", as an unknown option: see below
+    p_expand.add_argument("expression", nargs="?")
     p_expand.add_argument("--type", default="A1")
     p_expand.set_defaults(func=_expand)
 
@@ -281,7 +281,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_cohom.add_argument("--type", default="A1")
     p_cohom.set_defaults(func=_cohomology)
 
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if args.command == "expand" and args.expression is None:
+        if not unknown or unknown[0].startswith("--"):
+            p_expand.error("the following arguments are required: expression")
+        args.expression = unknown.pop(0)
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except Exception as exc:

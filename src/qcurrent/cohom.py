@@ -1,5 +1,5 @@
 """Lie-algebra cohomology, the cobar complex, their bicomplex, and the
-constructive two-stage solver for the correction map.
+constructive solver for the correction map.
 
 All complexes are finite-dimensional here: the enveloping algebra enters
 through its PBW filtration slice, which is closed under both the adjoint
@@ -30,7 +30,7 @@ the solver work on the data over int and carry the denominator; the maps
 are linear, so this is exact.  A table value with a denominator stays an
 exact Fraction, and dH absorbs it into the denominator of its image:
 integrality is never assumed.  The tensor slices and their modules, the dV
-images of the basis tensors and the solver's factored systems are built
+images of the basis tensors and the solver's factored system are built
 once per algebra and kept in its memo (`LieAlgebraData.derived`), so they
 are freed with it.
 """
@@ -730,82 +730,75 @@ def _flatten_cochain(w: Cochain, key_index: dict) -> dict:
 
 
 class CorrectionSystem:
-    """The two linear systems of `solve_correction` at one (algebra, bound).
+    """The linear system of `solve_correction` at one (algebra, bound).
 
     The unknowns are the coordinates of phi in the basis of
-    Hom(g_ad, U-slice).  `h_index` and `v_index` number the cochain keys
-    that dH and dV of the basis elements reach, one sparse row each;
-    `horizontal` is the factored dH system and `vertical` the factored
-    stack of the dV rows over the same dH rows, which imposes equivariance.
+    Hom(g_ad, U-slice).  `index` numbers the cochain keys that dV and then
+    dH of the basis elements reach, one sparse row each, and `stack` is the
+    factored stack of the dV rows over the dH rows: the total differential
+    on the (0, 1)-cochains, whose kernel is the set of phi with
+    dV(phi) = 0 and dH(phi) = 0.
     """
 
-    __slots__ = ("bound", "basis", "h_index", "v_index", "horizontal",
-                 "vertical")
+    __slots__ = ("bound", "basis", "index", "stack")
 
     def __init__(self, g: LieAlgebraData, bound: int):
         self.bound = bound
         self.basis, _ = _k01_basis(g, bound)
-        self.h_index, self.v_index = h_index, v_index = {}, {}
+        self.index = index = {}
         n = len(self.basis)
-        h_cols, v_cols = [], []
-        for j in range(n):
-            e = _cochain01_from_coords(g, bound, {j: 1}, self.basis)
-            h_cols.append(_flatten_cochain(bicomplex_dh(e), h_index))
-            v_cols.append(_flatten_cochain(bicomplex_dv(e), v_index))
-        h_rows = [{} for _ in h_index]
-        v_rows = [{} for _ in v_index]
-        for j, (h_col, v_col) in enumerate(zip(h_cols, v_cols)):
-            for i, c in h_col.items():
-                h_rows[i][j] = c
-            for i, c in v_col.items():
-                v_rows[i][j] = c
-        self.horizontal = factor(h_rows, n)
-        self.vertical = factor(v_rows + h_rows, n)
+        units = [_cochain01_from_coords(g, bound, {j: 1}, self.basis)
+                 for j in range(n)]
+        images = [[_flatten_cochain(d(e), index) for e in units]
+                  for d in (bicomplex_dv, bicomplex_dh)]
+        rows = [{} for _ in index]
+        for cols in images:
+            for j, col in enumerate(cols):
+                for i, c in col.items():
+                    rows[i][j] = c
+        self.stack = factor(rows, n)
 
-    def _preimage(self, fact, index: dict, w: Cochain, what: str) -> Cochain:
-        """The solution of one factored system for right-hand side w; a key
-        of w that the system does not reach means it has no solution.  The
-        system is solved for w's int data, and the solution is divided by
-        w's denominator."""
-        error = (f"no {what} preimage within filtration degree "
-                 f"{self.bound}; retry with a larger degree")
-        rhs = [0] * fact.nrows
-        for (s, v), tensor in w.data.items():
-            for tkey, c in tensor.items():
-                i = index.get((s, v, tkey))
-                if i is None:
-                    raise FiltrationError(error)
-                rhs[i] = c
-        coords = fact.solve(rhs)
+    def _preimage(self, gamma: Cochain, eta: Cochain) -> Cochain:
+        """The solution of the stack for the right-hand side (eta, gamma); a
+        key of either that the system does not reach means it has no
+        solution.  The stack is solved once for their int data, both put
+        over the lcm of their denominators, and the solution is divided by
+        that lcm."""
+        error = (f"no preimage within filtration degree {self.bound}; "
+                 "retry with a larger degree")
+        den = lcm(gamma.den, eta.den)
+        rhs = [0] * self.stack.nrows
+        for w in (eta, gamma):
+            f = den // w.den
+            for (s, v), tensor in w.data.items():
+                for tkey, c in tensor.items():
+                    i = self.index.get((s, v, tkey))
+                    if i is None:
+                        raise FiltrationError(error)
+                    rhs[i] = c * f
+        coords = self.stack.solve(rhs)
         if coords is None:
             raise FiltrationError(error)
         phi = _cochain01_from_coords(
-            w.g, w.bound, {i: c for i, c in enumerate(coords) if c}, self.basis)
-        return phi._like(phi.data, phi.den * w.den)
-
-    def horizontal_preimage(self, gamma: Cochain) -> Cochain:
-        return self._preimage(self.horizontal, self.h_index, gamma,
-                              "horizontal")
-
-    def equivariant_vertical_preimage(self, eta: Cochain) -> Cochain:
-        return self._preimage(self.vertical, self.v_index, eta,
-                              "equivariant vertical")
+            gamma.g, self.bound, {i: c for i, c in enumerate(coords) if c},
+            self.basis)
+        return phi._like(phi.data, phi.den * den)
 
 
 def solve_correction(gamma: Cochain, eta: Cochain, bound: int,
                      fault: Optional[str] = None) -> Cochain:
     """Solve dH(phi) = gamma, dV(phi) = eta for phi in Hom(g_ad, U-slice).
 
-    Stage one solves the horizontal equation; stage two corrects by a
-    g-equivariant vertical preimage (equivariance imposed as the extra
-    linear constraints dH(theta) = 0).  Both determinations use the
-    deterministic pivot rule of the exact solver, and the returned cochain
-    is re-substituted into both equations rather than trusted.  The two
-    systems are built and factored once per (algebra, bound) and kept in
-    the algebra's memo.
+    One linear system, the stack of the dV equations over the dH equations
+    (`CorrectionSystem`), is solved once for the right-hand side (eta,
+    gamma) under the deterministic pivot rule of the exact solver; the dH
+    rows make the vertical solution g-equivariant.  The system is built and
+    factored once per (algebra, bound) and kept in the algebra's memo.  The
+    four cocycle preconditions are checked first, and the returned cochain
+    is re-substituted into both equations rather than trusted.
 
     `fault="noneq-theta"` adds a non-equivariant primitive-valued shift to
-    theta after stage two; the re-substitution must then reject the result.
+    the solution; the re-substitution must then reject the result.
     """
     if (gamma.m, gamma.n) != (1, 1):
         raise ValueError("gamma must live at bidegree (1,1)")
@@ -829,21 +822,12 @@ def solve_correction(gamma: Cochain, eta: Cochain, bound: int,
         raise CocycleConditionError("eta != eta^21: eta must be symmetric")
 
     system = g.derived(("solver", bound), lambda: CorrectionSystem(g, bound))
-    psi = system.horizontal_preimage(gamma)
-
-    eta1 = eta - bicomplex_dv(psi)
-    if bicomplex_dh(eta1):
-        raise CocycleConditionError("residual eta1 is not horizontally closed")
-    if bicomplex_dv(eta1):
-        raise CocycleConditionError("residual eta1 is not vertically closed")
-
-    theta = system.equivariant_vertical_preimage(eta1)
+    phi = system._preimage(gamma, eta)
 
     if fault == "noneq-theta":
-        theta = theta + Cochain(g, 0, 1, bound,
-                                {((), 0): {((g.cartan_index(0),),): 1}})
+        phi = phi + Cochain(g, 0, 1, bound,
+                            {((), 0): {((g.cartan_index(0),),): 1}})
 
-    phi = psi + theta
     bad_h = bicomplex_dh(phi) - gamma
     if bad_h:
         raise CocycleConditionError(

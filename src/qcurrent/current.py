@@ -14,8 +14,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .envelope import PBWAlgebra
-from .exactnum import (ONE, CoeffMap, TensorMap, accumulate, join_signed,
-                       rank_of_rows)
+from .exactnum import ONE, CoeffMap, accumulate, join_signed, rank_of_rows
 from .liealg import LieAlgebraData, LieElement, omega_bracket_table
 from .reports import Report, run_checks, zero_or_residual
 
@@ -52,11 +51,12 @@ class CurrentElement(CoeffMap):
             lambda key: f"{names[key[0]]}*u^{key[1]}")
 
 
-class CurrentTensor(TensorMap):
-    """Element of (g x ... x g)[u_1, ..., u_n], sparse over tuples of
-    (basis index, degree) pairs; coefficients as in `CurrentElement`."""
+class CurrentTensor(CoeffMap):
+    """Element of (g x ... x g)[u_1, ..., u_n], sparse over `arity`-tuples
+    of (basis index, degree) pairs, one per tensor slot; coefficients as in
+    `CurrentElement`."""
 
-    __slots__ = ("alg",)
+    __slots__ = ("alg", "arity")
     _space = ("alg", "arity")
 
     def __init__(self, alg: LieAlgebraData, arity: int = 2,
@@ -64,6 +64,18 @@ class CurrentTensor(TensorMap):
         self.alg = alg
         self.arity = arity
         super().__init__(data)
+
+    def permute(self, perm: tuple) -> "CurrentTensor":
+        """Tensor-factor permutation: slot k of the result is slot perm[k]."""
+        out = self._like({})
+        for key, c in self.data.items():
+            out._accumulate(tuple(key[p] for p in perm), c)
+        return out
+
+    def swap(self) -> "CurrentTensor":
+        if self.arity != 2:
+            raise ValueError("swap needs a 2-tensor")
+        return self.permute((1, 0))
 
     def render(self) -> str:
         names = self.alg.names

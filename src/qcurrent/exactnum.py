@@ -7,13 +7,16 @@ integral and a `fractions.Fraction` otherwise (for sl_n, only the Casimir
 weights of the Cartan block have denominators).  So are the coefficients
 of the flat `CoeffMap` elements (Lie elements, cobar chains, current
 elements and tensors) and of the deformation polynomials `HPoly`
-(`_exact_coeff`).  The elements with a two-level key, the word-algebra
-elements (`envelope.UElement`, `TensorElement`) and the bicomplex cochains
-(`cohom.Cochain`), share one store, `IntStore`: int data over one int
-denominator, always reduced, so that `==` is dict equality.  A matrix is a
-list of sparse rows {column: nonzero entry}.  One loop, `_cleared`, turns
-exact values into ints over their common denominator, dropping zeros: for
-every store, every rank and every factorization.  Rank and factorization
+(`_exact_coeff`).  `CoeffMap` holds only the vector-space operations: a
+tensor's slot permutations belong to its own class
+(`current.CurrentTensor`).  The elements with a two-level key, the
+word-algebra elements (`envelope.UElement`, `TensorElement`) and the
+bicomplex cochains (`cohom.Cochain`), share one store, `IntStore`: int
+data over one int denominator, always reduced, so that `==` is dict
+equality.  A matrix is a list of sparse rows {column: nonzero entry}.
+One loop, `_cleared`, turns exact values into ints over their common
+denominator, dropping zeros: for every store, every rank and every
+factorization.  Rank and factorization
 share one elimination step (`_eliminate`) and differ only in their pivot
 rule: each row is cleared of denominators by its own scale and eliminated
 in place over the integers without division, so a rank works in ints only,
@@ -245,25 +248,6 @@ class CoeffMap:
 
     def __repr__(self):
         return self.render()
-
-
-class TensorMap(CoeffMap):
-    """A CoeffMap on a tensor power: keys are `arity`-tuples, one entry per
-    tensor slot."""
-
-    __slots__ = ("arity",)
-
-    def permute(self, perm: tuple):
-        """Tensor-factor permutation: slot k of the result is slot perm[k]."""
-        out = self._like({})
-        for key, c in self.data.items():
-            out._accumulate(tuple(key[p] for p in perm), c)
-        return out
-
-    def swap(self):
-        if self.arity != 2:
-            raise ValueError("swap needs a 2-tensor")
-        return self.permute((1, 0))
 
 
 def _cleared(row: Mapping) -> tuple:

@@ -48,6 +48,18 @@ def test_sl2_only_suite_guard(capsys):
     assert main(["verify", "sl2-steps", "--type", "A2"]) == 2
 
 
+@pytest.mark.parametrize("suite, types", [
+    ("gnw", "A1,A0"), ("sl2-steps", "A1,A0"), ("sl2-steps", "A1,A2")])
+def test_every_type_label_is_checked_before_any_suite_runs(suite, types,
+                                                           tmp_path, capsys):
+    """An unsupported label, or a label sl2-steps does not run on, exits 2
+    before the first algebra's suite has run or printed anything."""
+    path = tmp_path / "report.json"
+    assert main(["verify", suite, "--type", types, "--json", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not path.exists()
+
+
 def test_fault_exit_one(capsys):
     assert main(["verify", "gnw", "--inject-fault", "nu"]) == 1
     out = capsys.readouterr().out
@@ -97,6 +109,24 @@ def test_expand(capsys):
     assert main(["expand", "Delta(J(h)) - box(J(h))", "--type", "A1"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == "-hbar*I(f) (x) I(e) + hbar*I(e) (x) I(f)"
+
+
+def test_expand_takes_an_expression_that_starts_with_a_minus(capsys):
+    """In the usual place, or after `--`."""
+    assert main(["expand", "-G(e)", "--type", "A1"]) == 0
+    assert main(["expand", "--type", "A1", "--", "-G(e)"]) == 0
+    assert capsys.readouterr().out == "-e*u^1\n-e*u^1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "G(e)", "--bogus"], ["expand", "--bogus"], ["expand"],
+    ["expand", "-G(e)", "-G(f)"], ["verify", "gnw", "--bogus"],
+    ["cohomology", "--module", "adjoint", "--bogus"]])
+def test_an_unknown_option_or_a_missing_expression_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_expand_parse_error(capsys):

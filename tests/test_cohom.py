@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
-                            FiltrationError, GModule, _block_cohomology_dim,
+                            CorrectionSystem, FiltrationError, GModule, _block_cohomology_dim,
                             _ce_matrix_rows, _minus_basis, _sym_monomials,
                             _tensor_basis, adjoint_module, bicomplex_dh,
                             bicomplex_dv, bicomplex_report, cartier_check,
@@ -700,6 +700,40 @@ def test_solver_report_with_lift(sl2):
     report = solver_report(sl2, runs=2, seed=9)
     assert report.passed
     assert any(c.id == "model-lift" for c in report.checks)
+
+
+def _identity_cochain(g, bound):
+    """The (0, 1)-cochain x -> x."""
+    return Cochain(g, 0, 1, bound,
+                   {((), v): {((v,),): ONE} for v in range(g.dim)})
+
+
+@pytest.mark.parametrize("n, bound, unknowns",
+                         [(2, 1, 12), (2, 2, 30), (2, 3, 60), (3, 1, 72),
+                          (3, 2, 360)])
+def test_the_stack_certifies_uniqueness_up_to_the_identity(
+        n, bound, unknowns, sl2, sl3):
+    """The factored stack [dV; dH] over the N unknowns of Hom(g_ad, U<=D)
+    has nullity N - rank = 1, and the identity x -> x lies in its kernel:
+    so every solution of the correction equations is unique up to
+    lambda * id at that bound, with no sampling."""
+    g = {2: sl2, 3: sl3}[n]
+    system = CorrectionSystem(g, bound)
+    assert len(system.basis) == unknowns
+    assert unknowns - len(system.stack.steps) == 1
+    identity = _identity_cochain(g, bound)
+    assert not bicomplex_dh(identity)
+    assert not bicomplex_dv(identity)
+
+
+def test_a_perturbed_bracket_breaks_the_uniqueness_certificate():
+    g = build_sl(2)  # fresh: no cached state has been built yet
+    assert (g.names[0], g.names[2]) == ("f", "e")
+    # double [f, e] but not its mirror [e, f]: no longer a Lie bracket
+    g.bracket_table[0, 2] = {z: 2 * c for z, c in g.bracket_table[0, 2].items()}
+    system = CorrectionSystem(g, 2)
+    assert len(system.basis) - len(system.stack.steps) == 0
+    assert bicomplex_dh(_identity_cochain(g, 2))
 
 
 def test_cochain_json_roundtrip(sl2):

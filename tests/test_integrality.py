@@ -236,7 +236,7 @@ def test_solver_factorizations_hold_only_ints(bicomplex_path):
                    if isinstance(s, cohom.CorrectionSystem)]
         assert systems, g
         for system in systems:
-            for fact in (system.horizontal, system.vertical):
+            for fact in (system.stack,):
                 numbers = [scale for _, scale in fact.row_scales]
                 for _, _, pivot, rest, ops in fact.steps:
                     numbers.append(pivot)
