@@ -9,12 +9,13 @@ error for data that fits in the slice.
 The Chevalley-Eilenberg differential (Chevalley-Eilenberg, Trans. AMS
 1948) scatters each cochain entry to the faces of its wedge
 (`GModule.faces`), so its cost follows the support.  `ce_push` applies it
-on one module, for `whitehead` and `cohomology`, where each pushed image
-is one row of the rank.  The bicomplex's horizontal differential dH
-applies it with values in dual(adjoint) (x) T^n_{<=D}, the n-fold tensor
-power of U(g) cut to total PBW length D, one tensor factor at a time.
-Its independent reference, `ce_differential`, the textbook sum over the
-faces of each output set, lives in `tests/reference.py`.  Cohomology is
+on one module.  For `whitehead` and `cohomology` each pushed image is one
+row of the rank.  The bicomplex's horizontal differential dH takes values
+in dual(adjoint) (x) T^n_{<=D}, T^n_{<=D} the n-fold tensor power of U(g)
+cut to total PBW length D: its slice factor and bracket faces go through
+`ce_push` on the slice module, and only the dual(adjoint) factor is dH's
+own.  Its independent reference, `ce_differential`, the textbook sum over
+the faces of each output set, lives in `tests/reference.py`.  Cohomology is
 computed on the weight-zero subcomplex alone: by Cartan's homotopy formula
 theta_h = d iota_h + iota_h d (H. Cartan, Colloque de Topologie, Bruxelles
 1950), every block of nonzero Cartan weight is acyclic.  The minus cobar
@@ -566,39 +567,33 @@ def _outside_slice(w: Cochain, tkey: tuple) -> FiltrationError:
 def bicomplex_dh(w: Cochain) -> Cochain:
     """Horizontal differential: Chevalley-Eilenberg with values in
     dual(adjoint) (x) T^n_{<=D}, over the integers, acting by
-    rho_dual(x) (x) 1 + 1 (x) rho_slice(x): each acting face (x, t, sign)
-    of the slice module's `GModule.faces(s)` sends w(s, v) to (t, v') by
-    the dual adjoint column of v and to (t, v) by the slice action, and
-    each bracket face adds w(s, v) to (t, v).  The image is put over w's
-    denominator times the scale of non-integral tables, and reduced.  A
-    tensor key outside T^n_{<=D} is refused with a FiltrationError."""
+    rho_dual(x) (x) 1 + 1 (x) rho_slice(x).  For each adjoint index v,
+    `ce_push` of w's part at v on the slice module gives the slice factor
+    and the bracket faces, at (t, v).  Only the dual(adjoint) factor is
+    dH's own: each acting face (x, t, sign) of `GModule.faces(s)` sends
+    w(s, v) to (t, v') by the dual adjoint column of v.  The image is put
+    over w's denominator times the scale of non-integral tables, and
+    reduced.  A tensor key outside T^n_{<=D} is refused with a
+    FiltrationError."""
     keys, index, module, dual, scale = _slice(w.g, w.n, w.bound)
-    acc_of: Dict[tuple, dict] = {}  # (t, v) -> {slice id: int}
+    parts: Dict[int, dict] = {}  # v -> {s: {slice id: int}}
     for (s, v), tensor in w.data.items():
         try:
-            ids = [(index[tkey], c) for tkey, c in tensor.items()]
+            parts.setdefault(v, {})[s] = {index[k]: c for k, c in tensor.items()}
         except KeyError as missing:
             raise _outside_slice(w, missing.args[0]) from None
-        acting, brackets = module.faces(s)
-        scalars = [((t, v), a) for t, a in brackets]  # w(s, v) times a
-        for x, t, sign in acting:
-            dcol = dual[x].get(v)
-            if dcol:
-                scalars += [((t, v2), sign * a) for v2, a in dcol.items()]
-            cols = module.actions[x]
-            acc = acc_of.setdefault((t, v), {})
-            get = acc.get
-            for j, c in ids:
-                col = cols.get(j)
-                if col:
-                    c *= sign
-                    for i, a in col.items():
-                        acc[i] = get(i, 0) + a * c
-        for key, a in scalars:
-            acc = acc_of.setdefault(key, {})
-            get = acc.get
-            for j, c in ids:
-                acc[j] = get(j, 0) + a * c
+    # (t, v) -> {slice id: int}
+    acc_of = {(t, v): acc for v, part in parts.items()
+              for t, acc in ce_push(module, part).items()}
+    for v, part in parts.items():
+        for s, ids in part.items():
+            for x, t, sign in module.faces(s)[0]:
+                for v2, a in dual[x].get(v, {}).items():
+                    acc = acc_of.setdefault((t, v2), {})
+                    get = acc.get
+                    a *= sign
+                    for j, c in ids.items():
+                        acc[j] = get(j, 0) + a * c
     data = {key: {keys[j]: c for j, c in acc.items() if c} for key, acc in acc_of.items()}
     if scale != 1:
         for tensor in data.values():
@@ -704,10 +699,9 @@ def bicomplex_report(g: LieAlgebraData, bound: int = 2, samples: int = 100,
 # --- the correction solver --------------------------------------------------------
 
 
-def _k01_basis(g: LieAlgebraData, bound: int):
-    basis = [(v, mono) for v in range(g.dim)
-             for (mono,) in tensor_slice_keys(g, 1, bound)]
-    return basis, {b: i for i, b in enumerate(basis)}
+def _k01_basis(g: LieAlgebraData, bound: int) -> List[tuple]:
+    return [(v, mono) for v in range(g.dim)
+            for (mono,) in tensor_slice_keys(g, 1, bound)]
 
 
 def _cochain01_from_coords(g, bound, coords: dict, basis) -> Cochain:
@@ -744,7 +738,7 @@ class CorrectionSystem:
 
     def __init__(self, g: LieAlgebraData, bound: int):
         self.bound = bound
-        self.basis, _ = _k01_basis(g, bound)
+        self.basis = _k01_basis(g, bound)
         self.index = index = {}
         n = len(self.basis)
         units = [_cochain01_from_coords(g, bound, {j: 1}, self.basis)

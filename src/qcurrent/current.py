@@ -287,29 +287,19 @@ def verify_min_presentation(g: LieAlgebraData) -> Report:
     G(x) -> x u^1 inside g[u]."""
     specs = []
 
-    def chk_lie_map():
-        for a in range(g.dim):
-            for b in range(g.dim):
-                x, y = g.basis_element(a), g.basis_element(b)
-                lhs = CurrentElement.from_lie(g.bracket(x, y), 0)
-                rhs = c_bracket(CurrentElement.from_lie(x, 0),
-                                CurrentElement.from_lie(y, 0))
-                if lhs - rhs:
-                    return f"at ({g.names[a]}, {g.names[b]})"
-        return None
-    specs.append(("iota-lie-map", "i([x,y]) = [i(x), i(y)]", chk_lie_map))
-
-    def chk_equivariance():
-        for a in range(g.dim):
-            for b in range(g.dim):
-                x, y = g.basis_element(a), g.basis_element(b)
-                lhs = CurrentElement.from_lie(g.bracket(x, y), 1)
-                rhs = c_bracket(CurrentElement.from_lie(x, 0),
-                                CurrentElement.from_lie(y, 1))
-                if lhs - rhs:
-                    return f"at ({g.names[a]}, {g.names[b]})"
-        return None
-    specs.append(("G-equivariance", "G([x,y]) = [i(x), G(y)]", chk_equivariance))
+    for degree, check_id, anchor in ((0, "iota-lie-map", "i([x,y]) = [i(x), i(y)]"),
+                                     (1, "G-equivariance", "G([x,y]) = [i(x), G(y)]")):
+        def chk_degree(degree=degree):
+            for a in range(g.dim):
+                for b in range(g.dim):
+                    x, y = g.basis_element(a), g.basis_element(b)
+                    lhs = CurrentElement.from_lie(g.bracket(x, y), degree)
+                    rhs = c_bracket(CurrentElement.from_lie(x, 0),
+                                    CurrentElement.from_lie(y, degree))
+                    if lhs - rhs:
+                        return f"at ({g.names[a]}, {g.names[b]})"
+            return None
+        specs.append((check_id, anchor, chk_degree))
 
     if g.rank >= 2:
         def chk_cartan():

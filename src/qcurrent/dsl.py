@@ -243,8 +243,7 @@ class _Parser:
                     self.next()
                     args.append(self.parse_expr())
                 self.expect(")")
-                if tok.text in ("I", "J", "G", "nu", "Delta", "box", "S",
-                                "eps", "T") and len(args) != 1:
+                if len(args) != 1:  # every builtin takes one argument
                     raise DSLError(f"{tok.text} takes exactly one argument",
                                    tok.line, tok.column)
                 return Call(tok.text, args)

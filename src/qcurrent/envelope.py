@@ -41,8 +41,8 @@ from math import comb, lcm, prod
 from operator import sub
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
-from .exactnum import (HPoly, ONE, IntStore, _int_store, _quotient, accumulate,
-                       as_hpoly, join_signed)
+from .exactnum import (HPoly, ONE, IntStore, _int_store, _poly_product,
+                       _quotient, accumulate, as_hpoly, join_signed)
 from .reports import Report, run_checks, zero_or_residual
 
 if TYPE_CHECKING:
@@ -99,19 +99,6 @@ def _hbar_map(value) -> dict:
     """{hbar power: exact coefficient} of an HPoly, int or Fraction, with no
     HPoly coercion: `_cleared` refuses a value that is not exact."""
     return value.coeffs if type(value) is HPoly else {0: value}
-
-
-def _poly_product(p1: dict, p2: dict) -> dict:
-    """Product of two int polynomials in hbar; a cancelled entry stays as 0."""
-    if len(p1) == 1 and len(p2) == 1:
-        (k1, c1), = p1.items()
-        (k2, c2), = p2.items()
-        return {k1 + k2: c1 * c2}
-    out: dict = {}
-    for k1, c1 in p1.items():
-        for k2, c2 in p2.items():
-            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
-    return out
 
 
 def _scatter(data: dict, poly: dict, terms) -> None:
@@ -367,11 +354,6 @@ def w_element(g: LieAlgebraData, i: int, sign: int, nu_ti: UElement) -> UElement
     return nu_ti.bracket(x).scale(Fraction(sign, 1) / g.simple_root_norm(i))
 
 
-def casimir_tensor(g: LieAlgebraData) -> TensorElement:
-    """Casimir 2-tensor from dual bases of the invariant form."""
-    return TensorElement(g, 2, {((a,), (b,)): wgt for a, b, wgt in g.casimir_pairs})
-
-
 def kappa(g: LieAlgebraData) -> UElement:
     """Half the quadratic Casimir of sl_2 in its customary normal form."""
     if g.n != 2:
@@ -389,10 +371,13 @@ def kappa(g: LieAlgebraData) -> UElement:
 
 
 def lie_tensor_bracket_with_slot1(g: LieAlgebraData, x: LieElement) -> TensorElement:
-    """[x (x) 1, Omega] as a tensor with single-letter slots."""
-    omega = casimir_tensor(g)
-    left = TensorElement(g, 2, {((i,), ()): c for i, c in x.data.items()})
-    return left.bracket(omega)
+    """[x (x) 1, Omega] as a tensor with single-letter slots, read from the
+    algebra's table `omega_table`."""
+    values: dict = {}
+    for i, ci in x.data.items():
+        for (z, q), c in g.omega_table[i]:
+            accumulate(values, ((z,), (q,)), ci * c)
+    return TensorElement(g, 2, values)
 
 
 def verify_gnw(g: LieAlgebraData, fault: Optional[str] = None) -> Report:

@@ -138,11 +138,7 @@ class HPoly:
             # HPoly() turns an integral product of Fractions back into an int
             return HPoly({k: c * other for k, c in self.coeffs.items()})
         if isinstance(other, HPoly):
-            out = {}
-            for k1, c1 in self.coeffs.items():
-                for k2, c2 in other.coeffs.items():
-                    out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
-            return HPoly(out)
+            return HPoly(_poly_product(self.coeffs, other.coeffs))
         return NotImplemented
 
     def render(self) -> str:
@@ -166,6 +162,21 @@ class HPoly:
 
     def __repr__(self):
         return f"HPoly({self.render()})"
+
+
+def _poly_product(p1: dict, p2: dict) -> dict:
+    """Product of two polynomials in hbar, {exponent: coefficient}; a
+    cancelled entry stays as 0.  The one hbar product loop: `HPoly.__mul__`
+    and the int stores of the word-algebra elements both call it."""
+    if len(p1) == 1 and len(p2) == 1:
+        (k1, c1), = p1.items()
+        (k2, c2), = p2.items()
+        return {k1 + k2: c1 * c2}
+    out: dict = {}
+    for k1, c1 in p1.items():
+        for k2, c2 in p2.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return out
 
 
 def as_hpoly(value) -> HPoly:

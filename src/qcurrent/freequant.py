@@ -403,10 +403,9 @@ def verify_primitive_defects(g: LieAlgebraData, fault: Optional[str] = None) -> 
 
 
 def _omega_slot1_bracket(g: LieAlgebraData, x: int) -> TensorElement:
-    """[I(x) (x) 1, Omega_iota]."""
-    fm = free_model(g)
-    left = TensorElement.pure([fm.iota_letter(x), UElement.unit(fm)])
-    return left.bracket(_omega_iota(g))
+    """[I(x) (x) 1, Omega_iota], read from the algebra's table `omega_table`."""
+    return TensorElement(free_model(g), 2, {
+        (((), (z,)), ((), (q,))): c for (z, q), c in g.omega_table[x]})
 
 
 def verify_T_identities(g: LieAlgebraData) -> Report:
@@ -493,35 +492,22 @@ def verify_coproduct_well_defined(g: LieAlgebraData, fault: Optional[str] = None
     scale = ONE if fault == "cocycle-scale" else HALF
     specs = []
 
-    def chk_ii():
-        for a in range(g.dim):
-            for b in range(g.dim):
-                ia = fm.iota_letter(a)
-                ib = fm.iota_letter(b)
-                ibr = fm.iota(g.bracket(g.basis_element(a),
-                                                  g.basis_element(b)))
-                bad = (fm_coproduct(ia, scale).bracket(fm_coproduct(ib, scale))
-                       - fm_coproduct(ibr, scale))
-                if bad:
-                    return f"at ({g.names[a]}, {g.names[b]}): " + bad.render()
-        return None
-    specs.append(("relations-iota-iota",
-                  "[Delta(I(x)), Delta(I(y))] = Delta(I([x,y]))", chk_ii))
-
-    def chk_ij():
-        for a in range(g.dim):
-            for b in range(g.dim):
-                ia = fm.iota_letter(a)
-                jb = fm.j_letter(b)
-                jbr = fm.j_of(g.bracket(g.basis_element(a),
-                                                  g.basis_element(b)))
-                bad = (fm_coproduct(ia, scale).bracket(fm_coproduct(jb, scale))
-                       - fm_coproduct(jbr, scale))
-                if bad:
-                    return f"at ({g.names[a]}, {g.names[b]}): " + bad.render()
-        return None
-    specs.append(("relations-iota-J",
-                  "[Delta(I(x)), Delta(J(y))] = Delta(J([x,y]))", chk_ij))
+    for tag, name, letter, embed in (("iota", "I", fm.iota_letter, fm.iota),
+                                     ("J", "J", fm.j_letter, fm.j_of)):
+        def chk_relation(letter=letter, embed=embed):
+            for a in range(g.dim):
+                for b in range(g.dim):
+                    ia = fm.iota_letter(a)
+                    yb = letter(b)
+                    ybr = embed(g.bracket(g.basis_element(a), g.basis_element(b)))
+                    bad = (fm_coproduct(ia, scale).bracket(fm_coproduct(yb, scale))
+                           - fm_coproduct(ybr, scale))
+                    if bad:
+                        return f"at ({g.names[a]}, {g.names[b]}): " + bad.render()
+            return None
+        specs.append((f"relations-iota-{tag}",
+                      f"[Delta(I(x)), Delta({name}(y))] = Delta({name}([x,y]))",
+                      chk_relation))
 
     def chk_equivariance_rewrite():
         for a in range(g.dim):
@@ -565,25 +551,15 @@ def verify_hopf_axioms(g: LieAlgebraData) -> Report:
                   "(eps (x) Id)Delta = Id = (Id (x) eps)Delta on generators",
                   chk_counit))
 
-    def chk_antipode_left():
-        for name, x in generators():
-            d = fm_coproduct(x)
-            val = d.apply_slot(0, fm_antipode).multiply_slots()
-            if val:
-                return f"at {name}: " + val.render()
-        return None
-    specs.append(("antipode-left",
-                  "m(S (x) Id)Delta = eps*1 on generators", chk_antipode_left))
-
-    def chk_antipode_right():
-        for name, x in generators():
-            d = fm_coproduct(x)
-            val = d.apply_slot(1, fm_antipode).multiply_slots()
-            if val:
-                return f"at {name}: " + val.render()
-        return None
-    specs.append(("antipode-right",
-                  "m(Id (x) S)Delta = eps*1 on generators", chk_antipode_right))
+    for slot, side, maps in ((0, "left", "S (x) Id"), (1, "right", "Id (x) S")):
+        def chk_antipode(slot=slot):
+            for name, x in generators():
+                val = fm_coproduct(x).apply_slot(slot, fm_antipode).multiply_slots()
+                if val:
+                    return f"at {name}: " + val.render()
+            return None
+        specs.append((f"antipode-{side}",
+                      f"m({maps})Delta = eps*1 on generators", chk_antipode))
 
     def chk_s_formula():
         for b in range(g.dim):

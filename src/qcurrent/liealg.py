@@ -26,7 +26,6 @@ class RootDatum:
     def __init__(self, n: int):
         self.n = n
         self.rank = n - 1
-        self.index_set = list(range(1, n))
         # positive roots of type A_{n-1}: alpha_i + ... + alpha_{j-1} for i < j,
         # ordered by height then start index
         self.positive_roots: List[Tuple[int, ...]] = []
@@ -37,11 +36,6 @@ class RootDatum:
                 vec = tuple(1 if i <= k < j else 0 for k in range(1, n))
                 self.positive_roots.append(vec)
                 self.root_spans.append((i, j))
-        self.cartan_matrix = [
-            [2 if i == j else (-1 if abs(i - j) == 1 else 0)
-             for j in range(self.rank)]
-            for i in range(self.rank)
-        ]
 
     def root_name(self, k: int) -> str:
         i, j = self.root_spans[k]

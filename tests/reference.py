@@ -14,8 +14,13 @@ from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
                             cobar_differential)
 from qcurrent.current import CurrentElement, CurrentTensor, c_bracket
 from qcurrent.dsl import Bracket, Call, Hbar, Name, Num, Prod, Sum, Tensor
-from qcurrent.envelope import UElement, casimir_tensor
+from qcurrent.envelope import TensorElement, UElement
 from qcurrent.exactnum import ONE, ZERO, _quotient, accumulate, solve
+
+
+def casimir_tensor(g):
+    """Casimir 2-tensor from dual bases of the invariant form."""
+    return TensorElement(g, 2, {((a,), (b,)): wgt for a, b, wgt in g.casimir_pairs})
 
 
 def adjoint_action(x, a):

@@ -527,7 +527,7 @@ def test_dh_kernel_iff_intertwiner(sl2):
     of the equivariant maps."""
     from qcurrent.cohom import (_cochain01_from_coords, _flatten_cochain,
                                 _k01_basis)
-    basis, _ = _k01_basis(sl2, 2)
+    basis = _k01_basis(sl2, 2)
     index = {}
     cols = []
     for i in range(len(basis)):

@@ -4,12 +4,12 @@ from random import Random
 
 import pytest
 
-from qcurrent.envelope import (TensorElement, UElement, box_n, casimir_tensor,
-                               coproduct, kappa, mono_coproduct_terms,
-                               normal_order, nu, verify_gnw, w_element)
+from qcurrent.envelope import (TensorElement, UElement, box_n, coproduct,
+                               kappa, mono_coproduct_terms, normal_order, nu,
+                               verify_gnw, w_element)
 from qcurrent.exactnum import HPoly, accumulate
 from qcurrent.liealg import build_sl, casimir_adjoint_eigenvalue
-from reference import adjoint_action, quadratic_casimir
+from reference import adjoint_action, casimir_tensor, quadratic_casimir
 
 
 def letters(g):

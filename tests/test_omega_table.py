@@ -1,7 +1,9 @@
-"""The table of [x (x) 1, Omega] that the cobracket of g[u] and the J-letter
-coproduct of the free model read: entry by entry against the Casimir pairs,
-the invariance of Omega, exactness on non-integral currents, and a
-perturbed table that `verify_bialgebra` must reject."""
+"""The table of [x (x) 1, Omega] that the cobracket of g[u], the J-letter
+coproduct of the free model and the two slot-1 brackets of the word
+algebras read: entry by entry against the Casimir pairs, the invariance of
+Omega, the slot-1 brackets against the bracket with the Casimir tensor,
+exactness on non-integral currents, and a perturbed table that
+`verify_bialgebra` must reject."""
 
 from fractions import Fraction as F
 
@@ -9,8 +11,12 @@ import pytest
 
 from qcurrent.current import (CurrentElement, CurrentTensor, cobracket,
                               verify_bialgebra)
+from qcurrent.envelope import (TensorElement, UElement,
+                               lie_tensor_bracket_with_slot1)
 from qcurrent.exactnum import accumulate
-from qcurrent.liealg import build_sl
+from qcurrent.freequant import _omega_iota, _omega_slot1_bracket, free_model
+from qcurrent.liealg import LieElement, build_sl
+from reference import casimir_tensor
 
 TYPES = (1, 2, 3, 4)
 
@@ -45,6 +51,23 @@ def test_omega_is_invariant(k):
         for key, c in _from_pairs(g, x, left=False).items():
             accumulate(total, key, c)
         assert not total, g.names[x]
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_slot1_brackets_read_from_the_table_equal_the_casimir_bracket(k):
+    g = build_sl(k + 1)
+    fm = free_model(g)
+    omega, omega_iota = casimir_tensor(g), _omega_iota(g)
+    for x in range(g.dim):
+        left = TensorElement(g, 2, {((x,), ()): 1})
+        assert (lie_tensor_bracket_with_slot1(g, g.basis_element(x))
+                == left.bracket(omega)), g.names[x]
+        left_iota = TensorElement.pure([fm.iota_letter(x), UElement.unit(fm)])
+        assert _omega_slot1_bracket(g, x) == left_iota.bracket(omega_iota), g.names[x]
+    # a combination of every basis element, with non-integral coefficients
+    x = LieElement(g, {i: F(i + 1, 2) for i in range(g.dim)})
+    left = TensorElement(g, 2, {((i,), ()): c for i, c in x.data.items()})
+    assert lie_tensor_bracket_with_slot1(g, x) == left.bracket(omega)
 
 
 def _pair_loop_cobracket(f):
