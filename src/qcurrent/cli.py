@@ -43,10 +43,10 @@ class UsageError(Exception):
     pass
 
 
-# smallest accepted value of a bound option, where a suite needs more than 0
-SUITE_MINIMUMS = {
-    "bialgebra": {"max_u_degree": 1},
-    "generation": {"max_u_degree": 2},
+# each bound option -> {suite that reads it: smallest accepted value}
+BOUND_READERS = {
+    "degree": {"whitehead": 0, "cartier": 0, "bicomplex": 0, "solver": 0},
+    "max_u_degree": {"bialgebra": 1, "generation": 2},
 }
 
 
@@ -113,12 +113,17 @@ def _verify_sizes(args) -> List[int]:
         if args.inject_fault not in allowed:
             raise UsageError(f"suite {args.suite!r} supports faults: "
                              f"{', '.join(allowed) or '(none)'}")
-    for option in ("degree", "max_u_degree"):
+    for option, readers in BOUND_READERS.items():
         value = getattr(args, option)
-        least = SUITE_MINIMUMS.get(args.suite, {}).get(option, 0)
-        if value is not None and value < least:
-            raise UsageError(f"--{option.replace('_', '-')} must be at least "
-                             f"{least} for suite {args.suite!r}, got {value}")
+        if value is None:
+            continue
+        flag = f"--{option.replace('_', '-')}"
+        if args.suite not in readers:
+            raise UsageError(f"suite {args.suite!r} does not read {flag}; "
+                             f"it is read by: {', '.join(readers)}")
+        if value < readers[args.suite]:
+            raise UsageError(f"{flag} must be at least {readers[args.suite]} "
+                             f"for suite {args.suite!r}, got {value}")
     sizes = [_sl_n(t.strip()) for t in args.type.split(",") if t.strip()]
     if not sizes:
         raise UsageError("--type names no algebra; expected A<k>, e.g. A1 or A1,A2")

@@ -6,21 +6,22 @@ through its PBW filtration slice, which is closed under both the adjoint
 action and the coproduct, so ranks and solves are exact with no truncation
 error for data that fits in the slice.
 
-The Chevalley-Eilenberg differential (Chevalley-Eilenberg, Trans. AMS
-1948) scatters each cochain entry to the faces of its wedge
-(`GModule.faces`), so its cost follows the support.  `ce_push` applies it
-on one module.  For `whitehead` and `cohomology` each pushed image is one
-row of the rank.  The bicomplex's horizontal differential dH takes values
-in dual(adjoint) (x) T^n_{<=D}, T^n_{<=D} the n-fold tensor power of U(g)
-cut to total PBW length D: its slice factor and bracket faces go through
-`ce_push` on the slice module, and only the dual(adjoint) factor is dH's
-own.  Its independent reference, `ce_differential`, the textbook sum over
-the faces of each output set, lives in `tests/reference.py`.  Cohomology is
-computed on the weight-zero subcomplex alone: by Cartan's homotopy formula
-theta_h = d iota_h + iota_h d (H. Cartan, Colloque de Topologie, Bruxelles
-1950), every block of nonzero Cartan weight is acyclic.  The minus cobar
-complex of Sym(V), for `cartier`, splits likewise into multidegree blocks,
-and one block is ranked per S_v orbit, counted by the size of its orbit.
+The Chevalley-Eilenberg differential (Chevalley-Eilenberg, Trans. AMS 1948)
+scatters each cochain entry to the faces of its wedge (`faces(g, s)`, kept
+once per algebra for all its modules), so its cost follows the support.
+`ce_push` applies it on one module.  For `whitehead` and `cohomology` each
+pushed image is one row of the rank.  The bicomplex's horizontal
+differential dH takes values in dual(adjoint) (x) T^n_{<=D}, T^n_{<=D} the
+n-fold tensor power of U(g) cut to total PBW length D: its slice factor and
+bracket faces go through `ce_push` on the slice module, and only the
+dual(adjoint) factor is dH's own.  Its independent reference,
+`ce_differential`, the textbook sum over the faces of each output set, lives
+in `tests/reference.py`.  Cohomology is computed on the weight-zero
+subcomplex alone: by Cartan's homotopy formula theta_h = d iota_h + iota_h d
+(H. Cartan, Colloque de Topologie, Bruxelles 1950), every block of nonzero
+Cartan weight is acyclic.  The minus cobar complex of Sym(V), for `cartier`,
+splits likewise into multidegree blocks, and one block is ranked per S_v
+orbit, counted by the size of its orbit.
 
 Every table here is integral on sl_n: the bracket table, the adjoint action
 on PBW monomials (`_ad_letter`) and the coproduct (`mono_coproduct_terms`)
@@ -81,12 +82,6 @@ class GModule:
         self.actions = actions
         self.label = label
         self._weights: Optional[List[tuple]] = self._diagonal_weights()
-        self._faces: Dict[tuple, tuple] = {}  # wedge -> `faces`, on first use
-        # z -> the (a, b, c) with a < b and c the coefficient of z in [a, b]
-        self._makers: Dict[int, list] = {}
-        for (a, b), coeffs in g.bracket_table.items():
-            for z, c in coeffs.items() if a < b else ():
-                self._makers.setdefault(z, []).append((a, b, c))
 
     def _diagonal_weights(self) -> Optional[List[tuple]]:
         g = self.g
@@ -102,25 +97,6 @@ class GModule:
 
     def weights(self) -> Optional[List[tuple]]:
         return self._weights
-
-    def faces(self, s: tuple) -> tuple:
-        """The faces that `ce_push` and `bicomplex_dh` scatter the wedge s
-        to, built once per s: the action faces (x, s + {x}, sign) for x not
-        in s, and the bracket faces (t, coefficient) for t = (s - {z}) +
-        {a, b} with z in [a, b], the coefficients of one t summed."""
-        if s not in self._faces:
-            acting = [(x,) + _signed_insert(x, s)
-                      for x in range(self.g.dim) if x not in s]
-            brackets: dict = {}
-            for p, z in enumerate(s):
-                rest = s[:p] + s[p + 1:]
-                for a, b, c in self._makers.get(z, ()):
-                    if a not in rest and b not in rest:
-                        t = tuple(sorted(rest + (a, b)))
-                        sign = -1 if (t.index(a) + t.index(b) + p) & 1 else 1
-                        accumulate(brackets, t, sign * c)
-            self._faces[s] = (acting, list(brackets.items()))
-        return self._faces[s]
 
 
 def trivial_module(g: LieAlgebraData, dim: int = 1) -> GModule:
@@ -227,19 +203,51 @@ def _signed_insert(z: int, rest: tuple) -> Optional[Tuple[tuple, int]]:
     return rest[:pos] + (z,) + rest[pos:], (-1) ** pos
 
 
+def _makers(g: LieAlgebraData) -> Dict[int, list]:
+    """z -> the (a, b, c) with a < b and c the coefficient of z in [a, b]."""
+    makers: Dict[int, list] = {}
+    for (a, b), coeffs in g.bracket_table.items():
+        for z, c in coeffs.items() if a < b else ():
+            makers.setdefault(z, []).append((a, b, c))
+    return makers
+
+
+def faces(g: LieAlgebraData, s: tuple) -> tuple:
+    """The faces that `ce_push` and `bicomplex_dh` scatter the wedge s to,
+    built once per algebra and s, for every module of g: the action faces
+    (x, s + {x}, sign) for x not in s, and the bracket faces (t,
+    coefficient) for t = (s - {z}) + {a, b} with z in [a, b], the
+    coefficients of one t summed."""
+    memo = g.derived("faces", dict)
+    hit = memo.get(s)
+    if hit is None:
+        makers = g.derived("face makers", lambda: _makers(g))
+        acting = [(x,) + _signed_insert(x, s) for x in range(g.dim) if x not in s]
+        brackets: dict = {}
+        for p, z in enumerate(s):
+            rest = s[:p] + s[p + 1:]
+            for a, b, c in makers.get(z, ()):
+                if a not in rest and b not in rest:
+                    t = tuple(sorted(rest + (a, b)))
+                    sign = -1 if (t.index(a) + t.index(b) + p) & 1 else 1
+                    accumulate(brackets, t, sign * c)
+        hit = memo[s] = (acting, list(brackets.items()))
+    return hit
+
+
 def ce_push(module: GModule, cochain: Dict[tuple, dict]) -> Dict[tuple, dict]:
     """The Chevalley-Eilenberg differential of the cochain {s: {k: c}}, s a
     sorted m-tuple and k a module index, as {t: {k': c}}; an entry whose
     terms cancel is left as a 0 for the caller to skip.
 
-    Each wedge s of the input is scattered to its `GModule.faces`, so the
-    cost follows the input's support.  The output entries are products of
+    Each wedge s of the input is scattered to its `faces`, so the cost
+    follows the input's support.  The output entries are products of
     the input's, the actions' and the bracket table's values, so they are
     ints wherever those are."""
     actions = module.actions
     out: Dict[tuple, dict] = {}
     for s, vec in cochain.items():
-        acting, brackets = module.faces(s)
+        acting, brackets = faces(module.g, s)
         for x, t, sign in acting:
             cols = actions[x]
             acc = out.setdefault(t, {})
@@ -570,11 +578,11 @@ def bicomplex_dh(w: Cochain) -> Cochain:
     rho_dual(x) (x) 1 + 1 (x) rho_slice(x).  For each adjoint index v,
     `ce_push` of w's part at v on the slice module gives the slice factor
     and the bracket faces, at (t, v).  Only the dual(adjoint) factor is
-    dH's own: each acting face (x, t, sign) of `GModule.faces(s)` sends
-    w(s, v) to (t, v') by the dual adjoint column of v.  The image is put
-    over w's denominator times the scale of non-integral tables, and
-    reduced.  A tensor key outside T^n_{<=D} is refused with a
-    FiltrationError."""
+    dH's own: each acting face (x, t, sign) of `faces(g, s)`, the faces
+    `ce_push` reads too, sends w(s, v) to (t, v') by the dual adjoint
+    column of v.  The image is put over w's denominator times the scale
+    of non-integral tables, and reduced.  A tensor key outside T^n_{<=D}
+    is refused with a FiltrationError."""
     keys, index, module, dual, scale = _slice(w.g, w.n, w.bound)
     parts: Dict[int, dict] = {}  # v -> {s: {slice id: int}}
     for (s, v), tensor in w.data.items():
@@ -587,7 +595,7 @@ def bicomplex_dh(w: Cochain) -> Cochain:
               for t, acc in ce_push(module, part).items()}
     for v, part in parts.items():
         for s, ids in part.items():
-            for x, t, sign in module.faces(s)[0]:
+            for x, t, sign in faces(w.g, s)[0]:
                 for v2, a in dual[x].get(v, {}).items():
                     acc = acc_of.setdefault((t, v2), {})
                     get = acc.get

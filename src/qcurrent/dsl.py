@@ -277,7 +277,7 @@ def _as_lie(g: LieAlgebraData, v: Value, what: str) -> LieElement:
         if u is not None:
             data = {}
             for mono, p in u.terms():
-                if len(mono) != 1 or set(p.coeffs) - {0}:
+                if len(mono) != 1 or set(p.data) - {0}:
                     raise DSLError(f"{what} expects a Lie-algebra element")
                 data[mono[0]] = p.coeff(0)
             return LieElement(g, data)
@@ -422,7 +422,7 @@ class Evaluator:
 
 
 def _rational_scalar(p: HPoly) -> Fraction:
-    if set(p.coeffs) - {0}:
+    if set(p.data) - {0}:
         raise DSLError("current-algebra elements take rational scalars only")
     return p.coeff(0)
 

@@ -98,7 +98,7 @@ class PBWAlgebra:
 def _hbar_map(value) -> dict:
     """{hbar power: exact coefficient} of an HPoly, int or Fraction, with no
     HPoly coercion: `_cleared` refuses a value that is not exact."""
-    return value.coeffs if type(value) is HPoly else {0: value}
+    return value.data if type(value) is HPoly else {0: value}
 
 
 def _scatter(data: dict, poly: dict, terms) -> None:
@@ -198,8 +198,8 @@ class WordElement(IntStore):
         parts = []
         for key, poly in sorted(self.terms()):
             mono = self._key_text(key)
-            if len(poly.coeffs) == 1:
-                ((k, c),) = poly.coeffs.items()
+            if len(poly.data) == 1:
+                ((k, c),) = poly.data.items()
                 pieces = [] if c in (1, -1) else [str(c)]
                 if k:
                     pieces.append("hbar" if k == 1 else f"hbar^{k}")

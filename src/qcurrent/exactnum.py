@@ -4,16 +4,20 @@ Everything downstream computes with these primitives.  A coefficient is an
 exact rational, never a float.  In the structure tables, the memo caches
 and the integer kernels of the cohomology layer it is an `int` when it is
 integral and a `fractions.Fraction` otherwise (for sl_n, only the Casimir
-weights of the Cartan block have denominators).  So are the coefficients
-of the flat `CoeffMap` elements (Lie elements, cobar chains, current
-elements and tensors) and of the deformation polynomials `HPoly`
-(`_exact_coeff`).  `CoeffMap` holds only the vector-space operations: a
-tensor's slot permutations belong to its own class
-(`current.CurrentTensor`).  The elements with a two-level key, the
+weights of the Cartan block have denominators).
+
+There are two sparse stores, and one space rule governs both: elements
+compare equal and combine only when they are of one class and agree on
+the attributes their class names in `_space`.  `CoeffMap` holds exact
+values, ints where integral (`_exact_coeff`): the flat elements (Lie
+elements, cobar chains, current elements and tensors) and the deformation
+polynomials `HPoly`, the scalars of the word algebras.  It holds only the
+vector-space operations: a tensor's slot permutations belong to its own
+class (`current.CurrentTensor`).  The elements with a two-level key, the
 word-algebra elements (`envelope.UElement`, `TensorElement`) and the
-bicomplex cochains (`cohom.Cochain`), share one store, `IntStore`: int
-data over one int denominator, always reduced, so that `==` is dict
-equality.  A matrix is a list of sparse rows {column: nonzero entry}.
+bicomplex cochains (`cohom.Cochain`), are `IntStore`s: int data over one
+int denominator, always reduced, so that `==` is dict equality.  A matrix
+is a list of sparse rows {column: nonzero entry}.
 One loop, `_cleared`, turns exact values into ints over their common
 denominator, dropping zeros: for every store, every rank and every
 factorization.  Rank and factorization
@@ -39,14 +43,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
 def accumulate(data: dict, key, value) -> None:
     """Add `value` at `key` of a sparse map, dropping the key when the sum
     is zero.  Every sparse structure in the package keeps its no-zeros
@@ -68,27 +64,121 @@ def join_signed(parts) -> str:
     return out
 
 
-class HPoly:
-    """Polynomial in the formal deformation parameter, exact rational
-    coefficients, each an int where integral (`_exact_coeff`).
+def _poly_product(p1: dict, p2: dict) -> dict:
+    """Product of two polynomials in hbar, {exponent: coefficient}; a
+    cancelled entry stays as 0.  The one hbar product loop: `HPoly.__mul__`
+    and the int stores of the word-algebra elements both call it."""
+    if len(p1) == 1 and len(p2) == 1:
+        (k1, c1), = p1.items()
+        (k2, c2), = p2.items()
+        return {k1 + k2: c1 * c2}
+    out: dict = {}
+    for k1, c1 in p1.items():
+        for k2, c2 in p2.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return out
 
-    Stored sparsely as {exponent: coefficient} with no zero coefficients.
+
+class _Store:
+    """What both sparse stores share: the space rule and the operations
+    that follow from `__add__` and `render`.
+
+    A subclass names the attributes that fix its ambient space in `_space`.
+    Two elements are in one space when they are of the same class and agree
+    on those attributes; only then do they compare equal or combine."""
+
+    __slots__ = ("data",)
+    _space: tuple = ()
+
+    def _same_space(self, other) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self._space)
+
+    def _check(self, other) -> None:
+        if not self._same_space(other):
+            raise ValueError("elements of different spaces do not combine")
+
+    def __bool__(self) -> bool:
+        return bool(self.data)
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __repr__(self):
+        return self.render()
+
+
+class CoeffMap(_Store):
+    """A sparse linear combination {key: nonzero exact coefficient}, an int
+    where the constructor or `scale` is given an integral value: the
+    vector-space operations of the flat elements, written once."""
+
+    __slots__ = ()
+
+    def __init__(self, data: Optional[Mapping] = None):
+        self.data = {}
+        if data:
+            for k, c in data.items():
+                c = _exact_coeff(c)
+                if c:
+                    self.data[k] = c
+
+    def _like(self, data: dict):
+        """A new element in the same space, taking ownership of `data`."""
+        out = object.__new__(type(self))
+        for name in self._space:
+            setattr(out, name, getattr(self, name))
+        out.data = data
+        return out
+
+    def _accumulate(self, key, c) -> None:
+        accumulate(self.data, key, c)
+
+    def __eq__(self, other) -> bool:
+        return self._same_space(other) and self.data == other.data
+
+    def __add__(self, other, sign: int = 1):
+        """self + sign * other, in one pass over `other`."""
+        self._check(other)
+        out = dict(self.data)
+        for k, c in other.data.items():
+            accumulate(out, k, c if sign == 1 else -c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.data.items()})
+
+    def scale(self, q):
+        """Multiply every coefficient by a scalar the coefficients accept."""
+        q = _exact_coeff(q)
+        if not q:
+            return self._like({})
+        return self._like({k: c * q for k, c in self.data.items()})
+
+    __mul__ = scale
+    __rmul__ = scale
+
+    def render(self) -> str:
+        return repr(self.data)
+
+
+class HPoly(CoeffMap):
+    """Polynomial in the formal deformation parameter, {exponent: exact
+    coefficient} in `data`, each coefficient an int where integral.
+
     The parameter has grading degree 1.  It is the scalar type of the
     word-algebra elements, which store their coefficients as ints.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Optional[Mapping[int, Fraction]] = None):
-        data = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if k < 0:
-                    raise ValueError("negative exponent in deformation polynomial")
-                c = _exact_coeff(c)
-                if c:
-                    data[k] = c
-        self.coeffs = data
+        if coeffs and min(coeffs) < 0:
+            raise ValueError("negative exponent in deformation polynomial")
+        super().__init__(coeffs)
+
+    def _like(self, data: dict) -> "HPoly":
+        return HPoly(data)  # the constructor turns an integral Fraction into an int
 
     @classmethod
     def rational(cls, q) -> "HPoly":
@@ -107,47 +197,30 @@ class HPoly:
         return cls({0: 1})
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs.get(k, 0)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return self.data.get(k, 0)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, HPoly):
-            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == HPoly.rational(other)
-        return NotImplemented
+            other = HPoly.rational(other)
+        return super().__eq__(other)
 
-    def __add__(self, other) -> "HPoly":
-        out = dict(self.coeffs)
-        for k, c in as_hpoly(other).coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return HPoly(out)
-
-    def __neg__(self) -> "HPoly":
-        res = HPoly.__new__(HPoly)
-        res.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return res
-
-    def __sub__(self, other) -> "HPoly":
-        return self + (-as_hpoly(other))
+    def __add__(self, other, sign: int = 1) -> "HPoly":
+        return super().__add__(as_hpoly(other), sign)
 
     def __mul__(self, other) -> "HPoly":
         if isinstance(other, (int, Fraction)):
-            # HPoly() turns an integral product of Fractions back into an int
-            return HPoly({k: c * other for k, c in self.coeffs.items()})
+            return self.scale(other)
         if isinstance(other, HPoly):
-            return HPoly(_poly_product(self.coeffs, other.coeffs))
+            return HPoly(_poly_product(self.data, other.data))
         return NotImplemented
 
     def render(self) -> str:
         """Deterministic text form, e.g. ``1/2 + 3*hbar^2``."""
-        if not self.coeffs:
+        if not self.data:
             return "0"
         parts = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
+        for k in sorted(self.data):
+            c = self.data[k]
             if k == 0:
                 parts.append(str(c))
             else:
@@ -160,24 +233,6 @@ class HPoly:
                     parts.append(f"{c}*{power}")
         return join_signed(parts)
 
-    def __repr__(self):
-        return f"HPoly({self.render()})"
-
-
-def _poly_product(p1: dict, p2: dict) -> dict:
-    """Product of two polynomials in hbar, {exponent: coefficient}; a
-    cancelled entry stays as 0.  The one hbar product loop: `HPoly.__mul__`
-    and the int stores of the word-algebra elements both call it."""
-    if len(p1) == 1 and len(p2) == 1:
-        (k1, c1), = p1.items()
-        (k2, c2), = p2.items()
-        return {k1 + k2: c1 * c2}
-    out: dict = {}
-    for k1, c1 in p1.items():
-        for k2, c2 in p2.items():
-            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
-    return out
-
 
 def as_hpoly(value) -> HPoly:
     if isinstance(value, HPoly):
@@ -185,80 +240,6 @@ def as_hpoly(value) -> HPoly:
     if isinstance(value, (int, Fraction)):
         return HPoly.rational(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to HPoly")
-
-
-class CoeffMap:
-    """A sparse linear combination {key: nonzero exact coefficient}, an int
-    where the constructor or `scale` is given an integral value.
-
-    The vector-space operations of the flat elements, written once.  A
-    subclass names the attributes that fix its ambient space in `_space`
-    (elements are comparable and addable only within one space).
-    """
-
-    __slots__ = ("data",)
-    _space: tuple = ()
-
-    def __init__(self, data: Optional[Mapping] = None):
-        self.data = {}
-        if data:
-            for k, c in data.items():
-                c = _exact_coeff(c)
-                if c:
-                    self.data[k] = c
-
-    def _like(self, data: dict):
-        """A new element in the same space, taking ownership of `data`."""
-        out = object.__new__(type(self))
-        for name in self._space:
-            setattr(out, name, getattr(self, name))
-        out.data = data
-        return out
-
-    def _space_key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._space)
-
-    def _accumulate(self, key, c) -> None:
-        accumulate(self.data, key, c)
-
-    def __bool__(self) -> bool:
-        return bool(self.data)
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is type(self)
-                and self._space_key() == other._space_key()
-                and self.data == other.data)
-
-    def __add__(self, other, sign: int = 1):
-        """self + sign * other, in one pass over `other`."""
-        if self._space_key() != other._space_key():
-            raise ValueError("elements of different spaces do not combine")
-        out = dict(self.data)
-        for k, c in other.data.items():
-            accumulate(out, k, c if sign == 1 else -c)
-        return self._like(out)
-
-    def __neg__(self):
-        return self._like({k: -c for k, c in self.data.items()})
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def scale(self, q):
-        """Multiply every coefficient by a scalar the coefficients accept."""
-        q = _exact_coeff(q)
-        if not q:
-            return self._like({})
-        return self._like({k: c * q for k, c in self.data.items()})
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def render(self) -> str:
-        return repr(self.data)
-
-    def __repr__(self):
-        return self.render()
 
 
 def _cleared(row: Mapping) -> tuple:
@@ -287,20 +268,17 @@ def _int_store(values: Mapping) -> tuple:
                  for key, d, ints in cleared if ints}
 
 
-class IntStore:
+class IntStore(_Store):
     """Int data over one int denominator: `data` maps an outer key to a
     sparse map {inner key: nonzero int}, and the element is data / den.
 
     Never changed in place, and always reduced: gcd(den, entries) = 1, with
     no zero entry and no empty inner map, so `==` is dict equality.  The
     constructor takes exact values (`_int_store`); every result is built
-    by `_like`, which takes int data over a denominator and reduces it.  A
-    subclass names the attributes that fix its space in `_space`: elements
-    compare equal and combine only within one space.
+    by `_like`, which takes int data over a denominator and reduces it.
     """
 
-    __slots__ = ("den", "data")
-    _space: tuple = ()
+    __slots__ = ("den",)
 
     def __init__(self, values: Mapping):
         self.den, self.data = _int_store(values)
@@ -327,17 +305,6 @@ class IntStore:
             key: {k: c // g for k, c in inner.items()} for key, inner in out.items()}
         return new
 
-    def _same_space(self, other) -> bool:
-        return type(other) is type(self) and all(
-            getattr(self, name) == getattr(other, name) for name in self._space)
-
-    def _check(self, other) -> None:
-        if not self._same_space(other):
-            raise ValueError("elements of different spaces do not combine")
-
-    def __bool__(self) -> bool:
-        return bool(self.data)
-
     def __eq__(self, other) -> bool:
         return self._same_space(other) and (self.den, self.data) == (other.den, other.data)
 
@@ -359,15 +326,9 @@ class IntStore:
                     acc[k] = get(k, 0) + c * f
         return self._like(data, den)
 
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
     def __neg__(self):
         return self._like({key: {k: -c for k, c in inner.items()}
                            for key, inner in self.data.items()}, self.den)
-
-    def __repr__(self):
-        return self.render()
 
 
 def _column_index(rows: list) -> dict:
@@ -478,7 +439,11 @@ def _exact(q: Fraction):
 
 def _exact_coeff(value):
     """An exact rational coefficient, as an int when it is integral."""
-    return _exact(as_fraction(value))
+    if isinstance(value, Fraction):
+        return _exact(value)
+    if isinstance(value, int):
+        return int(value)
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def _quotient(q, p):

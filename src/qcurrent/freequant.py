@@ -305,7 +305,7 @@ def lift_gamma_eta(g: LieAlgebraData, shift: Dict[int, UElement]):
             c = p.coeff(1)
             if c:
                 tensor[w1[1], w2[1]] = c
-            if set(p.coeffs) - {1}:
+            if set(p.data) - {1}:
                 raise ValueError("eta has higher hbar terms")
         eta[b] = tensor
     return gamma, eta

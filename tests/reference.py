@@ -202,8 +202,8 @@ def _ce_support(omega: CEChain, module: GModule) -> List[tuple]:
         out.update(tuple(sorted(s + (a,))) for a in range(g.dim) if a not in s)
         for z in s:
             rest = [x for x in s if x != z]
-            for a, b, _ in module._makers.get(z, ()):
-                if a not in rest and b not in rest:
+            for (a, b), coeffs in g.bracket_table.items():
+                if z in coeffs and a not in rest and b not in rest:
                     out.add(tuple(sorted(rest + [a, b])))
     return sorted(out)
 

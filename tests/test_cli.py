@@ -185,10 +185,13 @@ def test_discriminating_pair_via_cli(capsys):
     ["verify", "cartier", "--degree", "-1"],
     ["verify", "bicomplex", "--degree", "-1"],
     ["verify", "whitehead", "--degree", "-1"],
+    ["verify", "gnw", "--degree", "3"],
+    ["verify", "solver", "--max-u-degree", "3"],
 ])
 def test_vacuous_or_invalid_bounds_exit_two(argv, capsys):
-    """Runs that would check nothing, or silently swap in a default, are
-    usage errors rejected before any work."""
+    """Runs that would check nothing, silently swap in a default, or ignore
+    a bound option the suite never reads, are usage errors rejected before
+    any work."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

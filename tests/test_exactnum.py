@@ -3,7 +3,9 @@ from random import Random
 
 import pytest
 
+from qcurrent.current import CurrentElement, CurrentTensor
 from qcurrent.exactnum import HPoly, factor, rank_of_rows, solve
+from qcurrent.liealg import LieElement
 from reference import kernel_basis, sparse_rows, transpose
 
 
@@ -306,3 +308,33 @@ def test_hpoly_basics():
 def test_hpoly_rejects_negative_exponent():
     with pytest.raises(ValueError):
         HPoly({-1: F(1)})
+
+
+def test_integral_hpoly_results_hold_ints():
+    """A sum, difference, negation or scale of Fraction coefficients that
+    comes out integral is stored as an int, like every exact coefficient."""
+    a = HPoly({0: F(1, 2), 1: F(3, 2)})
+    b = HPoly({0: F(1, 2), 1: F(-1, 2)})
+    for value, expected in ((a + b, {0: 1, 1: 1}), (a - b, {1: 2}),
+                            (-(a + b), {0: -1, 1: -1}), (a * 2, {0: 1, 1: 3}),
+                            (a * F(2, 3), {0: F(1, 3), 1: 1}),
+                            (a + F(1, 2), {0: 1, 1: F(3, 2)}), (a - F(1, 2), {1: F(3, 2)})):
+        assert value.data == expected
+        assert all(type(c) is (int if c.denominator == 1 else F)
+                   for c in value.data.values()), value
+    assert a + b == HPoly.hbar(1) + 1 and a - b == HPoly.hbar(1, 2)
+
+
+def test_elements_of_different_classes_or_arities_do_not_combine(sl2):
+    """One space rule for both stores: elements combine and compare equal
+    only when they are of one class and agree on its space attributes."""
+    lie = LieElement(sl2, {0: 1})
+    current = CurrentElement(sl2, {(0, 1): 1})
+    pair = CurrentTensor(sl2, 2, {((0, 1), (2, 0)): 1})
+    triple = CurrentTensor(sl2, 3, {((0, 1), (2, 0), (1, 1)): 1})
+    for x, y in ((lie, current), (current, lie), (pair, triple), (triple, pair),
+                 (lie, HPoly.one())):
+        assert x != y
+        for combine in (x.__add__, x.__sub__):
+            with pytest.raises(ValueError, match="different spaces"):
+                combine(y)

@@ -118,13 +118,13 @@ def test_grading_homogeneous(sl2):
         prod = a * b
         degrees = set()
         for (jw, _), p in prod.terms():
-            for k in p.coeffs:
+            for k in p.data:
                 degrees.add(len(jw) + k)
         assert degrees <= {d1 + d2}
         cop = fm_coproduct(a)
         degrees = set()
         for (w1, w2), p in cop.terms():
-            for k in p.coeffs:
+            for k in p.data:
                 degrees.add(len(w1[0]) + len(w2[0]) + k)
         assert degrees <= {d1}
 

@@ -57,7 +57,7 @@ def ref_mul(ctx, a, b, tensor):
 
 
 def values(x):
-    return {key: dict(p.coeffs) for key, p in x.terms()}
+    return {key: dict(p.data) for key, p in x.terms()}
 
 
 def assert_reduced_int_store(x):
