@@ -43,10 +43,11 @@ class UsageError(Exception):
     pass
 
 
-# each bound option -> {suite that reads it: smallest accepted value}
-BOUND_READERS = {
+# each option -> {suite that reads it: smallest accepted value, or None}
+OPTION_READERS = {
     "degree": {"whitehead": 0, "cartier": 0, "bicomplex": 0, "solver": 0},
     "max_u_degree": {"bialgebra": 1, "generation": 2},
+    "seed": {"bicomplex": None, "solver": None},
 }
 
 
@@ -93,10 +94,11 @@ def run_suite(name: str, g: LieAlgebraData, args) -> Report:
             report.checks.extend(sub.checks)
             report.elapsed_ms += sub.elapsed_ms
         return report
+    seed = _or_default(args.seed, 0)
     if name == "bicomplex":
-        return cohom.bicomplex_report(g, bound=degree, samples=100, seed=args.seed)
+        return cohom.bicomplex_report(g, bound=degree, samples=100, seed=seed)
     if name == "solver":
-        return cohom.solver_report(g, bound=degree, runs=20, seed=args.seed,
+        return cohom.solver_report(g, bound=degree, runs=20, seed=seed,
                                    fault=fault)
     raise UsageError(f"unknown suite {name!r}")
 
@@ -113,7 +115,7 @@ def _verify_sizes(args) -> List[int]:
         if args.inject_fault not in allowed:
             raise UsageError(f"suite {args.suite!r} supports faults: "
                              f"{', '.join(allowed) or '(none)'}")
-    for option, readers in BOUND_READERS.items():
+    for option, readers in OPTION_READERS.items():
         value = getattr(args, option)
         if value is None:
             continue
@@ -121,7 +123,7 @@ def _verify_sizes(args) -> List[int]:
         if args.suite not in readers:
             raise UsageError(f"suite {args.suite!r} does not read {flag}; "
                              f"it is read by: {', '.join(readers)}")
-        if value < readers[args.suite]:
+        if readers[args.suite] is not None and value < readers[args.suite]:
             raise UsageError(f"{flag} must be at least {readers[args.suite]} "
                              f"for suite {args.suite!r}, got {value}")
     sizes = [_sl_n(t.strip()) for t in args.type.split(",") if t.strip()]
@@ -261,8 +263,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                                "symmetric degree for cartier (default 4)")
     p_verify.add_argument("--max-u-degree", type=int, default=None,
                           help="largest current degree for bialgebra/generation")
-    p_verify.add_argument("--seed", type=int, default=0,
-                          help="seed for randomized property checks")
+    p_verify.add_argument("--seed", type=int, default=None,
+                          help="seed for the randomized checks of bicomplex "
+                               "and solver (default 0)")
     p_verify.add_argument("--json", default=None,
                           help="write the JSON report here ('-' for stdout)")
     p_verify.add_argument("--inject-fault", default=None,

@@ -161,6 +161,16 @@ class LieAlgebraData(PBWAlgebra):
         return self._memo[key]
 
     @property
+    def klein(self) -> Optional[tuple]:
+        """(omega, pi): omega(x) = -x^T and pi(x) = P x P, P the
+        antidiagonal permutation matrix, as signed permutations of the
+        basis, [(image, sign), ...].  They generate a Klein four-group of
+        automorphisms.  None when the bracket table is not preserved by
+        both, or they do not commute (a tampered table): the group is then
+        trivial."""
+        return self.derived("klein", lambda: _klein_generators(self))
+
+    @property
     def omega_table(self) -> Dict[int, list]:
         """[x (x) 1, Omega] for every basis index x, from
         `omega_bracket_table` over the Casimir pairs."""
@@ -276,6 +286,45 @@ def omega_bracket_table(g: LieAlgebraData, pairs) -> Dict[int, list]:
                 accumulate(acc, (z, q), w * cz)
         table[x] = [(zq, _quotient(c, den)) for zq, c in acc.items()]
     return table
+
+
+def compose(sigma: list, tau: list) -> list:
+    """The signed permutation sigma o tau."""
+    return [(sigma[i][0], e * sigma[i][1]) for i, e in tau]
+
+
+def is_automorphism(g: LieAlgebraData, sigma: list) -> bool:
+    """Whether the signed permutation sigma of the basis is a bijection
+    with sigma([a, b]) = [sigma(a), sigma(b)] on every basis pair."""
+    if sorted(i for i, _ in sigma) != list(range(g.dim)):
+        return False
+    table = g.bracket_table
+    for a, (pa, ea) in enumerate(sigma):
+        for b, (pb, eb) in enumerate(sigma):
+            image = {sigma[z][0]: sigma[z][1] * c
+                     for z, c in table.get((a, b), {}).items()}
+            if image != {z: ea * eb * c
+                         for z, c in table.get((pa, pb), {}).items()}:
+                return False
+    return True
+
+
+def _klein_generators(g: LieAlgebraData) -> Optional[tuple]:
+    """`LieAlgebraData.klein`, read off the matrix-unit realization."""
+    n = g.n
+
+    def signed_permutation(move) -> list:
+        # each basis matrix goes to +- one basis matrix
+        return [next(iter(g._matrix_to_coords(move(g._basis_matrix(b))).items()))
+                for b in range(g.dim)]
+
+    omega = signed_permutation(lambda m: {(j, i): -v for (i, j), v in m.items()})
+    pi = signed_permutation(
+        lambda m: {(n - 1 - i, n - 1 - j): v for (i, j), v in m.items()})
+    if (is_automorphism(g, omega) and is_automorphism(g, pi)
+            and compose(omega, pi) == compose(pi, omega)):
+        return omega, pi
+    return None
 
 
 def build_sl(n: int) -> LieAlgebraData:

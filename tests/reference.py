@@ -4,17 +4,18 @@ in the package, not a code path of its own; the sparse-row helpers build
 the test matrices in the one format of `rank_of_rows` and `factor`."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
                             FiltrationError, GModule, Vector, _minus_basis,
                             _signed_insert, _sym_monomials, _tensor_basis,
-                            cobar_differential)
+                            adjoint_module, cobar_differential, dual_module,
+                            tensor_module, tensor_slice_module)
 from qcurrent.current import CurrentElement, CurrentTensor, c_bracket
 from qcurrent.dsl import Bracket, Call, Hbar, Name, Num, Prod, Sum, Tensor
-from qcurrent.envelope import TensorElement, UElement
+from qcurrent.envelope import TensorElement, UElement, normal_order
 from qcurrent.exactnum import ONE, ZERO, _quotient, accumulate, solve
 
 
@@ -154,6 +155,31 @@ def validate(module: GModule) -> None:
                     raise ValueError(
                         f"not a g-module: pair ({g.names[a]}, {g.names[b]}) "
                         f"fails on basis vector {k} of {module.label}")
+
+
+def without_group(module: GModule) -> GModule:
+    """The module with the trivial group: its CE rows are one part, one row
+    per weight-zero basis cochain."""
+    return GModule(module.g, module.dim, module.actions, module.label)
+
+
+def pbw_coefficient_module(g, bound: int) -> GModule:
+    """dual(adjoint) (x) U<= bound on the PBW slice, whose basis omega and
+    pi do not permute: the whole block, against which the symmetric
+    slice's character parts are checked."""
+    return tensor_module(dual_module(adjoint_module(g)),
+                         tensor_slice_module(g, 1, bound))
+
+
+def symmetrize(g, mono: tuple) -> dict:
+    """sym(y_1...y_k) = (1/k!) sum of the orderings of y_1...y_k, in PBW
+    normal form."""
+    words = list(permutations(mono))
+    out: dict = {}
+    for word in words:
+        for m2, c in normal_order(g, word).items():
+            accumulate(out, m2, Fraction(c, len(words)))
+    return out
 
 
 class CEChain:

@@ -198,6 +198,27 @@ def test_vacuous_or_invalid_bounds_exit_two(argv, capsys):
     assert captured.err
 
 
+@pytest.mark.parametrize("suite", ["gnw", "whitehead", "cartier", "sl2-steps"])
+def test_seed_is_refused_by_a_suite_that_does_not_read_it(suite, capsys):
+    """Only bicomplex and solver draw random data: any other suite would
+    ignore the seed, so giving one is a usage error."""
+    assert main(["verify", suite, "--type", "A1", "--seed", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err and "bicomplex, solver" in captured.err
+
+
+@pytest.mark.parametrize("suite", ["bicomplex", "solver"])
+def test_seed_is_read_by_bicomplex_and_solver(suite, tmp_path, capsys):
+    """A negative seed is accepted, and without --seed the seed is 0."""
+    for argv, seed in ((["--seed", "-3"], -3), ([], 0)):
+        path = tmp_path / "r.json"
+        assert main(["verify", suite, "--type", "A1", "--degree", "1", *argv,
+                     "--json", str(path)]) == 0
+        assert json.loads(path.read_text())["seed"] == seed
+    capsys.readouterr()
+
+
 def test_zero_degree_is_not_replaced_by_default(capsys):
     assert main(["verify", "whitehead", "--degree", "0"]) == 0
     out = capsys.readouterr().out

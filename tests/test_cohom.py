@@ -7,7 +7,8 @@ from random import Random
 import pytest
 
 from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
-                            CorrectionSystem, FiltrationError, GModule, _block_cohomology_dim,
+                            CorrectionSystem, FiltrationError, GModule,
+                            SymmetryError, _block_cohomology_dim,
                             _ce_matrix_rows, _minus_basis, _sym_monomials,
                             _tensor_basis, adjoint_module, bicomplex_dh,
                             bicomplex_dv, bicomplex_report, cartier_check,
@@ -16,14 +17,17 @@ from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
                             minus_cohomology_dim, random_cochain,
                             solve_correction, solver_report, tensor_module,
                             tensor_slice_module, trivial_module,
-                            u_slice_module, whitehead_report)
+                            tensor_slice_keys, u_slice_module,
+                            whitehead_report)
+from qcurrent.envelope import normal_order
 from qcurrent.exactnum import ONE, accumulate, rank_of_rows
 from qcurrent.liealg import build_sl
 from reference import (CEChain, act, ce_differential, cochain_from_json,
                        cochain_to_json, kernel_basis, minus_basis,
-                       random_ce_chain, sigma_involution, sigma_split,
-                       solve_minus_coboundary, tensor_basis, transpose,
-                       validate)
+                       pbw_coefficient_module, random_ce_chain,
+                       sigma_involution, sigma_split, solve_minus_coboundary,
+                       symmetrize, tensor_basis, transpose, validate,
+                       without_group)
 
 
 # --- modules ---------------------------------------------------------------
@@ -42,11 +46,73 @@ def test_sl3_adjoint_module_validates(sl3):
 
 
 def test_tensor_slice_modules_validate(sl2, sl3):
-    """T^n_{<=D} with the slotwise adjoint action is a g-module, and its
-    n = 1 case is the U-slice."""
+    """T^n_{<=D} with the slotwise adjoint action is a g-module.  Its n = 1
+    case is the PBW slice, and the U-slice module is the symmetric slice,
+    isomorphic to it by symmetrization."""
     validate(tensor_slice_module(sl2, 2, 2))
     validate(tensor_slice_module(sl3, 1, 2))
-    assert tensor_slice_module(sl2, 1, 2).actions == u_slice_module(sl2, 2).actions
+    validate(tensor_slice_module(sl2, 1, 2))
+    validate(u_slice_module(sl2, 2))
+    assert_symmetrization_intertwines(build_sl(2), 2)
+
+
+def assert_symmetrization_intertwines(g, bound):
+    """sym: S<=D -> U<=D, y_1...y_k -> (1/k!) times the sum of its
+    orderings, is an isomorphism of g-modules on every basis monomial:
+    sym(m) = m + terms of PBW length < k, so sym is invertible, and
+    sym(x . m) = [x, sym(m)], the Leibniz action of the symmetric slice
+    against the adjoint action on U(g) through `normal_order`."""
+    module = u_slice_module(g, bound)
+    keys = [mono for (mono,) in tensor_slice_keys(g, 1, bound)]
+    assert module.dim == len(keys)
+    images = [symmetrize(g, mono) for mono in keys]
+    for j, mono in enumerate(keys):
+        assert images[j].pop(mono) == 1
+        assert all(len(lower) < len(mono) for lower in images[j])
+        images[j][mono] = 1
+    for x in range(g.dim):
+        for j, image in enumerate(images):
+            lhs, rhs = {}, {}
+            for i, c in module.actions[x].get(j, {}).items():
+                for mono, v in images[i].items():
+                    accumulate(lhs, mono, c * v)
+            for mono, v in image.items():
+                for word, sign in (((x,) + mono, 1), (mono + (x,), -1)):
+                    for m2, c in normal_order(g, word).items():
+                        accumulate(rhs, m2, sign * c * v)
+            assert lhs == rhs, (g.names[x], keys[j])
+
+
+@pytest.mark.parametrize("n, bound", [(2, 4), (3, 3)])
+def test_symmetrization_intertwines_leibniz_with_the_pbw_action(n, bound):
+    assert_symmetrization_intertwines(build_sl(n), bound)
+
+
+def test_module_permutations_intertwine(sl2, sl3):
+    """Every constructor's signed permutations pass the check on
+    construction, and one flipped sign fails it."""
+    for g in (sl2, sl3):
+        module = tensor_module(dual_module(adjoint_module(g)), u_slice_module(g, 1))
+        assert module.klein is not None and trivial_module(g).klein is not None
+        omega, pi = module.klein
+        for k in range(module.dim):
+            flipped = list(omega)
+            flipped[k] = (omega[k][0], -omega[k][1])
+            with pytest.raises(ValueError, match="intertwine"):
+                GModule(g, module.dim, module.actions, "flipped", (flipped, pi))
+    assert tensor_slice_module(sl2, 1, 2).klein is None
+
+
+def test_a_table_without_the_klein_group_refuses_the_symmetric_slice():
+    """[e, f] doubled and [f, e] kept: omega no longer preserves the table,
+    so the algebra has no Klein group, the modules that need none keep the
+    trivial group, and the symmetric slice is refused."""
+    g = build_sl(2)
+    g.bracket_table[2, 0] = {1: 2}
+    assert g.klein is None
+    assert adjoint_module(g).klein is None and trivial_module(g).klein is None
+    with pytest.raises(SymmetryError):
+        u_slice_module(g, 1)
 
 
 def test_module_weights_detected(sl2):
@@ -127,10 +193,11 @@ def test_ce_differential_visits_every_nonzero_face(n):
 
 
 def _ce_entries_by_matrix(module, m):
-    """{(cochain id, column id): entry} of the matrix path.  Row i is the
-    image of the i-th basis cochain of `_weight_zero_cochains`, named by its
-    id sidx * module.dim + k; the column ids are the assembly's own."""
-    rows = _ce_matrix_rows(module, m)
+    """{(cochain id, column id): entry} of the matrix path of the module
+    with the trivial group, whose rows are one part.  Row i is the image of
+    the i-th basis cochain of `_weight_zero_cochains`, named by its id
+    sidx * module.dim + k; the column ids are the assembly's own."""
+    rows, = _ce_matrix_rows(without_group(module), m)
     cochains = _weight_zero_cochains(module, m)
     assert len(rows) == len(cochains)
     out = {}
@@ -235,8 +302,8 @@ def test_ce_matrix_rows_without_weights_are_the_whole_matrix(sl2):
         by_apply = {(cid, (t, kprime)): v for (t, kprime, cid), v
                     in _ce_entries_by_apply(module, m).items()}
         assert by_matrix and _columns(by_matrix) == _columns(by_apply)
-        assert (len(_ce_matrix_rows(module, m))
-                == len(list(combinations(range(sl2.dim), m))) * module.dim)
+        rows, = _ce_matrix_rows(module, m)
+        assert len(rows) == len(list(combinations(range(sl2.dim), m))) * module.dim
     assert ce_cohomology_dims(module, 2) == [0, 0, 0]
 
 
@@ -254,7 +321,8 @@ def test_ce_matrix_rows_reject_an_action_that_breaks_the_weights(sl2):
 def test_zero_block_rank_against_all_blocks(sl2):
     """The blocks of nonzero weight are acyclic: in each degree their
     cochains are exactly accounted for by the ranks of the differential on
-    them, which are the all-blocks ranks less the weight-zero ranks."""
+    them, which are the all-blocks ranks less the weight-zero ranks, summed
+    over the character parts."""
     module = tensor_module(dual_module(adjoint_module(sl2)),
                            u_slice_module(sl2, 2))
     assert module.weights() is not None
@@ -265,8 +333,8 @@ def test_zero_block_rank_against_all_blocks(sl2):
             rid = row_ids.setdefault((t, kprime), len(row_ids))
             columns.setdefault(col, {})[rid] = v
         rank_all = rank_of_rows(columns.values())
-        rows = _ce_matrix_rows(module, m)
-        ncols, rank_zero = len(rows), rank_of_rows(rows)
+        parts = _ce_matrix_rows(module, m)
+        ncols, rank_zero = sum(map(len, parts)), sum(map(rank_of_rows, parts))
         all_cols = len(list(combinations(range(sl2.dim), m))) * module.dim
         assert 0 < ncols < all_cols and 0 < rank_zero < rank_all
         assert all_cols - ncols == (rank_all - rank_zero) + (prev_all - prev_zero)
@@ -277,17 +345,36 @@ def test_zero_block_rank_against_all_blocks(sl2):
 def test_image_rows_and_their_transpose_have_one_rank(n, bound):
     """Row rank equals column rank on real blocks: the Markowitz kernel
     ranks the image rows of the assembly and their transpose, the (t, k')
-    rows, through two different pivot sequences to the same rank."""
+    rows, through two different pivot sequences to the same rank, on every
+    character part."""
     g = build_sl(n)
     module = adjoint_module(g) if bound is None else tensor_module(
         dual_module(adjoint_module(g)), u_slice_module(g, bound))
-    ranks = []
+    ranks = [0, 0, 0]
     for m in range(3):
-        rows = _ce_matrix_rows(module, m)
-        ncols = 1 + max((j for row in rows for j in row), default=-1)
-        ranks.append(rank_of_rows(rows))
-        assert rank_of_rows(transpose(rows, ncols)) == ranks[-1]
+        for rows in _ce_matrix_rows(module, m):
+            ncols = 1 + max((j for row in rows for j in row), default=-1)
+            rank = rank_of_rows(rows)
+            assert rank_of_rows(transpose(rows, ncols)) == rank
+            ranks[m] += rank
     assert ranks[1] and ranks[2]  # the comparison is not vacuous
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_character_parts_rank_like_the_whole_pbw_block(bound):
+    """The four character parts of dual(adjoint) (x) U<= D on the symmetric
+    slice partition its weight-zero cochains, and their ranks sum to the
+    rank of the whole block on the PBW slice, which has one part, in every
+    degree m <= 2."""
+    g = build_sl(3)
+    sym = tensor_module(dual_module(adjoint_module(g)), u_slice_module(g, bound))
+    pbw = pbw_coefficient_module(g, bound)
+    for m in range(3):
+        parts = _ce_matrix_rows(sym, m)
+        whole, = _ce_matrix_rows(pbw, m)
+        assert len(parts) == 4 and all(parts)
+        assert sum(map(len, parts)) == len(whole)
+        assert sum(map(rank_of_rows, parts)) == rank_of_rows(whole)
 
 
 def test_whitehead_dims(sl2):

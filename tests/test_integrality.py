@@ -163,7 +163,7 @@ def test_word_algebra_elements_are_reduced_int_stores(exercised):
                    for c in value.data.values()), value
 
 
-@pytest.mark.parametrize("first", ["defects", "whitehead"])
+@pytest.mark.parametrize("first", ["defects", "solver"])
 def test_later_suites_never_change_a_cached_normal_form(first):
     g = build_sl(2)
     _run(g, first)

@@ -10,7 +10,8 @@ from qcurrent.cli import run_suite
 from qcurrent.current import CurrentEnvelope, current_envelope
 from qcurrent.exactnum import rank_of_rows
 from qcurrent.freequant import FreeModel, free_model
-from qcurrent.liealg import build_sl, casimir_adjoint_eigenvalue
+from qcurrent.liealg import (build_sl, casimir_adjoint_eigenvalue, compose,
+                             is_automorphism)
 from reference import form, kernel_basis
 
 
@@ -151,3 +152,20 @@ def test_derived_state_is_freed_with_its_algebra():
     del g
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_klein_generators_are_commuting_automorphisms(n):
+    """omega(x) = -x^T and pi(x) = PxP are commuting involutive
+    automorphisms of the bracket table, and an omega with one sign flipped,
+    at any basis element, fails the automorphism check."""
+    g = build_sl(n)
+    omega, pi = g.klein
+    identity = [(i, 1) for i in range(g.dim)]
+    assert is_automorphism(g, omega) and is_automorphism(g, pi)
+    assert compose(omega, pi) == compose(pi, omega) not in (identity, omega, pi)
+    assert compose(omega, omega) == identity == compose(pi, pi)
+    for x in range(g.dim):
+        flipped = list(omega)
+        flipped[x] = (omega[x][0], -omega[x][1])
+        assert not is_automorphism(g, flipped), g.names[x]

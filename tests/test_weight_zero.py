@@ -164,8 +164,10 @@ def test_cartan_homotopy_formula_on_basis_cochains(type_label, bound, expr,
 @pytest.mark.parametrize("n, pair", [(2, ("e", "f")), (3, ("e1", "f1"))])
 def test_whitehead_fails_on_a_doubled_bracket(n, pair):
     """[e, f] doubled in the table of a fresh algebra ([f, e] is left as it
-    is): g is no longer a Lie algebra, d^2 != 0, and the coefficient-module
-    dimensions go negative.  At A1 the adjoint checks still read 0, so the
+    is): g is no longer a Lie algebra.  omega no longer preserves the
+    table, so the symmetric U-slice is refused with a SymmetryError; the
+    adjoint module keeps the trivial group, and at A2 its dimensions go
+    negative (d^2 != 0).  At A1 the adjoint checks still read 0, so the
     failure is asserted on the report."""
     g = build_sl(n)  # fresh: no cached normal form has been computed yet
     a, b = (g.names.index(x) for x in pair)
@@ -175,3 +177,5 @@ def test_whitehead_fails_on_a_doubled_bracket(n, pair):
     failed = {check.id for check in report.checks if not check.passed}
     assert {"H1-coefficient-module", "H2-coefficient-module"} <= failed
     assert "H0-trivial" not in failed
+    assert all(check.residual.startswith("SymmetryError") for check in report.checks
+               if check.id.endswith("coefficient-module"))
