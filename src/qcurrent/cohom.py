@@ -494,7 +494,7 @@ def _ce_matrix_rows(module: GModule, m: int) -> List[List[dict]]:
             for part, row, w in zip(parts, rows, weights):
                 if w:
                     part.append(row)
-    except KeyError:
+    except KeyError:  # only a (t, k') outside the weight-zero table raises
         raise AssertionError("an action leaves the weight-zero block") from None
     return parts
 
