@@ -103,8 +103,7 @@ class GModule:
         if klein is not None:
             self._check_intertwines()
         self._weights: Optional[List[tuple]] = self._diagonal_weights()
-        # m -> `_orbits(self, m)`, and "shared" -> what every m reads
-        self._orbits: dict = {}
+        self._orbit_tables: Dict[int, tuple] = {}  # m -> `_orbits(self, m)`
 
     def _check_intertwines(self) -> None:
         if self.g.klein is None:
@@ -417,14 +416,12 @@ def _orbits(module: GModule, m: int) -> tuple:
     and P_chi of a member e is w_chi(e) * P_chi r with w_chi(e) in {0, 1,
     -1}.  table[s][k] is (orbit id, the w_chi of s -> b_k), and reps lists
     (s, k, the w_chi of r) for each least member r = (s, k)."""
-    memo = module._orbits
-    hit = memo.get(m)
+    hit = module._orbit_tables.get(m)
     if hit is not None:
         return hit
-    if not memo:
-        group = _klein_group(module.klein, module.dim)
-        memo["shared"] = (group, _CHARACTERS[len(group)], _weight_zero_slots(module))
-    group, chars, slots = memo["shared"]
+    group = _klein_group(module.klein, module.dim)
+    chars = _CHARACTERS[len(group)]
+    slots = _weight_zero_slots(module)
     ids: Dict[tuple, int] = {}
     table: Dict[tuple, dict] = {}
     reps = []
@@ -460,7 +457,7 @@ def _orbits(module: GModule, m: int) -> tuple:
             tab[k] = (ids.setdefault((least, k0), len(ids)), weights)
             if (least, k0) == (s, k):
                 reps.append((s, k, weights))
-    hit = memo[m] = (table, reps)
+    hit = module._orbit_tables[m] = (table, reps)
     return hit
 
 
@@ -479,7 +476,8 @@ def _ce_matrix_rows(module: GModule, m: int) -> List[List[dict]]:
     the weight-zero slots means no g-module."""
     table = _orbits(module, m + 1)[0]
     reps = _orbits(module, m)[1]
-    parts: List[List[dict]] = [[] for _ in module._orbits["shared"][1]]
+    # one part per character: the group is abelian, of order 1 or 4
+    parts: List[List[dict]] = [[] for _ in range(1 if module.klein is None else 4)]
     try:
         for s, k, weights in reps:
             rows = [{} for _ in weights]
