@@ -15,7 +15,8 @@ products, which every algebra of the package has.  The format is private to
 this module: constructors take exact values (`HPoly`, int or Fraction) and
 `terms()` gives `HPoly` values back.  One product loop serves both `*` and
 `bracket`: a bracket sums self*other - other*self into one int store and
-reduces it once.
+reduces it once.  A slot whose word is the unit word passes the other word
+through with no word product.
 
 The PBW letter algebras, `LieAlgebraData` for U(g) and `CurrentEnvelope`
 for U(g[u]), derive from `PBWAlgebra`: their words are sorted monomials
@@ -112,6 +113,13 @@ def _scatter(data: dict, poly: dict, terms) -> None:
                 acc[k] = acc.get(k, 0) + v * c
 
 
+def _with_single_terms(data: dict) -> list:
+    """(key, poly, (power, int) or None) for each entry: the poly's one
+    term when it has one."""
+    return [(key, poly, next(iter(poly.items())) if len(poly) == 1 else None)
+            for key, poly in data.items()]
+
+
 class WordElement(IntStore):
     """The hbar-graded products of `UElement` and `TensorElement` over the
     linear structure of `IntStore`; `_space` names the attributes fixing
@@ -144,9 +152,21 @@ class WordElement(IntStore):
                                         for key, poly in self.data.items()}))
         out: dict = {}
         for left, right in passes:
-            for k1, p1 in left.items():
-                for k2, p2 in right.items():
-                    _scatter(out, _poly_product(p1, p2), key_product(k1, k2))
+            right = _with_single_terms(right)
+            for k1, p1, one1 in _with_single_terms(left):
+                for k2, p2, one2 in right:
+                    terms = key_product(k1, k2)
+                    if one1 is None or one2 is None:
+                        _scatter(out, _poly_product(p1, p2), terms)
+                        continue
+                    # one hbar power on each side: no product polynomial
+                    e, c = one1[0] + one2[0], one1[1] * one2[1]
+                    for key, cw in terms:
+                        acc = out.get(key)
+                        if acc is None:
+                            out[key] = {e: c * cw}
+                        else:
+                            acc[e] = acc.get(e, 0) + c * cw
         return self._like(out, self.den * other.den)
 
     def __mul__(self, other):
@@ -238,6 +258,12 @@ class UElement(WordElement):
         return cls(ctx, normal_order(ctx, tuple(word)))
 
     def _key_product(self, w1, w2):
+        """w1 * w2 as (word, int) pairs; a unit word passes the other through."""
+        unit = self.ctx.unit_word
+        if w1 == unit:
+            return ((w2, 1),)
+        if w2 == unit:
+            return ((w1, 1),)
         return self.ctx.multiply_words(w1, w2).items()
 
     def _key_text(self, word) -> str:
@@ -266,12 +292,26 @@ class TensorElement(WordElement):
         return cls(factors[0].ctx, len(factors))._like(data, prod(f.den for f in factors))
 
     def _key_product(self, k1, k2):
-        """k1 * k2 slot by slot, as (word tuple, int) pairs."""
-        slots = map(self.ctx.multiply_words, k1, k2)
-        terms = [((w,), c) for w, c in next(slots).items()]
-        for slot in slots:
-            terms = [(key + (w,), c * c2) for key, c in terms for w, c2 in slot.items()]
-        return terms
+        """k1 * k2 slot by slot, as (word tuple, int) pairs.  A slot holding
+        a unit word passes the other word through, and the product is kept
+        as one (key, coefficient) until a slot gives several words."""
+        ctx = self.ctx
+        unit = ctx.unit_word
+        key, coeff, terms = (), 1, None
+        for w1, w2 in zip(k1, k2):
+            if w1 == unit or w2 == unit:
+                slot = ((w2 if w1 == unit else w1, 1),)
+            else:
+                slot = ctx.multiply_words(w1, w2).items()
+            if terms is None:
+                if len(slot) == 1:
+                    (w, c2), = slot
+                    key += (w,)
+                    coeff *= c2
+                    continue
+                terms = [(key, coeff)]
+            terms = [(k + (w,), c * c2) for k, c in terms for w, c2 in slot]
+        return ((key, coeff),) if terms is None else terms
 
     def swap(self) -> "TensorElement":
         if self.arity != 2:

@@ -271,14 +271,12 @@ def lift_gamma_eta(g: LieAlgebraData, shift: Dict[int, UElement]):
     hbar-free, ready to be fed to the cohomological solver.
     """
     fm = free_model(g)
-
-    def f_of(b: int) -> UElement:
-        return fm.j_letter(b) + fm.iota(shift[b]).scale(HPoly.hbar(1))
+    f = [fm.j_letter(b) + fm.iota(shift[b]).scale(HPoly.hbar(1)) for b in range(g.dim)]
 
     def f_lin(x: LieElement) -> UElement:
         out = UElement(fm)
         for b, c in x.data.items():
-            out = out + f_of(b).scale(c)
+            out = out + f[b].scale(c)
         return out
 
     gamma: Dict[tuple, UElement] = {}
@@ -286,14 +284,13 @@ def lift_gamma_eta(g: LieAlgebraData, shift: Dict[int, UElement]):
         ia = fm.iota_letter(a)
         for b in range(g.dim):
             diff = (f_lin(g.bracket(g.basis_element(a), g.basis_element(b)))
-                    - ia.bracket(f_of(b))).divide_hbar()
+                    - ia.bracket(f[b])).divide_hbar()
             val = pure_iota_part(diff)
             if val is None:
                 raise ValueError("gamma has J-letters: the lift is malformed")
             gamma[a, b] = val
     eta: Dict[int, dict] = {}
-    for b in range(g.dim):
-        fb = f_of(b)
+    for b, fb in enumerate(f):
         resid = (fm_coproduct(fb) - box_n(fb, 2)
                  - _omega_slot1_bracket(g, b).scale(HPoly.hbar(1, HALF)))
         tensor: Dict[tuple, Fraction] = {}
@@ -495,12 +492,12 @@ def verify_coproduct_well_defined(g: LieAlgebraData, fault: Optional[str] = None
     for tag, name, letter, embed in (("iota", "I", fm.iota_letter, fm.iota),
                                      ("J", "J", fm.j_letter, fm.j_of)):
         def chk_relation(letter=letter, embed=embed):
+            delta_iota = [fm_coproduct(fm.iota_letter(a), scale) for a in range(g.dim)]
+            delta_y = [fm_coproduct(letter(b), scale) for b in range(g.dim)]
             for a in range(g.dim):
                 for b in range(g.dim):
-                    ia = fm.iota_letter(a)
-                    yb = letter(b)
                     ybr = embed(g.bracket(g.basis_element(a), g.basis_element(b)))
-                    bad = (fm_coproduct(ia, scale).bracket(fm_coproduct(yb, scale))
+                    bad = (delta_iota[a].bracket(delta_y[b])
                            - fm_coproduct(ybr, scale))
                     if bad:
                         return f"at ({g.names[a]}, {g.names[b]}): " + bad.render()

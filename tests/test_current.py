@@ -6,7 +6,8 @@ import pytest
 from qcurrent.current import (CurrentElement, CurrentTensor, _omega_brackets,
                               adjoint_coaction_bracket, c_bracket,
                               cleared_cobracket_identity, cobracket,
-                              cobracket_slot, current_envelope,
+                              cobracket_slot, cocycle_residuals,
+                              current_envelope, spread_parts,
                               verify_bialgebra, verify_generation,
                               verify_min_presentation)
 from qcurrent.envelope import UElement
@@ -115,50 +116,102 @@ def three_tensor_residual(f, g, df, dg, omega):
     return cobracket(c_bracket(f, g), omega) - rhs
 
 
+def shifted(actions, slot, m):
+    """A slot action {key: c} with the acting slot's u-degree raised by m."""
+    out = {}
+    for key, c in actions.items():
+        x, n = key[slot]
+        out[key[:slot] + ((x, n + m),) + key[slot + 1:]] = c
+    return out
+
+
 @pytest.mark.parametrize("fault", (None, "omega"))
 def test_coaction_kernel_matches_slotwise_reference(sl3, fault):
-    """Every basis pair at A2, u-degree <= 2: the accumulating kernel
-    against `c_bracket` slot by slot, with either sign and into a shared
-    store, and the in-place cocycle residual against the three-tensor form
-    (nonzero under the omega fault)."""
+    """Every cobracket of a basis current at A2 with u-degree <= 2, against
+    every basis element y: the two slot actions of y, shifted by m <= 2 in
+    the acting slot and summed, are [t, w(u) (x) 1 + 1 (x) w(v)] for
+    w = +-y u^m, computed through `c_bracket` slot by slot."""
     omega = _omega_brackets(sl3, fault)
-    gens = basis_currents(sl3, 2)
+    deltas = [cobracket(f, omega) for f in basis_currents(sl3, 2).values()]
+    for t in deltas:
+        for y in range(sl3.dim):
+            first, second = adjoint_coaction_bracket(t, y)
+            for m in range(3):
+                got = CurrentTensor(sl3, 2, shifted(first, 0, m))
+                got = got + CurrentTensor(sl3, 2, shifted(second, 1, m))
+                for sign in (1, -1):
+                    w = CurrentElement(sl3, {(y, m): sign})
+                    assert got.scale(sign) == coaction_bracket(t, w)
+
+
+def perturb_last_omega_row(g):
+    """Negate one coefficient of the [x (x) 1, Omega] row of the last basis
+    element of g, in its memo."""
+    (zq, c), *rest = g.omega_table[g.dim - 1]
+    g.omega_table[g.dim - 1] = [(zq, -c)] + rest
+
+
+@pytest.mark.parametrize("fault", (None, "omega", "last-row"))
+def test_cocycle_residuals_match_the_three_tensor_reference(fault):
+    """Every basis pair at A2 up to u-degree 3, in basis order: the
+    residual spread from the pair's four parts equals the three-tensor
+    residual, also where the fault makes it nonzero."""
+    g = build_sl(3)
+    if fault == "last-row":
+        perturb_last_omega_row(g)
+    omega = _omega_brackets(g, None if fault == "last-row" else fault)
+    gens = basis_currents(g, 3)
     deltas = {key: cobracket(f, omega) for key, f in gens.items()}
+    pairs = [(ka, kb) for ka in gens for kb in gens]
     nonzero = 0
-    for ka, fa in gens.items():
-        for kb, fb in gens.items():
-            expected = coaction_bracket(deltas[ka], fb)
-            for sign in (1, -1):
-                data = {}
-                adjoint_coaction_bracket(data, deltas[ka], fb, sign)
-                assert {k: c for k, c in data.items() if c} == expected.scale(sign).data
-            lhs = cobracket(c_bracket(fa, fb), omega)
-            adjoint_coaction_bracket(lhs.data, deltas[ka], fb, -1)
-            adjoint_coaction_bracket(lhs.data, deltas[kb], fa, 1)
-            residual = {k: c for k, c in lhs.data.items() if c}
-            assert residual == three_tensor_residual(
-                fa, fb, deltas[ka], deltas[kb], omega).data
-            nonzero += bool(residual)
-    assert bool(nonzero) == (fault == "omega")
+    for (ka, kb, parts), pair in zip(cocycle_residuals(g, 3, omega), pairs, strict=True):
+        assert (ka, kb) == pair
+        expected = three_tensor_residual(gens[ka], gens[kb], deltas[ka], deltas[kb], omega)
+        assert spread_parts(g, parts) == expected
+        nonzero += bool(expected)
+    assert bool(nonzero) == (fault is not None)
 
 
-@pytest.mark.parametrize("n", (2, 3))
+def first_reference_failure(g, omega, max_degree):
+    """The first basis pair in basis order, (a, n) outer and (b, m) inner,
+    whose three-tensor residual is nonzero, as the report would state it."""
+    gens = basis_currents(g, max_degree)
+    deltas = {key: cobracket(f, omega) for key, f in gens.items()}
+    for (a, n), fa in gens.items():
+        for (b, m), fb in gens.items():
+            bad = three_tensor_residual(fa, fb, deltas[a, n], deltas[b, m], omega)
+            if bad:
+                return (f"at ({g.names[a]}*u^{n}, {g.names[b]}*u^{m}): "
+                        + bad.render())
+    return None
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
 def test_bialgebra_omega_fault_fails_cocycle_with_the_reference_residual(n):
-    """At A1 and A2 the omega fault fails `cocycle`, and its residual is the
+    """At A1-A3 the omega fault fails `cocycle`, and its residual is the
     first nonzero three-tensor residual in basis order."""
     g = build_sl(n)
     report = verify_bialgebra(g, 2, fault="omega")
     cocycle = next(c for c in report.checks if c.id == "cocycle")
     assert not cocycle.passed and cocycle.residual
-    omega = _omega_brackets(g, "omega")
-    gens = basis_currents(g, 2)
-    first = next(
-        (ka, kb, bad) for ka, fa in gens.items() for kb, fb in gens.items()
-        for bad in [three_tensor_residual(fa, fb, cobracket(fa, omega),
-                                          cobracket(fb, omega), omega)] if bad)
-    (a, m), (b, k), bad = first
-    assert cocycle.residual == (f"at ({g.names[a]}*u^{m}, {g.names[b]}*u^{k}): "
-                                + bad.render())
+    assert cocycle.residual == first_reference_failure(
+        g, _omega_brackets(g, "omega"), 2)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_perturbed_omega_row_of_the_last_basis_element_fails_cocycle(n):
+    """A fresh algebra whose [x (x) 1, Omega] row for the last basis element
+    has one coefficient negated: the first failing pair lies past the start
+    of basis order, and `cocycle` reports the reference's residual there."""
+    g = build_sl(n)
+    perturb_last_omega_row(g)
+    report = verify_bialgebra(g, 2)
+    cocycle = next(c for c in report.checks if c.id == "cocycle")
+    assert not cocycle.passed
+    expected = first_reference_failure(g, g.omega_table, 2)
+    assert expected is not None and not expected.startswith(
+        f"at ({g.names[0]}*u^0, {g.names[0]}*u^")
+    assert cocycle.residual == expected
 
 
 def test_cojacobi_slot_arity(sl2):

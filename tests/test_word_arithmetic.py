@@ -1,7 +1,8 @@
 """The int-over-one-denominator arithmetic of `UElement` and `TensorElement`
 against a reference written here: exact Fraction polynomials in hbar,
 multiplied through the same word products, on seeded random elements of
-U(g) and of the free model at A1 and A2."""
+U(g) and of the free model at A1 and A2, and on elements whose keys hold
+the unit word in some slots."""
 
 import os
 import subprocess
@@ -14,10 +15,10 @@ from random import Random
 
 import pytest
 
-from qcurrent.envelope import TensorElement, UElement
+from qcurrent.envelope import TensorElement, UElement, box_n, coproduct
 from qcurrent.exactnum import HPoly
-from qcurrent.freequant import free_model
-from qcurrent.liealg import build_sl
+from qcurrent.freequant import fm_coproduct, free_model
+from qcurrent.liealg import LieElement, build_sl
 
 # --- reference: {key: {hbar power: Fraction}} ------------------------------------
 
@@ -142,6 +143,49 @@ def test_int_arithmetic_matches_fraction_reference(n, model, arity):
         for got, expected in cases:
             assert_reduced_int_store(got)
             assert values(got) == expected
+
+
+def unit_slot_inputs(rng, ctx, g, arity):
+    """Elements whose keys hold the unit word in some slots: the unit,
+    box_n(x, arity) of a random x, and for arity 2 the coproduct of I(y)
+    (of y in U(g)) for a random Lie element y; for a UElement, the unit and
+    x plus a multiple of it."""
+    unit = UElement.unit(ctx)
+    x = build(ctx, 0, random_values(rng, ctx, g, 0))
+    if not arity:
+        return [unit, x + unit.scale(HPoly({0: F(1, 2), 1: F(-3)}))]
+    inputs = [TensorElement.unit(ctx, arity), box_n(x, arity)]
+    if arity == 2:
+        y = LieElement(g, {i: F(rng.choice([-2, 1, 3]), rng.choice([1, 2]))
+                           for i in rng.sample(range(g.dim), 2)})
+        inputs.append(fm_coproduct(ctx.iota(y)) if ctx is not g
+                      else coproduct(UElement.from_lie(g, y)))
+    return inputs
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("model", (False, True), ids=("U(g)", "free-model"))
+@pytest.mark.parametrize("arity", (0, 2, 3), ids=("UElement", "arity-2", "arity-3"))
+def test_unit_slot_products_match_fraction_reference(n, model, arity):
+    """Products and brackets, both ways, of the unit-slot inputs with each
+    other and with seeded random elements: the slots that pass a word
+    through a unit word give what the word product gives."""
+    g = build_sl(n)
+    ctx = free_model(g) if model else g
+    rng = Random(1000 + 100 * n + 10 * arity + model)
+    inputs = unit_slot_inputs(rng, ctx, g, arity)
+    others = inputs + [build(ctx, arity, random_values(rng, ctx, g, arity))
+                       for _ in range(2)]
+    for a in inputs:
+        assert any(ctx.unit_word in (key if arity else (key,)) for key in a.data)
+        for b in others:
+            av, bv = values(a), values(b)
+            ab, ba = ref_mul(ctx, av, bv, arity), ref_mul(ctx, bv, av, arity)
+            for got, expected in ((a * b, ab), (b * a, ba),
+                                  (a.bracket(b), ref_add((1, ab), (-1, ba))),
+                                  (b.bracket(a), ref_add((1, ba), (-1, ab)))):
+                assert_reduced_int_store(got)
+                assert values(got) == expected
 
 
 @pytest.mark.parametrize("model", (False, True), ids=("U(g)", "free-model"))
