@@ -32,17 +32,17 @@ splits likewise into multidegree blocks, and one block is ranked per S_v
 orbit, counted by the size of its orbit.
 
 Every table here is integral on sl_n: the bracket table, the adjoint action
-on PBW monomials (`_ad_letter`) and the coproduct (`mono_coproduct_terms`)
-hold ints, and so do the module actions, the CE rows, the Cartan weights
-and the binomial cobar structure constants.  A bicomplex `Cochain` is an
-`exactnum.IntStore`, int data over one reduced denominator, and dH, dV and
-the solver work on the data over int and carry the denominator; the maps
-are linear, so this is exact.  A table value with a denominator stays an
-exact Fraction, and dH absorbs it into the denominator of its image:
-integrality is never assumed.  The tensor slices and their modules, the dV
-images of the basis tensors and the solver's factored system are built
-once per algebra and kept in its memo (`LieAlgebraData.derived`), so they
-are freed with it.
+on PBW monomials (`envelope.ad_letter`) and the coproduct
+(`mono_coproduct_terms`) hold ints, and so do the module actions, the CE
+rows, the Cartan weights and the binomial cobar structure constants.  A
+bicomplex `Cochain` is an `exactnum.IntStore`, int data over one reduced
+denominator, and dH, dV and the solver work on the data over int and carry
+the denominator; the maps are linear, so this is exact.  A table value with
+a denominator stays an exact Fraction, and dH absorbs it into the
+denominator of its image: integrality is never assumed.  The tensor slices
+and their modules, the dV images of the basis tensors and the solver's
+factored system are built once per algebra and kept in its memo
+(`LieAlgebraData.derived`), so they are freed with it.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ from math import lcm
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from .envelope import (UElement, mono_coproduct_terms, normal_order,
-                       sym_coproduct)
+from .envelope import UElement, ad_letter, mono_coproduct_terms, sym_coproduct
 from .exactnum import (ONE, ZERO, CoeffMap, IntStore, _quotient, accumulate,
                        factor, rank_of_rows)
 from .liealg import LieAlgebraData, compose
@@ -212,7 +211,7 @@ def tensor_slice_module(g: LieAlgebraData, n: int, bound: int) -> GModule:
             col: Vector = {}
             for slot, mono in enumerate(key):
                 head, tail = key[:slot], key[slot + 1:]
-                for m2, c in _ad_letter(g, x, mono).items():
+                for m2, c in ad_letter(g, x, mono).items():
                     accumulate(col, index[head + (m2,) + tail], c)
             if col:
                 cols[j] = col
@@ -264,20 +263,6 @@ def u_slice_module(g: LieAlgebraData, bound: int) -> GModule:
         actions.append(cols)
     return GModule(g, len(keys), actions, f"U<= {bound}",
                    tuple(map(permuted, g.klein)))
-
-
-def _ad_letter(g: LieAlgebraData, x: int, mono: tuple) -> dict:
-    """[x, mono] in PBW normal form; stays within the filtration slice."""
-    cache = g.derived("ad", dict)
-    key = (x, mono)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    out = dict(normal_order(g, (x,) + mono))
-    for m2, c in normal_order(g, mono + (x,)).items():
-        accumulate(out, m2, -c)
-    cache[key] = out
-    return out
 
 
 # --- Chevalley-Eilenberg complex -------------------------------------------------

@@ -14,11 +14,14 @@ and of a on delta(b u), with the acting slot's u-degree shifted by m or n
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Optional, Tuple
 
 from .envelope import PBWAlgebra
-from .exactnum import ONE, CoeffMap, accumulate, join_signed, rank_of_rows
+from .exactnum import (ONE, CoeffMap, _quotient, accumulate, join_signed,
+                       rank_of_rows)
 from .liealg import LieAlgebraData, LieElement, omega_bracket_table
 from .reports import Report, run_checks, zero_or_residual
 
@@ -196,19 +199,22 @@ def cleared_cobracket_identity(f: CurrentElement,
     bracket table directly, so it checks the table.
     """
     alg = f.alg
-    delta = cobracket(f, _omega_brackets(alg, fault))
-    out = CurrentTensor(alg, 2)
-    for ((x1, a), (x2, b)), c in delta.data.items():
-        out._accumulate(((x1, a + 1), (x2, b)), c)
-        out._accumulate(((x1, a), (x2, b + 1)), -c)
+    table = alg.bracket_table
     pairs = _omega_pairs(alg, fault)
+    # both sides times the weights' common denominator: ints for an int f
+    den = lcm(*(w.denominator for _, _, w in pairs))
+    out: Counter = Counter()
+    for ((x1, a), (x2, b)), c in cobracket(f, _omega_brackets(alg, fault)).data.items():
+        out[(x1, a + 1), (x2, b)] += c * den
+        out[(x1, a), (x2, b + 1)] -= c * den
     for (x, n), cx in f.data.items():
         for (p, q, w) in pairs:
-            for z, cz in alg.bracket_table.get((x, p), {}).items():
-                out._accumulate(((z, n), (q, 0)), -cx * w * cz)
-            for z, cz in alg.bracket_table.get((x, q), {}).items():
-                out._accumulate(((p, 0), (z, n)), -cx * w * cz)
-    return out
+            cw = -cx * w.numerator * (den // w.denominator)
+            for z, cz in table.get((x, p), {}).items():
+                out[(z, n), (q, 0)] += cw * cz
+            for z, cz in table.get((x, q), {}).items():
+                out[(p, 0), (z, n)] += cw * cz
+    return CurrentTensor(alg, 2, {key: _quotient(c, den) for key, c in out.items() if c})
 
 
 def cocycle_residuals(g: LieAlgebraData, max_degree: int, omega: dict):

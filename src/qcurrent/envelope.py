@@ -27,9 +27,9 @@ inversion count) lexicographically, and results are memoized in the
 algebra's `_pbw_cache` so repeated suites share all subword work.  The
 straightening starts from the int 1 and only multiplies by bracket-table
 values, so with an integral bracket table every normal form and adjoint
-action is int-valued; a table value with a denominator makes the affected
-entries exact Fractions.  The coproduct of a PBW monomial needs no
-straightening: its coefficients are binomials (`sym_coproduct`).
+action (`ad_letter`) is int-valued; a table value with a denominator makes
+the affected entries exact Fractions.  The coproduct of a PBW monomial
+needs no straightening: its coefficients are binomials (`sym_coproduct`).
 """
 
 from __future__ import annotations
@@ -75,6 +75,21 @@ def normal_order(ctx, word: Monomial) -> dict:
                 accumulate(result, mono, coeff * c)
     cache[word] = result
     return result
+
+
+def ad_letter(g: LieAlgebraData, x: int, mono: Monomial) -> dict:
+    """[x, mono] in PBW normal form, U(g)'s adjoint action on one monomial;
+    stays within the filtration slice."""
+    cache = g.derived("ad", dict)
+    key = (x, mono)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    out = dict(normal_order(g, (x,) + mono))
+    for m2, c in normal_order(g, mono + (x,)).items():
+        accumulate(out, m2, -c)
+    cache[key] = out
+    return out
 
 
 class PBWAlgebra:

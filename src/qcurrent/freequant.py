@@ -11,7 +11,11 @@ which presents the enveloping algebra of the semidirect product of g with a
 free Lie algebra on its adjoint module; J-letters are never reordered among
 themselves.  Each rewrite lowers (word length, number of I-before-J
 inversions) lexicographically, so straightening terminates, and the
-associativity property tests guard confluence.
+associativity property tests guard confluence.  ad I(x) is a derivation
+that keeps words normal (`fm_ad_word`): J(y) -> J([x, y]) on each J-letter,
+U(g)'s `ad_letter` on the sorted I-word.  As I(x) is primitive,
+`coproduct-wd` brackets Delta(I(x)) with a coproduct slot by slot through
+it, with no word product.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from functools import reduce
 from typing import Dict, Optional, Tuple
 
 from .current import current_envelope
-from .envelope import (TensorElement, UElement, box_n, coproduct, kappa,
-                       normal_order, nu)
+from .envelope import (TensorElement, UElement, ad_letter, box_n, coproduct,
+                       kappa, normal_order, nu)
 from .exactnum import HPoly, ONE, accumulate
 from .liealg import LieAlgebraData, LieElement, casimir_adjoint_eigenvalue
 from .reports import Report, run_checks, zero_or_residual
@@ -38,8 +42,9 @@ class FreeModel:
     """Word algebra of the free model of one Lie algebra.
 
     Built once per algebra by `free_model`; it owns the memo caches of the
-    free-model layer (word products, I-letter pushes, coproducts) so they
-    live and die with the algebra.  Elements are `UElement`s over it.
+    free-model layer (word products, I-letter pushes, coproducts, ad I(x)
+    on words) so they live and die with the algebra.  Elements are
+    `UElement`s over it.
     """
 
     unit_word: FMWord = UNIT_WORD
@@ -49,6 +54,7 @@ class FreeModel:
         self._fm_cache: Dict[tuple, dict] = {}
         self._fm_push_cache: Dict[tuple, dict] = {}
         self._fm_delta_cache: Dict[tuple, TensorElement] = {}
+        self._fm_ad_cache: Dict[tuple, dict] = {}
 
     def multiply_words(self, w1: FMWord, w2: FMWord) -> dict:
         return fm_word_multiply(self, w1, w2)
@@ -140,6 +146,33 @@ def fm_word_multiply(fm: FreeModel, w1: FMWord, w2: FMWord) -> dict:
             accumulate(out, (jword, mono), c * c2)
     fm._fm_cache[key] = out
     return out
+
+
+def fm_ad_word(fm: FreeModel, x: int, word: FMWord) -> dict:
+    """[I(x), word] for a normal word, as {normal word: coefficient}: the
+    derivation with J(y) -> J([x, y]) on each letter of the free J-word and
+    `ad_letter` on the sorted I-word, so every word stays normal."""
+    out = fm._fm_ad_cache.get((x, word))
+    if out is None:
+        jw, iw = word
+        out = fm._fm_ad_cache[x, word] = {}
+        for p, y in enumerate(jw):
+            for z, c in fm.g.bracket_table.get((x, y), {}).items():
+                accumulate(out, (jw[:p] + (z,) + jw[p + 1:], iw), c)
+        for mono, c in ad_letter(fm.g, x, iw).items():
+            accumulate(out, (jw, mono), c)
+    return out
+
+
+def fm_ad_slots(x: int, t: TensorElement) -> TensorElement:
+    """[box_n(I(x)), t]: ad I(x) applied slot by slot, with no word product."""
+    def terms(key):
+        out: dict = {}
+        for slot, word in enumerate(key):
+            for w, c in fm_ad_word(t.ctx, x, word).items():
+                accumulate(out, key[:slot] + (w,) + key[slot + 1:], c)
+        return out
+    return t.expand(terms, t)
 
 
 # --- deformed coproduct, counit, antipode -------------------------------------
@@ -484,7 +517,10 @@ def verify_T_identities(g: LieAlgebraData) -> Report:
 
 def verify_coproduct_well_defined(g: LieAlgebraData, fault: Optional[str] = None) -> Report:
     """Delta preserves the equivariance relations, and the counit/antipode
-    satisfy the Hopf laws on generators."""
+    satisfy the Hopf laws on generators.  `relations-iota-*` prove Delta(I(x))
+    = box(I(x)) first, so [Delta(I(x)), Delta(Y(y))] is ad I(x) on each slot
+    (`fm_ad_slots`); `rewrite-equivariance` brackets by products, since it
+    checks the rewrite I(x)J(y) -> J(y)I(x) + J([x, y]) that ad I(x) uses."""
     fm = free_model(g)
     scale = ONE if fault == "cocycle-scale" else HALF
     specs = []
@@ -492,13 +528,14 @@ def verify_coproduct_well_defined(g: LieAlgebraData, fault: Optional[str] = None
     for tag, name, letter, embed in (("iota", "I", fm.iota_letter, fm.iota),
                                      ("J", "J", fm.j_letter, fm.j_of)):
         def chk_relation(letter=letter, embed=embed):
-            delta_iota = [fm_coproduct(fm.iota_letter(a), scale) for a in range(g.dim)]
+            for a, ia in enumerate(map(fm.iota_letter, range(g.dim))):
+                if bad := fm_coproduct(ia, scale) - box_n(ia, 2):
+                    return f"Delta(I({g.names[a]})) is not primitive: " + bad.render()
             delta_y = [fm_coproduct(letter(b), scale) for b in range(g.dim)]
             for a in range(g.dim):
                 for b in range(g.dim):
                     ybr = embed(g.bracket(g.basis_element(a), g.basis_element(b)))
-                    bad = (delta_iota[a].bracket(delta_y[b])
-                           - fm_coproduct(ybr, scale))
+                    bad = fm_ad_slots(a, delta_y[b]) - fm_coproduct(ybr, scale)
                     if bad:
                         return f"at ({g.names[a]}, {g.names[b]}): " + bad.render()
             return None

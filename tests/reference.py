@@ -17,6 +17,7 @@ from qcurrent.current import CurrentElement, CurrentTensor, c_bracket
 from qcurrent.dsl import Bracket, Call, Hbar, Name, Num, Prod, Sum, Tensor
 from qcurrent.envelope import TensorElement, UElement, normal_order
 from qcurrent.exactnum import ONE, ZERO, _quotient, accumulate, solve
+from qcurrent.freequant import fm_coproduct, free_model
 
 
 def casimir_tensor(g):
@@ -63,6 +64,24 @@ def coaction_bracket(t, w):
         for k, v in c_bracket(CurrentElement(alg, {k2: c}), w).data.items():
             out._accumulate((k1, k), v)
     return out
+
+
+def product_path_relation(g, tag: str, scale) -> Optional[str]:
+    """The `relations-iota-<tag>` check of `coproduct-wd` by tensor word
+    products: [Delta(I(a)), Delta(Y(b))] - Delta(Y([a, b])) for every basis
+    pair, a outer and b inner, with Y = I or J; the first failure's
+    message, or None."""
+    fm = free_model(g)
+    letter, embed = {"iota": (fm.iota_letter, fm.iota), "J": (fm.j_letter, fm.j_of)}[tag]
+    delta_iota = [fm_coproduct(fm.iota_letter(a), scale) for a in range(g.dim)]
+    delta_y = [fm_coproduct(letter(b), scale) for b in range(g.dim)]
+    for a in range(g.dim):
+        for b in range(g.dim):
+            ybr = embed(g.bracket(g.basis_element(a), g.basis_element(b)))
+            bad = delta_iota[a].bracket(delta_y[b]) - fm_coproduct(ybr, scale)
+            if bad:
+                return f"at ({g.names[a]}, {g.names[b]}): " + bad.render()
+    return None
 
 
 # --- sparse rows, the matrix format of `rank_of_rows` and `factor` -----------

@@ -11,11 +11,10 @@ from random import Random
 
 import pytest
 
-from qcurrent.cohom import (CobarChain, Cochain, GModule, _ad_letter,
-                            _signed_insert, bicomplex_dh, bicomplex_dv,
-                            cobar_differential, random_cochain,
-                            solver_report, tensor_slice_keys)
-from qcurrent.envelope import mono_coproduct_terms
+from qcurrent.cohom import (CobarChain, Cochain, GModule, _signed_insert,
+                            bicomplex_dh, bicomplex_dv, cobar_differential,
+                            random_cochain, solver_report, tensor_slice_keys)
+from qcurrent.envelope import ad_letter, mono_coproduct_terms
 from qcurrent.exactnum import ONE, accumulate
 from qcurrent.liealg import build_sl
 from reference import cochain_from_json, cochain_to_json
@@ -38,7 +37,7 @@ def reference_dh(w: Cochain) -> Cochain:
                 sign = (-1) ** i
                 for tkey, c in w.value(rest, v).items():
                     for slot in range(len(tkey)):
-                        for m2, q in _ad_letter(g, t[i], tkey[slot]).items():
+                        for m2, q in ad_letter(g, t[i], tkey[slot]).items():
                             accumulate(acc, tkey[:slot] + (m2,) + tkey[slot + 1:],
                                        sign * c * q)
                 for z, c in g.bracket_table.get((t[i], v), {}).items():

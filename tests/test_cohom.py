@@ -592,10 +592,10 @@ def test_dh_at_00_is_intertwiner_defect(sl2):
     for x in range(sl2.dim):
         for v in range(sl2.dim):
             tensor = d.value((x,), v)
-            from qcurrent.cohom import _ad_letter
+            from qcurrent.envelope import ad_letter
             expected = {}
             if v == 0:
-                expected = {(m,): c for m, c in _ad_letter(sl2, x, (0,)).items()}
+                expected = {(m,): c for m, c in ad_letter(sl2, x, (0,)).items()}
             for z, c in sl2.bracket_table.get((x, v), {}).items():
                 if z == 0:
                     for key in [((0,),)]:
@@ -628,9 +628,9 @@ def test_dh_kernel_iff_intertwiner(sl2):
     for x in range(sl2.dim):
         for v in range(sl2.dim):
             lhs = {}
-            from qcurrent.cohom import _ad_letter
+            from qcurrent.envelope import ad_letter
             for (mono,), c in w.value((), v).items():
-                for m2, q in _ad_letter(sl2, x, mono).items():
+                for m2, q in ad_letter(sl2, x, mono).items():
                     k2 = (m2,)
                     s = lhs.get(k2, F(0)) + c * q
                     if s:

@@ -5,13 +5,16 @@ import pytest
 
 from qcurrent.envelope import TensorElement, UElement, box_n, nu
 from qcurrent.exactnum import HPoly
-from qcurrent.freequant import (classical_limit, fm_antipode, fm_coproduct,
-                                fm_counit, free_model, lift_gamma_eta,
+from qcurrent.freequant import (HALF, classical_limit, fm_antipode,
+                                fm_coproduct, fm_counit, free_model,
+                                lift_gamma_eta,
                                 relation_defect_cartan, relation_defect_sl2,
                                 t_element, verify_T_identities,
                                 verify_coproduct_well_defined,
                                 verify_hopf_axioms, verify_primitive_defects,
                                 verify_sl2_steps, x1_element)
+from qcurrent.liealg import build_sl
+from reference import product_path_relation
 
 
 def gens(g):
@@ -242,6 +245,24 @@ def test_x1_hbar0_is_loop_generator(sl2):
 def test_coproduct_well_defined(sl2, sl3):
     assert verify_coproduct_well_defined(sl2).passed
     assert verify_coproduct_well_defined(sl3).passed
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_relations_iota_j_fails_like_the_product_path(n):
+    """A negated coefficient in one row of the [x (x) 1, Omega] table
+    breaks Delta(J(x)), and `relations-iota-J` fails at the product-path
+    check's first pair with its residual; `relations-iota-iota` holds."""
+    g = build_sl(n)
+    (zq, c), *rest = g.omega_table[g.dim - 1]
+    g.omega_table[g.dim - 1] = [(zq, -c)] + rest
+    checks = {c.id: c for c in verify_coproduct_well_defined(g).checks}
+    assert checks["relations-iota-iota"].passed
+    assert product_path_relation(g, "iota", HALF) is None
+    expected = product_path_relation(g, "J", HALF)
+    assert expected is not None and not expected.startswith(
+        f"at ({g.names[0]}, {g.names[0]}): ")
+    assert not checks["relations-iota-J"].passed
+    assert checks["relations-iota-J"].residual == expected
 
 
 def test_classical_limit_examples(sl2):

@@ -38,7 +38,8 @@ def _caches(g) -> dict:
     if CurrentEnvelope in g._memo:
         out["current._pbw_cache"] = g._memo[CurrentEnvelope]._pbw_cache
     if FreeModel in g._memo:
-        for name in ("_fm_cache", "_fm_push_cache", "_fm_delta_cache"):
+        for name in ("_fm_cache", "_fm_push_cache", "_fm_delta_cache",
+                     "_fm_ad_cache"):
             out[f"free_model.{name}"] = getattr(g._memo[FreeModel], name)
     return out
 
@@ -104,10 +105,11 @@ def test_structure_tables_and_caches_are_int_valued(exercised):
         tables["free_model._fm_delta_cache"] = [
             poly for element in tables["free_model._fm_delta_cache"]
             for poly in element.data.values()]
-        # the suites reached the caches: the adjoint action only on sl_2
+        # the suites reached the caches; coproduct-wd fills both adjoint
+        # actions at every type
         assert tables["_pbw_cache"] and tables["free_model._fm_cache"]
         assert tables["free_model._fm_delta_cache"]
-        assert tables["ad"] or g.n != 2
+        assert tables["ad"] and tables["free_model._fm_ad_cache"]
         for name, coeff_maps in tables.items():
             bad = [c for coeffs in coeff_maps for c in coeffs.values()
                    if type(c) is not int]
@@ -163,11 +165,13 @@ def test_word_algebra_elements_are_reduced_int_stores(exercised):
                    for c in value.data.values()), value
 
 
-@pytest.mark.parametrize("first", ["defects", "solver"])
+@pytest.mark.parametrize("first", ["defects", "solver", "coproduct-wd"])
 def test_later_suites_never_change_a_cached_normal_form(first):
     g = build_sl(2)
     _run(g, first)
     caches = _caches(g)
+    if first == "coproduct-wd":  # it fills the free model's ad I(x) memo
+        assert caches["free_model._fm_ad_cache"]
     # the elements in the free-model coproduct cache point at the model:
     # copy their coefficients, not the algebra
     memo = {id(g): g}

@@ -2,7 +2,8 @@
 against a reference written here: exact Fraction polynomials in hbar,
 multiplied through the same word products, on seeded random elements of
 U(g) and of the free model at A1 and A2, and on elements whose keys hold
-the unit word in some slots."""
+the unit word in some slots; and the free model's slot action of ad I(x)
+against the bracket by word products."""
 
 import os
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 
 from qcurrent.envelope import TensorElement, UElement, box_n, coproduct
 from qcurrent.exactnum import HPoly
-from qcurrent.freequant import fm_coproduct, free_model
+from qcurrent.freequant import fm_ad_slots, fm_coproduct, free_model
 from qcurrent.liealg import LieElement, build_sl
 
 # --- reference: {key: {hbar power: Fraction}} ------------------------------------
@@ -53,8 +54,10 @@ def ref_mul(ctx, a, b, tensor):
             c = F(1)
             for _, cw in combo:
                 c *= cw
-            out = ref_add((1, out), (c, {key: poly_mul(p1, p2)}))
-    return out
+            acc = out.setdefault(key, {})
+            for k, v in poly_mul(p1, p2).items():
+                acc[k] = acc.get(k, 0) + c * v
+    return ref_add((1, out))
 
 
 def values(x):
@@ -186,6 +189,30 @@ def test_unit_slot_products_match_fraction_reference(n, model, arity):
                                   (b.bracket(a), ref_add((1, ba), (-1, ab)))):
                 assert_reduced_int_store(got)
                 assert values(got) == expected
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_slot_action_of_ad_iota_matches_product_path(n):
+    """For every x, ad I(x) applied slot by slot (`fm_ad_slots`) equals
+    [box_n(I(x), arity), t] computed by word products in the Fraction
+    reference, at arity 1, 2 and 3: on the unit, on Delta(J(y)), Delta(I(y))
+    and Delta(J(y)*I(z)*J(w)), on J(y)*I(z)*J(w) itself and on
+    box_n(J(y), 3), with (y, z, w) seeded for each x."""
+    g = build_sl(n)
+    fm = free_model(g)
+    rng = Random(n)
+    for x in range(g.dim):
+        y, z, w = (rng.randrange(g.dim) for _ in range(3))
+        word = fm.j_letter(y) * fm.iota_letter(z) * fm.j_letter(w)
+        inputs = [TensorElement.unit(fm, arity) for arity in (1, 2, 3)] + [
+            fm_coproduct(fm.j_letter(y)), fm_coproduct(fm.iota_letter(y)),
+            fm_coproduct(word), box_n(word, 1), box_n(fm.j_letter(y), 3)]
+        for t in inputs:
+            box, tv = values(box_n(fm.iota_letter(x), t.arity)), values(t)
+            got = fm_ad_slots(x, t)
+            assert_reduced_int_store(got)
+            assert values(got) == ref_add((1, ref_mul(fm, box, tv, True)),
+                                          (-1, ref_mul(fm, tv, box, True)))
 
 
 @pytest.mark.parametrize("model", (False, True), ids=("U(g)", "free-model"))
