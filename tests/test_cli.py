@@ -263,3 +263,28 @@ def test_crash_inside_a_check_exit_three(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.strip() == \
         "qcurrent: internal error: TypeError: rank of a non-matrix"
+
+
+_HOPF_IDS = ["counit-law", "antipode-left", "antipode-right",
+             "antipode-J-formula", "counit-kills-generators"]
+
+
+@pytest.mark.parametrize("argv, suite, algebra, ids", [
+    (["cartier", "--degree", "2"], "cartier", "Sym(V), dim V in {1,2,3}",
+     [f"V{v}-H2-minus-degree-{d}" for v in (1, 2, 3) for d in range(3)]),
+    (["coproduct-wd", "--type", "A1"], "coproduct-wd", "A1",
+     ["relations-iota-iota", "relations-iota-J", "rewrite-equivariance"]
+     + _HOPF_IDS),
+    (["coproduct-wd", "--type", "A1", "--inject-fault", "cocycle-scale"],
+     "coproduct-wd", "A1",
+     ["relations-iota-iota", "relations-iota-J", "rewrite-equivariance"]),
+])
+def test_json_check_ids_are_pinned(argv, suite, algebra, ids, capsys):
+    """The check ids, suite and label of the reports that are assembled from
+    several parts: cartier's three dimensions of V, and coproduct-wd's
+    relations followed by the Hopf laws, which a fault run leaves out."""
+    assert main(["verify", *argv, "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("\n{") + 1:])
+    assert (payload["suite"], payload["algebra"]) == (suite, algebra)
+    assert [c["id"] for c in payload["checks"]] == ids
