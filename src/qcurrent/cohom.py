@@ -27,9 +27,10 @@ PxP of sl_n permute the basis up to sign, and so does the permutation each
 module constructor induces from them; the differential commutes with the
 group they generate, so the weight-zero block splits into its four
 character parts (Serre, Linear Representations of Finite Groups, 2.6),
-ranked one by one.  The minus cobar complex of Sym(V), for `cartier`,
-splits likewise into multidegree blocks, and one block is ranked per S_v
-orbit, counted by the size of its orbit.
+ranked one by one.  The minus cobar complex of Sym(V) splits likewise
+into multidegree blocks, and one block is ranked per S_v orbit, counted by
+the size of its orbit; `cartier_report` builds the whole `cartier` report
+from it, one check per dimension of V in {1, 2, 3} and symmetric degree.
 
 Every table here is integral on sl_n: the bracket table, the adjoint action
 on PBW monomials (`envelope.ad_letter`) and the coproduct
@@ -50,6 +51,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 from random import Random
@@ -62,7 +64,6 @@ from .liealg import LieAlgebraData, compose
 from .reports import CheckError, Report, run_checks
 
 Vector = Dict[int, Fraction]
-_SYM_COPRODUCTS: Dict[tuple, tuple] = {}  # the memo of `_sym_coproduct_terms`
 
 
 class CocycleConditionError(CheckError):
@@ -76,6 +77,11 @@ class FiltrationError(CheckError):
 class SymmetryError(CheckError):
     """omega or pi is not an automorphism of the bracket table, so a module
     built from the table has no Klein group: the table is not that of sl_n."""
+
+
+class WeightError(CheckError):
+    """A module action does not keep the Cartan weights of g: the module's
+    weights disagree with the algebra's, so it is no g-module."""
 
 
 # --- g-modules -----------------------------------------------------------------
@@ -458,7 +464,7 @@ def _ce_matrix_rows(module: GModule, m: int) -> List[List[dict]]:
     weight-zero cochain, empty rows kept.  Row rank = column rank, and the
     m-side is the short side of the large blocks, so fewer dependent rows
     are cancelled.  The differential keeps Cartan weight: an entry outside
-    the weight-zero slots means no g-module."""
+    the weight-zero slots means no g-module, and raises a WeightError."""
     table = _orbits(module, m + 1)[0]
     reps = _orbits(module, m)[1]
     # one part per character: the group is abelian, of order 1 or 4
@@ -478,7 +484,7 @@ def _ce_matrix_rows(module: GModule, m: int) -> List[List[dict]]:
                 if w:
                     part.append(row)
     except KeyError:  # only a (t, k') outside the weight-zero table raises
-        raise AssertionError("an action leaves the weight-zero block") from None
+        raise WeightError("an action leaves the weight-zero block") from None
     return parts
 
 
@@ -514,15 +520,15 @@ def ce_cohomology_dims(module: GModule, up_to: int) -> List[int]:
 def whitehead_report(g: LieAlgebraData, bound: int = 2) -> Report:
     """First and second cohomology vanish for the adjoint module and for
     dual(adjoint) (x) U-slice; invariants of the trivial module are 1-dim."""
+    if bound < 0:
+        raise ValueError(f"bound must be at least 0, got {bound}")
     modules = {"adjoint": lambda: adjoint_module(g),
                "big": lambda: tensor_module(dual_module(adjoint_module(g)),
                                             u_slice_module(g, bound))}
-    cache: Dict[str, List[int]] = {}
 
+    @cache
     def dims_of(name) -> List[int]:
-        if name not in cache:
-            cache[name] = ce_cohomology_dims(modules[name](), 2)
-        return cache[name]
+        return ce_cohomology_dims(modules[name](), 2)
 
     specs = [
         ("H0-trivial", "H^0(g, trivial) = 1",
@@ -586,13 +592,11 @@ def _cobar_push(data: dict, key: tuple, c, unit, coproduct_of) -> None:
             accumulate(data, head + (l, r) + tail, sc * q)
 
 
+@cache
 def _sym_coproduct_terms(mono: tuple) -> tuple:
-    """`sym_coproduct(mono)` as a tuple, memoized in `_SYM_COPRODUCTS`: at
-    most C(d+v, v) entries for V of dimension v up to symmetric degree d."""
-    terms = _SYM_COPRODUCTS.get(mono)
-    if terms is None:
-        terms = _SYM_COPRODUCTS[mono] = tuple(sym_coproduct(mono).items())
-    return terms
+    """`sym_coproduct(mono)` as a tuple, memoized: at most C(d+v, v)
+    entries for V of dimension v up to symmetric degree d."""
+    return tuple(sym_coproduct(mono).items())
 
 
 def cobar_differential(y: CobarChain) -> CobarChain:
@@ -661,18 +665,22 @@ def minus_cohomology_dim(v_dim: int, n: int, degree: int) -> int:
                for alpha, size in orbits.items())
 
 
-def cartier_check(v_dim: int, d_max: int) -> Report:
-    """H^2 of the minus cobar subcomplex vanishes in every symmetric degree
-    up to d_max."""
+def cartier_report(d_max: int) -> Report:
+    """H^2 of the minus cobar subcomplex of Sym(V) vanishes for dim V in
+    {1, 2, 3}, in every symmetric degree up to d_max: one check per (dim V,
+    degree), dim V outer."""
+    if d_max < 0:
+        raise ValueError(f"d_max must be at least 0, got {d_max}")
     specs = []
-    for d in range(d_max + 1):
-        def chk(d=d):
-            got = minus_cohomology_dim(v_dim, 2, d)
-            return None if got == 0 else f"H^2 = {got} at degree {d}"
-        specs.append((f"H2-minus-degree-{d}",
-                      f"H^2(T_-(Sym(V)), delta) = 0 at symmetric degree {d}",
-                      chk))
-    return run_checks("cartier", f"V{v_dim}", specs)
+    for v_dim in (1, 2, 3):
+        for d in range(d_max + 1):
+            def chk(v_dim=v_dim, d=d):
+                got = minus_cohomology_dim(v_dim, 2, d)
+                return None if got == 0 else f"H^2 = {got} at degree {d}"
+            specs.append((f"V{v_dim}-H2-minus-degree-{d}",
+                          f"H^2(T_-(Sym(V)), delta) = 0 at symmetric degree {d}",
+                          chk))
+    return run_checks("cartier", "Sym(V), dim V in {1,2,3}", specs)
 
 
 # --- the bicomplex ---------------------------------------------------------------
@@ -854,8 +862,14 @@ def random_cochain(g: LieAlgebraData, m: int, n: int, bound: int,
 def bicomplex_report(g: LieAlgebraData, bound: int = 2, samples: int = 100,
                      seed: int = 0) -> Report:
     """d_H^2 = d_V^2 = 0 and d_H d_V = d_V d_H on seeded random cochains at
-    every bidegree (m, n) with m, n <= 2."""
+    every bidegree (m, n) with m <= 2 and 1 <= n <= 2, the samples dealt to
+    the six bidegrees in turn."""
     bidegrees = [(m, n) for m in range(3) for n in range(1, 3)]
+    if bound < 0:
+        raise ValueError(f"bound must be at least 0, got {bound}")
+    if samples < len(bidegrees):
+        raise ValueError(f"samples must be at least {len(bidegrees)}, one per "
+                         f"bidegree, got {samples}")
     rng = Random(seed)
     cochains = []
     for k in range(samples):
@@ -965,15 +979,16 @@ class CorrectionSystem:
         return phi._like(phi.data, phi.den * den)
 
 
-def solve_correction(gamma: Cochain, eta: Cochain, bound: int,
+def solve_correction(gamma: Cochain, eta: Cochain,
                      fault: Optional[str] = None) -> Cochain:
     """Solve dH(phi) = gamma, dV(phi) = eta for phi in Hom(g_ad, U-slice).
 
     One linear system, the stack of the dV equations over the dH equations
     (`CorrectionSystem`), is solved once for the right-hand side (eta,
     gamma) under the deterministic pivot rule of the exact solver; the dH
-    rows make the vertical solution g-equivariant.  The system is built and
-    factored once per (algebra, bound) and kept in the algebra's memo.  The
+    rows make the vertical solution g-equivariant.  The bound is that of
+    gamma and eta, which must share it.  The system is built and factored
+    once per (algebra, bound) and kept in the algebra's memo.  The
     four cocycle preconditions are checked first, and the returned cochain
     is re-substituted into both equations rather than trusted.
 
@@ -984,10 +999,10 @@ def solve_correction(gamma: Cochain, eta: Cochain, bound: int,
         raise ValueError("gamma must live at bidegree (1,1)")
     if (eta.m, eta.n) != (0, 2):
         raise ValueError("eta must live at bidegree (0,2)")
-    if not gamma.bound == eta.bound == bound:
-        raise ValueError(f"gamma, eta and bound must agree: got "
-                         f"{gamma.bound}, {eta.bound} and {bound}")
-    g = gamma.g
+    if gamma.bound != eta.bound:
+        raise ValueError(f"gamma and eta must share one bound: got "
+                         f"{gamma.bound} and {eta.bound}")
+    g, bound = gamma.g, gamma.bound
     if bicomplex_dh(gamma):
         raise CocycleConditionError(
             "dH(gamma) != 0: gamma fails its cocycle equation "
@@ -1042,6 +1057,8 @@ def solver_report(g: LieAlgebraData, bound: int = 2, runs: int = 20,
     """Round-trip the solver on seeded random data: gamma and eta are read
     off a random phi_0, and the solution must agree with phi_0 up to a
     rational multiple of the identity map."""
+    if bound < 0:
+        raise ValueError(f"bound must be at least 0, got {bound}")
     rng = Random(seed)
     datasets = [random_cochain(g, 0, 1, bound, rng, density=0.6)
                 for _ in range(runs)]
@@ -1049,7 +1066,7 @@ def solver_report(g: LieAlgebraData, bound: int = 2, runs: int = 20,
 
     def chk_zero():
         phi = solve_correction(Cochain(g, 1, 1, bound),
-                               Cochain(g, 0, 2, bound), bound, fault=fault)
+                               Cochain(g, 0, 2, bound), fault=fault)
         return None if not phi else "expected the zero solution: " + phi.render()
     specs.append(("zero-data", "gamma = 0, eta = 0 -> phi = 0 under the "
                   "deterministic pivot rule", chk_zero))
@@ -1058,7 +1075,7 @@ def solver_report(g: LieAlgebraData, bound: int = 2, runs: int = 20,
         def chk(phi0=phi0):
             gamma = bicomplex_dh(phi0)
             eta = bicomplex_dv(phi0)
-            phi = solve_correction(gamma, eta, bound, fault=fault)
+            phi = solve_correction(gamma, eta, fault=fault)
             lam = identity_shift_of(phi - phi0)
             if lam is None:
                 return "phi - phi_0 is not a multiple of the identity: " \
@@ -1078,7 +1095,7 @@ def solver_report(g: LieAlgebraData, bound: int = 2, runs: int = 20,
             ((a,), b): {(mono,): c for mono, c in val.hbar_coefficient(0).items()}
             for (a, b), val in gamma_map.items()})
         eta = Cochain(g, 0, 2, bound, {((), b): tensor for b, tensor in eta_map.items()})
-        phi = solve_correction(gamma, eta, bound, fault=fault)
+        phi = solve_correction(gamma, eta, fault=fault)
         lam = identity_shift_of(phi + b_cochain)
         if lam is None:
             return ("solver did not recover the model lift up to lambda * id: "

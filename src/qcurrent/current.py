@@ -20,7 +20,7 @@ from math import lcm
 from typing import Dict, Optional, Tuple
 
 from .envelope import PBWAlgebra
-from .exactnum import (ONE, CoeffMap, _quotient, accumulate, join_signed,
+from .exactnum import (CoeffMap, _quotient, accumulate, join_signed,
                        rank_of_rows)
 from .liealg import LieAlgebraData, LieElement, omega_bracket_table
 from .reports import Report, run_checks, zero_or_residual
@@ -133,26 +133,19 @@ def _omega_brackets(alg: LieAlgebraData, fault: Optional[str]):
 
 
 def cobracket(f: CurrentElement, omega: Optional[dict] = None) -> CurrentTensor:
-    """delta(x u^n) = sum over a+b = n-1 of [x (x) 1, Omega] u^a v^b.
+    """delta(x u^n) = sum over a+b = n-1 of [x (x) 1, Omega] u^a v^b:
+    `cobracket_slot` on f as a one-slot tensor.
 
     `omega` is the [x (x) 1, Omega] table, the algebra's own by default."""
-    alg = f.alg
-    table = alg.omega_table if omega is None else omega
-    out = CurrentTensor(alg, 2)
-    data = out.data
-    for (x, n), cx in f.data.items():
-        if n == 0:
-            continue
-        for (z, q), c in table[x]:
-            c *= cx
-            for a in range(n):
-                accumulate(data, ((z, a), (q, n - 1 - a)), c)
-    return out
+    one_slot = CurrentTensor(f.alg, 1)._like({(key,): c for key, c in f.data.items()})
+    return cobracket_slot(one_slot, 0, omega)
 
 
 def cobracket_slot(t: CurrentTensor, slot: int,
                    omega: Optional[dict] = None) -> CurrentTensor:
-    """Apply the cobracket to one tensor slot, raising arity by one."""
+    """Apply the cobracket to one tensor slot, raising arity by one:
+    x u^n in that slot becomes sum over a+b = n-1 of [x (x) 1, Omega]
+    u^a v^b, read from the table `omega`, the algebra's own by default."""
     alg = t.alg
     table = alg.omega_table if omega is None else omega
     out = CurrentTensor(alg, t.arity + 1)
@@ -380,14 +373,14 @@ def verify_min_presentation(g: LieAlgebraData) -> Report:
 
 def verify_generation(g: LieAlgebraData, max_degree: int) -> Report:
     """Iterated brackets of the degree-0 and degree-1 generators span the full
-    algebra in every graded slice up to max_degree (rank check per slice)."""
-    if max_degree < 1:
-        raise ValueError("max_degree must be at least 1")
+    algebra in every graded slice from 2 up to max_degree (rank check per
+    slice); slices 0 and 1 are spanned by the generators themselves, so
+    max_degree < 2 would check nothing."""
+    if max_degree < 2:
+        raise ValueError(f"max_degree must be at least 2, got {max_degree}")
     specs = []
-    slices: Dict[int, list] = {
-        0: [{b: ONE} for b in range(g.dim)],
-        1: [{b: ONE} for b in range(g.dim)],
-    }
+    basis = [g.basis_element(b) for b in range(g.dim)]
+    slices: Dict[int, list] = {0: basis, 1: basis}
 
     def close_and_check(n):
         vectors = []
@@ -397,17 +390,13 @@ def verify_generation(g: LieAlgebraData, max_degree: int) -> Report:
                 continue
             for va in slices[k]:
                 for vb in lower:
-                    out: Dict[int, Fraction] = {}
-                    for a, ca in va.items():
-                        for b, cb in vb.items():
-                            for z, cz in g.bracket_table.get((a, b), {}).items():
-                                accumulate(out, z, ca * cb * cz)
+                    out = g.bracket(va, vb)
                     if out:
                         vectors.append(out)
             if vectors:
                 break  # [slice 1, slice n-1] already spans; keep the basis lean
         slices[n] = vectors
-        got = rank_of_rows(vectors)
+        got = rank_of_rows([v.data for v in vectors])
         if got != g.dim:
             return f"graded slice u^{n} has dimension {got}, expected {g.dim}"
         return None

@@ -8,10 +8,10 @@ import pytest
 
 from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
                             CorrectionSystem, FiltrationError, GModule,
-                            SymmetryError, _block_cohomology_dim,
+                            SymmetryError, WeightError, _block_cohomology_dim,
                             _ce_matrix_rows, _minus_basis, _sym_monomials,
                             _tensor_basis, adjoint_module, bicomplex_dh,
-                            bicomplex_dv, bicomplex_report, cartier_check,
+                            bicomplex_dv, bicomplex_report, cartier_report,
                             ce_cohomology_dims, cobar_differential,
                             dual_module, identity_shift_of,
                             minus_cohomology_dim, random_cochain,
@@ -314,7 +314,7 @@ def test_ce_matrix_rows_reject_an_action_that_breaks_the_weights(sl2):
     actions[sl2.names.index("e")] = {0: {1: 1}}
     module = GModule(sl2, 2, actions, "broken")
     assert module.weights() == [(0,), (0,)]
-    with pytest.raises(AssertionError, match="weight-zero block"):
+    with pytest.raises(WeightError, match="weight-zero block"):
         _ce_matrix_rows(module, 0)
 
 
@@ -552,8 +552,13 @@ def test_block_cohomology_is_the_same_on_every_rearrangement():
                     minus_cohomology_dim(v_dim, n, d), (v_dim, n, d)
 
 
-def test_cartier_check_report():
-    assert cartier_check(3, 4).passed
+def test_cartier_report():
+    """One check per (dim V, degree), dim V outer, all in one report."""
+    report = cartier_report(4)
+    assert report.passed
+    assert (report.suite, report.algebra) == ("cartier", "Sym(V), dim V in {1,2,3}")
+    assert [c.id for c in report.checks] == [
+        f"V{v}-H2-minus-degree-{d}" for v in (1, 2, 3) for d in range(5)]
 
 
 def test_solve_minus_coboundary_roundtrip():
@@ -681,6 +686,21 @@ def test_bicomplex_report(sl2):
     assert bicomplex_report(sl2, samples=18, seed=5).passed
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda g: whitehead_report(g, bound=-1), "bound must be at least 0"),
+    (lambda g: bicomplex_report(g, bound=-1), "bound must be at least 0"),
+    (lambda g: bicomplex_report(g, samples=5), "samples must be at least 6"),
+    (lambda g: solver_report(g, bound=-1), "bound must be at least 0"),
+    (lambda g: cartier_report(-1), "d_max must be at least 0"),
+])
+def test_a_report_that_would_check_nothing_is_refused(sl2, call, message):
+    """A negative bound leaves an empty slice, and fewer samples than
+    bidegrees leave a bidegree unsampled: the checks would pass on nothing,
+    so the call is refused, as the CLI refuses such options."""
+    with pytest.raises(ValueError, match=message):
+        call(sl2)
+
+
 def test_cochain_filtration_guard(sl2):
     with pytest.raises(Exception):
         Cochain(sl2, 0, 1, 1, {((), 0): {((0, 0, 0),): ONE}})
@@ -708,7 +728,7 @@ def test_cochain_json_load_checks_the_filtration(sl2):
 
 
 def test_solver_zero_data(sl2):
-    phi = solve_correction(Cochain(sl2, 1, 1, 2), Cochain(sl2, 0, 2, 2), 2)
+    phi = solve_correction(Cochain(sl2, 1, 1, 2), Cochain(sl2, 0, 2, 2))
     assert not phi
 
 
@@ -718,7 +738,7 @@ def test_solver_roundtrip_and_uniqueness(sl2):
         phi0 = random_cochain(sl2, 0, 1, 2, rng, density=0.7)
         gamma = bicomplex_dh(phi0)
         eta = bicomplex_dv(phi0)
-        phi = solve_correction(gamma, eta, 2)
+        phi = solve_correction(gamma, eta)
         assert bicomplex_dh(phi) == gamma
         assert bicomplex_dv(phi) == eta
         lam = identity_shift_of(phi - phi0)
@@ -728,7 +748,7 @@ def test_solver_roundtrip_and_uniqueness(sl2):
 def test_solver_sl3(sl3):
     rng = Random(41)
     phi0 = random_cochain(sl3, 0, 1, 2, rng, density=0.2)
-    phi = solve_correction(bicomplex_dh(phi0), bicomplex_dv(phi0), 2)
+    phi = solve_correction(bicomplex_dh(phi0), bicomplex_dv(phi0))
     assert identity_shift_of(phi - phi0) is not None
 
 
@@ -738,21 +758,22 @@ def test_solver_rejects_bad_gamma(sl2):
     while not bicomplex_dh(gamma):
         gamma = random_cochain(sl2, 1, 1, 2, rng)
     with pytest.raises(CocycleConditionError, match="gamma"):
-        solve_correction(gamma, Cochain(sl2, 0, 2, 2), 2)
+        solve_correction(gamma, Cochain(sl2, 0, 2, 2))
 
 
 def test_solver_checks_the_filtration_bounds_first(sl2):
-    """gamma, eta and the solve must share one bound: a mismatch is refused
-    up front, naming all three, and matched bounds still solve."""
+    """gamma and eta must share one bound, the bound of the solve: a
+    mismatch is refused up front, naming both, and matched bounds still
+    solve."""
     rng = Random(77)
     phi2 = random_cochain(sl2, 0, 1, 2, rng, density=0.7)
     phi3 = random_cochain(sl2, 0, 1, 3, rng, density=0.5)
     gamma, eta = bicomplex_dh(phi2), bicomplex_dv(phi2)
-    with pytest.raises(ValueError, match="got 2, 3 and 2"):
-        solve_correction(gamma, bicomplex_dv(phi3), 2)
-    with pytest.raises(ValueError, match="got 2, 2 and 3"):
-        solve_correction(gamma, eta, 3)
-    phi = solve_correction(gamma, eta, 2)
+    with pytest.raises(ValueError, match="got 2 and 3"):
+        solve_correction(gamma, bicomplex_dv(phi3))
+    with pytest.raises(ValueError, match="got 3 and 2"):
+        solve_correction(bicomplex_dh(phi3), eta)
+    phi = solve_correction(gamma, eta)
     assert bicomplex_dh(phi) == gamma
     assert bicomplex_dv(phi) == eta
 
@@ -762,7 +783,7 @@ def test_solver_rejects_asymmetric_eta(sl2):
     # f (x) h minus nothing
     eta = Cochain(sl2, 0, 2, 2, {((), 0): {((0,), (1,)): ONE, ((), ()): ONE}})
     with pytest.raises(CocycleConditionError):
-        solve_correction(bicomplex_dh(phi0), eta, 2)
+        solve_correction(bicomplex_dh(phi0), eta)
 
 
 def test_solver_rejects_mixed_equation_violation(sl2):
@@ -772,14 +793,14 @@ def test_solver_rejects_mixed_equation_violation(sl2):
     eta = bicomplex_dv(other)
     if bicomplex_dv(gamma) - bicomplex_dh(eta):
         with pytest.raises(CocycleConditionError, match="mixed"):
-            solve_correction(gamma, eta, 2)
+            solve_correction(gamma, eta)
 
 
 def test_solver_fault_detected(sl2):
     rng = Random(55)
     phi0 = random_cochain(sl2, 0, 1, 2, rng, density=0.6)
     with pytest.raises(CocycleConditionError):
-        solve_correction(bicomplex_dh(phi0), bicomplex_dv(phi0), 2,
+        solve_correction(bicomplex_dh(phi0), bicomplex_dv(phi0),
                          fault="noneq-theta")
 
 

@@ -235,7 +235,10 @@ def test_verify_generation(sl2, sl3):
 
 
 def test_generation_trivial_degree(sl2):
-    assert verify_generation(sl2, 1).passed  # generators already present
+    """Slices 0 and 1 are the generators themselves: a max_degree below 2
+    would check nothing, so it is refused."""
+    with pytest.raises(ValueError, match="at least 2"):
+        verify_generation(sl2, 1)
 
 
 def test_current_envelope_normal_form(sl2):

@@ -11,7 +11,7 @@ from qcurrent.freequant import (HALF, classical_limit, fm_antipode,
                                 relation_defect_cartan, relation_defect_sl2,
                                 t_element, verify_T_identities,
                                 verify_coproduct_well_defined,
-                                verify_hopf_axioms, verify_primitive_defects,
+                                verify_primitive_defects,
                                 verify_sl2_steps, x1_element)
 from qcurrent.liealg import build_sl
 from reference import product_path_relation
@@ -155,9 +155,19 @@ def test_antipode_law_on_j(sl2):
     assert not val
 
 
+HOPF_IDS = ["counit-law", "antipode-left", "antipode-right",
+            "antipode-J-formula", "counit-kills-generators"]
+
+
 def test_hopf_axioms(sl2, sl3):
-    assert verify_hopf_axioms(sl2).passed
-    assert verify_hopf_axioms(sl3).passed
+    """coproduct-wd checks the Hopf laws after the relations, and only
+    when no fault is injected."""
+    for g in (sl2, sl3):
+        report = verify_coproduct_well_defined(g)
+        assert report.passed
+        assert [c.id for c in report.checks][-len(HOPF_IDS):] == HOPF_IDS
+    faulted = verify_coproduct_well_defined(sl2, fault="cocycle-scale")
+    assert not {c.id for c in faulted.checks} & set(HOPF_IDS)
 
 
 def test_defect_sl2_structure(sl2):

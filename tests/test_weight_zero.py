@@ -179,3 +179,22 @@ def test_whitehead_fails_on_a_doubled_bracket(n, pair):
     assert "H0-trivial" not in failed
     assert all(check.residual.startswith("SymmetryError") for check in report.checks
                if check.id.endswith("coefficient-module"))
+
+
+def test_whitehead_fails_on_a_tripled_bracket():
+    """Every bracket entry tripled at A2, with the algebra's Cartan weights
+    left as they were: omega and pi still preserve the table, but each
+    module's weights are three times g's, so the differential leaves the
+    weight-zero block.  The assembly raises a WeightError, a CheckError,
+    so every module check fails with it and the report is returned."""
+    g = build_sl(3)
+    for key, col in g.bracket_table.items():
+        g.bracket_table[key] = {z: 3 * c for z, c in col.items()}
+    report = whitehead_report(g, 2)
+    assert not report.passed
+    failed = [check for check in report.checks if not check.passed]
+    assert [check.id for check in failed] == [
+        "H1-adjoint", "H2-adjoint", "H1-coefficient-module",
+        "H2-coefficient-module"]
+    assert all(check.residual == "WeightError: an action leaves the "
+               "weight-zero block" for check in failed)
