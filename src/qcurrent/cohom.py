@@ -37,11 +37,14 @@ on PBW monomials (`envelope.ad_letter`) and the coproduct
 (`mono_coproduct_terms`) hold ints, and so do the module actions, the CE
 rows, the Cartan weights and the binomial cobar structure constants.  A
 bicomplex `Cochain` is an `exactnum.IntStore`, int data over one reduced
-denominator, and dH, dV and the solver work on the data over int and carry
+denominator, {(s, v): {slice position: int}}, a basis tensor of T^n_{<=D}
+keyed by its position in `tensor_slice_keys`: monomial tuples appear only
+in the constructor, the one gate, and in `value`, `render` and
+`swap_tensor`.  dH, dV and the solver work on the data over int and carry
 the denominator; the maps are linear, so this is exact.  A table value with
 a denominator stays an exact Fraction, and dH absorbs it into the
-denominator of its image: integrality is never assumed.  The tensor slices
-and their modules, the dV images of the basis tensors and the solver's
+denominator of its image: integrality is never assumed.  The slice keys,
+the slice modules, the dV images of the basis tensors and the solver's
 factored system are built once per algebra and kept in its memo
 (`LieAlgebraData.derived`), so they are freed with it.
 """
@@ -205,11 +208,10 @@ def tensor_module(a: GModule, b: GModule) -> GModule:
 
 def tensor_slice_module(g: LieAlgebraData, n: int, bound: int) -> GModule:
     """T^n_{<=bound}, the n-tuples of PBW monomials of total length <= bound
-    (`tensor_slice_keys`), with g acting slotwise by the adjoint action.
+    (`_slice_keys`), with g acting slotwise by the adjoint action.
     It is a g-module because the adjoint action does not raise PBW length.
     omega and pi do not permute the PBW basis, so its group is trivial."""
-    keys = tensor_slice_keys(g, n, bound)
-    index = {key: j for j, key in enumerate(keys)}
+    keys, index = _slice_keys(g, n, bound)
     actions = []
     for x in range(g.dim):
         cols: Dict[int, Vector] = {}
@@ -690,10 +692,13 @@ class Cochain(IntStore):
     """Element of Hom(Lambda^m g (x) g_ad, U^{(x) n}) within filtration D.
 
     An `IntStore`: `data` maps (sorted m-tuple, adjoint index) to a sparse
-    tensor {(monomial, ..., monomial): nonzero int} with total length <= D,
-    and the cochain is data / den.  Cochains compare equal and combine only
-    on one algebra, bidegree and bound.  `value` and `render` show exact
-    values.
+    tensor {slice position: nonzero int}, the position of a basis tensor in
+    `tensor_slice_keys(g, n, D)`, and the cochain is data / den.  The
+    constructor is the one gate: it takes exact values on basis tensors
+    (monomial, ..., monomial) and refuses one outside T^n_{<=D}, too long
+    or not, with a FiltrationError.  Cochains compare equal and combine
+    only on one algebra, bidegree and bound.  `value` and `render` show
+    exact values on basis tensors.
     """
 
     __slots__ = ("g", "m", "n", "bound")
@@ -705,22 +710,32 @@ class Cochain(IntStore):
         self.m = m
         self.n = n
         self.bound = bound
-        data = data or {}
-        if any(sum(map(len, tkey)) > bound
-               for tensor in data.values() for tkey, c in tensor.items() if c):
-            raise FiltrationError(f"cochain value exceeds filtration {bound}")
-        super().__init__(data)
+        index = _slice_keys(g, n, bound)[1]
+        values: dict = {}
+        for key, tensor in (data or {}).items():
+            ids = values[key] = {}
+            for tkey, c in tensor.items():
+                if tkey in index:
+                    ids[index[tkey]] = c
+                elif c:
+                    raise FiltrationError(
+                        f"cochain value exceeds filtration {bound}"
+                        if sum(map(len, tkey)) > bound else f"tensor key {tkey} is "
+                        f"not in the {n}-fold tensor slice of filtration {bound}")
+        super().__init__(values)
 
     def value(self, s: tuple, v: int) -> dict:
         """The exact values at (s, v): ints where integral, else Fractions."""
+        keys = _slice_keys(self.g, self.n, self.bound)[0]
         den = self.den
-        return {tkey: _quotient(c, den)
-                for tkey, c in self.data.get((s, v), {}).items()}
+        return {keys[j]: _quotient(c, den)
+                for j, c in self.data.get((s, v), {}).items()}
 
     def swap_tensor(self) -> "Cochain":
         if self.n != 2:
             raise ValueError("swap_tensor needs n = 2")
-        return self._like({key: {(b, a): c for (a, b), c in tensor.items()}
+        keys, index = _slice_keys(self.g, 2, self.bound)
+        return self._like({key: {index[keys[j][::-1]]: c for j, c in tensor.items()}
                            for key, tensor in self.data.items()}, self.den)
 
     def render(self) -> str:
@@ -737,100 +752,91 @@ class Cochain(IntStore):
         return "; ".join(parts) if parts else "0"
 
 
-def _slice(g: LieAlgebraData, n: int, bound: int):
-    """(keys, index, module, dual, scale) of T^n_{<=bound}, built once per
-    algebra: `tensor_slice_keys` and their positions, `tensor_slice_module`,
-    the dual(adjoint) actions, and the lcm of the denominators of the
-    bracket table and the slice actions (1 on sl_n), which clears dH."""
+def _slice_keys(g: LieAlgebraData, n: int, bound: int) -> tuple:
+    """(keys, index) of T^n_{<=bound}, built once per algebra:
+    `tensor_slice_keys` and {key: position}.  Kept apart from `_slice`, so
+    that building a cochain does not build the slice modules."""
     def build():
         keys = tensor_slice_keys(g, n, bound)
+        return keys, {k: j for j, k in enumerate(keys)}
+    return g.derived(("slice keys", n, bound), build)
+
+
+def _slice(g: LieAlgebraData, n: int, bound: int):
+    """(module, dual, scale) of T^n_{<=bound}, built once per algebra:
+    `tensor_slice_module`, the dual(adjoint) actions, and the lcm of the
+    denominators of the bracket table and the slice actions (1 on sl_n),
+    which clears dH."""
+    def build():
         module = tensor_slice_module(g, n, bound)
         scale = lcm(*{c.denominator
                       for table in (g.bracket_table, *module.actions)
                       for col in table.values() for c in col.values()})
-        return (keys, {k: j for j, k in enumerate(keys)}, module,
-                dual_module(adjoint_module(g)).actions, scale)
+        return module, dual_module(adjoint_module(g)).actions, scale
     return g.derived(("slice", n, bound), build)
-
-
-def _outside_slice(w: Cochain, tkey: tuple) -> FiltrationError:
-    return FiltrationError(f"tensor key {tkey} is not in the {w.n}-fold "
-                           f"tensor slice of filtration {w.bound}")
 
 
 def bicomplex_dh(w: Cochain) -> Cochain:
     """Horizontal differential: Chevalley-Eilenberg with values in
     dual(adjoint) (x) T^n_{<=D}, over the integers, acting by
     rho_dual(x) (x) 1 + 1 (x) rho_slice(x).  For each adjoint index v,
-    `ce_push` of w's part at v on the slice module gives the slice factor
-    and the bracket faces, at (t, v).  Only the dual(adjoint) factor is
-    dH's own: each acting face (x, t, sign) of `faces(g, s)`, the faces
-    `ce_push` reads too, sends w(s, v) to (t, v') by the dual adjoint
-    column of v.  The image is put over w's denominator times the scale
-    of non-integral tables, and reduced.  A tensor key outside T^n_{<=D}
-    is refused with a FiltrationError."""
-    keys, index, module, dual, scale = _slice(w.g, w.n, w.bound)
-    parts: Dict[int, dict] = {}  # v -> {s: {slice id: int}}
+    `ce_push` of w's part at v on the slice module, whose indices are the
+    cochain's slice positions, gives the slice factor and the bracket
+    faces, at (t, v).  Only the dual(adjoint) factor is dH's own: each
+    acting face (x, t, sign) of `faces(g, s)`, the faces `ce_push` reads
+    too, sends w(s, v) to (t, v') by the dual adjoint column of v.  The
+    image is put over w's denominator times the scale of non-integral
+    tables, and reduced."""
+    module, dual, scale = _slice(w.g, w.n, w.bound)
+    parts: Dict[int, dict] = {}  # v -> {s: {slice position: int}}
     for (s, v), tensor in w.data.items():
-        try:
-            parts.setdefault(v, {})[s] = {index[k]: c for k, c in tensor.items()}
-        except KeyError as missing:
-            raise _outside_slice(w, missing.args[0]) from None
-    # (t, v) -> {slice id: int}
-    acc_of = {(t, v): acc for v, part in parts.items()
-              for t, acc in ce_push(module, part).items()}
-    for v, part in parts.items():
-        for s, ids in part.items():
-            for x, t, sign in faces(w.g, s)[0]:
-                for v2, a in dual[x].get(v, {}).items():
-                    acc = acc_of.setdefault((t, v2), {})
-                    get = acc.get
-                    a *= sign
-                    for j, c in ids.items():
-                        acc[j] = get(j, 0) + a * c
-    data = {key: {keys[j]: c for j, c in acc.items() if c} for key, acc in acc_of.items()}
+        parts.setdefault(v, {})[s] = tensor
+    # (t, v) -> {slice position: int}
+    data = {(t, v): acc for v, part in parts.items()
+            for t, acc in ce_push(module, part).items()}
+    for (s, v), tensor in w.data.items():
+        for x, t, sign in faces(w.g, s)[0]:
+            for v2, a in dual[x].get(v, {}).items():
+                acc = data.setdefault((t, v2), {})
+                get = acc.get
+                a *= sign
+                for j, c in tensor.items():
+                    acc[j] = get(j, 0) + a * c
     if scale != 1:
         for tensor in data.values():
-            for tkey, c in tensor.items():
+            for j, c in tensor.items():
                 c *= scale
                 if c.denominator != 1:  # raised, not asserted: holds under -O
                     raise ValueError(f"the scale {scale} does not clear "
                                      f"the dH value {c / scale}")
-                tensor[tkey] = int(c)
+                tensor[j] = int(c)
     return w._like(data, w.den * scale, m=w.m + 1)
-
-
-def _dv_terms(g: LieAlgebraData, tkey: tuple) -> tuple:
-    """dV of the basis tensor tkey, as (tensor key, int coefficient) pairs."""
-    out: dict = {}
-    _cobar_push(out, tkey, 1, (),
-                lambda mono: mono_coproduct_terms(g, mono).items())
-    return tuple(out.items())
 
 
 def bicomplex_dv(w: Cochain) -> Cochain:
     """Vertical differential: the coalgebra differential on each value,
     1 (x) y + alternating inner coproducts + (-1)^{n+1} y (x) 1.  Its
     coefficients are binomials, so the image is int over w's denominator.
-    The image of each basis tensor is built once per algebra, on the first
-    use of its key, which must lie in T^n_{<=D}: a key outside is refused
-    with a FiltrationError."""
-    g = w.g
-    terms_of = g.derived(("dV", w.n, w.bound), dict)
+    The image of each basis tensor, as (position in T^{n+1}_{<=D}, int)
+    pairs, is built once per algebra, on the first use of its position."""
+    g, n, bound = w.g, w.n, w.bound
+    terms_of = g.derived(("dV", n, bound), dict)
     data: dict = {}
     for key, tensor in w.data.items():
         acc: dict = {}
         get = acc.get
-        for tkey, c in tensor.items():
-            terms = terms_of.get(tkey)
+        for j, c in tensor.items():
+            terms = terms_of.get(j)
             if terms is None:
-                if tkey not in _slice(g, w.n, w.bound)[1]:
-                    raise _outside_slice(w, tkey)
-                terms = terms_of[tkey] = _dv_terms(g, tkey)
+                image: dict = {}
+                _cobar_push(image, _slice_keys(g, n, bound)[0][j], 1, (),
+                            lambda mono: mono_coproduct_terms(g, mono).items())
+                index = _slice_keys(g, n + 1, bound)[1]
+                terms = terms_of[j] = tuple((index[k], q) for k, q in image.items())
             for k, q in terms:
                 acc[k] = get(k, 0) + q * c
         data[key] = acc
-    return w._like(data, w.den, n=w.n + 1)
+    return w._like(data, w.den, n=n + 1)
 
 
 def tensor_slice_keys(g: LieAlgebraData, n: int, bound: int) -> List[tuple]:
@@ -847,15 +853,15 @@ def random_cochain(g: LieAlgebraData, m: int, n: int, bound: int,
                    rng: Random, density: float = 0.25) -> Cochain:
     """Each coefficient is a/b with a in [-4, 4] and b in [1, 3], drawn as
     the int a * (6 // b) over the denominator 6."""
-    keys = tensor_slice_keys(g, n, bound)
+    size = len(_slice_keys(g, n, bound)[0])
     data: dict = {}
     for s in combinations(range(g.dim), m):
         for v in range(g.dim):
-            for tkey in keys:
+            for j in range(size):
                 if rng.random() < density:
                     a, b = rng.randint(-4, 4), rng.randint(1, 3)
                     if a:
-                        data.setdefault((s, v), {})[tkey] = a * (6 // b)
+                        data.setdefault((s, v), {})[j] = a * (6 // b)
     return Cochain(g, m, n, bound)._like(data, 6)
 
 
@@ -900,25 +906,25 @@ def bicomplex_report(g: LieAlgebraData, bound: int = 2, samples: int = 100,
 
 
 def _k01_basis(g: LieAlgebraData, bound: int) -> List[tuple]:
-    return [(v, mono) for v in range(g.dim)
-            for (mono,) in tensor_slice_keys(g, 1, bound)]
+    return [(v, tkey) for v in range(g.dim) for tkey in _slice_keys(g, 1, bound)[0]]
 
 
 def _cochain01_from_coords(g, bound, coords: dict, basis) -> Cochain:
     """The (0, 1)-cochain with the exact coordinates {basis position: c}."""
     data: dict = {}
     for i, c in coords.items():
-        v, mono = basis[i]
-        data.setdefault(((), v), {})[(mono,)] = c
+        v, tkey = basis[i]
+        data.setdefault(((), v), {})[tkey] = c
     return Cochain(g, 0, 1, bound, data)
 
 
 def _flatten_cochain(w: Cochain, key_index: dict) -> dict:
-    """{column id: exact value} of w, numbering new keys in key_index."""
+    """{column id: exact value} of w, numbering new (s, v, slice position)
+    keys in key_index."""
     flat = {}
     for (s, v), tensor in w.data.items():
-        for tkey, c in tensor.items():
-            i = key_index.setdefault((s, v, tkey), len(key_index))
+        for j, c in tensor.items():
+            i = key_index.setdefault((s, v, j), len(key_index))
             flat[i] = _quotient(c, w.den)
     return flat
 
@@ -927,11 +933,11 @@ class CorrectionSystem:
     """The linear system of `solve_correction` at one (algebra, bound).
 
     The unknowns are the coordinates of phi in the basis of
-    Hom(g_ad, U-slice).  `index` numbers the cochain keys that dV and then
-    dH of the basis elements reach, one sparse row each, and `stack` is the
-    factored stack of the dV rows over the dH rows: the total differential
-    on the (0, 1)-cochains, whose kernel is the set of phi with
-    dV(phi) = 0 and dH(phi) = 0.
+    Hom(g_ad, U-slice).  `index` numbers the (s, v, slice position) keys
+    that dV and then dH of the basis elements reach, one sparse row each,
+    and `stack` is the factored stack of the dV rows over the dH rows: the
+    total differential on the (0, 1)-cochains, whose kernel is the set of
+    phi with dV(phi) = 0 and dH(phi) = 0.
     """
 
     __slots__ = ("bound", "basis", "index", "stack")
@@ -965,8 +971,8 @@ class CorrectionSystem:
         for w in (eta, gamma):
             f = den // w.den
             for (s, v), tensor in w.data.items():
-                for tkey, c in tensor.items():
-                    i = self.index.get((s, v, tkey))
+                for j, c in tensor.items():
+                    i = self.index.get((s, v, j))
                     if i is None:
                         raise FiltrationError(error)
                     rhs[i] = c * f
@@ -1037,19 +1043,9 @@ def solve_correction(gamma: Cochain, eta: Cochain,
 def identity_shift_of(diff: Cochain) -> Optional[Fraction]:
     """The scalar lambda with diff = lambda * (v -> v), if one exists."""
     g = diff.g
-    lam = None
-    for v in range(g.dim):
-        tensor = diff.value((), v)
-        expected_key = ((v,),)
-        for tkey, c in tensor.items():
-            if tkey != expected_key:
-                return None
-        c = tensor.get(expected_key, ZERO)
-        if lam is None:
-            lam = c
-        elif lam != c:
-            return None
-    return lam if lam is not None else ZERO
+    lam = diff.value((), 0).get(((0,),), ZERO)
+    identity = {((), v): {((v,),): lam} for v in range(g.dim)}
+    return lam if diff == Cochain(g, 0, 1, diff.bound, identity) else None
 
 
 def solver_report(g: LieAlgebraData, bound: int = 2, runs: int = 20,

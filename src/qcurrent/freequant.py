@@ -317,10 +317,11 @@ def lift_gamma_eta(g: LieAlgebraData, shift: Dict[int, UElement]):
 
     gamma: Dict[tuple, UElement] = {}
     for a in range(g.dim):
-        ia = fm.iota_letter(a)
         for b in range(g.dim):
+            # [I(a), f(b)] by the slot action of ad I(a), with no word product
+            bracket = f[b].expand(lambda w: fm_ad_word(fm, a, w), f[b])
             diff = (f_lin(g.bracket(g.basis_element(a), g.basis_element(b)))
-                    - ia.bracket(f[b])).divide_hbar()
+                    - bracket).divide_hbar()
             val = pure_iota_part(diff)
             if val is None:
                 raise ValueError("gamma has J-letters: the lift is malformed")

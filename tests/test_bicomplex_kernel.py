@@ -313,3 +313,22 @@ def test_cochain_render_and_json_match_the_golden_file(sl2):
     golden = json.loads(GOLDEN.read_text())
     assert w.render() == golden["render"]
     assert cochain_to_json(w) == golden["json"]
+
+
+@pytest.mark.parametrize("rank, bound", [(2, 3), (3, 1)])
+def test_cochains_round_trip_through_their_basis_tensors(rank, bound):
+    """A cochain keeps slice positions and shows basis tensors: JSON and
+    the tensor swap, read off `value`, give back the same cochain at every
+    bidegree m <= 2, n in {1, 2}."""
+    g = build_sl(rank)
+    rng = Random(rank * 10 + bound)
+    for m, n in BIDEGREES:
+        w = random_cochain(g, m, n, bound, rng)
+        assert w, (m, n)
+        assert cochain_from_json(g, cochain_to_json(w)) == w
+        if n == 2:
+            swapped = w.swap_tensor()
+            assert swapped.swap_tensor() == w
+            assert swapped == Cochain(g, m, n, bound, {
+                (s, v): {(b, a): c for (a, b), c in tensor.items()}
+                for s, v, tensor in keys_and_values(w)})

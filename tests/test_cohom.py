@@ -709,12 +709,12 @@ def test_cochain_filtration_guard(sl2):
 @pytest.mark.parametrize("tkey", [((0, 0, 0),), ((2, 0),), ((0,), ())])
 def test_differentials_refuse_a_key_outside_the_slice(sl2, tkey):
     """A tensor key that is too long, not a sorted monomial, or of the wrong
-    arity, put in past the constructor, is a FiltrationError of dH and dV,
-    not a crash."""
-    w = Cochain(sl2, 0, 1, 2)._like({((), 0): {tkey: 1}}, 1)
-    for d in (bicomplex_dh, bicomplex_dv):
-        with pytest.raises(FiltrationError, match="slice"):
-            d(w)
+    arity is refused by the constructor with a FiltrationError, so dH and
+    dV never meet one: a cochain keeps only slice positions."""
+    message = ("exceeds filtration 2" if sum(map(len, tkey)) > 2
+               else "not in the 1-fold tensor slice of filtration 2")
+    with pytest.raises(FiltrationError, match=message):
+        Cochain(sl2, 0, 1, 2, {((), 0): {tkey: 1}})
 
 
 def test_cochain_json_load_checks_the_filtration(sl2):
