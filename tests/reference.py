@@ -4,6 +4,7 @@ in the package, not a code path of its own; the sparse-row helpers build
 the test matrices in the one format of `rank_of_rows` and `factor`."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 from random import Random
 from typing import Dict, List, Optional, Tuple
@@ -16,8 +17,9 @@ from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
 from qcurrent.current import CurrentElement, CurrentTensor, c_bracket
 from qcurrent.dsl import Bracket, Call, Hbar, Name, Num, Prod, Sum, Tensor
 from qcurrent.envelope import TensorElement, UElement, normal_order
-from qcurrent.exactnum import ONE, ZERO, _quotient, accumulate, solve
+from qcurrent.exactnum import ONE, ZERO, HPoly, _quotient, accumulate, solve
 from qcurrent.freequant import fm_coproduct, free_model
+from qcurrent.liealg import casimir_adjoint_eigenvalue
 
 
 def casimir_tensor(g):
@@ -81,6 +83,50 @@ def product_path_relation(g, tag: str, scale) -> Optional[str]:
             bad = delta_iota[a].bracket(delta_y[b]) - fm_coproduct(ybr, scale)
             if bad:
                 return f"at ({g.names[a]}, {g.names[b]}): " + bad.render()
+    return None
+
+
+def element_path_rewrite(g) -> Optional[str]:
+    """The `rewrite-equivariance` check of `coproduct-wd` by element
+    brackets: [I(a), J(b)] - J([a, b]) for every basis pair, a outer and b
+    inner; the first failure's message, or None."""
+    fm = free_model(g)
+    for a in range(g.dim):
+        for b in range(g.dim):
+            jbr = fm.j_of(g.bracket(g.basis_element(a), g.basis_element(b)))
+            bad = fm.iota_letter(a).bracket(fm.j_letter(b)) - jbr
+            if bad:
+                return f"at ({g.names[a]}, {g.names[b]}): " + bad.render()
+    return None
+
+
+def product_antipode(a):
+    """S with no memo: the anti-morphism with S(I(x)) = -I(x) and S(J(x)) =
+    -J(x) + (hbar/4) c_g I(x), each word sent to the product of its
+    letters' images in reverse order."""
+    fm = a.ctx
+    cg = casimir_adjoint_eigenvalue(fm.g)
+
+    def image_of(word):
+        jw, iw = word
+        return reduce(UElement.__mul__, [-fm.iota_letter(i) for i in reversed(iw)] + [
+            -fm.j_letter(j) + fm.iota_letter(j).scale(HPoly.hbar(1, Fraction(cg, 4)))
+            for j in reversed(jw)], UElement.unit(fm))
+    return a.linear_map(image_of, UElement(fm))
+
+
+def element_path_antipode(g, slot: int) -> Optional[str]:
+    """The `antipode-left` (slot 0) or `antipode-right` (slot 1) check of
+    `coproduct-wd` by tensor maps: S on one slot of Delta(x) through
+    `apply_slot`, then `multiply_slots`, for x = I(b) then J(b) over the
+    basis; the first failure's message, or None."""
+    fm = free_model(g)
+    for b in range(g.dim):
+        for name, x in ((f"I({g.names[b]})", fm.iota_letter(b)),
+                        (f"J({g.names[b]})", fm.j_letter(b))):
+            val = fm_coproduct(x).apply_slot(slot, product_antipode).multiply_slots()
+            if val:
+                return f"at {name}: " + val.render()
     return None
 
 

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from qcurrent.envelope import TensorElement, UElement, box_n, nu
-from qcurrent.exactnum import HPoly
+from qcurrent.exactnum import HPoly, accumulate
 from qcurrent.freequant import (HALF, classical_limit, fm_antipode,
                                 fm_coproduct, fm_counit, free_model,
                                 lift_gamma_eta,
@@ -13,8 +13,9 @@ from qcurrent.freequant import (HALF, classical_limit, fm_antipode,
                                 verify_coproduct_well_defined,
                                 verify_primitive_defects,
                                 verify_sl2_steps, x1_element)
-from qcurrent.liealg import build_sl
-from reference import product_path_relation
+from qcurrent.liealg import build_sl, casimir_adjoint_eigenvalue
+from reference import (element_path_antipode, element_path_rewrite,
+                       product_antipode, product_path_relation)
 
 
 def gens(g):
@@ -273,6 +274,58 @@ def test_relations_iota_j_fails_like_the_product_path(n):
         f"at ({g.names[0]}, {g.names[0]}): ")
     assert not checks["relations-iota-J"].passed
     assert checks["relations-iota-J"].residual == expected
+
+
+def test_rewrite_equivariance_fails_like_the_element_path():
+    """A wrong push of I(x) through J(y), planted on a fresh model before
+    any product, breaks the rewrite; `rewrite-equivariance` fails at the
+    element path's first pair with its residual."""
+    g = build_sl(3)
+    a, b = g.dim - 1, 1
+    push = {((b,), True): 1}
+    for z, c in g.bracket_table.get((a, b), {}).items():
+        push[(z,), False] = c
+    accumulate(push, ((a,), False), 1)
+    free_model(g)._fm_push_cache[a, (b,)] = push
+    expected = element_path_rewrite(g)
+    assert expected is not None and expected.startswith(
+        f"at ({g.names[a]}, {g.names[b]}): ")
+    checks = {c.id: c for c in verify_coproduct_well_defined(g).checks}
+    assert not checks["rewrite-equivariance"].passed
+    assert checks["rewrite-equivariance"].residual == expected
+
+
+def test_antipode_laws_fail_like_the_element_path():
+    """A wrong Casimir eigenvalue in the algebra memo breaks both antipode
+    laws, each failing with the element path's residual; the S(J(x))
+    formula reads the same eigenvalue and holds."""
+    g = build_sl(3)
+    g._memo["casimir_eigenvalue"] = casimir_adjoint_eigenvalue(g) + 1
+    checks = {c.id: c for c in verify_coproduct_well_defined(g).checks}
+    assert checks["antipode-J-formula"].passed
+    for slot, side in ((0, "left"), (1, "right")):
+        expected = element_path_antipode(g, slot)
+        assert expected is not None
+        assert not checks[f"antipode-{side}"].passed
+        assert checks[f"antipode-{side}"].residual == expected
+
+
+def test_antipode_equals_the_product_form(sl3):
+    """S on every word of Delta(J(x)), and of Delta(J(x)*J(y)*I(z)) for a
+    few seeded triples, equals the product form, twice over, so the second
+    call reads what the first left behind."""
+    fm = free_model(sl3)
+    rng = Random(28)
+    elements = [fm.j_letter(b) for b in range(sl3.dim)] + [
+        fm.j_letter(rng.randrange(sl3.dim)) * fm.j_letter(rng.randrange(sl3.dim))
+        * fm.iota_letter(rng.randrange(sl3.dim)) for _ in range(4)]
+    for x in elements:
+        words = {w for key in fm_coproduct(x).data for w in key}
+        for w in sorted(words):
+            one = UElement(fm, {w: 1})
+            assert fm_antipode(one) == product_antipode(one), w
+            assert fm_antipode(one) == product_antipode(one), w
+        assert fm_antipode(x) == product_antipode(x)
 
 
 def test_classical_limit_examples(sl2):
