@@ -16,7 +16,7 @@ from typing import List, Optional
 from . import cohom, current, envelope, freequant
 from .dsl import DSLError, evaluate, render_value
 from .liealg import LieAlgebraData, build_sl
-from .reports import Report
+from .reports import LEAST_BOUND, Report
 
 SUITES = ("gnw", "bialgebra", "min-presentation", "generation", "defects",
           "sl2-steps", "t-identities", "coproduct-wd", "whitehead", "cartier",
@@ -45,8 +45,8 @@ class UsageError(Exception):
 
 # each option -> {suite that reads it: smallest accepted value, or None}
 OPTION_READERS = {
-    "degree": {"whitehead": 0, "cartier": 0, "bicomplex": 0, "solver": 0},
-    "max_u_degree": {"bialgebra": 1, "generation": 2},
+    "degree": {s: LEAST_BOUND[s] for s in ("whitehead", "cartier", "bicomplex", "solver")},
+    "max_u_degree": {s: LEAST_BOUND[s] for s in ("bialgebra", "generation")},
     "seed": {"bicomplex": None, "solver": None},
 }
 

@@ -23,7 +23,7 @@ from .envelope import PBWAlgebra
 from .exactnum import (CoeffMap, _quotient, accumulate, join_signed,
                        rank_of_rows)
 from .liealg import LieAlgebraData, LieElement, omega_bracket_table
-from .reports import Report, run_checks, zero_or_residual
+from .reports import LEAST_BOUND, Report, run_checks, zero_or_residual
 
 CurrentKey = Tuple[int, int]  # (basis index, u-degree)
 
@@ -266,8 +266,8 @@ def verify_bialgebra(g: LieAlgebraData, max_degree: int,
     all basis currents up to the given u-degree.  The cocycle residuals are
     read off per-pair slot actions (`cocycle_residuals`), and the first
     nonzero one in basis order is reported."""
-    if max_degree < 1:
-        raise ValueError("max_degree must be at least 1")
+    if max_degree < LEAST_BOUND["bialgebra"]:
+        raise ValueError(f"max_degree must be at least {LEAST_BOUND['bialgebra']}")
     basis = [(b, n) for n in range(max_degree + 1) for b in range(g.dim)]
     omega = _omega_brackets(g, fault)
     specs = []
@@ -376,8 +376,9 @@ def verify_generation(g: LieAlgebraData, max_degree: int) -> Report:
     algebra in every graded slice from 2 up to max_degree (rank check per
     slice); slices 0 and 1 are spanned by the generators themselves, so
     max_degree < 2 would check nothing."""
-    if max_degree < 2:
-        raise ValueError(f"max_degree must be at least 2, got {max_degree}")
+    if max_degree < LEAST_BOUND["generation"]:
+        raise ValueError(f"max_degree must be at least {LEAST_BOUND['generation']}, "
+                         f"got {max_degree}")
     specs = []
     basis = [g.basis_element(b) for b in range(g.dim)]
     slices: Dict[int, list] = {0: basis, 1: basis}

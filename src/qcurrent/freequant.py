@@ -15,10 +15,16 @@ associativity property tests guard confluence.  ad I(x) is a derivation
 that keeps words normal (`fm_ad_word`): J(y) -> J([x, y]) on each J-letter,
 U(g)'s `ad_letter` on the sorted I-word.  As I(x) is primitive,
 `coproduct-wd` brackets Delta(I(x)) with a coproduct slot by slot through
-it, with no word product.  Without a fault, `coproduct-wd` then checks the
-Hopf laws on the generators in the same report: the counit law, both
-antipode laws, S(J(x)) = -J(x) + (hbar/4) c_g I(x) with the Casimir
-eigenvalue c_g derived from the algebra, and eps on the generators and 1.
+it, with no word product, and compares the result by `==` with
+Delta(Y([x, y])), built once per row of the bracket table that (x, y)
+reads.  It checks the rewrite itself on the two memoized word products
+I(x)*J(y) and J(y)*I(x), as int data against the table row.  Without a
+fault, `coproduct-wd` then checks the Hopf laws on the generators in the
+same report: the counit law, both antipode laws, S(J(x)) = -J(x) +
+(hbar/4) c_g I(x) with the Casimir eigenvalue c_g derived from the
+algebra, and eps on the generators and 1.  S is memoized per word on the
+free model (`fm_antipode_word`), which the DSL's `S` shares, and each
+antipode law is one linear map of Delta(x), key -> S(w1)*w2 or w1*S(w2).
 """
 
 from __future__ import annotations
@@ -45,9 +51,9 @@ class FreeModel:
     """Word algebra of the free model of one Lie algebra.
 
     Built once per algebra by `free_model`; it owns the memo caches of the
-    free-model layer (word products, I-letter pushes, coproducts, ad I(x)
-    on words) so they live and die with the algebra.  Elements are
-    `UElement`s over it.
+    free-model layer (word products, I-letter pushes, coproducts, the
+    antipode, ad I(x) on words) so they live and die with the algebra.
+    Elements are `UElement`s over it.
     """
 
     unit_word: FMWord = UNIT_WORD
@@ -57,6 +63,7 @@ class FreeModel:
         self._fm_cache: Dict[tuple, dict] = {}
         self._fm_push_cache: Dict[tuple, dict] = {}
         self._fm_delta_cache: Dict[tuple, TensorElement] = {}
+        self._fm_antipode_cache: Dict[FMWord, UElement] = {}
         self._fm_ad_cache: Dict[tuple, dict] = {}
 
     def multiply_words(self, w1: FMWord, w2: FMWord) -> dict:
@@ -223,17 +230,23 @@ def fm_counit(a: UElement) -> HPoly:
     return dict(a.terms()).get(UNIT_WORD, HPoly.zero())
 
 
+def fm_antipode_word(fm: FreeModel, word: FMWord) -> UElement:
+    """S(word), memoized per word: the product of the letters' images in
+    reverse order."""
+    image = fm._fm_antipode_cache.get(word)
+    if image is None:
+        cg = casimir_adjoint_eigenvalue(fm.g)
+        jw, iw = word
+        image = fm._fm_antipode_cache[word] = reduce(
+            UElement.__mul__, [-fm.iota_letter(i) for i in reversed(iw)] + [
+                -fm.j_letter(j) + fm.iota_letter(j).scale(HPoly.hbar(1, Fraction(cg, 4)))
+                for j in reversed(jw)], UElement.unit(fm))
+    return image
+
+
 def fm_antipode(a: UElement) -> UElement:
     """Anti-morphism with S(I(x)) = -I(x), S(J(x)) = -J(x) + (hbar/4) c_g I(x)."""
-    fm = a.ctx
-    cg = casimir_adjoint_eigenvalue(fm.g)
-
-    def image_of(word: FMWord) -> UElement:
-        jw, iw = word
-        return reduce(UElement.__mul__, [-fm.iota_letter(i) for i in reversed(iw)] + [
-            -fm.j_letter(j) + fm.iota_letter(j).scale(HPoly.hbar(1, Fraction(cg, 4)))
-            for j in reversed(jw)], UElement.unit(fm))
-    return a.linear_map(image_of, UElement(fm))
+    return a.linear_map(lambda word: fm_antipode_word(a.ctx, word), UElement(a.ctx))
 
 
 def counit_slot(t: TensorElement, slot: int) -> UElement:
@@ -525,9 +538,12 @@ def verify_coproduct_well_defined(g: LieAlgebraData, fault: Optional[str] = None
     (`_hopf_specs`, after the relation checks): under the cocycle-scale
     fault only relation preservation is the question.  `relations-iota-*`
     prove Delta(I(x)) = box(I(x)) first, so [Delta(I(x)), Delta(Y(y))] is
-    ad I(x) on each slot (`fm_ad_slots`); `rewrite-equivariance` brackets
-    by products, since it checks the rewrite I(x)J(y) -> J(y)I(x) + J([x, y])
-    that ad I(x) uses."""
+    ad I(x) on each slot (`fm_ad_slots`); Delta(Y([x, y])) depends only on
+    the bracket-table row of (x, y), so it is built once per row.
+    `rewrite-equivariance` checks the rewrite I(x)J(y) -> J(y)I(x) +
+    J([x, y]) that ad I(x) uses, so it reads [I(x), J(y)] off the word
+    products of `fm_word_multiply`, not off ad I(x).  Elements are
+    subtracted and rendered only to report a failure."""
     fm = free_model(g)
     scale = ONE if fault == "cocycle-scale" else HALF
     specs = []
@@ -539,11 +555,16 @@ def verify_coproduct_well_defined(g: LieAlgebraData, fault: Optional[str] = None
                 if bad := fm_coproduct(ia, scale) - box_n(ia, 2):
                     return f"Delta(I({g.names[a]})) is not primitive: " + bad.render()
             delta_y = [fm_coproduct(letter(b), scale) for b in range(g.dim)]
+            targets: dict = {}  # Delta(Y([x, y])) by bracket-table row
             for a in range(g.dim):
                 for b in range(g.dim):
-                    ybr = embed(g.bracket(g.basis_element(a), g.basis_element(b)))
-                    bad = fm_ad_slots(a, delta_y[b]) - fm_coproduct(ybr, scale)
-                    if bad:
+                    row = g.bracket_table.get((a, b), {})
+                    key = tuple(row.items())
+                    if key not in targets:
+                        targets[key] = fm_coproduct(embed(LieElement(g, row)), scale)
+                    lhs = fm_ad_slots(a, delta_y[b])
+                    if lhs != targets[key]:
+                        bad = lhs - targets[key]
                         return f"at ({g.names[a]}, {g.names[b]}): " + bad.render()
             return None
         specs.append((f"relations-iota-{tag}",
@@ -553,11 +574,15 @@ def verify_coproduct_well_defined(g: LieAlgebraData, fault: Optional[str] = None
     def chk_equivariance_rewrite():
         for a in range(g.dim):
             for b in range(g.dim):
-                ia = fm.iota_letter(a)
-                jb = fm.j_letter(b)
-                jbr = fm.j_of(g.bracket(g.basis_element(a),
-                                                  g.basis_element(b)))
-                bad = ia.bracket(jb) - jbr
+                ia, jb = ((), (a,)), ((b,), ())
+                diff = dict(fm_word_multiply(fm, ia, jb))
+                for word, c in fm_word_multiply(fm, jb, ia).items():
+                    accumulate(diff, word, -c)
+                row = g.bracket_table.get((a, b), {})
+                if diff == {((z,), ()): c for z, c in row.items()}:
+                    continue
+                jbr = fm.j_of(g.bracket(g.basis_element(a), g.basis_element(b)))
+                bad = fm.iota_letter(a).bracket(fm.j_letter(b)) - jbr
                 if bad:
                     return f"at ({g.names[a]}, {g.names[b]}): " + bad.render()
         return None
@@ -594,8 +619,11 @@ def _hopf_specs(g: LieAlgebraData, fm: FreeModel) -> list:
 
     for slot, side, maps in ((0, "left", "S (x) Id"), (1, "right", "Id (x) S")):
         def chk_antipode(slot=slot):
+            def image(key):  # S(w1)*w2, or w1*S(w2)
+                s, w = fm_antipode_word(fm, key[slot]), UElement(fm, {key[1 - slot]: 1})
+                return s * w if slot == 0 else w * s
             for name, x in generators():
-                val = fm_coproduct(x).apply_slot(slot, fm_antipode).multiply_slots()
+                val = fm_coproduct(x).linear_map(image, UElement(fm))
                 if val:
                     return f"at {name}: " + val.render()
             return None

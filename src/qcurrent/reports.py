@@ -7,6 +7,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 
+# the least size bound each suite takes, below which it would check nothing:
+# the suite refuses less with ValueError, and `qcurrent verify` refuses it
+# (exit 2) before any suite runs
+LEAST_BOUND = {"whitehead": 0, "cartier": 0, "bicomplex": 0, "solver": 0,
+               "bialgebra": 1, "generation": 2}
+
+
 class CheckError(ValueError):
     """Raised inside a check when the identity or a precondition it
     verifies does not hold.  `run_checks` reports it as a failed check;

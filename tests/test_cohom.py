@@ -552,6 +552,17 @@ def test_block_cohomology_is_the_same_on_every_rearrangement():
                     minus_cohomology_dim(v_dim, n, d), (v_dim, n, d)
 
 
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_degree_zero_block_has_no_coordinate_artifact(n):
+    """Padding a multidegree with zeros leaves its block unchanged, down to
+    no coordinate at all: alpha = () gives the one n-tuple of empty
+    vectors, and its H^n agrees with that of (0,) and (0, 0)."""
+    assert _tensor_basis((), n) == [((),) * n]
+    assert len({_block_cohomology_dim(alpha, n)
+                for alpha in ((), (0,), (0, 0))}) == 1
+    assert len({minus_cohomology_dim(v_dim, n, 0) for v_dim in (0, 1, 2)}) == 1
+
+
 def test_cartier_report():
     """One check per (dim V, degree), dim V outer, all in one report."""
     report = cartier_report(4)
@@ -684,6 +695,35 @@ def test_bicomplex_identities_random(sl2):
 
 def test_bicomplex_report(sl2):
     assert bicomplex_report(sl2, samples=18, seed=5).passed
+
+
+def test_bicomplex_report_shares_each_samples_differentials(sl2, monkeypatch):
+    """The three checks of a bidegree share dH(w) and dV(w): 3 dH and 3 dV
+    calls per sample, not 4 and 4, and each check still names its own
+    first failing sample.  Doubling dV on the second (1, 1) sample breaks
+    only dH dV = dV dH, there."""
+    rng = Random(1)
+    bidegrees = [(m, n) for m in range(3) for n in range(1, 3)]
+    samples = [random_cochain(sl2, *bidegrees[k % 6], 2, rng) for k in range(12)]
+    target = samples[8]
+    assert (target.m, target.n) == (1, 1)
+    calls = Counter()
+    dh, dv = bicomplex_dh, bicomplex_dv
+
+    def counted_dh(w):
+        calls["dH"] += 1
+        return dh(w)
+
+    def doubled_dv(w):
+        calls["dV"] += 1
+        out = dv(w)
+        return out + out if w == target else out
+    monkeypatch.setattr("qcurrent.cohom.bicomplex_dh", counted_dh)
+    monkeypatch.setattr("qcurrent.cohom.bicomplex_dv", doubled_dv)
+    report = bicomplex_report(sl2, samples=12, seed=1)
+    assert calls == {"dH": 36, "dV": 36}
+    assert [(c.id, c.residual) for c in report.checks if not c.passed] == [
+        ("dh-dv-commute-11", "sample 1: dH dV != dV dH")]
 
 
 @pytest.mark.parametrize("call, message", [

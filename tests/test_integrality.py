@@ -39,7 +39,7 @@ def _caches(g) -> dict:
         out["current._pbw_cache"] = g._memo[CurrentEnvelope]._pbw_cache
     if FreeModel in g._memo:
         for name in ("_fm_cache", "_fm_push_cache", "_fm_delta_cache",
-                     "_fm_ad_cache"):
+                     "_fm_antipode_cache", "_fm_ad_cache"):
             out[f"free_model.{name}"] = getattr(g._memo[FreeModel], name)
     return out
 
@@ -101,14 +101,15 @@ def test_structure_tables_and_caches_are_int_valued(exercised):
                   "weights": [dict(enumerate(w)) for w in g.weights]}
         for name, cache in _caches(g).items():
             tables[name] = cache.values()
-        # the coproduct images are elements: check their int store
-        tables["free_model._fm_delta_cache"] = [
-            poly for element in tables["free_model._fm_delta_cache"]
-            for poly in element.data.values()]
+        # the coproduct and antipode images are elements: check their int store
+        for name in ("free_model._fm_delta_cache", "free_model._fm_antipode_cache"):
+            tables[name] = [poly for element in tables[name]
+                            for poly in element.data.values()]
         # the suites reached the caches; coproduct-wd fills both adjoint
-        # actions at every type
+        # actions and the antipode at every type
         assert tables["_pbw_cache"] and tables["free_model._fm_cache"]
         assert tables["free_model._fm_delta_cache"]
+        assert tables["free_model._fm_antipode_cache"]
         assert tables["ad"] and tables["free_model._fm_ad_cache"]
         for name, coeff_maps in tables.items():
             bad = [c for coeffs in coeff_maps for c in coeffs.values()
