@@ -41,9 +41,11 @@ denominator, {(s, v): {slice position: int}}, a basis tensor of T^n_{<=D}
 keyed by its position in `tensor_slice_keys`: monomial tuples appear only
 in the constructor, the one gate, and in `value`, `render` and
 `swap_tensor`.  dH, dV and the solver work on the data over int and carry
-the denominator; the maps are linear, so this is exact.  A table value with
-a denominator stays an exact Fraction, and dH absorbs it into the
-denominator of its image: integrality is never assumed.  The slice keys,
+the denominator; the maps are linear, so this is exact.  The solver's
+unknowns are the unit (0, 1)-cochains, numbered by (adjoint index, slice
+position), and it builds units and solutions on positions.  A table
+value with a denominator stays an exact Fraction, and dH absorbs it into
+the denominator of its image: integrality is never assumed.  The slice keys,
 the slice modules, the dV images of the basis tensors and the solver's
 factored system are built once per algebra and kept in its memo
 (`LieAlgebraData.derived`), so they are freed with it.
@@ -52,7 +54,7 @@ factored system are built once per algebra and kept in its memo
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product
@@ -61,8 +63,8 @@ from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from .envelope import UElement, ad_letter, mono_coproduct_terms, sym_coproduct
-from .exactnum import (ONE, ZERO, CoeffMap, IntStore, _quotient, accumulate,
-                       factor, rank_of_rows)
+from .exactnum import (ONE, ZERO, CoeffMap, IntStore, _int_store, _quotient,
+                       accumulate, factor, rank_of_rows)
 from .liealg import LieAlgebraData, compose
 from .reports import LEAST_BOUND, CheckError, Report, run_checks
 
@@ -697,9 +699,11 @@ class Cochain(IntStore):
     `tensor_slice_keys(g, n, D)`, and the cochain is data / den.  The
     constructor is the one gate: it takes exact values on basis tensors
     (monomial, ..., monomial) and refuses one outside T^n_{<=D}, too long
-    or not, with a FiltrationError.  Cochains compare equal and combine
-    only on one algebra, bidegree and bound.  `value` and `render` show
-    exact values on basis tensors.
+    or not, with a FiltrationError.  Data already on positions, such as
+    `random_cochain`'s and the solver's, enters through `_like`.  Cochains
+    compare equal and combine only on one algebra, bidegree and bound.
+    Monomial tuples appear only in the constructor, in `swap_tensor` and
+    in `value` and `render`, which show exact values on basis tensors.
     """
 
     __slots__ = ("g", "m", "n", "bound")
@@ -915,58 +919,35 @@ def bicomplex_report(g: LieAlgebraData, bound: int = 2, samples: int = 100,
 # --- the correction solver --------------------------------------------------------
 
 
-def _k01_basis(g: LieAlgebraData, bound: int) -> List[tuple]:
-    return [(v, tkey) for v in range(g.dim) for tkey in _slice_keys(g, 1, bound)[0]]
-
-
-def _cochain01_from_coords(g, bound, coords: dict, basis) -> Cochain:
-    """The (0, 1)-cochain with the exact coordinates {basis position: c}."""
-    data: dict = {}
-    for i, c in coords.items():
-        v, tkey = basis[i]
-        data.setdefault(((), v), {})[tkey] = c
-    return Cochain(g, 0, 1, bound, data)
-
-
-def _flatten_cochain(w: Cochain, key_index: dict) -> dict:
-    """{column id: exact value} of w, numbering new (s, v, slice position)
-    keys in key_index."""
-    flat = {}
-    for (s, v), tensor in w.data.items():
-        for j, c in tensor.items():
-            i = key_index.setdefault((s, v, j), len(key_index))
-            flat[i] = _quotient(c, w.den)
-    return flat
-
-
 class CorrectionSystem:
     """The linear system of `solve_correction` at one (algebra, bound).
 
-    The unknowns are the coordinates of phi in the basis of
-    Hom(g_ad, U-slice).  `index` numbers the (s, v, slice position) keys
-    that dV and then dH of the basis elements reach, one sparse row each,
-    and `stack` is the factored stack of the dV rows over the dH rows: the
-    total differential on the (0, 1)-cochains, whose kernel is the set of
-    phi with dV(phi) = 0 and dH(phi) = 0.
+    The unknowns are the coordinates of phi on the unit (0, 1)-cochains
+    v -> (the basis tensor at slice position j), unknown (v, j) in column
+    v * size + j, size the number of slice positions.  `index` numbers the
+    (s, v, slice position) keys that dV and then dH of the units reach,
+    one sparse row each, and `stack` is the factored stack of the dV rows
+    over the dH rows: the total differential on the (0, 1)-cochains,
+    whose kernel is the set of phi with dV(phi) = 0 and dH(phi) = 0.
     """
 
-    __slots__ = ("bound", "basis", "index", "stack")
+    __slots__ = ("bound", "size", "index", "stack")
 
     def __init__(self, g: LieAlgebraData, bound: int):
         self.bound = bound
-        self.basis = _k01_basis(g, bound)
-        self.index = index = {}
-        n = len(self.basis)
-        units = [_cochain01_from_coords(g, bound, {j: 1}, self.basis)
-                 for j in range(n)]
-        images = [[_flatten_cochain(d(e), index) for e in units]
-                  for d in (bicomplex_dv, bicomplex_dh)]
-        rows = [{} for _ in index]
-        for cols in images:
-            for j, col in enumerate(cols):
-                for i, c in col.items():
-                    rows[i][j] = c
-        self.stack = factor(rows, n)
+        self.size = size = len(_slice_keys(g, 1, bound)[0])
+        n = g.dim * size
+        zero = Cochain(g, 0, 1, bound)
+        rows = defaultdict(dict)  # (s, v, slice position) -> {column: exact value}
+        for d in (bicomplex_dv, bicomplex_dh):
+            for col in range(n):
+                v, j = divmod(col, size)
+                image = d(zero._like({((), v): {j: 1}}, 1))
+                for (s, v2), tensor in image.data.items():
+                    for k, c in tensor.items():
+                        rows[s, v2, k][col] = _quotient(c, image.den)
+        self.index = {key: i for i, key in enumerate(rows)}
+        self.stack = factor(list(rows.values()), n)
 
     def _preimage(self, gamma: Cochain, eta: Cochain) -> Cochain:
         """The solution of the stack for the right-hand side (eta, gamma); a
@@ -989,10 +970,13 @@ class CorrectionSystem:
         coords = self.stack.solve(rhs)
         if coords is None:
             raise FiltrationError(error)
-        phi = _cochain01_from_coords(
-            gamma.g, self.bound, {i: c for i, c in enumerate(coords) if c},
-            self.basis)
-        return phi._like(phi.data, phi.den * den)
+        data: dict = {}
+        for col, c in enumerate(coords):
+            if c:
+                v, j = divmod(col, self.size)
+                data.setdefault(((), v), {})[j] = c
+        phi_den, data = _int_store(data)
+        return Cochain(gamma.g, 0, 1, self.bound)._like(data, phi_den * den)
 
 
 def solve_correction(gamma: Cochain, eta: Cochain,

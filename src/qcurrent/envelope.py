@@ -333,16 +333,6 @@ class TensorElement(WordElement):
             raise ValueError("swap needs a 2-tensor")
         return self.expand(lambda key: {key[::-1]: 1}, self)
 
-    def multiply_slots(self) -> UElement:
-        """Total multiplication map m: a1 (x) ... (x) an -> a1*...*an."""
-        return self.linear_map(lambda key: reduce(
-            UElement.__mul__, (UElement(self.ctx, {w: 1}) for w in key)), UElement(self.ctx))
-
-    def apply_slot(self, slot: int, fn) -> "TensorElement":
-        """Map a UElement-valued function over one tensor slot."""
-        return self.linear_map(lambda key: fn(UElement(self.ctx, {key[slot]: 1})).expand(
-            lambda w: {key[:slot] + (w,) + key[slot + 1:]: 1}, self), self)
-
     def _key_text(self, key) -> str:
         return " (x) ".join(self.ctx.render_word(w, wrap=True) for w in key)
 

@@ -22,6 +22,18 @@ from qcurrent.freequant import fm_coproduct, free_model
 from qcurrent.liealg import casimir_adjoint_eigenvalue
 
 
+def multiply_slots(t):
+    """The total multiplication map m: a1 (x) ... (x) an -> a1*...*an."""
+    return t.linear_map(lambda key: reduce(
+        UElement.__mul__, (UElement(t.ctx, {w: 1}) for w in key)), UElement(t.ctx))
+
+
+def apply_slot(t, slot: int, fn):
+    """A UElement-valued function fn mapped over one slot of the tensor t."""
+    return t.linear_map(lambda key: fn(UElement(t.ctx, {key[slot]: 1})).expand(
+        lambda w: {key[:slot] + (w,) + key[slot + 1:]: 1}, t), t)
+
+
 def casimir_tensor(g):
     """Casimir 2-tensor from dual bases of the invariant form."""
     return TensorElement(g, 2, {((a,), (b,)): wgt for a, b, wgt in g.casimir_pairs})
@@ -34,7 +46,7 @@ def adjoint_action(x, a):
 
 def quadratic_casimir(g):
     """C = m(Omega), checked central on the generators."""
-    c = casimir_tensor(g).multiply_slots()
+    c = multiply_slots(casimir_tensor(g))
     for b in range(g.dim):
         if c.bracket(UElement.letter(g, b)):
             raise ValueError("quadratic Casimir fails to be central")
@@ -124,7 +136,7 @@ def element_path_antipode(g, slot: int) -> Optional[str]:
     for b in range(g.dim):
         for name, x in ((f"I({g.names[b]})", fm.iota_letter(b)),
                         (f"J({g.names[b]})", fm.j_letter(b))):
-            val = fm_coproduct(x).apply_slot(slot, product_antipode).multiply_slots()
+            val = multiply_slots(apply_slot(fm_coproduct(x), slot, product_antipode))
             if val:
                 return f"at {name}: " + val.render()
     return None

@@ -9,7 +9,8 @@ from qcurrent.envelope import (TensorElement, UElement, box_n, coproduct,
                                verify_gnw, w_element)
 from qcurrent.exactnum import HPoly, accumulate
 from qcurrent.liealg import build_sl, casimir_adjoint_eigenvalue
-from reference import adjoint_action, casimir_tensor, quadratic_casimir
+from reference import (adjoint_action, casimir_tensor, multiply_slots,
+                       quadratic_casimir)
 
 
 def letters(g):
@@ -201,7 +202,7 @@ def test_casimir_multiplication_identity(sl2, sl3):
         omega = casimir_tensor(g)
         for b in range(g.dim):
             left = TensorElement.pure([UElement.letter(g, b), UElement.unit(g)])
-            val = omega.bracket(left).multiply_slots()
+            val = multiply_slots(omega.bracket(left))
             assert val == UElement.letter(g, b).scale(-F(cg, 2))
 
 
