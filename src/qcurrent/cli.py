@@ -121,11 +121,12 @@ def _verify_sizes(args) -> List[int]:
 
 def _verify(args) -> int:
     reports = []
+    text_out = sys.stderr if args.json == "-" else sys.stdout
     try:
         for n in _verify_sizes(args):
             report = run_suite(args.suite, build_sl(n), args)
             reports.append(report)
-            print(report.render())
+            print(report.render(), file=text_out)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -252,7 +253,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="seed for the randomized checks of bicomplex "
                                "and solver (default 0)")
     p_verify.add_argument("--json", default=None,
-                          help="write the JSON report here ('-' for stdout)")
+                          help="write the JSON report here ('-': stdout, text to stderr)")
     p_verify.add_argument("--inject-fault", default=None,
                           help="named perturbation; the suite must then fail")
     p_verify.set_defaults(func=_verify)

@@ -308,6 +308,18 @@ class IntStore(_Store):
     def __eq__(self, other) -> bool:
         return self._same_space(other) and (self.den, self.data) == (other.den, other.data)
 
+    def equals_data(self, data: dict, den: int) -> bool:
+        """Whether int data over `den`, unreduced and perhaps holding zeros,
+        is this element: entry by entry, cross-multiplied, no new element."""
+        mine, count = self.data, 0
+        for key, inner in data.items():
+            ref = mine.get(key, {})
+            for k, c in inner.items():
+                if c * self.den != ref.get(k, 0) * den:
+                    return False
+                count += c != 0
+        return count == sum(map(len, mine.values()))
+
     def __add__(self, other, sign: int = 1):
         """self + sign * other, over the lcm of the two denominators."""
         self._check(other)

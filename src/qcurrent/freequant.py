@@ -15,16 +15,16 @@ associativity property tests guard confluence.  ad I(x) is a derivation
 that keeps words normal (`fm_ad_word`): J(y) -> J([x, y]) on each J-letter,
 U(g)'s `ad_letter` on the sorted I-word.  As I(x) is primitive,
 `coproduct-wd` brackets Delta(I(x)) with a coproduct slot by slot through
-it, with no word product, and compares the result by `==` with
-Delta(Y([x, y])), built once per row of the bracket table that (x, y)
-reads.  It checks the rewrite itself on the two memoized word products
-I(x)*J(y) and J(y)*I(x), as int data against the table row.  Without a
-fault, `coproduct-wd` then checks the Hopf laws on the generators in the
-same report: the counit law, both antipode laws, S(J(x)) = -J(x) +
-(hbar/4) c_g I(x) with the Casimir eigenvalue c_g derived from the
-algebra, and eps on the generators and 1.  S is memoized per word on the
-free model (`fm_antipode_word`), which the DSL's `S` shares, and each
-antipode law is one linear map of Delta(x), key -> S(w1)*w2 or w1*S(w2).
+it on int data, with no word product, and compares the result
+cross-multiplied with Delta(Y([x, y])), built once per bracket-table row.
+It checks the rewrite itself on the two memoized word products I(x)*J(y)
+and J(y)*I(x), as int data against the table row.  Without a fault,
+`coproduct-wd` then checks the Hopf laws on the generators in the same
+report: the counit law, both antipode laws, S(J(x)) = -J(x) + (hbar/4)
+c_g I(x) with the Casimir eigenvalue c_g derived from the algebra, and
+eps on the generators and 1.  S is memoized per word on the free model
+(`fm_antipode_word`), which the DSL's `S` shares, and each antipode law
+is one linear map of Delta(x), key -> S(w1)*w2 or w1*S(w2).
 """
 
 from __future__ import annotations
@@ -174,15 +174,28 @@ def fm_ad_word(fm: FreeModel, x: int, word: FMWord) -> dict:
     return out
 
 
+def _ad_slots_data(fm: FreeModel, x: int, data: dict) -> dict:
+    """ad I(x) on each slot of a tensor's int data {key: {hbar power: int}},
+    as int data over the same denominator: not reduced, zeros kept."""
+    out: dict = {}
+    for key, poly in data.items():
+        terms = poly.items()
+        for slot, word in enumerate(key):
+            head, tail = key[:slot], key[slot + 1:]
+            for w, c in fm_ad_word(fm, x, word).items():
+                image = head + (w,) + tail
+                acc = out.get(image)
+                if acc is None:
+                    out[image] = {e: v * c for e, v in terms}
+                else:
+                    for e, v in terms:
+                        acc[e] = acc.get(e, 0) + v * c
+    return out
+
+
 def fm_ad_slots(x: int, t: TensorElement) -> TensorElement:
     """[box_n(I(x)), t]: ad I(x) applied slot by slot, with no word product."""
-    def terms(key):
-        out: dict = {}
-        for slot, word in enumerate(key):
-            for w, c in fm_ad_word(t.ctx, x, word).items():
-                accumulate(out, key[:slot] + (w,) + key[slot + 1:], c)
-        return out
-    return t.expand(terms, t)
+    return t._like(_ad_slots_data(t.ctx, x, t.data), t.den)
 
 
 # --- deformed coproduct, counit, antipode -------------------------------------
@@ -538,12 +551,12 @@ def verify_coproduct_well_defined(g: LieAlgebraData, fault: Optional[str] = None
     (`_hopf_specs`, after the relation checks): under the cocycle-scale
     fault only relation preservation is the question.  `relations-iota-*`
     prove Delta(I(x)) = box(I(x)) first, so [Delta(I(x)), Delta(Y(y))] is
-    ad I(x) on each slot (`fm_ad_slots`); Delta(Y([x, y])) depends only on
-    the bracket-table row of (x, y), so it is built once per row.
-    `rewrite-equivariance` checks the rewrite I(x)J(y) -> J(y)I(x) +
-    J([x, y]) that ad I(x) uses, so it reads [I(x), J(y)] off the word
-    products of `fm_word_multiply`, not off ad I(x).  Elements are
-    subtracted and rendered only to report a failure."""
+    ad I(x) on each slot; they compare its int data (`_ad_slots_data`)
+    with Delta(Y([x, y])), built once per bracket-table row, entry by entry
+    and cross-multiplied (`IntStore.equals_data`).  `rewrite-equivariance`
+    checks the rewrite I(x)J(y) -> J(y)I(x) + J([x, y]) that ad I(x) uses,
+    so it reads [I(x), J(y)] off the word products of `fm_word_multiply`,
+    not off ad I(x).  Elements are built only to render a failure."""
     fm = free_model(g)
     scale = ONE if fault == "cocycle-scale" else HALF
     specs = []
@@ -557,14 +570,13 @@ def verify_coproduct_well_defined(g: LieAlgebraData, fault: Optional[str] = None
             delta_y = [fm_coproduct(letter(b), scale) for b in range(g.dim)]
             targets: dict = {}  # Delta(Y([x, y])) by bracket-table row
             for a in range(g.dim):
-                for b in range(g.dim):
+                for b, t in enumerate(delta_y):
                     row = g.bracket_table.get((a, b), {})
                     key = tuple(row.items())
                     if key not in targets:
                         targets[key] = fm_coproduct(embed(LieElement(g, row)), scale)
-                    lhs = fm_ad_slots(a, delta_y[b])
-                    if lhs != targets[key]:
-                        bad = lhs - targets[key]
+                    if not targets[key].equals_data(_ad_slots_data(fm, a, t.data), t.den):
+                        bad = fm_ad_slots(a, t) - targets[key]
                         return f"at ({g.names[a]}, {g.names[b]}): " + bad.render()
             return None
         specs.append((f"relations-iota-{tag}",

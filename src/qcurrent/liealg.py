@@ -4,6 +4,9 @@
 vectors, then Cartan elements t_i = E_ii - E_{i+1,i+1}, then positive root
 vectors, each block ordered by root height then start index.  This total
 order is the normal-ordering convention used for PBW monomials downstream.
+The bracket table and the trace form come from the matrix-unit rules
+[E_ij, E_kl] = d_jk E_il - d_li E_kj and tr(E_ij E_kl) = d_jk d_il, applied
+to each basis element's one or two units, with no matrix product.
 """
 
 from __future__ import annotations
@@ -90,9 +93,7 @@ class LieAlgebraData(PBWAlgebra):
         self.pos_index = lambda k: p + r + k
 
         self.block: List[str] = ([NEGATIVE] * p) + ([CARTAN] * r) + ([POSITIVE] * p)
-        self.root_of: List[Optional[int]] = (
-            list(range(p)) + [None] * r + list(range(p))
-        )
+        self.root_of: List[Optional[int]] = list(range(p)) + [None] * r + list(range(p))
 
         self.names: List[str] = (
             [f"f{self.root_datum.root_name(k)}" for k in range(p)]
@@ -104,33 +105,33 @@ class LieAlgebraData(PBWAlgebra):
             self.name_to_index.update({"f": 0, "h": 1, "e": 2})
             self.names = ["f", "h", "e"]
 
-        mats = [self._basis_matrix(b) for b in range(self.dim)]
+        # the matrix-unit rules on each basis element's one or two units
+        self._span_to_root = {sp: k for k, sp in enumerate(self.root_datum.root_spans)}
+        units = [list(self._basis_matrix(b).items()) for b in range(self.dim)]
         self.bracket_table: Dict[Tuple[int, int], Dict[int, int]] = {}
         for a in range(self.dim):
             for b in range(self.dim):
-                if a == b:
-                    continue
-                comm = _mat_sub(_mat_mul(mats[a], mats[b], n), _mat_mul(mats[b], mats[a], n))
-                coeffs = self._matrix_to_coords(comm)
-                if coeffs:
-                    self.bracket_table[a, b] = coeffs
+                comm: Dict[Tuple[int, int], int] = {}
+                for (i, j), c in units[a]:
+                    for (k, l), d in units[b]:
+                        if j == k:
+                            accumulate(comm, (i, l), c * d)
+                        if l == i:
+                            accumulate(comm, (k, j), -c * d)
+                if comm:
+                    self.bracket_table[a, b] = self._matrix_to_coords(comm)
 
         self.gram: Dict[Tuple[int, int], int] = {}
         for a in range(self.dim):
             for b in range(a, self.dim):
-                v = _mat_trace(_mat_mul(mats[a], mats[b], n), n)
-                if v:
-                    self.gram[a, b] = v
-                    self.gram[b, a] = v
+                if v := sum(c * d for (i, j), c in units[a] for (k, l), d in units[b]
+                            if j == k and l == i):
+                    self.gram[a, b] = self.gram[b, a] = v
 
         # weight of each basis vector under ad(t_1..t_r)
-        self.weights: List[Tuple[int, ...]] = []
-        for b in range(self.dim):
-            w = []
-            for i in range(r):
-                br = self.bracket_table.get((self.cartan_index(i), b), {})
-                w.append(br.get(b, 0))
-            self.weights.append(tuple(w))
+        self.weights: List[Tuple[int, ...]] = [
+            tuple(self.bracket_table.get((self.cartan_index(i), b), {}).get(b, 0)
+                  for i in range(r)) for b in range(self.dim)]
 
         # Casimir tensor as pure-tensor pairs (a, b, weight): dual bases of
         # the trace form; (e_alpha, f_alpha) = 1 pairs off-diagonal, the
@@ -192,20 +193,20 @@ class LieAlgebraData(PBWAlgebra):
 
     def _matrix_to_coords(self, m: Dict[Tuple[int, int], int]) -> Dict[int, int]:
         """Expand a traceless matrix in the chosen basis."""
-        out = {}
-        span_to_root = {sp: k for k, sp in enumerate(self.root_datum.root_spans)}
+        out, diagonal = {}, False
         for (a, b), v in m.items():
             if a == b:
-                continue
-            if a < b:
-                out[self.pos_index(span_to_root[a + 1, b + 1])] = v
+                diagonal = True
+            elif a < b:
+                out[self.pos_index(self._span_to_root[a + 1, b + 1])] = v
             else:
-                out[self.neg_index(span_to_root[b + 1, a + 1])] = v
-        running = 0
-        for k in range(self.n - 1):
-            running += m.get((k, k), 0)
-            if running:
-                out[self.cartan_index(k)] = running
+                out[self.neg_index(self._span_to_root[b + 1, a + 1])] = v
+        if diagonal:
+            running = 0
+            for k in range(self.n - 1):
+                running += m.get((k, k), 0)
+                if running:
+                    out[self.cartan_index(k)] = running
         return out
 
     # --- public operations ----------------------------------------------------
@@ -335,20 +336,20 @@ def build_sl(n: int) -> LieAlgebraData:
 def casimir_adjoint_eigenvalue(g: LieAlgebraData) -> Fraction:
     """Eigenvalue of the quadratic Casimir acting in the adjoint representation.
 
-    Applies the Casimir to every basis vector by iterated brackets and
-    insists the action is scalar; a non-scalar action signals a broken
-    bracket table or bilinear form.
+    Sums w [i, [j, b]] over the Casimir pairs (i, j, w) from the bracket
+    table, for every basis vector b, and insists the action is scalar; a
+    non-scalar action signals a broken bracket table or bilinear form.
     """
     def scalar() -> Fraction:
         value: Optional[Fraction] = None
         for b in range(g.dim):
-            x = g.basis_element(b)
-            acc = LieElement(g)
-            for (i, j, w) in g.casimir_pairs:
-                acc = acc + w * g.bracket(g.basis_element(i),
-                                          g.bracket(g.basis_element(j), x))
-            expected = acc.data.get(b, ZERO)
-            if acc.data != ({b: expected} if expected else {}):
+            acc: Dict[int, Fraction] = {}
+            for i, j, w in g.casimir_pairs:
+                for z, cz in g.bracket_table.get((j, b), {}).items():
+                    for y, cy in g.bracket_table.get((i, z), {}).items():
+                        accumulate(acc, y, w * cz * cy)
+            expected = Fraction(acc.get(b, 0))
+            if acc != ({b: expected} if expected else {}):
                 raise ValueError("Casimir does not act diagonally on the adjoint basis")
             if value is None:
                 value = expected
@@ -356,31 +357,6 @@ def casimir_adjoint_eigenvalue(g: LieAlgebraData) -> Fraction:
                 raise ValueError("Casimir action on the adjoint is not scalar")
         return value
     return g.derived("casimir_eigenvalue", scalar)
-
-
-# --- small dense helpers (matrix-unit realization only) ---------------------------
-
-
-def _mat_mul(a, b, n):
-    out: Dict[Tuple[int, int], int] = {}
-    items_b: Dict[int, list] = {}
-    for (i, j), v in b.items():
-        items_b.setdefault(i, []).append((j, v))
-    for (i, k), va in a.items():
-        for j, vb in items_b.get(k, ()):  # (i,k)*(k,j)
-            accumulate(out, (i, j), va * vb)
-    return out
-
-
-def _mat_sub(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        accumulate(out, k, -v)
-    return out
-
-
-def _mat_trace(a, n):
-    return sum(a.get((i, i), 0) for i in range(n))
 
 
 def _invert_dense(m):

@@ -16,10 +16,10 @@ from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
                             tensor_module, tensor_slice_module)
 from qcurrent.current import CurrentElement, CurrentTensor, c_bracket
 from qcurrent.dsl import Bracket, Call, Hbar, Name, Num, Prod, Sum, Tensor
-from qcurrent.envelope import TensorElement, UElement, normal_order
-from qcurrent.exactnum import ONE, ZERO, HPoly, _quotient, accumulate, solve
-from qcurrent.freequant import fm_coproduct, free_model
-from qcurrent.liealg import casimir_adjoint_eigenvalue
+from qcurrent.envelope import TensorElement, UElement, box_n, normal_order
+from qcurrent.exactnum import ONE, ZERO, HPoly, _exact, _quotient, accumulate, solve
+from qcurrent.freequant import fm_ad_word, fm_coproduct, free_model
+from qcurrent.liealg import LieElement, _invert_dense, casimir_adjoint_eigenvalue
 
 
 def multiply_slots(t):
@@ -32,6 +32,74 @@ def apply_slot(t, slot: int, fn):
     """A UElement-valued function fn mapped over one slot of the tensor t."""
     return t.linear_map(lambda key: fn(UElement(t.ctx, {key[slot]: 1})).expand(
         lambda w: {key[:slot] + (w,) + key[slot + 1:]: 1}, t), t)
+
+
+def _mat_mul(a, b):
+    out = {}
+    items_b = {}
+    for (i, j), v in b.items():
+        items_b.setdefault(i, []).append((j, v))
+    for (i, k), va in a.items():
+        for j, vb in items_b.get(k, ()):  # (i,k)*(k,j)
+            accumulate(out, (i, j), va * vb)
+    return out
+
+
+def _mat_sub(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        accumulate(out, k, -v)
+    return out
+
+
+def matrix_product_tables(g):
+    """(bracket_table, gram, weights, casimir_pairs) of sl_n from sparse
+    products of g's basis matrices, [A, B] = AB - BA and (A, B) = tr(AB),
+    in the order `LieAlgebraData` builds them."""
+    mats = [g._basis_matrix(b) for b in range(g.dim)]
+    bracket = {}
+    for a in range(g.dim):
+        for b in range(g.dim):
+            if a != b:
+                comm = _mat_sub(_mat_mul(mats[a], mats[b]), _mat_mul(mats[b], mats[a]))
+                if coeffs := g._matrix_to_coords(comm):
+                    bracket[a, b] = coeffs
+    gram = {}
+    for a in range(g.dim):
+        for b in range(a, g.dim):
+            prod_ab = _mat_mul(mats[a], mats[b])
+            if v := sum(prod_ab.get((i, i), 0) for i in range(g.n)):
+                gram[a, b] = gram[b, a] = v
+    cartan = [g.cartan_index(i) for i in range(g.rank)]
+    weights = [tuple(bracket.get((h, b), {}).get(b, 0) for h in cartan)
+               for b in range(g.dim)]
+    pairs = []
+    for k in range(g.num_positive):
+        pairs += [(g.pos_index(k), g.neg_index(k), 1), (g.neg_index(k), g.pos_index(k), 1)]
+    inv = _invert_dense([[gram.get((h, k), 0) for k in cartan] for h in cartan])
+    pairs += [(h, k, _exact(inv[i][j])) for i, h in enumerate(cartan)
+              for j, k in enumerate(cartan) if inv[i][j]]
+    return bracket, gram, weights, pairs
+
+
+def element_path_casimir_eigenvalue(g):
+    """`casimir_adjoint_eigenvalue` by `LieElement` brackets, with no memo:
+    the sum of w [i, [j, x]] over the Casimir pairs (i, j, w), for every
+    basis vector x, raising the package's two messages."""
+    value = None
+    for b in range(g.dim):
+        x = g.basis_element(b)
+        acc = LieElement(g)
+        for (i, j, w) in g.casimir_pairs:
+            acc = acc + w * g.bracket(g.basis_element(i), g.bracket(g.basis_element(j), x))
+        expected = acc.data.get(b, ZERO)
+        if acc.data != ({b: expected} if expected else {}):
+            raise ValueError("Casimir does not act diagonally on the adjoint basis")
+        if value is None:
+            value = expected
+        elif value != expected:
+            raise ValueError("Casimir action on the adjoint is not scalar")
+    return value
 
 
 def casimir_tensor(g):
@@ -95,6 +163,35 @@ def product_path_relation(g, tag: str, scale) -> Optional[str]:
             bad = delta_iota[a].bracket(delta_y[b]) - fm_coproduct(ybr, scale)
             if bad:
                 return f"at ({g.names[a]}, {g.names[b]}): " + bad.render()
+    return None
+
+
+def element_path_relation(g, tag: str, scale) -> Optional[str]:
+    """The `relations-iota-<tag>` check of `coproduct-wd` on elements: first
+    Delta(I(a)) = box(I(a)) for every a, then ad I(a) on each slot of
+    Delta(Y(b)), expanded through `fm_ad_word` into a `TensorElement` and
+    compared by `!=` with Delta(Y([a, b])), a outer and b inner; the first
+    failure's message, or None."""
+    fm = free_model(g)
+    letter, embed = {"iota": (fm.iota_letter, fm.iota), "J": (fm.j_letter, fm.j_of)}[tag]
+    for a in range(g.dim):
+        ia = fm.iota_letter(a)
+        if bad := fm_coproduct(ia, scale) - box_n(ia, 2):
+            return f"Delta(I({g.names[a]})) is not primitive: " + bad.render()
+    for a in range(g.dim):
+        def terms(key, a=a):
+            out = {}
+            for slot, word in enumerate(key):
+                for w, c in fm_ad_word(fm, a, word).items():
+                    accumulate(out, key[:slot] + (w,) + key[slot + 1:], c)
+            return out
+        for b in range(g.dim):
+            delta_y = fm_coproduct(letter(b), scale)
+            lhs = delta_y.expand(terms, delta_y)
+            target = fm_coproduct(embed(g.bracket(g.basis_element(a), g.basis_element(b))),
+                                  scale)
+            if lhs != target:
+                return f"at ({g.names[a]}, {g.names[b]}): " + (lhs - target).render()
     return None
 
 

@@ -285,6 +285,20 @@ def test_json_check_ids_are_pinned(argv, suite, algebra, ids, capsys):
     relations followed by the Hopf laws, which a fault run leaves out."""
     assert main(["verify", *argv, "--json", "-"]) == 0
     out = capsys.readouterr().out
-    payload = json.loads(out[out.index("\n{") + 1:])
+    payload = json.loads(out)
     assert (payload["suite"], payload["algebra"]) == (suite, algebra)
     assert [c["id"] for c in payload["checks"]] == ids
+
+
+@pytest.mark.parametrize("types", ("A1", "A1,A2"))
+def test_json_to_stdout_parses_with_the_text_report_on_stderr(types, capsys):
+    """With `--json -`, stdout is the JSON report alone (an array for
+    several algebras), and the text report goes to stderr."""
+    assert main(["verify", "gnw", "--type", types, "--json", "-"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    reports = payload if isinstance(payload, list) else [payload]
+    assert [r["algebra"] for r in reports] == types.split(",")
+    for label in types.split(","):
+        assert f"suite gnw [{label}]" in captured.err
+    assert "suite gnw" not in captured.out

@@ -5,7 +5,7 @@ import pytest
 
 from qcurrent.envelope import TensorElement, UElement, box_n, nu
 from qcurrent.exactnum import HPoly, accumulate
-from qcurrent.freequant import (HALF, classical_limit, fm_antipode,
+from qcurrent.freequant import (HALF, classical_limit, fm_ad_word, fm_antipode,
                                 fm_coproduct, fm_counit, free_model,
                                 lift_gamma_eta,
                                 relation_defect_cartan, relation_defect_sl2,
@@ -14,8 +14,9 @@ from qcurrent.freequant import (HALF, classical_limit, fm_antipode,
                                 verify_primitive_defects,
                                 verify_sl2_steps, x1_element)
 from qcurrent.liealg import build_sl, casimir_adjoint_eigenvalue
-from reference import (apply_slot, element_path_antipode, element_path_rewrite,
-                       multiply_slots, product_antipode, product_path_relation)
+from reference import (apply_slot, element_path_antipode, element_path_relation,
+                       element_path_rewrite, multiply_slots, product_antipode,
+                       product_path_relation)
 
 
 def gens(g):
@@ -274,6 +275,48 @@ def test_relations_iota_j_fails_like_the_product_path(n):
         f"at ({g.names[0]}, {g.names[0]}): ")
     assert not checks["relations-iota-J"].passed
     assert checks["relations-iota-J"].residual == expected
+
+
+def _plant_ad_entry(g, word):
+    """A wrong coefficient of `word` itself in ad I(x) of `word`, planted in
+    the memo, for x the highest root vector."""
+    fm, x = free_model(g), g.dim - 1
+    fm._fm_ad_cache[x, word] = {**fm_ad_word(fm, x, word), word: 5}
+
+
+def _drop_ad_of_a_j_letter(g):
+    """ad I(x) of J(y) planted as 0 for the first (x, y) with [x, y] != 0,
+    so the slot data lack entries that the target has."""
+    x, y = next(iter(g.bracket_table))
+    free_model(g)._fm_ad_cache[x, ((y,), ())] = {}
+
+
+def _negate_omega_entry(g):
+    (zq, c), *rest = g.omega_table[g.dim - 1]
+    g.omega_table[g.dim - 1] = [(zq, -c)] + rest
+
+
+@pytest.mark.parametrize("tamper, failing", [
+    (lambda g: _plant_ad_entry(g, ((), (1,))), ("iota", "J")),
+    (lambda g: _plant_ad_entry(g, ((1,), ())), ("J",)),
+    (_drop_ad_of_a_j_letter, ("J",)),
+    (_negate_omega_entry, ("J",)),
+], ids=("ad-on-an-I-letter", "ad-on-a-J-letter", "ad-dropped", "omega-row"))
+def test_relation_checks_fail_like_the_element_path(tamper, failing):
+    """On a fresh A2, a wrong or missing entry planted in the ad I(x) memo,
+    or one negated entry of an [x (x) 1, Omega] row, makes `relations-iota-iota`
+    and `relations-iota-J` report the first failing pair and the residual
+    of the element path, which expands ad I(x) into a `TensorElement` and
+    compares by `!=`; the checks it leaves alone pass on both paths."""
+    g = build_sl(3)
+    tamper(g)
+    checks = {c.id: c for c in verify_coproduct_well_defined(g).checks}
+    for tag in ("iota", "J"):
+        expected = element_path_relation(g, tag, HALF)
+        check = checks[f"relations-iota-{tag}"]
+        assert (expected is not None) == (tag in failing)
+        assert check.passed == (expected is None)
+        assert check.residual == expected
 
 
 def test_rewrite_equivariance_fails_like_the_element_path():

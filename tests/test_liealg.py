@@ -12,7 +12,8 @@ from qcurrent.exactnum import rank_of_rows
 from qcurrent.freequant import FreeModel, free_model
 from qcurrent.liealg import (build_sl, casimir_adjoint_eigenvalue, compose,
                              is_automorphism)
-from reference import form, kernel_basis
+from reference import (element_path_casimir_eigenvalue, form, kernel_basis,
+                       matrix_product_tables)
 
 
 def test_build_sl2_shape(sl2):
@@ -109,6 +110,73 @@ def test_casimir_adjoint_eigenvalues():
     assert casimir_adjoint_eigenvalue(build_sl(2)) == 4
     assert casimir_adjoint_eigenvalue(build_sl(3)) == 6
     assert casimir_adjoint_eigenvalue(build_sl(4)) == 8
+
+
+def _typed(items):
+    """An ordered item list with each value's type beside it."""
+    return [(k, type(v), v) for k, v in items]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_tables_equal_the_matrix_product_reference(n):
+    """The bracket table and the Gram matrix, read off the matrix-unit
+    rules, and the weights and Casimir pairs built from them equal the
+    sparse matrix products of `reference.matrix_product_tables` as ordered
+    item lists, value types included: downstream loops iterate them."""
+    g = build_sl(n)
+    bracket, gram, weights, pairs = matrix_product_tables(g)
+    assert list(g.bracket_table) == list(bracket)
+    for key, row in bracket.items():
+        assert _typed(g.bracket_table[key].items()) == _typed(row.items()), key
+    assert _typed(g.gram.items()) == _typed(gram.items())
+    assert g.weights == weights
+    assert _typed(((a, b), w) for a, b, w in g.casimir_pairs) == _typed(
+        ((a, b), w) for a, b, w in pairs)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_casimir_eigenvalue_equals_the_element_path(n):
+    """The Casimir eigenvalue summed from the bracket table is the
+    `LieElement` path's Fraction, 2n on sl_n."""
+    g = build_sl(n)
+    value = casimir_adjoint_eigenvalue(g)
+    assert type(value) is F
+    assert value == element_path_casimir_eigenvalue(g) == 2 * n
+
+
+def _double_e1_f1(g):
+    e, f = g.pos_index(0), g.neg_index(0)
+    g.bracket_table[e, f] = {z: 2 * c for z, c in g.bracket_table[e, f].items()}
+
+
+def _double_last_cartan_weight(g):
+    a, b, w = g.casimir_pairs[-1]
+    assert g.block[a] == g.block[b] == "cartan"
+    g.casimir_pairs[-1] = (a, b, 2 * w)
+
+
+def _add_e1_to_e1_f1(g):
+    e, f = g.pos_index(0), g.neg_index(0)
+    g.bracket_table[e, f] = {**g.bracket_table[e, f], e: 1}
+
+
+@pytest.mark.parametrize("n", (2, 3, 5))
+@pytest.mark.parametrize("tamper, message", [
+    (_double_e1_f1, "Casimir action on the adjoint is not scalar"),
+    (_double_last_cartan_weight, "Casimir action on the adjoint is not scalar"),
+    (_add_e1_to_e1_f1, "Casimir does not act diagonally on the adjoint basis"),
+], ids=("doubled-e1-f1", "doubled-cartan-weight", "e1-in-e1-f1"))
+def test_casimir_eigenvalue_refuses_a_tampered_table(n, tamper, message):
+    """A doubled [e1, f1] entry and a doubled Cartan weight make the action
+    non-scalar, and an e1 term in [e1, f1] makes it non-diagonal: each
+    raises the element path's ValueError, on a fresh algebra."""
+    g = build_sl(n)
+    tamper(g)
+    with pytest.raises(ValueError) as reference_error:
+        element_path_casimir_eigenvalue(g)
+    with pytest.raises(ValueError) as error:
+        casimir_adjoint_eigenvalue(g)
+    assert str(error.value) == str(reference_error.value) == message
 
 
 def test_casimir_bracket_map_injective(sl3):
