@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from .exactnum import (HPoly, ONE, IntStore, _int_store, _poly_product,
                        _quotient, accumulate, as_hpoly, join_signed)
-from .reports import Report, run_checks, zero_or_residual
+from .reports import CheckError, Report, run_checks, zero_or_residual
 
 if TYPE_CHECKING:
     from .liealg import LieAlgebraData, LieElement
@@ -400,7 +400,8 @@ def w_element(g: LieAlgebraData, i: int, sign: int, nu_ti: UElement) -> UElement
 
 
 def kappa(g: LieAlgebraData) -> UElement:
-    """Half the quadratic Casimir of sl_2 in its customary normal form."""
+    """Half the quadratic Casimir of sl_2 in its customary normal form; a
+    CheckError when it is not central, on a table that is not sl_2's."""
     if g.n != 2:
         raise ValueError("kappa is specific to sl_2")
     f, h, e = 0, 1, 2
@@ -411,7 +412,7 @@ def kappa(g: LieAlgebraData) -> UElement:
     })
     for b in range(g.dim):
         if out.bracket(UElement.letter(g, b)):
-            raise ValueError("kappa fails to be central")
+            raise CheckError("kappa fails to be central")
     return out
 
 

@@ -399,8 +399,10 @@ def _eliminate(rows: list, col_rows: dict, prow: int, col) -> tuple:
     return p, rest, tuple(ops)
 
 
-def _integer_row_rank(rows: list) -> int:
-    """Exact rank of nonempty integer rows, which it eliminates in place.
+def _markowitz_pivots(rows: list) -> list:
+    """The pivot columns, in elimination order, of an exact elimination of
+    nonempty integer rows, which it eliminates in place; their number is
+    the rank.
 
     The update is `_eliminate`'s, as in `factor`; only the pivot rule
     differs.  Pivots are chosen to limit fill (Markowitz): the column with
@@ -418,7 +420,7 @@ def _integer_row_rank(rows: list) -> int:
     col_rows = _column_index(rows)
     heap = [(len(s), j) for j, s in col_rows.items()]
     heapify(heap)
-    rank = 0
+    pivots = []
     while heap:
         count, col = heappop(heap)
         holders = col_rows.get(col, ())
@@ -426,21 +428,29 @@ def _integer_row_rank(rows: list) -> int:
             continue
         prow = min(holders, key=lambda r: (len(rows[r]), r))
         _, rest, _ = _eliminate(rows, col_rows, prow, col)
-        rank += 1
+        pivots.append(col)
         for j, _ in rest:
             holders = col_rows[j]
             if holders:
                 heappush(heap, (len(holders), j))
             else:
                 del col_rows[j]  # a set keeps its table when emptied
-    return rank
+    return pivots
 
 
-def rank_of_rows(rows: Iterable[Mapping[int, Fraction]]) -> int:
+def rank_of_rows(rows: Iterable[Mapping[int, Fraction]],
+                 pivots: Optional[list] = None) -> int:
     """Rank of a collection of sparse rational row vectors.  Each row is
     cleared of denominators by its own scale (`_cleared`), which keeps its
-    support and drops a stored zero, so a zero is never a pivot."""
-    return _integer_row_rank([r for _, r in map(_cleared, rows) if r])
+    support and drops a stored zero, so a zero is never a pivot.
+
+    When `pivots` is a list, the pivot columns are appended to it: the
+    rows restricted to them have full rank.  They come out here, not from a
+    second entry point, because `perfbench/tracer.py` counts ranks by name."""
+    found = _markowitz_pivots([r for _, r in map(_cleared, rows) if r])
+    if pivots is not None:
+        pivots += found
+    return len(found)
 
 
 def _exact(q: Fraction):

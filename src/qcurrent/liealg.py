@@ -17,6 +17,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .envelope import PBWAlgebra
 from .exactnum import ONE, ZERO, CoeffMap, _exact, _quotient, accumulate
+from .reports import CheckError
 
 NEGATIVE = "negative"
 CARTAN = "cartan"
@@ -338,7 +339,8 @@ def casimir_adjoint_eigenvalue(g: LieAlgebraData) -> Fraction:
 
     Sums w [i, [j, b]] over the Casimir pairs (i, j, w) from the bracket
     table, for every basis vector b, and insists the action is scalar; a
-    non-scalar action signals a broken bracket table or bilinear form.
+    non-scalar action signals a broken bracket table or bilinear form, and
+    raises a CheckError, so the check that reads the eigenvalue fails.
     """
     def scalar() -> Fraction:
         value: Optional[Fraction] = None
@@ -350,11 +352,11 @@ def casimir_adjoint_eigenvalue(g: LieAlgebraData) -> Fraction:
                         accumulate(acc, y, w * cz * cy)
             expected = Fraction(acc.get(b, 0))
             if acc != ({b: expected} if expected else {}):
-                raise ValueError("Casimir does not act diagonally on the adjoint basis")
+                raise CheckError("Casimir does not act diagonally on the adjoint basis")
             if value is None:
                 value = expected
             elif value != expected:
-                raise ValueError("Casimir action on the adjoint is not scalar")
+                raise CheckError("Casimir action on the adjoint is not scalar")
         return value
     return g.derived("casimir_eigenvalue", scalar)
 

@@ -302,3 +302,48 @@ def test_json_to_stdout_parses_with_the_text_report_on_stderr(types, capsys):
     for label in types.split(","):
         assert f"suite gnw [{label}]" in captured.err
     assert "suite gnw" not in captured.out
+
+
+def _sl_with_last_cartan_weight_doubled(n):
+    g = build_sl(n)
+    a, b, w = g.casimir_pairs[-1]
+    g.casimir_pairs[-1] = (a, b, 2 * w)
+    return g
+
+
+def _sl_with_e1_f1_doubled(n):
+    g = build_sl(n)
+    e, f = g.pos_index(0), g.neg_index(0)
+    g.bracket_table[e, f] = {z: 2 * c for z, c in g.bracket_table[e, f].items()}
+    return g
+
+
+@pytest.mark.parametrize("suite, tamper, failing, message", [
+    ("coproduct-wd", _sl_with_last_cartan_weight_doubled,
+     ("antipode-left", "antipode-right", "antipode-J-formula"),
+     "Casimir action on the adjoint is not scalar"),
+    ("sl2-steps", _sl_with_e1_f1_doubled,
+     ("kappa-replacement", "T-eigen-kappa"), "kappa fails to be central"),
+], ids=("casimir-not-scalar", "kappa-not-central"))
+def test_a_table_that_is_not_sl2s_fails_the_checks_that_read_it(
+        suite, tamper, failing, message, monkeypatch, tmp_path, capsys):
+    """A fresh A1 algebra whose Casimir is not scalar on the adjoint, or
+    whose kappa is not central, fails each check that reads the eigenvalue
+    or kappa with a CheckError, and the CLI exits 1, not 3."""
+    monkeypatch.setattr(cli, "build_sl", tamper)
+    path = tmp_path / "report.json"
+    assert main(["verify", suite, "--type", "A1", "--json", str(path)]) == 1
+    assert "internal error" not in capsys.readouterr().err
+    checks = {c["id"]: c for c in json.loads(path.read_text())["checks"]}
+    for check_id in failing:
+        assert checks[check_id]["residual"] == f"CheckError: {message}"
+    if suite == "coproduct-wd":
+        assert checks["antipode-J-formula"]["anchor"] == \
+            "S(J(x)) = -J(x) + (hbar/4)*c_g*I(x)"
+
+
+def test_the_antipode_anchor_names_the_eigenvalue(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["verify", "coproduct-wd", "--type", "A1", "--json", str(path)]) == 0
+    checks = {c["id"]: c for c in json.loads(path.read_text())["checks"]}
+    assert checks["antipode-J-formula"]["anchor"] == "S(J(x)) = -J(x) + (hbar/4)*4*I(x)"

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from qcurrent import cohom
 from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
                             CorrectionSystem, FiltrationError, GModule,
                             SymmetryError, WeightError, _block_cohomology_dim,
@@ -408,6 +409,101 @@ def test_whitehead_report_sl3(sl3):
 def test_trivial_module_full_cohomology(sl2):
     # H^* (g, trivial) = exterior invariants: 1, 0, 0, 1 for sl_2
     assert ce_cohomology_dims(trivial_module(sl2), 3) == [1, 0, 0, 1]
+
+
+# --- clearing ----------------------------------------------------------------
+
+
+def _ranks_of_every_row(module, up_to):
+    """[m][c]: the rank of part c of d_m over every row, without clearing."""
+    return [[rank_of_rows(rows) for rows in _ce_matrix_rows(module, m)]
+            for m in range(up_to + 1)]
+
+
+def _dims_from_ranks(module, ranks):
+    dims, prev = [], 0
+    for m, parts in enumerate(ranks):
+        dims.append(sum(map(len, _ce_matrix_rows(module, m))) - sum(parts) - prev)
+        prev = sum(parts)
+    return dims
+
+
+def _traced_dims(module, up_to, monkeypatch):
+    """`ce_cohomology_dims(module, up_to)`, the (rows ranked, rank) of each
+    rank call in [m][c] order, and the verdict of each certificate."""
+    calls, verdicts = [], []
+    kills = cohom._kills
+
+    def spy_rank(rows, pivots=None):
+        rank = rank_of_rows(rows, pivots)
+        calls.append((len(rows), rank))
+        return rank
+
+    def spy_kills(prev_rows, rows_by_id):
+        verdicts.append(kills(prev_rows, rows_by_id))
+        return verdicts[-1]
+    monkeypatch.setattr(cohom, "rank_of_rows", spy_rank)
+    monkeypatch.setattr(cohom, "_kills", spy_kills)
+    dims = ce_cohomology_dims(module, up_to)
+    monkeypatch.undo()
+    parts = len(calls) // (up_to + 1)
+    return dims, [calls[m * parts:(m + 1) * parts] for m in range(up_to + 1)], verdicts
+
+
+@pytest.mark.parametrize("n, bound", [(2, None), (3, None), (2, 2), (2, 3),
+                                      (2, 4), (3, 2)])
+def test_clearing_keeps_every_rank(n, bound, monkeypatch):
+    """On sl_n, d_m . d_{m-1} = 0 is certified on every part, and the rows
+    that the previous degree's pivots leave give each part's rank over
+    every row, up to degree 3.  At m = 2, where H^2 = 0, the rows ranked
+    are exactly the rank, fewer than the rows: the cleared path runs."""
+    g = build_sl(n)
+    module = adjoint_module(g) if bound is None else tensor_module(
+        dual_module(adjoint_module(g)), u_slice_module(g, bound))
+    dims, calls, verdicts = _traced_dims(module, 3, monkeypatch)
+    ranks = _ranks_of_every_row(module, 3)
+    assert [[rank for _, rank in parts] for parts in calls] == ranks
+    assert dims == _dims_from_ranks(module, ranks)
+    assert len(verdicts) == 3 * len(ranks[0]) and all(verdicts)
+    assert [ranked for ranked, _ in calls[2]] == ranks[2]
+    assert sum(ranks[2]) < sum(map(len, _ce_matrix_rows(module, 2)))
+
+
+def test_the_certificate_reads_every_column_a_row_reaches():
+    """d_m kills the rows of d_{m-1} only when every orbit a row reaches
+    has a row of d_m; a stored zero reaches nothing."""
+    rows = {0: {2: 1}, 1: {2: 1}}
+    assert cohom._kills([{0: 1, 1: -1}, {0: 1, 1: -1, 3: 0}], rows)
+    assert not cohom._kills([{0: 1, 1: 1}], rows)
+    assert not cohom._kills([{0: 1, 1: -1, 3: 1}], rows)
+
+
+def _double_column(module, x, j):
+    actions = [dict(cols) for cols in module.actions]
+    actions[x][j] = {i: 2 * c for i, c in actions[x][j].items()}
+    return GModule(module.g, module.dim, actions, f"{module.label}'")
+
+
+def _a2_with_e1_f1_doubled():
+    g = build_sl(3)
+    e, f = g.pos_index(0), g.neg_index(0)
+    g.bracket_table[e, f] = {z: 2 * c for z, c in g.bracket_table[e, f].items()}
+    return adjoint_module(g)
+
+
+@pytest.mark.parametrize("make, dims", [
+    (lambda: _double_column(adjoint_module(build_sl(3)), 0, 1), [0, -1, -4, -7]),
+    (_a2_with_e1_f1_doubled, [0, -1, -4, -8]),
+], ids=("column-doubled", "e1-f1-doubled"))
+def test_a_broken_complex_is_ranked_on_every_row(make, dims, monkeypatch):
+    """Where d . d != 0 the certificate fails and every row is ranked, so
+    the dims are those of the ranks over every row, negative as they are:
+    an action with one column doubled, and a fresh A2 algebra with its
+    [e1, f1] entry doubled, whose H^1 and H^2 read -1 and -4."""
+    module = make()
+    got, _, verdicts = _traced_dims(module, 3, monkeypatch)
+    assert got == _dims_from_ranks(module, _ranks_of_every_row(module, 3)) == dims
+    assert not all(verdicts)
 
 
 # --- cobar -----------------------------------------------------------------
