@@ -254,10 +254,10 @@ def test_crash_inside_a_check_exit_three(monkeypatch, capsys):
     error, not a failed check."""
     from qcurrent import cohom
 
-    def crash(v_dim, n, degree):
+    def crash(alpha, n):
         raise TypeError("rank of a non-matrix")
 
-    monkeypatch.setattr(cohom, "minus_cohomology_dim", crash)
+    monkeypatch.setattr(cohom, "_block_cohomology_dim", crash)
     assert main(["verify", "cartier", "--degree", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -659,6 +659,72 @@ def test_degree_zero_block_has_no_coordinate_artifact(n):
     assert len({minus_cohomology_dim(v_dim, n, 0) for v_dim in (0, 1, 2)}) == 1
 
 
+def _partitions(degree, parts):
+    """Partitions of `degree` into at most `parts` parts, largest first."""
+    if degree == 0:
+        return [()]
+    if parts == 0:
+        return []
+    return [(first,) + rest for first in range(degree, 0, -1)
+            for rest in _partitions(degree - first, parts - 1)
+            if not rest or rest[0] <= first]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_zero_padding_keeps_the_block_of_a_partition(n):
+    """The premise of ranking one block per partition: padding lambda with
+    one or two zero coordinates leaves the size of the minus basis and
+    dim H^n of its block unchanged."""
+    for d in range(7):
+        for lam in _partitions(d, 3):
+            padded = [lam, lam + (0,), lam + (0, 0)]
+            assert len({len(_minus_basis(alpha, n)) for alpha in padded}) == 1, lam
+            assert len({_block_cohomology_dim(alpha, n)
+                        for alpha in padded}) == 1, lam
+
+
+def test_cartier_report_ranks_each_partition_once_per_report(monkeypatch):
+    """At degree 8 the V1-V3 checks read 75 blocks of 41 partitions (those
+    of d <= 8 with at most 3 parts): each is ranked once per report, and a
+    second report ranks them all again, so no memo outlives its report."""
+    calls = []
+    block = cohom._block_cohomology_dim
+
+    def counted(alpha, n):
+        calls.append(alpha)
+        return block(alpha, n)
+
+    monkeypatch.setattr(cohom, "_block_cohomology_dim", counted)
+    assert sum(len(_partitions(d, 3)) for d in range(9)) == 41
+    assert cartier_report(8).passed
+    assert len(calls) == len(set(calls)) == 41
+    assert cartier_report(8).passed
+    assert len(calls) == 82
+
+
+def test_minus_basis_holds_int_coefficients():
+    """`_minus_basis` builds its chains from the ints 1 and -sign; they are
+    the chains built from the Fractions ONE and -sign * ONE."""
+    for v_dim in (1, 2, 3):
+        for d in range(6):
+            for alpha in _sym_monomials(v_dim, d):
+                for n in range(4):
+                    sign = (-1) ** (n * (n + 1) // 2)
+                    expected, seen = [], set()
+                    for key in _tensor_basis(alpha, n):
+                        rkey = tuple(reversed(key))
+                        if key == rkey:
+                            if sign == -1:
+                                expected.append({key: ONE})
+                        elif min(key, rkey) not in seen:
+                            seen.add(min(key, rkey))
+                            expected.append({key: ONE, rkey: -sign * ONE})
+                    got = _minus_basis(alpha, n)
+                    assert [y.data for y in got] == \
+                        [CobarChain(v_dim, n, d, e).data for e in expected], (alpha, n)
+                    assert all(type(c) is int for y in got for c in y.data.values())
+
+
 def test_cartier_report():
     """One check per (dim V, degree), dim V outer, all in one report."""
     report = cartier_report(4)
