@@ -12,12 +12,14 @@ Algebras, 2.4.10); the bicomplex keeps the PBW basis.
 The Chevalley-Eilenberg differential (Chevalley-Eilenberg, Trans. AMS 1948)
 scatters each cochain entry to the faces of its wedge (`faces(g, s)`, kept
 once per algebra for all its modules), so its cost follows the support.
-`ce_push` applies it on one module.  For `whitehead` and `cohomology` each
-pushed image is one row of the rank.  The bicomplex's horizontal
-differential dH takes values in dual(adjoint) (x) T^n_{<=D}, T^n_{<=D} the
-n-fold tensor power of U(g) cut to total PBW length D: its slice factor and
-bracket faces go through `ce_push` on the slice module, and only the
-dual(adjoint) factor is dH's own.  Its independent reference,
+`ce_push` applies it on one module, in one pass for each acting x whose
+action is diagonal, with the bracket faces that keep the wedge folded in.
+For `whitehead` and `cohomology` each pushed image is one row of the rank.
+The bicomplex's horizontal differential dH takes values in dual(adjoint)
+(x) T^n_{<=D}, T^n_{<=D} the n-fold tensor power of U(g) cut to total PBW
+length D: its slice factor, its bracket faces and the diagonal
+dual(adjoint) faces go through `ce_push` on the slice module, and only
+the other dual(adjoint) faces are dH's own.  Its independent reference,
 `ce_differential`, the textbook sum over the faces of each output set, lives
 in `tests/reference.py`.  Cohomology is computed on the weight-zero
 subcomplex alone: by Cartan's homotopy formula theta_h = d iota_h + iota_h d
@@ -44,7 +46,8 @@ in the constructor, the one gate, and in `value`, `render` and
 `swap_tensor`.  dH, dV and the solver work on the data over int and carry
 the denominator; the maps are linear, so this is exact.  The solver's
 unknowns are the unit (0, 1)-cochains, numbered by (adjoint index, slice
-position), and it builds units and solutions on positions.  A table
+position); its rows are read off the dV memo and the dH kernel with no
+cochain per unit, and it builds solutions on positions.  A table
 value with a denominator stays an exact Fraction, and dH absorbs it into
 the denominator of its image: integrality is never assumed.  The slice keys,
 the slice modules, the dV images of the basis tensors and the solver's
@@ -100,7 +103,9 @@ class GModule:
     `klein`, when given, holds the signed permutations of the basis, as
     [(image, sign), ...], that omega and pi of `g.klein` induce: sigma(x) .
     sigma(b) = sigma(x . b), checked on construction.  Without it the
-    module has the trivial group.
+    module has the trivial group.  `diagonal[x]` lists the entries
+    rho(x)_kk when the table of x is diagonal, else None, on any table;
+    the Cartan weights are read off it.
     """
 
     def __init__(self, g: LieAlgebraData, dim: int,
@@ -113,7 +118,12 @@ class GModule:
         self.klein = klein
         if klein is not None:
             self._check_intertwines()
-        self._weights: Optional[List[tuple]] = self._diagonal_weights()
+        self.diagonal: List[Optional[list]] = [
+            [cols.get(k, {}).get(k, 0) for k in range(dim)]
+            if all(col.keys() <= {j} for j, col in cols.items()) else None
+            for cols in actions]
+        cartan = [self.diagonal[g.cartan_index(i)] for i in range(g.rank)]
+        self._weights: Optional[List[tuple]] = None if None in cartan else list(zip(*cartan))
         self._orbit_tables: Dict[int, tuple] = {}  # m -> `_orbits(self, m)`
 
     def _check_intertwines(self) -> None:
@@ -132,18 +142,6 @@ class GModule:
                 if moved != self.actions[px]:
                     raise ValueError(f"{self.label}: the permutation does "
                                      f"not intertwine {self.g.names[x]}")
-
-    def _diagonal_weights(self) -> Optional[List[tuple]]:
-        g = self.g
-        weights = [[0] * g.rank for _ in range(self.dim)]
-        for i in range(g.rank):
-            cols = self.actions[g.cartan_index(i)]
-            for j, col in cols.items():
-                for row, c in col.items():
-                    if row != j:
-                        return None
-                    weights[j][i] = c
-        return [tuple(w) for w in weights]
 
     def weights(self) -> Optional[List[tuple]]:
         return self._weights
@@ -297,16 +295,16 @@ def _makers(g: LieAlgebraData) -> Dict[int, list]:
 
 
 def faces(g: LieAlgebraData, s: tuple) -> tuple:
-    """The faces that `ce_push` and `bicomplex_dh` scatter the wedge s to,
-    built once per algebra and s, for every module of g: the action faces
-    (x, s + {x}, sign) for x not in s, and the bracket faces (t,
-    coefficient) for t = (s - {z}) + {a, b} with z in [a, b], the
-    coefficients of one t summed."""
+    """The faces that `ce_push` scatters the wedge s to, built once per
+    algebra and s, for every module of g: the acting faces (x, s + {x},
+    sign, b) for x not in s, and the bracket faces (t, coefficient) for t =
+    (s - {z}) + {a, b} with z in [a, b], the coefficients of one t summed.
+    b sums those that land on s + {x} itself, z in [x, z] (on sl_n, x
+    Cartan and z a root vector), which leave the bracket list."""
     memo = g.derived("faces", dict)
     hit = memo.get(s)
     if hit is None:
         makers = g.derived("face makers", lambda: _makers(g))
-        acting = [(x,) + _signed_insert(x, s) for x in range(g.dim) if x not in s]
         brackets: dict = {}
         for p, z in enumerate(s):
             rest = s[:p] + s[p + 1:]
@@ -315,24 +313,41 @@ def faces(g: LieAlgebraData, s: tuple) -> tuple:
                     t = tuple(sorted(rest + (a, b)))
                     sign = -1 if (t.index(a) + t.index(b) + p) & 1 else 1
                     accumulate(brackets, t, sign * c)
+        acting = [(x, t, sign, brackets.pop(t, 0)) for x in range(g.dim) if x not in s
+                  for t, sign in (_signed_insert(x, s),)]
         hit = memo[s] = (acting, list(brackets.items()))
     return hit
 
 
-def ce_push(module: GModule, cochain: Dict[tuple, dict]) -> Dict[tuple, dict]:
+def ce_push(module: GModule, cochain: Dict[tuple, dict],
+            shift: Optional[dict] = None) -> Dict[tuple, dict]:
     """The Chevalley-Eilenberg differential of the cochain {s: {k: c}}, s a
     sorted m-tuple and k a module index, as {t: {k': c}}; an entry whose
     terms cancel is left as a 0 for the caller to skip.
 
     Each wedge s of the input is scattered to its `faces`, so the cost
-    follows the input's support.  The output entries are products of
-    the input's, the actions' and the bracket table's values, so they are
-    ints wherever those are."""
-    actions = module.actions
+    follows the input's support; an acting face (x, t, sign, b) adds sign *
+    rho(x) + b times the entry.  A diagonal x (`GModule.diagonal`) takes
+    one pass with the coefficient sign * (rho(x)_kk + shift[x]) + b, zeros
+    skipped: on a weight module the eigenvalue of Cartan's Lie derivative
+    theta_x = d iota_x + iota_x d, 0 on weight-zero cochains.  `shift`,
+    {x: scalar} for diagonal x, is a second tensor factor's diagonal
+    action.  The output entries are products of the input's, the actions'
+    and the bracket table's values, so they are ints wherever those are."""
+    actions, diagonal = module.actions, module.diagonal
+    shift = shift or {}
     out: Dict[tuple, dict] = {}
     for s, vec in cochain.items():
         acting, brackets = faces(module.g, s)
-        for x, t, sign in acting:
+        for x, t, sign, b in acting:
+            diag = diagonal[x]
+            if diag is not None:
+                d, acc = shift.get(x, 0), out.setdefault(t, {})
+                for k, c in vec.items():
+                    a = sign * (diag[k] + d) + b
+                    if a:
+                        acc[k] = acc.get(k, 0) + a * c
+                continue
             cols = actions[x]
             acc = out.setdefault(t, {})
             get = acc.get
@@ -342,6 +357,9 @@ def ce_push(module: GModule, cochain: Dict[tuple, dict]) -> Dict[tuple, dict]:
                     c *= sign
                     for i, a in col.items():
                         acc[i] = get(i, 0) + a * c
+            if b:
+                for k, c in vec.items():
+                    acc[k] = get(k, 0) + b * c
         for t, coeff in brackets:
             acc = out.setdefault(t, {})
             get = acc.get
@@ -829,80 +847,96 @@ def _slice_keys(g: LieAlgebraData, n: int, bound: int) -> tuple:
 
 
 def _slice(g: LieAlgebraData, n: int, bound: int):
-    """(module, dual, scale) of T^n_{<=bound}, built once per algebra:
-    `tensor_slice_module`, the dual(adjoint) actions, and the lcm of the
-    denominators of the bracket table and the slice actions (1 on sl_n),
-    which clears dH."""
+    """(module, dual, shifts, scale) of T^n_{<=bound}, built once per
+    algebra: `tensor_slice_module`; the dual(adjoint) actions, empty for
+    the x diagonal on both factors; shifts[v] = {x: rho_dual(x)_vv} over
+    those x; and the lcm of the denominators of the bracket table and the
+    slice actions (1 on sl_n), which clears dH."""
     def build():
         module = tensor_slice_module(g, n, bound)
+        dual = dual_module(adjoint_module(g))
+        both = [x for x in range(g.dim)
+                if module.diagonal[x] is not None and dual.diagonal[x] is not None]
         scale = lcm(*{c.denominator
                       for table in (g.bracket_table, *module.actions)
                       for col in table.values() for c in col.values()})
-        return module, dual_module(adjoint_module(g)).actions, scale
+        return (module, [{} if x in both else cols for x, cols in enumerate(dual.actions)],
+                [{x: dual.diagonal[x][v] for x in both} for v in range(g.dim)], scale)
     return g.derived(("slice", n, bound), build)
 
 
-def bicomplex_dh(w: Cochain) -> Cochain:
-    """Horizontal differential: Chevalley-Eilenberg with values in
-    dual(adjoint) (x) T^n_{<=D}, over the integers, acting by
-    rho_dual(x) (x) 1 + 1 (x) rho_slice(x).  For each adjoint index v,
-    `ce_push` of w's part at v on the slice module, whose indices are the
-    cochain's slice positions, gives the slice factor and the bracket
-    faces, at (t, v).  Only the dual(adjoint) factor is dH's own: each
-    acting face (x, t, sign) of `faces(g, s)`, the faces `ce_push` reads
-    too, sends w(s, v) to (t, v') by the dual adjoint column of v.  The
-    image is put over w's denominator times the scale of non-integral
-    tables, and reduced."""
-    module, dual, scale = _slice(w.g, w.n, w.bound)
+def _dh_push(g: LieAlgebraData, n: int, bound: int, data: dict) -> tuple:
+    """(image, scale): dH of the data {(s, v): {slice position: c}} as
+    int data {(t, v'): {slice position: int}} over `scale`, zeros kept.
+    `ce_push` of the part at each v on the slice module gives the slice
+    factor, the bracket faces and, passed as its shift, the dual(adjoint)
+    factor of each x diagonal on both.  The other x are dH's own: each
+    acting face (x, t, sign, b) sends the value at (s, v) to (t, v') by the
+    dual adjoint column of v, empty for the folded x."""
+    module, dual, shifts, scale = _slice(g, n, bound)
     parts: Dict[int, dict] = {}  # v -> {s: {slice position: int}}
-    for (s, v), tensor in w.data.items():
+    for (s, v), tensor in data.items():
         parts.setdefault(v, {})[s] = tensor
-    # (t, v) -> {slice position: int}
-    data = {(t, v): acc for v, part in parts.items()
-            for t, acc in ce_push(module, part).items()}
-    for (s, v), tensor in w.data.items():
-        for x, t, sign in faces(w.g, s)[0]:
+    out = {(t, v): acc for v, part in parts.items()
+           for t, acc in ce_push(module, part, shifts[v]).items()}
+    for (s, v), tensor in data.items():
+        for x, t, sign, _ in faces(g, s)[0]:
             for v2, a in dual[x].get(v, {}).items():
-                acc = data.setdefault((t, v2), {})
+                acc = out.setdefault((t, v2), {})
                 get = acc.get
                 a *= sign
                 for j, c in tensor.items():
                     acc[j] = get(j, 0) + a * c
     if scale != 1:
-        for tensor in data.values():
+        for tensor in out.values():
             for j, c in tensor.items():
                 c *= scale
                 if c.denominator != 1:  # raised, not asserted: holds under -O
                     raise ValueError(f"the scale {scale} does not clear "
                                      f"the dH value {c / scale}")
                 tensor[j] = int(c)
+    return out, scale
+
+
+def bicomplex_dh(w: Cochain) -> Cochain:
+    """Horizontal differential: Chevalley-Eilenberg with values in
+    dual(adjoint) (x) T^n_{<=D}, over the integers, acting by
+    rho_dual(x) (x) 1 + 1 (x) rho_slice(x): `_dh_push`, one `ce_push` per
+    adjoint index, put over w's denominator times the scale of
+    non-integral tables, and reduced."""
+    data, scale = _dh_push(w.g, w.n, w.bound, w.data)
     return w._like(data, w.den * scale, m=w.m + 1)
+
+
+def _dv_terms(g: LieAlgebraData, n: int, bound: int, j: int) -> tuple:
+    """dV of the basis tensor at slice position j of T^n_{<=bound}, as
+    (position in T^{n+1}_{<=bound}, int) pairs, built once per algebra on
+    the first use of j (memo ("dV", n, bound))."""
+    memo = g.derived(("dV", n, bound), dict)
+    terms = memo.get(j)
+    if terms is None:
+        image: dict = {}
+        _cobar_push(image, _slice_keys(g, n, bound)[0][j], 1, (),
+                    lambda mono: mono_coproduct_terms(g, mono).items())
+        index = _slice_keys(g, n + 1, bound)[1]
+        terms = memo[j] = tuple((index[k], q) for k, q in image.items())
+    return terms
 
 
 def bicomplex_dv(w: Cochain) -> Cochain:
     """Vertical differential: the coalgebra differential on each value,
     1 (x) y + alternating inner coproducts + (-1)^{n+1} y (x) 1.  Its
     coefficients are binomials, so the image is int over w's denominator.
-    The image of each basis tensor, as (position in T^{n+1}_{<=D}, int)
-    pairs, is built once per algebra, on the first use of its position."""
-    g, n, bound = w.g, w.n, w.bound
-    terms_of = g.derived(("dV", n, bound), dict)
+    The image of each basis tensor is read off `_dv_terms`."""
+    terms_of = w.g.derived(("dV", w.n, w.bound), dict)
     data: dict = {}
     for key, tensor in w.data.items():
-        acc: dict = {}
+        acc = data[key] = {}
         get = acc.get
         for j, c in tensor.items():
-            terms = terms_of.get(j)
-            if terms is None:
-                image: dict = {}
-                _cobar_push(image, _slice_keys(g, n, bound)[0][j], 1, (),
-                            lambda mono: mono_coproduct_terms(g, mono).items())
-                index = _slice_keys(g, n + 1, bound)[1]
-                terms = terms_of[j] = tuple((index[k], q) for k, q in image.items())
-            for k, q in terms:
+            for k, q in terms_of.get(j) or _dv_terms(w.g, w.n, w.bound, j):
                 acc[k] = get(k, 0) + q * c
-        data[key] = acc
-    return w._like(data, w.den, n=n + 1)
+    return w._like(data, w.den, n=w.n + 1)
 
 
 def tensor_slice_keys(g: LieAlgebraData, n: int, bound: int) -> List[tuple]:
@@ -980,35 +1014,44 @@ def bicomplex_report(g: LieAlgebraData, bound: int = 2, samples: int = 100,
 # --- the correction solver --------------------------------------------------------
 
 
+def _correction_rows(g: LieAlgebraData, bound: int) -> dict:
+    """{(s, v, slice position): {column v * size + j: exact value}}, the
+    rows of `CorrectionSystem`: dV of unit (v, j) read off `_dv_terms`, dH
+    off `_dh_push` on the unit block {((), v): {j: 1}}, no cochain each."""
+    size = len(_slice_keys(g, 1, bound)[0])
+    rows = defaultdict(dict)
+    for col in range(g.dim * size):
+        for k, q in _dv_terms(g, 1, bound, col % size):
+            rows[(), col // size, k][col] = q
+    for col in range(g.dim * size):
+        image, scale = _dh_push(g, 1, bound, {((), col // size): {col % size: 1}})
+        for (s, v), tensor in image.items():
+            for k, c in tensor.items():
+                if c:
+                    rows[s, v, k][col] = _quotient(c, scale)
+    return rows
+
+
 class CorrectionSystem:
     """The linear system of `solve_correction` at one (algebra, bound).
 
     The unknowns are the coordinates of phi on the unit (0, 1)-cochains
     v -> (the basis tensor at slice position j), unknown (v, j) in column
     v * size + j, size the number of slice positions.  `index` numbers the
-    (s, v, slice position) keys that dV and then dH of the units reach,
-    one sparse row each, and `stack` is the factored stack of the dV rows
-    over the dH rows: the total differential on the (0, 1)-cochains,
-    whose kernel is the set of phi with dV(phi) = 0 and dH(phi) = 0.
+    (s, v, slice position) keys that dV and dH of the units reach, one
+    sparse row each (`_correction_rows`), and `stack` is their factored
+    stack: the total differential on the (0, 1)-cochains, whose kernel is
+    the set of phi with dV(phi) = 0 and dH(phi) = 0.
     """
 
     __slots__ = ("bound", "size", "index", "stack")
 
     def __init__(self, g: LieAlgebraData, bound: int):
         self.bound = bound
-        self.size = size = len(_slice_keys(g, 1, bound)[0])
-        n = g.dim * size
-        zero = Cochain(g, 0, 1, bound)
-        rows = defaultdict(dict)  # (s, v, slice position) -> {column: exact value}
-        for d in (bicomplex_dv, bicomplex_dh):
-            for col in range(n):
-                v, j = divmod(col, size)
-                image = d(zero._like({((), v): {j: 1}}, 1))
-                for (s, v2), tensor in image.data.items():
-                    for k, c in tensor.items():
-                        rows[s, v2, k][col] = _quotient(c, image.den)
+        self.size = len(_slice_keys(g, 1, bound)[0])
+        rows = _correction_rows(g, bound)
         self.index = {key: i for i, key in enumerate(rows)}
-        self.stack = factor(list(rows.values()), n)
+        self.stack = factor(list(rows.values()), g.dim * self.size)
 
     def _preimage(self, gamma: Cochain, eta: Cochain) -> Cochain:
         """The solution of the stack for the right-hand side (eta, gamma); a

@@ -506,14 +506,17 @@ class Factorization:
         None when the system is inconsistent.  The entries of b are exact
         rationals; those of x are ints where integral, Fractions otherwise.
 
-        b is scaled by the lcm d of its denominators (`_cleared`) and the
-        recorded row scales and updates are replayed on it over the
-        integers; the only divisions are those of the back-substitution."""
+        b is scaled by the lcm d of its denominators (`_cleared`), unless
+        it holds only ints, and the recorded row scales and updates are
+        replayed on it over the integers; the only divisions are those of
+        the back-substitution."""
         if len(b) != self.nrows:
             raise ValueError(f"dimension mismatch: matrix has {self.nrows} "
                              f"rows, vector has {len(b)}")
-        d, ints = _cleared(dict(enumerate(b)))
-        r = [ints.get(i, 0) for i in range(self.nrows)]
+        d, r = 1, list(b)
+        if any(type(v) is not int for v in b):
+            d, ints = _cleared(dict(enumerate(b)))
+            r = [ints.get(i, 0) for i in range(self.nrows)]
         for i, scale in self.row_scales:
             r[i] *= scale
         for _, prow, _, _, ops in self.steps:

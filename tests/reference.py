@@ -3,6 +3,7 @@ API of `qcurrent`.  Each one is an independent cross-check of a fast path
 in the package, not a code path of its own; the sparse-row helpers build
 the test matrices in the one format of `rank_of_rows` and `factor`."""
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
@@ -12,8 +13,9 @@ from typing import Dict, List, Optional, Tuple
 from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
                             FiltrationError, GModule, Vector, _minus_basis,
                             _signed_insert, _sym_monomials, _tensor_basis,
-                            adjoint_module, cobar_differential, dual_module,
-                            tensor_module, tensor_slice_module)
+                            adjoint_module, bicomplex_dh, bicomplex_dv,
+                            cobar_differential, dual_module, tensor_module,
+                            tensor_slice_keys, tensor_slice_module)
 from qcurrent.current import CurrentElement, CurrentTensor, c_bracket
 from qcurrent.dsl import Bracket, Call, Hbar, Name, Num, Prod, Sum, Tensor
 from qcurrent.envelope import TensorElement, UElement, box_n, normal_order
@@ -538,6 +540,28 @@ def solve_minus_coboundary(y: CobarChain) -> CobarChain:
             for key, q in b.data.items():
                 out._accumulate(key, c * q)
     return out
+
+
+# --- the solver's stack, one unit cochain at a time --------------------------
+
+
+def reference_stack(g, bound) -> dict:
+    """The rows {(s, v, slice position): {column: exact value}} of the
+    solver's stack, unknown (v, j) in column v * size + j: dV and then dH of
+    each unit (0, 1)-cochain v -> (the basis tensor at position j), pushed
+    through `bicomplex_dv` and `bicomplex_dh` as a `Cochain` and read off
+    its exact values."""
+    size = len(tensor_slice_keys(g, 1, bound))
+    zero = Cochain(g, 0, 1, bound)
+    rows = defaultdict(dict)
+    for d in (bicomplex_dv, bicomplex_dh):
+        for col in range(g.dim * size):
+            v, j = divmod(col, size)
+            image = d(zero._like({((), v): {j: 1}}, 1))
+            for (s, v2), tensor in image.data.items():
+                for k, c in tensor.items():
+                    rows[s, v2, k][col] = _quotient(c, image.den)
+    return dict(rows)
 
 
 # --- the JSON form of a bicomplex cochain ---------------------------------------

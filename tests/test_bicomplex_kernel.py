@@ -12,12 +12,14 @@ from random import Random
 import pytest
 
 from qcurrent.cohom import (CobarChain, Cochain, GModule, _signed_insert,
-                            bicomplex_dh, bicomplex_dv, cobar_differential,
-                            random_cochain, solver_report, tensor_slice_keys)
+                            adjoint_module, bicomplex_dh, bicomplex_dv,
+                            ce_push, cobar_differential, random_cochain,
+                            solver_report, tensor_slice_keys, u_slice_module)
 from qcurrent.envelope import ad_letter, mono_coproduct_terms
 from qcurrent.exactnum import ONE, accumulate
 from qcurrent.liealg import build_sl
-from reference import cochain_from_json, cochain_to_json
+from reference import (CEChain, ce_differential, cochain_from_json,
+                       cochain_to_json, random_ce_chain)
 
 BIDEGREES = [(m, n) for m in range(3) for n in (1, 2)]
 GOLDEN = Path(__file__).parent / "data" / "cochain_golden.json"
@@ -160,11 +162,34 @@ def test_kernel_is_linear_over_mixed_denominators(sl2, q):
 
 
 def test_kernel_matches_reference_on_sl3(sl3):
+    """Bidegrees (2, 1) and (2, 2) are the first where a wedge holds two
+    Cartan elements or a root vector z with [h, z] = z(h) z, whose faces
+    `ce_push` folds into one diagonal pass."""
     rng = Random(8)
-    for m, n in ((0, 1), (1, 1), (0, 2)):
+    for m, n in ((0, 1), (1, 1), (0, 2), (2, 1), (2, 2)):
         w = random_cochain(sl3, m, n, 2, rng, density=0.05)
         assert bicomplex_dh(w) == reference_dh(w)
         assert bicomplex_dv(w) == reference_dv(w)
+
+
+@pytest.mark.parametrize("which", ["adjoint", "u_slice"])
+def test_ce_push_matches_the_reference_off_a_g_module(sl3, which):
+    """`ce_push` against the textbook `ce_differential` at m <= 2 on a copy
+    of the A2 adjoint module or of U<=2 whose first Cartan action has one
+    extra off-diagonal entry: no g-module, so the first Cartan element's
+    faces take the general path, with their folded bracket coefficient,
+    and the second's the diagonal one."""
+    base = adjoint_module(sl3) if which == "adjoint" else u_slice_module(sl3, 2)
+    h0, h1 = sl3.cartan_index(0), sl3.cartan_index(1)
+    actions = [{j: dict(col) for j, col in cols.items()} for cols in base.actions]
+    actions[h0].setdefault(0, {})[1] = 1
+    module = GModule(sl3, base.dim, actions, f"{base.label}'")
+    assert module.diagonal[h0] is None and module.diagonal[h1] is not None
+    rng = Random(5)
+    for m in range(3):
+        omega = random_ce_chain(module, m, rng, density=F(1, 5))
+        assert omega, m
+        assert CEChain(module, m + 1, ce_push(module, omega.data)) == ce_differential(omega)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -10,9 +10,10 @@ from qcurrent import cohom
 from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
                             CorrectionSystem, FiltrationError, GModule,
                             SymmetryError, WeightError, _block_cohomology_dim,
-                            _ce_matrix_rows, _minus_basis, _sym_monomials,
-                            _tensor_basis, adjoint_module, bicomplex_dh,
-                            bicomplex_dv, bicomplex_report, cartier_report,
+                            _ce_matrix_rows, _correction_rows, _minus_basis,
+                            _sym_monomials, _tensor_basis, adjoint_module,
+                            bicomplex_dh, bicomplex_dv, bicomplex_report,
+                            cartier_report,
                             ce_cohomology_dims, cobar_differential,
                             dual_module, identity_shift_of,
                             minus_cohomology_dim, random_cochain,
@@ -26,9 +27,9 @@ from qcurrent.liealg import build_sl
 from reference import (CEChain, act, ce_differential, cochain_from_json,
                        cochain_to_json, kernel_basis, minus_basis,
                        pbw_coefficient_module, random_ce_chain,
-                       sigma_involution, sigma_split, solve_minus_coboundary,
-                       symmetrize, tensor_basis, transpose, validate,
-                       without_group)
+                       reference_stack, sigma_involution, sigma_split,
+                       solve_minus_coboundary, symmetrize, tensor_basis,
+                       transpose, validate, without_group)
 
 
 # --- modules ---------------------------------------------------------------
@@ -1056,6 +1057,46 @@ def test_every_unit_cochain_round_trips_through_the_solver(n, bound, sl2, sl3):
             e = zero._like({((), v): {j: 1}}, 1)
             phi = solve_correction(bicomplex_dh(e), bicomplex_dv(e))
             assert identity_shift_of(phi - e) is not None, (v, j)
+
+
+@pytest.mark.parametrize("n, bound", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_the_stack_rows_are_those_of_the_unit_cochains(n, bound, sl2, sl3):
+    """The rows read off the dV memo and the dH kernel are those of dV and
+    dH pushed through each unit cochain, keyed by (s, v, slice position)."""
+    g = {2: sl2, 3: sl3}[n]
+    assert _correction_rows(g, bound) == reference_stack(g, bound)
+
+
+@pytest.mark.parametrize("patch", ["half", "doubled"])
+def test_the_stack_rows_hold_off_the_integral_lie_tables(patch):
+    """On a fresh A1 with [e, f] = h/2, where dH's scale is 2 and some rows
+    hold Fractions, or with [f, e] doubled, which leaves the stack no
+    kernel, the rows are still those of the unit cochains."""
+    g = build_sl(2)
+    assert (g.names[0], g.names[2]) == ("f", "e")
+    if patch == "half":
+        g.bracket_table[2, 0] = {1: F(1, 2)}
+    else:  # not its mirror [e, f]: no longer a Lie bracket
+        g.bracket_table[0, 2] = {z: 2 * c for z, c in g.bracket_table[0, 2].items()}
+    rows = _correction_rows(g, 2)
+    assert rows == reference_stack(g, 2)
+    if patch == "half":
+        assert g._memo["slice", 1, 2][-1] == 2
+        assert any(type(c) is F for row in rows.values() for c in row.values())
+    else:
+        system = CorrectionSystem(g, 2)
+        assert system.stack.ncols - len(system.stack.steps) == 0
+
+
+def test_the_stack_is_built_without_the_cochain_differentials(monkeypatch):
+    """`CorrectionSystem` reads its rows off the kernels: building it at A2
+    calls neither `bicomplex_dh` nor `bicomplex_dv`."""
+    def refuse(w):
+        raise AssertionError("the stack pushed a unit cochain")
+    monkeypatch.setattr("qcurrent.cohom.bicomplex_dh", refuse)
+    monkeypatch.setattr("qcurrent.cohom.bicomplex_dv", refuse)
+    system = CorrectionSystem(build_sl(3), 2)
+    assert system.stack.ncols - len(system.stack.steps) == 1
 
 
 def test_a_perturbed_bracket_breaks_the_uniqueness_certificate():
