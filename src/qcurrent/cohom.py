@@ -17,9 +17,10 @@ action is diagonal, with the bracket faces that keep the wedge folded in.
 For `whitehead` and `cohomology` each pushed image is one row of the rank.
 The bicomplex's horizontal differential dH takes values in dual(adjoint)
 (x) T^n_{<=D}, T^n_{<=D} the n-fold tensor power of U(g) cut to total PBW
-length D: its slice factor, its bracket faces and the diagonal
-dual(adjoint) faces go through `ce_push` on the slice module, and only
-the other dual(adjoint) faces are dH's own.  Its independent reference,
+length D.  Its kernel `_dh_push` makes one pass per cochain block (s, v),
+both tensor factors writing into the block's output accumulators; one
+loop over the block's entries serves the slice factor of every x that
+is not diagonal on both.  The CE differential's independent reference,
 `ce_differential`, the textbook sum over the faces of each output set, lives
 in `tests/reference.py`.  Cohomology is computed on the weight-zero
 subcomplex alone: by Cartan's homotopy formula theta_h = d iota_h + iota_h d
@@ -319,8 +320,7 @@ def faces(g: LieAlgebraData, s: tuple) -> tuple:
     return hit
 
 
-def ce_push(module: GModule, cochain: Dict[tuple, dict],
-            shift: Optional[dict] = None) -> Dict[tuple, dict]:
+def ce_push(module: GModule, cochain: Dict[tuple, dict]) -> Dict[tuple, dict]:
     """The Chevalley-Eilenberg differential of the cochain {s: {k: c}}, s a
     sorted m-tuple and k a module index, as {t: {k': c}}; an entry whose
     terms cancel is left as a 0 for the caller to skip.
@@ -328,23 +328,21 @@ def ce_push(module: GModule, cochain: Dict[tuple, dict],
     Each wedge s of the input is scattered to its `faces`, so the cost
     follows the input's support; an acting face (x, t, sign, b) adds sign *
     rho(x) + b times the entry.  A diagonal x (`GModule.diagonal`) takes
-    one pass with the coefficient sign * (rho(x)_kk + shift[x]) + b, zeros
-    skipped: on a weight module the eigenvalue of Cartan's Lie derivative
-    theta_x = d iota_x + iota_x d, 0 on weight-zero cochains.  `shift`,
-    {x: scalar} for diagonal x, is a second tensor factor's diagonal
-    action.  The output entries are products of the input's, the actions'
-    and the bracket table's values, so they are ints wherever those are."""
+    one pass with the coefficient sign * rho(x)_kk + b, zeros skipped: on
+    a weight module the eigenvalue of Cartan's Lie derivative theta_x = d
+    iota_x + iota_x d, 0 on weight-zero cochains.  The output entries are
+    products of the input's, the actions' and the bracket table's values,
+    so they are ints wherever those are."""
     actions, diagonal = module.actions, module.diagonal
-    shift = shift or {}
     out: Dict[tuple, dict] = {}
     for s, vec in cochain.items():
         acting, brackets = faces(module.g, s)
         for x, t, sign, b in acting:
             diag = diagonal[x]
             if diag is not None:
-                d, acc = shift.get(x, 0), out.setdefault(t, {})
+                acc = out.setdefault(t, {})
                 for k, c in vec.items():
-                    a = sign * (diag[k] + d) + b
+                    a = sign * diag[k] + b
                     if a:
                         acc[k] = acc.get(k, 0) + a * c
                 continue
@@ -847,46 +845,90 @@ def _slice_keys(g: LieAlgebraData, n: int, bound: int) -> tuple:
 
 
 def _slice(g: LieAlgebraData, n: int, bound: int):
-    """(module, dual, shifts, scale) of T^n_{<=bound}, built once per
-    algebra: `tensor_slice_module`; the dual(adjoint) actions, empty for
-    the x diagonal on both factors; shifts[v] = {x: rho_dual(x)_vv} over
-    those x; and the lcm of the denominators of the bracket table and the
-    slice actions (1 on sl_n), which clears dH."""
+    """(diagonal, rows, dual, wedges, scale) of T^n_{<=bound}, built once per
+    algebra: diagonal[x] = (rho_slice(x)_kk over k, rho_dual(x)_vv over v)
+    for the x diagonal on both factors, else None; rows[()][k], the (x, i,
+    rho_slice(x)_ik) of the other x, one tuple per slice position k; the
+    dual(adjoint) actions; the memo of `_dh_faces`; and the lcm of the
+    denominators of the bracket table and the slice actions (1 on sl_n),
+    which clears dH."""
     def build():
         module = tensor_slice_module(g, n, bound)
         dual = dual_module(adjoint_module(g))
-        both = [x for x in range(g.dim)
-                if module.diagonal[x] is not None and dual.diagonal[x] is not None]
+        diagonal = [None if None in pair else pair
+                    for pair in zip(module.diagonal, dual.diagonal)]
+        rows: List[list] = [[] for _ in range(module.dim)]
+        for x, cols in enumerate(module.actions):
+            for k, col in cols.items() if diagonal[x] is None else ():
+                rows[k] += ((x, i, a) for i, a in col.items())
         scale = lcm(*{c.denominator
                       for table in (g.bracket_table, *module.actions)
                       for col in table.values() for c in col.values()})
-        return (module, [{} if x in both else cols for x, cols in enumerate(dual.actions)],
-                [{x: dual.diagonal[x][v] for x in both} for v in range(g.dim)], scale)
+        return diagonal, {(): list(map(tuple, rows))}, dual.actions, {}, scale
     return g.derived(("slice", n, bound), build)
+
+
+def _dh_faces(g: LieAlgebraData, s: tuple, diagonal: list, rows: dict) -> tuple:
+    """(folded, general, signs, brackets, rows), the wedge s's `faces` for
+    dH on one slice: (t, sign, b, diagonal[x]) for each acting x diagonal
+    on both factors; (x, t) for the other acting x, signs[x] their signs,
+    0 for the rest; the bracket faces with those x's b as more (t, b); and
+    rows[()] without the x in s, built once per such set of x and shared."""
+    acting, brackets = faces(g, s)
+    signs = [0] * g.dim
+    for x, _, sign, _ in acting:
+        signs[x] = 0 if diagonal[x] else sign
+    gone = tuple(x for x in s if not diagonal[x])
+    if gone not in rows:
+        rows[gone] = [tuple([e for e in row if e[0] not in gone]) for row in rows[()]]
+    return ([(t, sign, b, diagonal[x]) for x, t, sign, b in acting if diagonal[x]],
+            [(x, t) for x, t, _, _ in acting if signs[x]], signs,
+            brackets + [(t, b) for x, t, _, b in acting if signs[x] and b], rows[gone])
 
 
 def _dh_push(g: LieAlgebraData, n: int, bound: int, data: dict) -> tuple:
     """(image, scale): dH of the data {(s, v): {slice position: c}} as
-    int data {(t, v'): {slice position: int}} over `scale`, zeros kept.
-    `ce_push` of the part at each v on the slice module gives the slice
-    factor, the bracket faces and, passed as its shift, the dual(adjoint)
-    factor of each x diagonal on both.  The other x are dH's own: each
-    acting face (x, t, sign, b) sends the value at (s, v) to (t, v') by the
-    dual adjoint column of v, empty for the folded x."""
-    module, dual, shifts, scale = _slice(g, n, bound)
-    parts: Dict[int, dict] = {}  # v -> {s: {slice position: int}}
-    for (s, v), tensor in data.items():
-        parts.setdefault(v, {})[s] = tensor
-    out = {(t, v): acc for v, part in parts.items()
-           for t, acc in ce_push(module, part, shifts[v]).items()}
-    for (s, v), tensor in data.items():
-        for x, t, sign, _ in faces(g, s)[0]:
+    int data {(t, v'): {slice position: int}} over `scale`, zeros kept:
+    one pass per block (s, v) over its wedge's `_dh_faces`, all writing
+    into the block's output accumulators.  An x diagonal on both factors
+    adds sign * (rho_slice(x)_kk + rho_dual(x)_vv) + b per k, zeros
+    skipped; a bracket face adds the block to (t, v), another x's dual
+    column of v to each (t, v'); and one loop over the block's entries,
+    through the wedge's rows, serves the slice factor of every other x."""
+    diagonal, rows_of, dual, wedges, scale = _slice(g, n, bound)
+    out: Dict[tuple, dict] = {}
+    setdefault = out.setdefault
+    for (s, v), vec in data.items():
+        hit = wedges.get(s)
+        if hit is None:
+            hit = wedges[s] = _dh_faces(g, s, diagonal, rows_of)
+        folded, general, signs, brackets, rows = hit
+        for t, sign, b, (diag, dual_diag) in folded:
+            d, acc = dual_diag[v], setdefault((t, v), {})
+            get = acc.get
+            for k, c in vec.items():
+                a = sign * (diag[k] + d) + b
+                if a:
+                    acc[k] = get(k, 0) + a * c
+        accs = [None] * len(signs)
+        for x, t in general:
+            accs[x] = setdefault((t, v), {})
             for v2, a in dual[x].get(v, {}).items():
-                acc = out.setdefault((t, v2), {})
+                acc = setdefault((t, v2), {})
                 get = acc.get
-                a *= sign
-                for j, c in tensor.items():
-                    acc[j] = get(j, 0) + a * c
+                a *= signs[x]
+                for k, c in vec.items():
+                    acc[k] = get(k, 0) + a * c
+        for t, a in brackets:
+            acc = setdefault((t, v), {})
+            get = acc.get
+            for k, c in vec.items():
+                acc[k] = get(k, 0) + a * c
+        if general:
+            for k, c in vec.items():
+                for x, i, a in rows[k]:
+                    acc = accs[x]
+                    acc[i] = acc.get(i, 0) + signs[x] * a * c
     if scale != 1:
         for tensor in out.values():
             for j, c in tensor.items():
@@ -901,8 +943,8 @@ def _dh_push(g: LieAlgebraData, n: int, bound: int, data: dict) -> tuple:
 def bicomplex_dh(w: Cochain) -> Cochain:
     """Horizontal differential: Chevalley-Eilenberg with values in
     dual(adjoint) (x) T^n_{<=D}, over the integers, acting by
-    rho_dual(x) (x) 1 + 1 (x) rho_slice(x): `_dh_push`, one `ce_push` per
-    adjoint index, put over w's denominator times the scale of
+    rho_dual(x) (x) 1 + 1 (x) rho_slice(x): `_dh_push`, one pass per
+    block (s, v), put over w's denominator times the scale of
     non-integral tables, and reduced."""
     data, scale = _dh_push(w.g, w.n, w.bound, w.data)
     return w._like(data, w.den * scale, m=w.m + 1)

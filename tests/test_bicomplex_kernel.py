@@ -5,7 +5,7 @@ reference, and the value semantics of the one-denominator `Cochain`."""
 import json
 from fractions import Fraction as F
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from pathlib import Path
 from random import Random
 
@@ -172,6 +172,37 @@ def test_kernel_matches_reference_on_sl3(sl3):
         assert bicomplex_dv(w) == reference_dv(w)
 
 
+@pytest.mark.parametrize("m, n", BIDEGREES)
+def test_kernel_matches_reference_on_dense_sl3(sl3, m, n):
+    """Dense cochains at A2 bound 2: each output entry of dH takes writes
+    from several blocks, faces and slice positions through the shared
+    accumulators, on the folded Cartan faces and on the merged slice rows
+    of the root vectors alike."""
+    w = random_cochain(sl3, m, n, 2, Random(100 + 10 * m + n), density=0.7)
+    size = len(tensor_slice_keys(sl3, n, 2))
+    assert sum(map(len, w.data.values())) >= 0.5 * comb(sl3.dim, m) * sl3.dim * size
+    assert bicomplex_dh(w) == reference_dh(w)
+
+
+def test_dh_matches_reference_with_a_cartan_element_off_the_diagonal():
+    """A fresh A1 with [h, e] = 2e + f: h acts diagonally on neither
+    factor, so its faces take the general path at every bidegree, slice
+    rows, dual columns and the coefficient b of e in [h, e] alike."""
+    g = build_sl(2)  # fresh: every cached table below derives from the patch
+    assert g.names == ["f", "h", "e"]
+    f, h, e = range(3)
+    g.bracket_table[h, e] = {e: 2, f: 1}
+    g.bracket_table[e, h] = {e: -2, f: -1}
+    rng = Random(21)
+    for m, n in BIDEGREES:
+        w = random_cochain(g, m, n, 2, rng, density=0.6)
+        assert w, (m, n)
+        assert bicomplex_dh(w) == reference_dh(w), (m, n)
+    for n in (1, 2):
+        diagonal, *_ = g._memo["slice", n, 2]
+        assert diagonal[h] is None
+
+
 @pytest.mark.parametrize("which", ["adjoint", "u_slice"])
 def test_ce_push_matches_the_reference_off_a_g_module(sl3, which):
     """`ce_push` against the textbook `ce_differential` at m <= 2 on a copy
@@ -259,28 +290,44 @@ def test_dh_refuses_a_scale_that_does_not_clear_its_tables():
         bicomplex_dh(w)
 
 
-def action_table_widths(x):
-    """The index range of every GModule and action table (a list of
-    {column: {row: coeff}} dicts) reachable through tuples and lists."""
+def table_widths(x):
+    """The index range of every GModule, action table (a list of {column:
+    {row: coeff}} dicts), merged row table (a list of tuples of (x, row,
+    coeff) triples, one tuple per column) and list of numbers reachable
+    through tuples, lists and dict values."""
     if isinstance(x, GModule):
         yield x.dim
         x = x.actions
-    if isinstance(x, list) and x and all(isinstance(cols, dict) for cols in x):
+    if isinstance(x, dict):
+        for y in x.values():
+            yield from table_widths(y)
+    elif isinstance(x, list) and x and all(isinstance(cols, dict) for cols in x):
         yield 1 + max((j for cols in x for j in cols), default=-1)
+    elif isinstance(x, list) and x and all(isinstance(c, (int, F)) for c in x):
+        yield len(x)
+    elif isinstance(x, list) and x and all(
+            isinstance(row, tuple) and all(isinstance(e, tuple) and len(e) == 3 for e in row)
+            for row in x):
+        yield len(x)
+        yield 1 + max((i for row in x for _, i, _ in row), default=-1)
     elif isinstance(x, (tuple, list)):
         for y in x:
-            yield from action_table_widths(y)
+            yield from table_widths(y)
 
 
 def test_solver_caches_no_product_module():
     """dH acts on dual(adjoint) (x) T^n factor by factor, so no module or
-    action table as wide as the product is kept on the algebra."""
+    table as wide as the product is kept on the algebra: not in the
+    kernel's memo (`_slice`), whose merged slice rows and compiled wedge
+    faces the walk reaches, nor anywhere else."""
     g = build_sl(3)
     assert solver_report(g, bound=2, runs=1).passed
     sizes = [len(tensor_slice_keys(g, n, 2)) for n in (1, 2)]
-    widths = set(action_table_widths(tuple(g._memo.values())))
+    widths = set(table_widths(tuple(g._memo.values())))
     assert max(widths) < g.dim * min(sizes), sorted(widths)
-    assert set(sizes) <= widths  # the walk reached both slice modules
+    assert set(sizes) <= widths  # the walk reached both slices' rows
+    *_, wedges, _ = g._memo["slice", 1, 2]
+    assert wedges  # compiled wedge faces were there to walk
 
 
 # --- one denominator, exact values ---------------------------------------------
