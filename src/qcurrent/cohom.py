@@ -2,27 +2,26 @@
 constructive solver for the correction map.
 
 All complexes are finite-dimensional here: the enveloping algebra enters
-through its PBW filtration slice, which is closed under both the adjoint
+through its filtration slice, which is closed under both the adjoint
 action and the coproduct, so ranks and solves are exact with no truncation
-error for data that fits in the slice.  For cohomology the slice U<=D is
-replaced by the isomorphic g-module of symmetric tensors of degree <= D,
-whose action is the Leibniz rule (symmetrization, Dixmier, Enveloping
-Algebras, 2.4.10); the bicomplex keeps the PBW basis.
+error for data that fits in the slice.  Every slice U<=D, and its tensor
+powers, is modelled once (`tensor_slice_module`): by the symmetric tensors
+of degree <= D with the Leibniz action, isomorphic to the PBW slice as
+g-modules and as coalgebras by symmetrization (Dixmier, Enveloping
+Algebras, 2.4.10), so nothing here straightens.
 
 The Chevalley-Eilenberg differential (Chevalley-Eilenberg, Trans. AMS 1948)
 scatters each cochain entry to the faces of its wedge (`faces(g, s)`, kept
-once per algebra for all its modules), so its cost follows the support.
+once per algebra for all its modules), so its cost follows the support;
+its textbook reference, `ce_differential`, is in `tests/reference.py`.
 `ce_push` applies it on one module, in one pass for each acting x whose
-action is diagonal, with the bracket faces that keep the wedge folded in.
-For `whitehead` and `cohomology` each pushed image is one row of the rank.
+action is diagonal, with the bracket faces that keep the wedge folded in;
+for `whitehead` and `cohomology` each pushed image is one row of the rank.
 The bicomplex's horizontal differential dH takes values in dual(adjoint)
-(x) T^n_{<=D}, T^n_{<=D} the n-fold tensor power of U(g) cut to total PBW
-length D.  Its kernel `_dh_push` makes one pass per cochain block (s, v),
-both tensor factors writing into the block's output accumulators; one
-loop over the block's entries serves the slice factor of every x that
-is not diagonal on both.  The CE differential's independent reference,
-`ce_differential`, the textbook sum over the faces of each output set, lives
-in `tests/reference.py`.  Cohomology is computed on the weight-zero
+(x) T^n_{<=D}.  Its kernel `_dh_push` makes one pass per cochain block (s,
+v), both tensor factors writing into the block's output accumulators; one
+loop over the block's entries serves the slice factor of every x that is
+not diagonal on both.  Cohomology is computed on the weight-zero
 subcomplex alone: by Cartan's homotopy formula theta_h = d iota_h + iota_h d
 (H. Cartan, Colloque de Topologie, Bruxelles 1950), every block of nonzero
 Cartan weight is acyclic.  The automorphisms omega(x) = -x^T and pi(x) =
@@ -31,26 +30,23 @@ module constructor induces from them; the differential commutes with the
 group they generate, so the weight-zero block splits into its four
 character parts (Serre, Linear Representations of Finite Groups, 2.6),
 ranked one by one.  The minus cobar complex of Sym(V) splits likewise
-into multidegree blocks, one block per partition, counted by the size of
-its S_v orbit; `cartier_report` builds the whole `cartier` report from
-them, one check per dimension of V in {1, 2, 3} and symmetric degree, with
-each block ranked once per report and shared by V1-V3.
+into multidegree blocks, one per partition, counted by the size of its
+S_v orbit and ranked once per `cartier` report.
 
-Every table here is integral on sl_n: the bracket table, the adjoint action
-on PBW monomials (`envelope.ad_letter`) and the coproduct
-(`mono_coproduct_terms`) hold ints, and so do the module actions, the CE
-rows, the Cartan weights and the binomial cobar structure constants.  A
-bicomplex `Cochain` is an `exactnum.IntStore`, int data over one reduced
-denominator, {(s, v): {slice position: int}}, a basis tensor of T^n_{<=D}
-keyed by its position in `tensor_slice_keys`: monomial tuples appear only
-in the constructor, the one gate, and in `value`, `render` and
-`swap_tensor`.  dH, dV and the solver work on the data over int and carry
-the denominator; the maps are linear, so this is exact.  The solver's
-unknowns are the unit (0, 1)-cochains, numbered by (adjoint index, slice
-position); its rows are read off the dV memo and the dH kernel with no
-cochain per unit, and it builds solutions on positions.  A table
-value with a denominator stays an exact Fraction, and dH absorbs it into
-the denominator of its image: integrality is never assumed.  The slice keys,
+Every table here is integral on sl_n: the bracket table, the Leibniz
+action and the coproduct (`mono_coproduct_terms`) hold ints, and so do the
+module actions, the CE rows, the Cartan weights and the binomial cobar
+structure constants.  A bicomplex `Cochain` is an `exactnum.IntStore`, int
+data over one reduced denominator, {(s, v): {slice position: int}}, a basis
+tensor of T^n_{<=D} keyed by its position in `tensor_slice_keys`; the free
+model's PBW data enter the `model-lift` check alone, through beta^{-1}
+(`envelope.unsymmetrize`).  dH, dV and the solver work on the data over int
+and carry the denominator; the maps are linear, so this is exact.  The
+solver's unknowns are the unit (0, 1)-cochains, numbered by (adjoint index,
+slice position); its rows are read off the dV memo and the dH kernel with
+no cochain per unit, and it builds solutions on positions.  A table value
+with a denominator stays an exact Fraction, and dH absorbs it into the
+denominator of its image: integrality is never assumed.  The slice keys,
 the slice modules, the dV images of the basis tensors and the solver's
 factored system are built once per algebra and kept in its memo
 (`LieAlgebraData.derived`), so they are freed with it.
@@ -63,11 +59,11 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product
-from math import lcm
+from math import lcm, prod
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from .envelope import UElement, ad_letter, mono_coproduct_terms, sym_coproduct
+from .envelope import UElement, mono_coproduct_terms, sym_coproduct, unsymmetrize
 from .exactnum import (ZERO, CoeffMap, IntStore, _int_store, _quotient,
                        accumulate, factor, rank_of_rows)
 from .liealg import LieAlgebraData, compose
@@ -112,11 +108,8 @@ class GModule:
     def __init__(self, g: LieAlgebraData, dim: int,
                  actions: List[Dict[int, Vector]], label: str = "module",
                  klein: Optional[tuple] = None):
-        self.g = g
-        self.dim = dim
-        self.actions = actions
-        self.label = label
-        self.klein = klein
+        self.g, self.dim, self.actions = g, dim, actions
+        self.label, self.klein = label, klein
         if klein is not None:
             self._check_intertwines()
         self.diagonal: List[Optional[list]] = [
@@ -208,71 +201,54 @@ def tensor_module(a: GModule, b: GModule) -> GModule:
     return GModule(a.g, dim, actions, f"{a.label} (x) {b.label}", klein)
 
 
-def tensor_slice_module(g: LieAlgebraData, n: int, bound: int) -> GModule:
-    """T^n_{<=bound}, the n-tuples of PBW monomials of total length <= bound
-    (`_slice_keys`), with g acting slotwise by the adjoint action.
-    It is a g-module because the adjoint action does not raise PBW length.
-    omega and pi do not permute the PBW basis, so its group is trivial."""
+def tensor_slice_module(g: LieAlgebraData, n: int, bound: int,
+                        klein: bool = False) -> GModule:
+    """T^n_{<=bound} on the n-tuples of symmetric monomials of total degree
+    <= bound (`tensor_slice_keys`), each slot acted on by the Leibniz rule
+    x . y_1...y_k = sum_i y_1...[x, y_i]...y_k off the bracket table.
+    Symmetrization is an isomorphism of g-modules and of coalgebras from
+    S(g) onto U(g) (Dixmier, Enveloping Algebras, 2.4.10), and the rule
+    reads [x, y] alone, so it stands for U(g) only over a Lie bracket: a
+    table that omega and pi do not preserve raises a SymmetryError.  `klein`
+    adds the signed permutations they induce; else the group is trivial."""
+    if g.klein is None:
+        raise SymmetryError("omega and pi are not commuting automorphisms "
+                            "of the bracket table")
     keys, index = _slice_keys(g, n, bound)
     actions = []
     for x in range(g.dim):
+        ad: Dict[tuple, dict] = {}  # the Leibniz image of each monomial
+        for (mono,) in _slice_keys(g, 1, bound)[0]:
+            image = ad[mono] = {}
+            for p, y in enumerate(mono):
+                if p and mono[p - 1] == y:
+                    continue  # counted in the multiplicity of y
+                rest, times = mono[:p] + mono[p + 1:], mono.count(y)
+                for z, c in g.bracket_table.get((x, y), {}).items():
+                    q = bisect_left(rest, z)
+                    accumulate(image, rest[:q] + (z,) + rest[q:], times * c)
         cols: Dict[int, Vector] = {}
         for j, key in enumerate(keys):
             col: Vector = {}
             for slot, mono in enumerate(key):
-                head, tail = key[:slot], key[slot + 1:]
-                for m2, c in ad_letter(g, x, mono).items():
-                    accumulate(col, index[head + (m2,) + tail], c)
+                for m2, c in ad[mono].items():
+                    accumulate(col, index[key[:slot] + (m2,) + key[slot + 1:]], c)
             if col:
                 cols[j] = col
         actions.append(cols)
+
+    def permuted(sigma) -> list:
+        return [(index[tuple(tuple(sorted(sigma[y][0] for y in mono)) for mono in key)],
+                 prod(sigma[y][1] for mono in key for y in mono)) for key in keys]
     label = f"U<= {bound}" if n == 1 else f"(U<= {bound})^(x){n}"
-    return GModule(g, len(keys), actions, label)
+    return GModule(g, len(keys), actions, label,
+                   tuple(map(permuted, g.klein)) if klein else None)
 
 
 def u_slice_module(g: LieAlgebraData, bound: int) -> GModule:
-    """U<= bound as the sum of S^k(g), k <= bound: the monomials of the
-    symmetric algebra, in the order of `tensor_slice_keys`, with the
-    Leibniz action x . y_1...y_k = sum_i y_1...[x, y_i]...y_k, which
-    needs no straightening.  Symmetrization is an isomorphism of g-modules
-    from S(g) onto U(g) that maps S^k(g) into the k-th filtration step
-    (Dixmier, Enveloping Algebras, 2.4.10), so the cohomology is that of
-    the PBW slice.  omega and pi permute the monomials up to sign.  S(g)
-    stands for U(g) only over a Lie bracket, so a table that omega and pi
-    do not preserve, which is not that of sl_n, is refused with a
-    SymmetryError rather than modelled."""
-    if g.klein is None:
-        raise SymmetryError("omega and pi are not commuting automorphisms "
-                            "of the bracket table")
-    keys = [mono for (mono,) in tensor_slice_keys(g, 1, bound)]
-    index = {mono: j for j, mono in enumerate(keys)}
-
-    def permuted(sigma) -> list:
-        out = []
-        for mono in keys:
-            sign = 1
-            for y in mono:
-                sign *= sigma[y][1]
-            out.append((index[tuple(sorted(sigma[y][0] for y in mono))], sign))
-        return out
-    actions = []
-    for x in range(g.dim):
-        cols: Dict[int, Vector] = {}
-        for j, mono in enumerate(keys):
-            col: Vector = {}
-            for p, y in enumerate(mono):
-                if p and mono[p - 1] == y:
-                    continue  # counted in the multiplicity of y
-                rest = mono[:p] + mono[p + 1:]
-                times = mono.count(y)
-                for z, c in g.bracket_table.get((x, y), {}).items():
-                    q = bisect_left(rest, z)
-                    accumulate(col, index[rest[:q] + (z,) + rest[q:]], times * c)
-            if col:
-                cols[j] = col
-        actions.append(cols)
-    return GModule(g, len(keys), actions, f"U<= {bound}",
-                   tuple(map(permuted, g.klein)))
+    """U<= bound, the sum of S^k(g) for k <= bound: `tensor_slice_module`
+    at n = 1 with omega and pi, whose character parts whitehead ranks."""
+    return tensor_slice_module(g, 1, bound, klein=True)
 
 
 # --- Chevalley-Eilenberg complex -------------------------------------------------
@@ -633,9 +609,7 @@ class CobarChain(CoeffMap):
 
     def __init__(self, v_dim: int, n: int, degree: int,
                  data: Optional[Dict[tuple, Fraction]] = None):
-        self.v_dim = v_dim
-        self.n = n
-        self.degree = degree
+        self.v_dim, self.n, self.degree = v_dim, n, degree
         super().__init__(data)
 
 
@@ -644,8 +618,8 @@ def _cobar_push(data: dict, key: tuple, c, unit, coproduct_of) -> None:
     `data`: 1 (x) key + sum_i (-1)^{i+1} Delta_i(key) + (-1)^{n+1} key (x) 1,
     where `unit` is the monomial 1 and `coproduct_of(mono)` gives the
     ((left, right), coefficient) terms of Delta(mono).  The one kernel of
-    `cobar_differential`, on exponent vectors of Sym(V), and of dV, on PBW
-    monomials of U(g), whose coproduct is that of Sym(g)."""
+    `cobar_differential`, on exponent vectors of Sym(V), and of dV, on the
+    sorted monomials of Sym(g)."""
     n = len(key)
     accumulate(data, (unit,) + key, c)
     accumulate(data, key + (unit,), c if n & 1 else -c)  # (-1)^{n+1}
@@ -730,15 +704,6 @@ def _partition_orbits(v_dim: int, degree: int) -> Dict[tuple, int]:
                    for alpha in _sym_monomials(v_dim, degree))
 
 
-def minus_cohomology_dim(v_dim: int, n: int, degree: int) -> int:
-    """dim H^n of the minus subcomplex of the cobar complex at one degree:
-    one block per partition, counted by the size of its S_v orbit
-    (`_partition_orbits`).  `cartier_report` ranks each block once per
-    report and shares it by V1-V3."""
-    return sum(size * _block_cohomology_dim(lam, n)
-               for lam, size in _partition_orbits(v_dim, degree).items())
-
-
 def cartier_report(d_max: int) -> Report:
     """H^2 of the minus cobar subcomplex of Sym(V) vanishes for dim V in
     {1, 2, 3}, in every symmetric degree up to d_max: one check per (dim V,
@@ -780,7 +745,8 @@ class Cochain(IntStore):
     `random_cochain`'s and the solver's, enters through `_like`.  Cochains
     compare equal and combine only on one algebra, bidegree and bound.
     Monomial tuples appear only in the constructor, in `swap_tensor` and
-    in `value` and `render`, which show exact values on basis tensors.
+    in `value` and `render`, which show exact values on basis tensors; a
+    key such as ((0, 1),), rendered `f*h`, names a symmetric monomial.
     """
 
     __slots__ = ("g", "m", "n", "bound")
@@ -788,10 +754,7 @@ class Cochain(IntStore):
 
     def __init__(self, g: LieAlgebraData, m: int, n: int, bound: int,
                  data: Optional[dict] = None):
-        self.g = g
-        self.m = m
-        self.n = n
-        self.bound = bound
+        self.g, self.m, self.n, self.bound = g, m, n, bound
         index = _slice_keys(g, n, bound)[1]
         values: dict = {}
         for key, tensor in (data or {}).items():
@@ -821,6 +784,8 @@ class Cochain(IntStore):
                            for key, tensor in self.data.items()}, self.den)
 
     def render(self) -> str:
+        """(s; v) -> c*[m_1 (x) ... (x) m_n] per block, each m a symmetric
+        monomial such as `f*h`, or `1`."""
         parts = []
         for (s, v) in sorted(self.data):
             names = ",".join(self.g.names[i] for i in s) or "-"
@@ -850,8 +815,8 @@ def _slice(g: LieAlgebraData, n: int, bound: int):
     for the x diagonal on both factors, else None; rows[()][k], the (x, i,
     rho_slice(x)_ik) of the other x, one tuple per slice position k; the
     dual(adjoint) actions; the memo of `_dh_faces`; and the lcm of the
-    denominators of the bracket table and the slice actions (1 on sl_n),
-    which clears dH."""
+    denominators of the bracket table (1 on sl_n), which clears dH, as
+    every action entry is an int multiple of a table value."""
     def build():
         module = tensor_slice_module(g, n, bound)
         dual = dual_module(adjoint_module(g))
@@ -861,9 +826,8 @@ def _slice(g: LieAlgebraData, n: int, bound: int):
         for x, cols in enumerate(module.actions):
             for k, col in cols.items() if diagonal[x] is None else ():
                 rows[k] += ((x, i, a) for i, a in col.items())
-        scale = lcm(*{c.denominator
-                      for table in (g.bracket_table, *module.actions)
-                      for col in table.values() for c in col.values()})
+        scale = lcm(*{c.denominator for col in g.bracket_table.values()
+                      for c in col.values()})
         return diagonal, {(): list(map(tuple, rows))}, dual.actions, {}, scale
     return g.derived(("slice", n, bound), build)
 
@@ -982,8 +946,8 @@ def bicomplex_dv(w: Cochain) -> Cochain:
 
 
 def tensor_slice_keys(g: LieAlgebraData, n: int, bound: int) -> List[tuple]:
-    """All n-tuples of PBW monomials with total length <= bound, each slot
-    in (length, lexicographic) order."""
+    """All n-tuples of symmetric monomials (sorted tuples, such as (0, 1) for
+    f*h) of total degree <= bound, each slot in (degree, lexicographic) order."""
     if n == 0:
         return [()]
     return [(mono,) + rest for length in range(bound + 1)
@@ -1132,11 +1096,10 @@ def solve_correction(gamma: Cochain, eta: Cochain,
     One linear system, the stack of the dV equations over the dH equations
     (`CorrectionSystem`), is solved once for the right-hand side (eta,
     gamma) under the deterministic pivot rule of the exact solver; the dH
-    rows make the vertical solution g-equivariant.  The bound is that of
-    gamma and eta, which must share it.  The system is built and factored
-    once per (algebra, bound) and kept in the algebra's memo.  The
-    four cocycle preconditions are checked first, and the returned cochain
-    is re-substituted into both equations rather than trusted.
+    rows make the vertical solution g-equivariant.  gamma and eta must share
+    the bound.  The system is built and factored once per (algebra, bound)
+    and kept in the algebra's memo.  The four cocycle preconditions are
+    checked first, and the returned cochain is re-substituted, not trusted.
 
     `fault="noneq-theta"` adds a non-equivariant primitive-valued shift to
     the solution; the re-substitution must then reject the result.
@@ -1178,6 +1141,28 @@ def solve_correction(gamma: Cochain, eta: Cochain,
     return phi
 
 
+def _unsymmetrized(w: Cochain) -> Cochain:
+    """w read in PBW coordinates, mapped to the symmetric slice by beta^{-1}
+    (`unsymmetrize`) in every slot, on int data: each slice position's image
+    is kept per algebra as (position, int) pairs over den^n, den clearing
+    beta^{-1} up to the bound."""
+    def build():
+        keys, index = _slice_keys(w.g, w.n, w.bound)
+        images = {m: unsymmetrize(w.g, m) for (m,) in _slice_keys(w.g, 1, w.bound)[0]}
+        den = lcm(*(Fraction(q).denominator for im in images.values() for q in im.values()))
+        return [[(index[tuple(m for m, _ in combo)], prod(int(q * den) for _, q in combo))
+                 for combo in product(*(images[mono].items() for mono in key))]
+                for key in keys], den ** w.n
+    terms, den = w.g.derived(("unsymmetrized", w.n, w.bound), build)
+    data: dict = {}
+    for key, tensor in w.data.items():
+        acc = data[key] = {}
+        for j, c in tensor.items():
+            for k, q in terms[j]:
+                acc[k] = acc.get(k, 0) + q * c
+    return w._like(data, w.den * den)
+
+
 def identity_shift_of(diff: Cochain) -> Optional[Fraction]:
     """The scalar lambda with diff = lambda * (v -> v), if one exists."""
     g = diff.g
@@ -1207,13 +1192,10 @@ def solver_report(g: LieAlgebraData, bound: int = 2, runs: int = 20,
 
     for k, phi0 in enumerate(datasets):
         def chk(phi0=phi0):
-            gamma = bicomplex_dh(phi0)
-            eta = bicomplex_dv(phi0)
-            phi = solve_correction(gamma, eta, fault=fault)
-            lam = identity_shift_of(phi - phi0)
-            if lam is None:
-                return "phi - phi_0 is not a multiple of the identity: " \
-                    + (phi - phi0).render()
+            diff = solve_correction(bicomplex_dh(phi0), bicomplex_dv(phi0),
+                                    fault=fault) - phi0
+            if identity_shift_of(diff) is None:
+                return "phi - phi_0 is not a multiple of the identity: " + diff.render()
             return None
         specs.append((f"roundtrip-{k}",
                       "solver output differs from phi_0 by lambda * id",
@@ -1225,15 +1207,15 @@ def solver_report(g: LieAlgebraData, bound: int = 2, runs: int = 20,
         shift = {v: UElement(g, {mono: c for (mono,), c in b_cochain.value((), v).items()})
                  for v in range(g.dim)}
         gamma_map, eta_map = lift_gamma_eta(g, shift)
-        gamma = Cochain(g, 1, 1, bound, {
+        # beta^{-1} maps the free model's PBW data, and B read as such, to the slice
+        gamma = _unsymmetrized(Cochain(g, 1, 1, bound, {
             ((a,), b): {(mono,): c for mono, c in val.hbar_coefficient(0).items()}
-            for (a, b), val in gamma_map.items()})
-        eta = Cochain(g, 0, 2, bound, {((), b): tensor for b, tensor in eta_map.items()})
-        phi = solve_correction(gamma, eta, fault=fault)
-        lam = identity_shift_of(phi + b_cochain)
-        if lam is None:
+            for (a, b), val in gamma_map.items()}))
+        eta = _unsymmetrized(Cochain(g, 0, 2, bound, {((), b): t for b, t in eta_map.items()}))
+        phi = solve_correction(gamma, eta, fault=fault) + _unsymmetrized(b_cochain)
+        if identity_shift_of(phi) is None:
             return ("solver did not recover the model lift up to lambda * id: "
-                    + (phi + b_cochain).render())
+                    + phi.render())
         return None
     specs.append(("model-lift",
                   "gamma, eta read off the lift J + hbar*I(B) are solved back "

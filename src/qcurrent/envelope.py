@@ -28,8 +28,10 @@ algebra's `_pbw_cache` so repeated suites share all subword work.  The
 straightening starts from the int 1 and only multiplies by bracket-table
 values, so with an integral bracket table every normal form and adjoint
 action (`ad_letter`) is int-valued; a table value with a denominator makes
-the affected entries exact Fractions.  The coproduct of a PBW monomial
-needs no straightening: its coefficients are binomials (`sym_coproduct`).
+the affected entries exact Fractions.  `unsymmetrize` inverts the
+symmetrization S(g) -> U(g) on PBW monomials.  The coproduct of a PBW
+monomial needs no straightening: its coefficients are binomials
+(`sym_coproduct`).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import permutations, product
 from math import comb, lcm, prod
 from operator import sub
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
@@ -75,6 +77,22 @@ def normal_order(ctx, word: Monomial) -> dict:
                 accumulate(result, mono, coeff * c)
     cache[word] = result
     return result
+
+
+def unsymmetrize(g: LieAlgebraData, mono: Monomial) -> dict:
+    """beta^{-1}(mono) as {sorted monomial: exact value}, beta: S(g) -> U(g)
+    the symmetrization, (1/k!) times the sum of the orderings of k letters.
+    beta(m) = m + shorter terms, read off `normal_order` of m's orderings,
+    so beta^{-1}(m) = m - beta^{-1}(those terms).  Memoized per algebra."""
+    cache = g.derived("unsymmetrize", dict)
+    if mono not in cache:
+        out, words = {mono: 1}, set(permutations(mono))
+        for word in words:
+            for m2, c in normal_order(g, word).items():
+                for m3, c3 in unsymmetrize(g, m2).items() if m2 != mono else ():
+                    accumulate(out, m3, Fraction(-c * c3) / len(words))
+        cache[mono] = out
+    return cache[mono]
 
 
 def ad_letter(g: LieAlgebraData, x: int, mono: Monomial) -> dict:

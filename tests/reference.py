@@ -11,14 +11,15 @@ from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
-                            FiltrationError, GModule, Vector, _minus_basis,
+                            FiltrationError, GModule, Vector,
+                            _block_cohomology_dim, _minus_basis, _partition_orbits,
                             _signed_insert, _sym_monomials, _tensor_basis,
                             adjoint_module, bicomplex_dh, bicomplex_dv,
                             cobar_differential, dual_module, tensor_module,
-                            tensor_slice_keys, tensor_slice_module)
+                            tensor_slice_keys)
 from qcurrent.current import CurrentElement, CurrentTensor, c_bracket
 from qcurrent.dsl import Bracket, Call, Hbar, Name, Num, Prod, Sum, Tensor
-from qcurrent.envelope import TensorElement, UElement, box_n, normal_order
+from qcurrent.envelope import TensorElement, UElement, ad_letter, box_n, normal_order
 from qcurrent.exactnum import ONE, ZERO, HPoly, _exact, _quotient, accumulate, solve
 from qcurrent.freequant import fm_ad_word, fm_coproduct, free_model
 from qcurrent.liealg import LieElement, _invert_dense, casimir_adjoint_eigenvalue
@@ -339,12 +340,32 @@ def without_group(module: GModule) -> GModule:
     return GModule(module.g, module.dim, module.actions, module.label)
 
 
+def pbw_slice_module(g, n: int, bound: int) -> GModule:
+    """T^n_{<=bound} on PBW monomials, the n-tuples of `tensor_slice_keys`
+    read as monomials of U(g), with g acting on each slot by the adjoint
+    action `ad_letter`, which straightens through `normal_order`.  omega
+    and pi do not permute this basis, so its group is trivial."""
+    keys = tensor_slice_keys(g, n, bound)
+    index = {key: j for j, key in enumerate(keys)}
+    actions = []
+    for x in range(g.dim):
+        cols: Dict[int, Vector] = {}
+        for j, key in enumerate(keys):
+            col: Vector = {}
+            for slot, mono in enumerate(key):
+                for m2, c in ad_letter(g, x, mono).items():
+                    accumulate(col, index[key[:slot] + (m2,) + key[slot + 1:]], c)
+            if col:
+                cols[j] = col
+        actions.append(cols)
+    return GModule(g, len(keys), actions, f"PBW (U<= {bound})^(x){n}")
+
+
 def pbw_coefficient_module(g, bound: int) -> GModule:
     """dual(adjoint) (x) U<= bound on the PBW slice, whose basis omega and
     pi do not permute: the whole block, against which the symmetric
     slice's character parts are checked."""
-    return tensor_module(dual_module(adjoint_module(g)),
-                         tensor_slice_module(g, 1, bound))
+    return tensor_module(dual_module(adjoint_module(g)), pbw_slice_module(g, 1, bound))
 
 
 def symmetrize(g, mono: tuple) -> dict:
@@ -356,6 +377,24 @@ def symmetrize(g, mono: tuple) -> dict:
         for m2, c in normal_order(g, word).items():
             accumulate(out, m2, Fraction(c, len(words)))
     return out
+
+
+def beta(w: Cochain) -> Cochain:
+    """beta^{(x)n}: the cochain w, on symmetric monomials, in PBW
+    coordinates, each slot's monomial replaced by its `symmetrize`."""
+    images: dict = {}
+    data: dict = {}
+    for s, v in w.data:
+        acc = data[s, v] = {}
+        for tkey, c in w.value(s, v).items():
+            out = {(): c}
+            for mono in tkey:
+                if mono not in images:
+                    images[mono] = symmetrize(w.g, mono)
+                out = {k + (m,): q * a for k, q in out.items() for m, a in images[mono].items()}
+            for k, q in out.items():
+                accumulate(acc, k, q)
+    return Cochain(w.g, w.m, w.n, w.bound, data)
 
 
 class CEChain:
@@ -482,6 +521,14 @@ def minus_basis(v_dim: int, n: int, degree: int) -> List[CobarChain]:
     multidegrees alpha of the package's `_minus_basis(alpha, n)`."""
     return [b for alpha in _sym_monomials(v_dim, degree)
             for b in _minus_basis(alpha, n)]
+
+
+def minus_cohomology_dim(v_dim: int, n: int, degree: int) -> int:
+    """dim H^n of the minus subcomplex of the cobar complex at one degree:
+    one block per partition, counted by the size of its S_v orbit
+    (`_partition_orbits`), as `cartier_report` sums them."""
+    return sum(size * _block_cohomology_dim(lam, n)
+               for lam, size in _partition_orbits(v_dim, degree).items())
 
 
 def sigma_involution(y: CobarChain) -> CobarChain:

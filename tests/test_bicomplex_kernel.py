@@ -1,6 +1,7 @@
 """The integer dH/dV kernel: an exhaustive proof of the bicomplex identities
-on small slices, its fault-injection twin, exactness against a Fraction
-reference, and the value semantics of the one-denominator `Cochain`."""
+on small slices, its fault-injection twins, exactness against a Fraction
+reference on PBW coordinates, reached through symmetrization beta, and the
+value semantics of the one-denominator `Cochain`."""
 
 import json
 from fractions import Fraction as F
@@ -11,14 +12,14 @@ from random import Random
 
 import pytest
 
-from qcurrent.cohom import (CobarChain, Cochain, GModule, _signed_insert,
-                            adjoint_module, bicomplex_dh, bicomplex_dv,
+from qcurrent.cohom import (CobarChain, Cochain, GModule, SymmetryError,
+                            _signed_insert, adjoint_module, bicomplex_dh, bicomplex_dv,
                             ce_push, cobar_differential, random_cochain,
                             solver_report, tensor_slice_keys, u_slice_module)
 from qcurrent.envelope import ad_letter, mono_coproduct_terms
 from qcurrent.exactnum import ONE, accumulate
 from qcurrent.liealg import build_sl
-from reference import (CEChain, ce_differential, cochain_from_json,
+from reference import (CEChain, beta, ce_differential, cochain_from_json,
                        cochain_to_json, random_ce_chain)
 
 BIDEGREES = [(m, n) for m in range(3) for n in (1, 2)]
@@ -29,6 +30,9 @@ GOLDEN = Path(__file__).parent / "data" / "cochain_golden.json"
 
 
 def reference_dh(w: Cochain) -> Cochain:
+    """dH on PBW coordinates, each slot acted on by `ad_letter`, which
+    straightens through `normal_order`: the kernel's reference through
+    `beta`, as beta(dH(w)) = reference_dh(beta(w))."""
     g, m = w.g, w.m
     data = {}
     for t in combinations(range(g.dim), m + 1):
@@ -127,10 +131,13 @@ def test_bicomplex_identities_exhaustive_sl2(bound):
 
 
 def test_exhaustive_check_catches_a_perturbed_bracket():
-    g = build_sl(2)  # fresh: no cached normal form has been computed yet
+    """[e, f] doubled and [f, e] kept: omega no longer preserves the
+    table, and the slice refuses it before any basis cochain is pushed."""
+    g = build_sl(2)  # fresh: no slice has been built yet
     (z, c), = g.bracket_table[2, 0].items()  # [e, f] = h
     g.bracket_table[2, 0] = {z: 2 * c}
-    assert bicomplex_violation(g, 1) is not None
+    with pytest.raises(SymmetryError):
+        bicomplex_violation(g, 1)
 
 
 def test_bicomplex_identities_exhaustive_sl3():
@@ -142,10 +149,41 @@ def test_exhaustive_sl3_check_catches_a_perturbed_bracket():
     g = build_sl(3)  # fresh, as above
     assert (g.names[2], g.names[7]) == ("f12", "e12")
     g.bracket_table[2, 7] = {z: 2 * c for z, c in g.bracket_table[2, 7].items()}
-    assert bicomplex_violation(g, 1) is not None
+    with pytest.raises(SymmetryError):
+        bicomplex_violation(g, 1)
+
+
+def test_exhaustive_sl3_check_catches_a_bracket_that_keeps_the_klein_group():
+    """Both simple pairs [e_i, f_i] and [f_i, e_i] doubled: omega and pi
+    still preserve the table, so the slice is built, but the Jacobi
+    identity fails and the walk finds dH dH != 0."""
+    g = build_sl(3)  # fresh, as above
+    for i in range(g.rank):
+        for a, b in ((g.pos_index(i), g.neg_index(i)), (g.neg_index(i), g.pos_index(i))):
+            g.bracket_table[a, b] = {z: 2 * c for z, c in g.bracket_table[a, b].items()}
+    assert g.klein is not None
+    found = bicomplex_violation(g, 1)
+    assert found is not None and found[0] == "dH dH", found
 
 
 # --- exactness of the integer kernel -------------------------------------------
+
+
+@pytest.mark.parametrize("rank, bound", [(2, 2), (3, 1)])
+def test_beta_carries_the_pbw_reference_to_the_kernel(rank, bound):
+    """Symmetrization in each slot, beta^{(x)n}, is an isomorphism of
+    g-modules and of coalgebras from the symmetric slice onto the PBW
+    slice: it carries dH and dV of the kernel to those of the PBW
+    reference on random cochains at every bidegree.  At bound 2 it moves
+    the cochains it is given, so the two coordinates differ."""
+    g = build_sl(rank)
+    rng = Random(40 + rank)
+    for m, n in BIDEGREES:
+        w = random_cochain(g, m, n, bound, rng, density=0.5)
+        assert w, (m, n)
+        assert (beta(w) != w) == (bound > 1), (m, n)
+        assert beta(bicomplex_dh(w)) == reference_dh(beta(w)), (m, n)
+        assert beta(bicomplex_dv(w)) == reference_dv(beta(w)), (m, n)
 
 
 @pytest.mark.parametrize("q", [F(1, 2), F(1, 3), F(7, 6)])
@@ -157,8 +195,8 @@ def test_kernel_is_linear_over_mixed_denominators(sl2, q):
         qw = scaled(w, q)
         assert bicomplex_dh(qw) == scaled(bicomplex_dh(w), q)
         assert bicomplex_dv(qw) == scaled(bicomplex_dv(w), q)
-        assert bicomplex_dh(w) == reference_dh(w)
-        assert bicomplex_dv(w) == reference_dv(w)
+        assert beta(bicomplex_dh(w)) == reference_dh(beta(w))
+        assert beta(bicomplex_dv(w)) == reference_dv(beta(w))
 
 
 def test_kernel_matches_reference_on_sl3(sl3):
@@ -168,8 +206,8 @@ def test_kernel_matches_reference_on_sl3(sl3):
     rng = Random(8)
     for m, n in ((0, 1), (1, 1), (0, 2), (2, 1), (2, 2)):
         w = random_cochain(sl3, m, n, 2, rng, density=0.05)
-        assert bicomplex_dh(w) == reference_dh(w)
-        assert bicomplex_dv(w) == reference_dv(w)
+        assert beta(bicomplex_dh(w)) == reference_dh(beta(w))
+        assert beta(bicomplex_dv(w)) == reference_dv(beta(w))
 
 
 @pytest.mark.parametrize("m, n", BIDEGREES)
@@ -181,23 +219,27 @@ def test_kernel_matches_reference_on_dense_sl3(sl3, m, n):
     w = random_cochain(sl3, m, n, 2, Random(100 + 10 * m + n), density=0.7)
     size = len(tensor_slice_keys(sl3, n, 2))
     assert sum(map(len, w.data.values())) >= 0.5 * comb(sl3.dim, m) * sl3.dim * size
-    assert bicomplex_dh(w) == reference_dh(w)
+    assert beta(bicomplex_dh(w)) == reference_dh(beta(w))
 
 
 def test_dh_matches_reference_with_a_cartan_element_off_the_diagonal():
-    """A fresh A1 with [h, e] = 2e + f: h acts diagonally on neither
-    factor, so its faces take the general path at every bidegree, slice
-    rows, dual columns and the coefficient b of e in [h, e] alike."""
+    """A fresh A1 with [h, e] = 2e + f and [h, f] = -2f - e, a Lie bracket
+    that omega and pi preserve: h acts diagonally on neither factor, so its
+    faces take the general path at every bidegree, slice rows, dual
+    columns and the coefficient b of e in [h, e] alike."""
     g = build_sl(2)  # fresh: every cached table below derives from the patch
     assert g.names == ["f", "h", "e"]
     f, h, e = range(3)
     g.bracket_table[h, e] = {e: 2, f: 1}
     g.bracket_table[e, h] = {e: -2, f: -1}
+    g.bracket_table[h, f] = {f: -2, e: -1}
+    g.bracket_table[f, h] = {f: 2, e: 1}
+    assert g.klein is not None
     rng = Random(21)
     for m, n in BIDEGREES:
         w = random_cochain(g, m, n, 2, rng, density=0.6)
         assert w, (m, n)
-        assert bicomplex_dh(w) == reference_dh(w), (m, n)
+        assert beta(bicomplex_dh(w)) == reference_dh(beta(w)), (m, n)
     for n in (1, 2):
         diagonal, *_ = g._memo["slice", n, 2]
         assert diagonal[h] is None
@@ -232,7 +274,7 @@ def test_dh_matches_reference_on_every_sl3_basis_cochain(sl3, n):
             for v in range(sl3.dim):
                 for tkey in tensor_slice_keys(sl3, n, 1):
                     w = Cochain(sl3, m, n, 1, {(s, v): {tkey: ONE}})
-                    assert bicomplex_dh(w) == reference_dh(w), (m, s, v, tkey)
+                    assert beta(bicomplex_dh(w)) == reference_dh(beta(w)), (m, s, v, tkey)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -256,32 +298,40 @@ def test_dv_is_the_cobar_differential_of_sym_g(sl2, n):
     assert nonzero  # the comparison is not vacuous
 
 
+def half_bracket_sl2():
+    """A fresh A1 with [e, f] = h/2 and [f, e] = -h/2: a Lie bracket that
+    omega and pi preserve, with a table value that is not an int."""
+    g = build_sl(2)  # fresh: every cached table derives from the patch
+    g.bracket_table[2, 0] = {1: F(1, 2)}
+    g.bracket_table[0, 2] = {1: F(-1, 2)}
+    assert g.klein is not None
+    return g
+
+
 def test_kernel_keeps_non_integral_table_values():
-    g = build_sl(2)  # fresh: every cached table below derives from the patch
-    g.bracket_table[2, 0] = {1: F(1, 2)}  # [e, f] = h/2
+    g = half_bracket_sl2()
     rng = Random(3)
     for m, n in BIDEGREES:
         w = mixed_cochain(g, m, n, 2, rng)
-        assert bicomplex_dh(w) == reference_dh(w)
-        assert bicomplex_dv(w) == reference_dv(w)
+        assert beta(bicomplex_dh(w)) == reference_dh(beta(w))
+        assert beta(bicomplex_dv(w)) == reference_dv(beta(w))
         # the image is put over the lcm of the denominators of its values
         image = bicomplex_dh(w)
         assert image.den == lcm(*(F(c).denominator for s, v, tensor
                                   in keys_and_values(image) for c in tensor.values()))
     (half,) = g.bracket_table[2, 0].values()
     assert type(half) is F and half == F(1, 2)
-    # the adjoint action reads through the patched entry; a product of
-    # halves may come out integral, but a coefficient is never a float
-    assert any(type(c) is F and c.denominator != 1
-               for coeffs in g._memo["ad"].values() for c in coeffs.values())
-    assert all(type(c) in (int, F)
-               for table in (g._memo["ad"], g._memo["coproduct"], g._pbw_cache)
+    # the slice rows read through the patched entry; a sum of halves may
+    # come out integral, but a coefficient is never a float
+    coeffs = [a for n in (1, 2) for row in g._memo["slice", n, 2][1][()] for _, _, a in row]
+    assert any(type(c) is F and c.denominator != 1 for c in coeffs)
+    assert all(type(c) in (int, F) for c in coeffs)
+    assert all(type(c) in (int, F) for table in (g._memo["coproduct"], g._pbw_cache)
                for coeffs in table.values() for c in coeffs.values())
 
 
 def test_dh_refuses_a_scale_that_does_not_clear_its_tables():
-    g = build_sl(2)
-    g.bracket_table[2, 0] = {1: F(1, 2)}  # [e, f] = h/2
+    g = half_bracket_sl2()
     w = Cochain(g, 0, 1, 1, {((), 0): {((2,),): 1}})
     assert bicomplex_dh(w).den == 2
     *tables, _ = g._memo["slice", 1, 1]

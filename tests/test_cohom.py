@@ -16,7 +16,7 @@ from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
                             cartier_report,
                             ce_cohomology_dims, cobar_differential,
                             dual_module, identity_shift_of,
-                            minus_cohomology_dim, random_cochain,
+                            random_cochain,
                             solve_correction, solver_report, tensor_module,
                             tensor_slice_module, trivial_module,
                             tensor_slice_keys, u_slice_module,
@@ -24,9 +24,10 @@ from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
 from qcurrent.envelope import normal_order
 from qcurrent.exactnum import ONE, _int_store, accumulate, rank_of_rows
 from qcurrent.liealg import build_sl
-from reference import (CEChain, act, ce_differential, cochain_from_json,
+from reference import (CEChain, act, beta, ce_differential, cochain_from_json,
                        cochain_to_json, kernel_basis, minus_basis,
-                       pbw_coefficient_module, random_ce_chain,
+                       minus_cohomology_dim, pbw_coefficient_module,
+                       pbw_slice_module, random_ce_chain,
                        reference_stack, sigma_involution, sigma_split,
                        solve_minus_coboundary, symmetrize, tensor_basis,
                        transpose, validate, without_group)
@@ -48,13 +49,16 @@ def test_sl3_adjoint_module_validates(sl3):
 
 
 def test_tensor_slice_modules_validate(sl2, sl3):
-    """T^n_{<=D} with the slotwise adjoint action is a g-module.  Its n = 1
-    case is the PBW slice, and the U-slice module is the symmetric slice,
-    isomorphic to it by symmetrization."""
+    """T^n_{<=D} on symmetric monomials with the slotwise Leibniz action is
+    a g-module, and so is the reference's PBW slice with the slotwise
+    adjoint action.  The U-slice module is the symmetric slice at n = 1,
+    isomorphic to the PBW slice by symmetrization."""
     validate(tensor_slice_module(sl2, 2, 2))
     validate(tensor_slice_module(sl3, 1, 2))
-    validate(tensor_slice_module(sl2, 1, 2))
+    validate(pbw_slice_module(sl2, 2, 2))
+    validate(pbw_slice_module(sl3, 1, 2))
     validate(u_slice_module(sl2, 2))
+    assert u_slice_module(sl2, 2).actions == tensor_slice_module(sl2, 1, 2).actions
     assert_symmetrization_intertwines(build_sl(2), 2)
 
 
@@ -92,7 +96,8 @@ def test_symmetrization_intertwines_leibniz_with_the_pbw_action(n, bound):
 
 def test_module_permutations_intertwine(sl2, sl3):
     """Every constructor's signed permutations pass the check on
-    construction, and one flipped sign fails it."""
+    construction, a tensor slice's too when asked for, and one flipped
+    sign fails it."""
     for g in (sl2, sl3):
         module = tensor_module(dual_module(adjoint_module(g)), u_slice_module(g, 1))
         assert module.klein is not None and trivial_module(g).klein is not None
@@ -103,6 +108,7 @@ def test_module_permutations_intertwine(sl2, sl3):
             with pytest.raises(ValueError, match="intertwine"):
                 GModule(g, module.dim, module.actions, "flipped", (flipped, pi))
     assert tensor_slice_module(sl2, 1, 2).klein is None
+    assert tensor_slice_module(sl3, 2, 2, klein=True).klein is not None
 
 
 def test_a_table_without_the_klein_group_refuses_the_symmetric_slice():
@@ -810,7 +816,7 @@ def test_dh_kernel_iff_intertwiner(sl2):
         v, j = divmod(col, size)
         values.setdefault(((), v), {})[j] = c
     den, data = _int_store(values)
-    w = zero._like(data, den)
+    w = beta(zero._like(data, den))  # in PBW coordinates, where ad_letter acts
     for x in range(sl2.dim):
         for v in range(sl2.dim):
             lhs = {}
@@ -1069,23 +1075,25 @@ def test_the_stack_rows_are_those_of_the_unit_cochains(n, bound, sl2, sl3):
 
 @pytest.mark.parametrize("patch", ["half", "doubled"])
 def test_the_stack_rows_hold_off_the_integral_lie_tables(patch):
-    """On a fresh A1 with [e, f] = h/2, where dH's scale is 2 and some rows
-    hold Fractions, or with [f, e] doubled, which leaves the stack no
-    kernel, the rows are still those of the unit cochains."""
+    """On a fresh A1 with [e, f] = h/2 and [f, e] = -h/2, where dH's scale
+    is 2 and some rows hold Fractions, the rows are still those of the
+    unit cochains.  With [f, e] doubled alone, which omega does not
+    preserve, the slice refuses the table, and so do the rows."""
     g = build_sl(2)
     assert (g.names[0], g.names[2]) == ("f", "e")
-    if patch == "half":
-        g.bracket_table[2, 0] = {1: F(1, 2)}
-    else:  # not its mirror [e, f]: no longer a Lie bracket
+    if patch == "doubled":  # not its mirror [e, f]: no longer a Lie bracket
         g.bracket_table[0, 2] = {z: 2 * c for z, c in g.bracket_table[0, 2].items()}
+        with pytest.raises(SymmetryError):
+            _correction_rows(g, 2)
+        return
+    g.bracket_table[2, 0] = {1: F(1, 2)}
+    g.bracket_table[0, 2] = {1: F(-1, 2)}
     rows = _correction_rows(g, 2)
     assert rows == reference_stack(g, 2)
-    if patch == "half":
-        assert g._memo["slice", 1, 2][-1] == 2
-        assert any(type(c) is F for row in rows.values() for c in row.values())
-    else:
-        system = CorrectionSystem(g, 2)
-        assert system.stack.ncols - len(system.stack.steps) == 0
+    assert g._memo["slice", 1, 2][-1] == 2
+    assert any(type(c) is F for row in rows.values() for c in row.values())
+    system = CorrectionSystem(g, 2)
+    assert system.stack.ncols - len(system.stack.steps) == 1
 
 
 def test_the_stack_is_built_without_the_cochain_differentials(monkeypatch):
@@ -1100,13 +1108,18 @@ def test_the_stack_is_built_without_the_cochain_differentials(monkeypatch):
 
 
 def test_a_perturbed_bracket_breaks_the_uniqueness_certificate():
+    """[f, e] doubled but not its mirror [e, f]: no longer a Lie bracket,
+    and omega no longer preserves the table.  The Leibniz slice reads
+    [x, y] alone, so the identity would stay a dH-cocycle; the slice
+    refuses the table instead, so neither the certificate nor dH is
+    computed on it."""
     g = build_sl(2)  # fresh: no cached state has been built yet
     assert (g.names[0], g.names[2]) == ("f", "e")
-    # double [f, e] but not its mirror [e, f]: no longer a Lie bracket
     g.bracket_table[0, 2] = {z: 2 * c for z, c in g.bracket_table[0, 2].items()}
-    system = CorrectionSystem(g, 2)
-    assert system.stack.ncols - len(system.stack.steps) == 0
-    assert bicomplex_dh(_identity_cochain(g, 2))
+    with pytest.raises(SymmetryError):
+        CorrectionSystem(g, 2)
+    with pytest.raises(SymmetryError):
+        bicomplex_dh(_identity_cochain(g, 2))
 
 
 def test_cochain_json_roundtrip(sl2):

@@ -6,11 +6,11 @@ import pytest
 
 from qcurrent.envelope import (TensorElement, UElement, box_n, coproduct,
                                kappa, mono_coproduct_terms, normal_order, nu,
-                               verify_gnw, w_element)
+                               unsymmetrize, verify_gnw, w_element)
 from qcurrent.exactnum import HPoly, accumulate
 from qcurrent.liealg import build_sl, casimir_adjoint_eigenvalue
 from reference import (adjoint_action, casimir_tensor, multiply_slots,
-                       quadratic_casimir)
+                       quadratic_casimir, symmetrize)
 
 
 def letters(g):
@@ -118,6 +118,27 @@ def test_binomial_coproduct_matches_straightening(n, longest):
             terms = mono_coproduct_terms(g, mono)
             assert terms == _coproduct_by_straightening(g, mono), mono
             assert all(type(c) is int for c in terms.values())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_unsymmetrize_inverts_symmetrization(n):
+    """sym(beta^{-1}(m)) = m on every PBW monomial m of length <= 3, sym
+    read off `normal_order` of each symmetric monomial's orderings; at
+    length 2, beta^{-1}(x_a x_b) = x_a x_b + (1/2)[x_a, x_b]."""
+    g = build_sl(n)
+    for length in range(4):
+        for mono in combinations_with_replacement(range(g.dim), length):
+            image = unsymmetrize(g, mono)
+            assert image.get(mono) == 1
+            assert all(len(m) < length for m in image if m != mono)
+            total = {}
+            for m, c in image.items():
+                for m2, q in symmetrize(g, m).items():
+                    accumulate(total, m2, c * q)
+            assert total == {mono: 1}, mono
+            if length == 2:
+                assert image == {mono: 1, **{(z,): F(c, 2) for z, c
+                                             in g.bracket_table.get(mono, {}).items()}}
 
 
 def test_coproduct_coassociative(sl2):
