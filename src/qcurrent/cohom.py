@@ -4,11 +4,11 @@ constructive solver for the correction map.
 All complexes are finite-dimensional here: the enveloping algebra enters
 through its filtration slice, which is closed under both the adjoint
 action and the coproduct, so ranks and solves are exact with no truncation
-error for data that fits in the slice.  Every slice U<=D, and its tensor
-powers, is modelled once (`tensor_slice_module`): by the symmetric tensors
-of degree <= D with the Leibniz action, isomorphic to the PBW slice as
-g-modules and as coalgebras by symmetrization (Dixmier, Enveloping
-Algebras, 2.4.10), so nothing here straightens.
+error for data that fits in the slice.  The slice U<=D is modelled once
+(`u_slice_module`), by the symmetric tensors of degree <= D with the Leibniz
+action, a g-module and coalgebra isomorphic to the PBW slice (Dixmier,
+Enveloping Algebras, 2.4.10), so nothing here straightens; g acts on
+T^n_{<=D} slot by slot, so `_slice` lifts its tables from U<=D's.
 
 The Chevalley-Eilenberg differential (Chevalley-Eilenberg, Trans. AMS 1948)
 scatters each cochain entry to the faces of its wedge (`faces(g, s)`, kept
@@ -47,7 +47,7 @@ slice position); its rows are read off the dV memo and the dH kernel with
 no cochain per unit, and it builds solutions on positions.  A table value
 with a denominator stays an exact Fraction, and dH absorbs it into the
 denominator of its image: integrality is never assumed.  The slice keys,
-the slice modules, the dV images of the basis tensors and the solver's
+the slice tables, the dV images of the basis tensors and the solver's
 factored system are built once per algebra and kept in its memo
 (`LieAlgebraData.derived`), so they are freed with it.
 """
@@ -201,54 +201,37 @@ def tensor_module(a: GModule, b: GModule) -> GModule:
     return GModule(a.g, dim, actions, f"{a.label} (x) {b.label}", klein)
 
 
-def tensor_slice_module(g: LieAlgebraData, n: int, bound: int,
-                        klein: bool = False) -> GModule:
-    """T^n_{<=bound} on the n-tuples of symmetric monomials of total degree
-    <= bound (`tensor_slice_keys`), each slot acted on by the Leibniz rule
-    x . y_1...y_k = sum_i y_1...[x, y_i]...y_k off the bracket table.
+def u_slice_module(g: LieAlgebraData, bound: int) -> GModule:
+    """U<= bound, the sum of S^k(g) for k <= bound, on symmetric monomials
+    with the Leibniz rule x . y_1...y_k = sum_i y_1...[x, y_i]...y_k off the
+    bracket table, and the signed permutations that omega and pi induce.
     Symmetrization is an isomorphism of g-modules and of coalgebras from
     S(g) onto U(g) (Dixmier, Enveloping Algebras, 2.4.10), and the rule
     reads [x, y] alone, so it stands for U(g) only over a Lie bracket: a
-    table that omega and pi do not preserve raises a SymmetryError.  `klein`
-    adds the signed permutations they induce; else the group is trivial."""
+    table that omega and pi do not preserve raises a SymmetryError."""
     if g.klein is None:
         raise SymmetryError("omega and pi are not commuting automorphisms "
                             "of the bracket table")
-    keys, index = _slice_keys(g, n, bound)
+    keys, index = _slice_keys(g, 1, bound)
     actions = []
     for x in range(g.dim):
-        ad: Dict[tuple, dict] = {}  # the Leibniz image of each monomial
-        for (mono,) in _slice_keys(g, 1, bound)[0]:
-            image = ad[mono] = {}
+        cols: Dict[int, Vector] = {}
+        for j, (mono,) in enumerate(keys):
+            col: Vector = {}
             for p, y in enumerate(mono):
                 if p and mono[p - 1] == y:
                     continue  # counted in the multiplicity of y
                 rest, times = mono[:p] + mono[p + 1:], mono.count(y)
                 for z, c in g.bracket_table.get((x, y), {}).items():
                     q = bisect_left(rest, z)
-                    accumulate(image, rest[:q] + (z,) + rest[q:], times * c)
-        cols: Dict[int, Vector] = {}
-        for j, key in enumerate(keys):
-            col: Vector = {}
-            for slot, mono in enumerate(key):
-                for m2, c in ad[mono].items():
-                    accumulate(col, index[key[:slot] + (m2,) + key[slot + 1:]], c)
+                    accumulate(col, index[(rest[:q] + (z,) + rest[q:],)], times * c)
             if col:
                 cols[j] = col
         actions.append(cols)
-
-    def permuted(sigma) -> list:
-        return [(index[tuple(tuple(sorted(sigma[y][0] for y in mono)) for mono in key)],
-                 prod(sigma[y][1] for mono in key for y in mono)) for key in keys]
-    label = f"U<= {bound}" if n == 1 else f"(U<= {bound})^(x){n}"
-    return GModule(g, len(keys), actions, label,
-                   tuple(map(permuted, g.klein)) if klein else None)
-
-
-def u_slice_module(g: LieAlgebraData, bound: int) -> GModule:
-    """U<= bound, the sum of S^k(g) for k <= bound: `tensor_slice_module`
-    at n = 1 with omega and pi, whose character parts whitehead ranks."""
-    return tensor_slice_module(g, 1, bound, klein=True)
+    klein = tuple([(index[(tuple(sorted(sigma[y][0] for y in mono)),)],
+                    prod(sigma[y][1] for y in mono)) for (mono,) in keys]
+                  for sigma in g.klein)
+    return GModule(g, len(keys), actions, f"U<= {bound}", klein)
 
 
 # --- Chevalley-Eilenberg complex -------------------------------------------------
@@ -802,7 +785,7 @@ class Cochain(IntStore):
 def _slice_keys(g: LieAlgebraData, n: int, bound: int) -> tuple:
     """(keys, index) of T^n_{<=bound}, built once per algebra:
     `tensor_slice_keys` and {key: position}.  Kept apart from `_slice`, so
-    that building a cochain does not build the slice modules."""
+    that building a cochain does not build the slice tables."""
     def build():
         keys = tensor_slice_keys(g, n, bound)
         return keys, {k: j for j, k in enumerate(keys)}
@@ -816,9 +799,12 @@ def _slice(g: LieAlgebraData, n: int, bound: int):
     rho_slice(x)_ik) of the other x, one tuple per slice position k; the
     dual(adjoint) actions; the memo of `_dh_faces`; and the lcm of the
     denominators of the bracket table (1 on sl_n), which clears dH, as
-    every action entry is an int multiple of a table value."""
+    every action entry is an int multiple of a table value.  n = 1 reads
+    `u_slice_module`; n >= 2 lifts it slot by slot and builds no module: the
+    diagonal sums the slots', and row k joins each slot's T^1 row moved to
+    T^n positions, unmerged, so one (x, i) may recur: `_dh_push` adds both."""
     def build():
-        module = tensor_slice_module(g, n, bound)
+        module = u_slice_module(g, bound)
         dual = dual_module(adjoint_module(g))
         diagonal = [None if None in pair else pair
                     for pair in zip(module.diagonal, dual.diagonal)]
@@ -829,7 +815,20 @@ def _slice(g: LieAlgebraData, n: int, bound: int):
         scale = lcm(*{c.denominator for col in g.bracket_table.values()
                       for c in col.values()})
         return diagonal, {(): list(map(tuple, rows))}, dual.actions, {}, scale
-    return g.derived(("slice", n, bound), build)
+
+    def lift():
+        diagonal1, rows1, dual, _, scale = _slice(g, 1, bound)
+        keys1, index1 = _slice_keys(g, 1, bound)
+        keys, index = _slice_keys(g, n, bound)
+        slots = [[index1[(mono,)] for mono in key] for key in keys]
+        diagonal = [None if pair is None else
+                    ([sum(pair[0][j] for j in js) for js in slots], pair[1])
+                    for pair in diagonal1]
+        rows = [tuple((x, index[key[:slot] + keys1[i] + key[slot + 1:]], a)
+                      for slot, j in enumerate(js) for x, i, a in rows1[()][j])
+                for key, js in zip(keys, slots)]
+        return diagonal, {(): rows}, dual, {}, scale
+    return g.derived(("slice", n, bound), build if n == 1 else lift)
 
 
 def _dh_faces(g: LieAlgebraData, s: tuple, diagonal: list, rows: dict) -> tuple:
@@ -940,7 +939,8 @@ def bicomplex_dv(w: Cochain) -> Cochain:
         acc = data[key] = {}
         get = acc.get
         for j, c in tensor.items():
-            for k, q in terms_of.get(j) or _dv_terms(w.g, w.n, w.bound, j):
+            terms = terms_of.get(j)  # an empty image () is memoized too
+            for k, q in _dv_terms(w.g, w.n, w.bound, j) if terms is None else terms:
                 acc[k] = get(k, 0) + q * c
     return w._like(data, w.den, n=w.n + 1)
 

@@ -361,6 +361,30 @@ def pbw_slice_module(g, n: int, bound: int) -> GModule:
     return GModule(g, len(keys), actions, f"PBW (U<= {bound})^(x){n}")
 
 
+def symmetric_slice_module(g, n: int, bound: int) -> GModule:
+    """T^n_{<=bound} on the n-tuples of symmetric monomials of
+    `tensor_slice_keys`, each slot acted on by the Leibniz rule
+    x . y_1...y_k = sum_p y_1...[x, y_p]...y_k, written term by term with
+    no multiplicities: the n-generic module that `_slice` lifts slotwise
+    from `u_slice_module`.  Its group is trivial."""
+    keys = tensor_slice_keys(g, n, bound)
+    index = {key: j for j, key in enumerate(keys)}
+    actions = []
+    for x in range(g.dim):
+        cols: Dict[int, Vector] = {}
+        for j, key in enumerate(keys):
+            col: Vector = {}
+            for slot, mono in enumerate(key):
+                for p, y in enumerate(mono):
+                    for z, c in g.bracket_table.get((x, y), {}).items():
+                        m2 = tuple(sorted(mono[:p] + (z,) + mono[p + 1:]))
+                        accumulate(col, index[key[:slot] + (m2,) + key[slot + 1:]], c)
+            if col:
+                cols[j] = col
+        actions.append(cols)
+    return GModule(g, len(keys), actions, f"(U<= {bound})^(x){n}")
+
+
 def pbw_coefficient_module(g, bound: int) -> GModule:
     """dual(adjoint) (x) U<= bound on the PBW slice, whose basis omega and
     pi do not permute: the whole block, against which the symmetric

@@ -12,15 +12,17 @@ from random import Random
 
 import pytest
 
+from qcurrent import cohom
 from qcurrent.cohom import (CobarChain, Cochain, GModule, SymmetryError,
-                            _signed_insert, adjoint_module, bicomplex_dh, bicomplex_dv,
-                            ce_push, cobar_differential, random_cochain,
-                            solver_report, tensor_slice_keys, u_slice_module)
+                            _signed_insert, _slice, adjoint_module, bicomplex_dh,
+                            bicomplex_dv, ce_push, cobar_differential, dual_module,
+                            random_cochain, solver_report, tensor_slice_keys,
+                            u_slice_module)
 from qcurrent.envelope import ad_letter, mono_coproduct_terms
 from qcurrent.exactnum import ONE, accumulate
 from qcurrent.liealg import build_sl
 from reference import (CEChain, beta, ce_differential, cochain_from_json,
-                       cochain_to_json, random_ce_chain)
+                       cochain_to_json, random_ce_chain, symmetric_slice_module)
 
 BIDEGREES = [(m, n) for m in range(3) for n in (1, 2)]
 GOLDEN = Path(__file__).parent / "data" / "cochain_golden.json"
@@ -222,12 +224,11 @@ def test_kernel_matches_reference_on_dense_sl3(sl3, m, n):
     assert beta(bicomplex_dh(w)) == reference_dh(beta(w))
 
 
-def test_dh_matches_reference_with_a_cartan_element_off_the_diagonal():
+def off_diagonal_cartan_sl2():
     """A fresh A1 with [h, e] = 2e + f and [h, f] = -2f - e, a Lie bracket
-    that omega and pi preserve: h acts diagonally on neither factor, so its
-    faces take the general path at every bidegree, slice rows, dual
-    columns and the coefficient b of e in [h, e] alike."""
-    g = build_sl(2)  # fresh: every cached table below derives from the patch
+    that omega and pi preserve, on which h acts diagonally on neither
+    factor of dH."""
+    g = build_sl(2)  # fresh: every cached table derives from the patch
     assert g.names == ["f", "h", "e"]
     f, h, e = range(3)
     g.bracket_table[h, e] = {e: 2, f: 1}
@@ -235,6 +236,15 @@ def test_dh_matches_reference_with_a_cartan_element_off_the_diagonal():
     g.bracket_table[h, f] = {f: -2, e: -1}
     g.bracket_table[f, h] = {f: 2, e: 1}
     assert g.klein is not None
+    return g
+
+
+def test_dh_matches_reference_with_a_cartan_element_off_the_diagonal():
+    """On `off_diagonal_cartan_sl2` the faces of h take the general path at
+    every bidegree, slice rows, dual columns and the coefficient b of e in
+    [h, e] alike."""
+    g = off_diagonal_cartan_sl2()
+    h = 1
     rng = Random(21)
     for m, n in BIDEGREES:
         w = random_cochain(g, m, n, 2, rng, density=0.6)
@@ -243,6 +253,62 @@ def test_dh_matches_reference_with_a_cartan_element_off_the_diagonal():
     for n in (1, 2):
         diagonal, *_ = g._memo["slice", n, 2]
         assert diagonal[h] is None
+
+
+@pytest.mark.parametrize("algebra, bound, ns, twice", [
+    ("A1", 0, (1, 2, 3), False), ("A1", 3, (1, 2, 3), False),
+    ("A2", 2, (1, 2), False), ("A1 off the diagonal", 2, (1, 2), True)],
+    ids=["A1-D0", "A1-D3", "A2-D2", "A1-off-diagonal-D2"])
+def test_slice_tables_are_the_slotwise_leibniz_action(monkeypatch, algebra, bound,
+                                                      ns, twice):
+    """`_slice`'s diagonal and its rows, merged per (x, i) with the zeros
+    dropped, are the tables of the reference's n-generic Leibniz module
+    paired with dual(adjoint); n >= 2 lifts them from n = 1 and constructs
+    no GModule.  Only off the diagonal does a row name one (x, i) twice:
+    h's diagonal entry, once per slot."""
+    g = {"A1": lambda: build_sl(2), "A2": lambda: build_sl(3),
+         "A1 off the diagonal": off_diagonal_cartan_sl2}[algebra]()
+    dual = dual_module(adjoint_module(g))
+    expected = {}
+    for n in ns:
+        module = symmetric_slice_module(g, n, bound)
+        diagonal = [None if None in pair else pair
+                    for pair in zip(module.diagonal, dual.diagonal)]
+        rows = [{} for _ in range(module.dim)]
+        for x, cols in enumerate(module.actions):
+            for k, col in cols.items() if diagonal[x] is None else ():
+                rows[k].update(((x, i), a) for i, a in col.items())
+        expected[n] = diagonal, rows
+    _slice(g, 1, bound)
+    built = []
+    monkeypatch.setattr(GModule, "__init__", lambda self, *a, **k: built.append(a))
+    doubled = False
+    for n in ns:
+        diagonal, rows_of, dual_actions, wedges, _ = _slice(g, n, bound)
+        merged = [{} for _ in rows_of[()]]
+        for acc, row in zip(merged, rows_of[()]):
+            for x, i, a in row:
+                doubled |= (x, i) in acc
+                accumulate(acc, (x, i), a)
+        assert (diagonal, merged) == expected[n], n
+        assert dual_actions == dual.actions and not wedges
+    assert not built
+    assert doubled == twice
+
+
+def test_a_second_dv_of_a_cochain_builds_no_image(monkeypatch):
+    """`bicomplex_dv` reads each basis tensor's image off the dV memo, the
+    empty images of the degree-1 positions at n = 1 included: a second dV
+    of the same cochain calls `_dv_terms` no more."""
+    g = build_sl(2)
+    w = random_cochain(g, 0, 1, 2, Random(8), density=1)
+    calls = []
+    dv_terms = cohom._dv_terms
+    monkeypatch.setattr(cohom, "_dv_terms", lambda *a: calls.append(a) or dv_terms(*a))
+    first = bicomplex_dv(w)
+    assert calls and () in g._memo["dV", 1, 2].values()
+    calls.clear()
+    assert bicomplex_dv(w) == first and not calls
 
 
 @pytest.mark.parametrize("which", ["adjoint", "u_slice"])

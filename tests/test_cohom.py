@@ -18,8 +18,7 @@ from qcurrent.cohom import (CobarChain, Cochain, CocycleConditionError,
                             dual_module, identity_shift_of,
                             random_cochain,
                             solve_correction, solver_report, tensor_module,
-                            tensor_slice_module, trivial_module,
-                            tensor_slice_keys, u_slice_module,
+                            trivial_module, tensor_slice_keys, u_slice_module,
                             whitehead_report)
 from qcurrent.envelope import normal_order
 from qcurrent.exactnum import ONE, _int_store, accumulate, rank_of_rows
@@ -29,7 +28,8 @@ from reference import (CEChain, act, beta, ce_differential, cochain_from_json,
                        minus_cohomology_dim, pbw_coefficient_module,
                        pbw_slice_module, random_ce_chain,
                        reference_stack, sigma_involution, sigma_split,
-                       solve_minus_coboundary, symmetrize, tensor_basis,
+                       solve_minus_coboundary, symmetric_slice_module,
+                       symmetrize, tensor_basis,
                        transpose, validate, without_group)
 
 
@@ -49,16 +49,16 @@ def test_sl3_adjoint_module_validates(sl3):
 
 
 def test_tensor_slice_modules_validate(sl2, sl3):
-    """T^n_{<=D} on symmetric monomials with the slotwise Leibniz action is
-    a g-module, and so is the reference's PBW slice with the slotwise
+    """The reference's T^n_{<=D} on symmetric monomials with the slotwise
+    Leibniz action is a g-module, and so is its PBW slice with the slotwise
     adjoint action.  The U-slice module is the symmetric slice at n = 1,
     isomorphic to the PBW slice by symmetrization."""
-    validate(tensor_slice_module(sl2, 2, 2))
-    validate(tensor_slice_module(sl3, 1, 2))
+    validate(symmetric_slice_module(sl2, 2, 2))
+    validate(symmetric_slice_module(sl3, 1, 2))
     validate(pbw_slice_module(sl2, 2, 2))
     validate(pbw_slice_module(sl3, 1, 2))
     validate(u_slice_module(sl2, 2))
-    assert u_slice_module(sl2, 2).actions == tensor_slice_module(sl2, 1, 2).actions
+    assert u_slice_module(sl2, 2).actions == symmetric_slice_module(sl2, 1, 2).actions
     assert_symmetrization_intertwines(build_sl(2), 2)
 
 
@@ -96,8 +96,7 @@ def test_symmetrization_intertwines_leibniz_with_the_pbw_action(n, bound):
 
 def test_module_permutations_intertwine(sl2, sl3):
     """Every constructor's signed permutations pass the check on
-    construction, a tensor slice's too when asked for, and one flipped
-    sign fails it."""
+    construction, U<=D's at every D, and one flipped sign fails it."""
     for g in (sl2, sl3):
         module = tensor_module(dual_module(adjoint_module(g)), u_slice_module(g, 1))
         assert module.klein is not None and trivial_module(g).klein is not None
@@ -107,8 +106,8 @@ def test_module_permutations_intertwine(sl2, sl3):
             flipped[k] = (omega[k][0], -omega[k][1])
             with pytest.raises(ValueError, match="intertwine"):
                 GModule(g, module.dim, module.actions, "flipped", (flipped, pi))
-    assert tensor_slice_module(sl2, 1, 2).klein is None
-    assert tensor_slice_module(sl3, 2, 2, klein=True).klein is not None
+    assert all(u_slice_module(g, bound).klein is not None
+               for g in (sl2, sl3) for bound in range(3))
 
 
 def test_a_table_without_the_klein_group_refuses_the_symmetric_slice():
